@@ -102,7 +102,7 @@ from repro.experiments import (
     write_csv,
 )
 from repro.obs import TRACE_OUT_ENV, JsonlSink, Tracer, summarize_trace_file
-from repro.runtime import ExecutionOptions, ParallelExecutor, ResultStore
+from repro.runtime import ExecutionOptions, ParallelExecutor, ResultStore, StoreError
 from repro.service.daemon import SimulationDaemon, SimulationService
 from repro.service.requests import (
     RequestError,
@@ -176,15 +176,6 @@ def _add_runtime_arguments(subparser: argparse.ArgumentParser) -> None:
             "interrupted run); with --store, cache reuse itself is always on"
         ),
     )
-    runtime.add_argument(
-        "--store-hot-mb",
-        type=float,
-        default=64.0,
-        help=(
-            "in-memory hot-tier budget of the result store in MiB (default "
-            "64); entries beyond it are served from the columnar cold tier"
-        ),
-    )
     _add_trace_argument(runtime)
 
 
@@ -220,12 +211,6 @@ def _open_store(args: argparse.Namespace) -> Optional[ResultStore]:
     if args.resume and not args.store:
         print("error: --resume needs --store PATH", file=sys.stderr)
         raise SystemExit(2)
-    if args.store_hot_mb <= 0:
-        print(
-            f"error: --store-hot-mb must be positive, got {args.store_hot_mb}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
     if not args.store:
         return None
     if args.resume and not Path(args.store).exists():
@@ -234,7 +219,11 @@ def _open_store(args: argparse.Namespace) -> Optional[ResultStore]:
             file=sys.stderr,
         )
         raise SystemExit(2)
-    return ResultStore(args.store, hot_budget_bytes=int(args.store_hot_mb * 2**20))
+    try:
+        return ResultStore(args.store)
+    except StoreError as error:
+        print(f"error: {error}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _runtime_options(args: argparse.Namespace) -> Optional[ExecutionOptions]:
@@ -267,16 +256,9 @@ def _warn_single_task(args: argparse.Namespace) -> None:
 def _print_store_stats(store: Optional[ResultStore]) -> None:
     """Report cache statistics and release the store, if one was opened."""
     if store is not None:
-        counters = store.counters()
         print(
             f"store {store.path}: {store.hits} cache hits, "
             f"{store.misses} misses, {len(store)} rows"
-        )
-        print(
-            f"tiers: {counters.hot_hits} hot hits, {counters.cold_hits} cold "
-            f"hits, {counters.spills} spills, {counters.evictions} evictions, "
-            f"{counters.compactions} compactions, "
-            f"{store.segment_count()} segments"
         )
         store.close()
 
@@ -555,16 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--store-hot-mb",
-        type=float,
-        default=64.0,
-        help=(
-            "in-memory hot-tier budget for the shared store, in MiB "
-            "(default 64); entries beyond it are served from the columnar "
-            "cold tier"
-        ),
-    )
-    serve.add_argument(
         "--job-workers",
         type=int,
         default=2,
@@ -659,12 +631,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help="fail fast unless --store already exists (continuing a killed run)",
-    )
-    campaign.add_argument(
-        "--store-hot-mb",
-        type=float,
-        default=64.0,
-        help="in-memory hot-tier budget of the result store in MiB (default 64)",
     )
     campaign.add_argument(
         "--output",
@@ -1045,17 +1011,11 @@ def _command_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         raise SystemExit(2)
-    if args.store_hot_mb <= 0:
-        print(
-            f"error: --store-hot-mb must be positive, got {args.store_hot_mb}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    store = (
-        ResultStore(args.store, hot_budget_bytes=int(args.store_hot_mb * 2**20))
-        if args.store
-        else None
-    )
+    try:
+        store = ResultStore(args.store) if args.store else None
+    except StoreError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         service = SimulationService(
             store,

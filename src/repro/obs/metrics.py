@@ -20,11 +20,11 @@ Two read paths:
   histogram series) the daemon serves at ``GET /v1/metrics``.
 
 Registries also accept **collectors** — callables returning sample lines at
-exposition time.  The daemon bridges the result store's
-:class:`~repro.runtime.store.StoreCounters` through a collector, so the
-store counters in ``/v1/metrics`` are read from the very same
-``store.counters()`` snapshot ``/v1/stats`` serves and the two endpoints can
-never structurally disagree.
+exposition time.  The daemon bridges the result store's hit/miss
+:class:`~repro.runtime.store.StoreCounters` and row count through a
+collector, so the store values in ``/v1/metrics`` are read from the very
+same ``store.counters()`` snapshot ``/v1/stats`` serves and the two
+endpoints can never structurally disagree.
 
 A process-wide default registry (:func:`get_registry`) collects runtime-side
 metrics (shard throughput, dispatch latency, requeues); components that need

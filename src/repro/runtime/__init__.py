@@ -9,11 +9,9 @@ shardable, cacheable, resumable jobs:
 * :mod:`repro.runtime.executors` — :class:`SerialExecutor` (default,
   in-process) and :class:`ParallelExecutor` (``ProcessPoolExecutor``-backed,
   chunked dispatch, worker-side engine construction) behind one interface;
-* :mod:`repro.runtime.store` — :class:`ResultStore`: a tiered
-  content-addressed cache keyed on ``(function, parameters, seeds, code
-  version)`` — an in-memory LRU hot tier over columnar ``.npz`` cold
-  segments, with sqlite as the key → location index and a background
-  compaction thread merging spill segments;
+* :mod:`repro.runtime.store` — :class:`ResultStore`: a content-addressed
+  cache keyed on ``(function, parameters, seeds, code version)``, one
+  sqlite table of key → metrics JSON;
 * :mod:`repro.runtime.driver` — :func:`run_plan`: cache lookup, shard
   dispatch, per-shard flush and ordered merge.
 
@@ -42,6 +40,7 @@ from repro.runtime.shard import (
 from repro.runtime.store import (
     ResultStore,
     StoreCounters,
+    StoreError,
     canonical_json,
     canonical_value,
     task_key,
@@ -54,6 +53,7 @@ __all__ = [
     "ResultStore",
     "SerialExecutor",
     "StoreCounters",
+    "StoreError",
     "ShardPlan",
     "Task",
     "canonical_json",

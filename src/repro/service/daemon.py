@@ -28,8 +28,7 @@ Endpoints (API v1 — every route lives under ``/v1/``)::
     GET  /v1/jobs/<id>/trace   the job's buffered span records (trace id,
                                span start/end events, shard timings)
     GET  /v1/healthz           liveness + version
-    GET  /v1/stats             store tier counters (hot/cold hits, spills,
-                               evictions, compactions, residency) + queue
+    GET  /v1/stats             store path, rows, hits and misses + queue
                                depth + job counts + queue-wait percentiles
     GET  /v1/metrics           Prometheus text exposition: the same store
                                counters as /stats (one snapshot source, so
@@ -136,19 +135,13 @@ class SimulationService:
                 {},
                 value,
             )
-        for name, value in (
-            ("rows", len(self.store)),
-            ("hot_entries", self.store.hot_entries),
-            ("hot_bytes", self.store.hot_bytes),
-            ("segments", self.store.segment_count()),
-        ):
-            yield (
-                f"repro_store_{name}",
-                "gauge",
-                f"Result store {name} residency.",
-                {},
-                value,
-            )
+        yield (
+            "repro_store_rows",
+            "gauge",
+            "Result store rows (matches the /v1/stats store field).",
+            {},
+            len(self.store),
+        )
 
     def _execute(self, request: Any) -> Tuple[List[Dict[str, Any]], str, int, int]:
         executor = (
@@ -220,19 +213,9 @@ class SimulationService:
         """The ``/stats`` payload: store counters plus queue counters."""
         store_stats: Dict[str, Any] = {"attached": self.store is not None}
         if self.store is not None:
-            # The full tier breakdown: hits/misses as before, plus hot/cold
-            # hit attribution, spill/eviction/compaction activity and the
-            # current residency of each tier.
             store_stats.update(self.store.counters().as_dict())
-            store_stats.update(
-                {
-                    "path": str(self.store.path),
-                    "rows": len(self.store),
-                    "hot_entries": self.store.hot_entries,
-                    "hot_bytes": self.store.hot_bytes,
-                    "segments": self.store.segment_count(),
-                }
-            )
+            store_stats["path"] = str(self.store.path)
+            store_stats["rows"] = len(self.store)
         return {
             "version": __version__,
             "store": store_stats,

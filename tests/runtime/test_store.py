@@ -1,21 +1,25 @@
-"""Tests for the tiered content-addressed ResultStore."""
+"""Tests for the content-addressed ResultStore."""
 
 import json
+import re
 import sqlite3
 import threading
-import time
 
 import numpy as np
 import pytest
 
+import repro.runtime.store as store_module
 from repro import __version__
 from repro.experiments import ExperimentConfig
 from repro.experiments.dynamics_sweep import dynamics_point_replication
 from repro.runtime import (
     ResultStore,
     ShardPlan,
+    StoreError,
     canonical_json,
     canonical_value,
+    execute_task,
+    run_plan,
     task_key,
 )
 
@@ -220,7 +224,6 @@ class TestThreadSafety:
         counters = store.counters()
         assert counters.hits == self.THREADS * self.TASKS_PER_THREAD
         assert counters.misses == 0
-        assert counters.hits == counters.hot_hits + counters.cold_hits
         store.close()
 
     def test_file_store_runs_in_wal_mode(self, tmp_path):
@@ -252,186 +255,108 @@ class TestThreadSafety:
             assert store.get(key) == [{"metric": 1.0}, {"metric": 2.0}]
 
 
-def tiered_store(path, **kwargs):
-    """File-backed store with the background thread off (tests drive compact())."""
-    kwargs.setdefault("compaction_interval", None)
-    return ResultStore(path, **kwargs)
-
-
 # Awkward floats: accumulated rounding, thirds, pi, a denormal, negative
-# zero — bit-identity through the columnar tier means these come back
-# exactly, not merely close.
+# zero — they must come back with the same bits, not merely close.
 AWKWARD = [0.1 + 0.2, 1.0 / 3.0, float(np.pi), 5e-324, -0.0]
 
 
-class TestTieredStore:
-    def test_put_then_get_is_hot_hit_and_spills_a_segment(self, tmp_path):
-        with tiered_store(tmp_path / "tiered.sqlite") as store:
-            key = store.put(make_task(), [{"regret": 0.5}, {"regret": 0.25}])
-            assert store.get(key) == [{"regret": 0.5}, {"regret": 0.25}]
-            counters = store.counters()
-            assert counters.hot_hits == 1
-            assert counters.cold_hits == 0
-            assert counters.spills == 1
-            assert store.hot_entries == 1
-            assert store.segment_count() == 1
-            segments = list((tmp_path / "tiered.sqlite.segments").glob("seg-*.npz"))
-            assert len(segments) == 1
+def float_bits(metrics):
+    return [
+        np.float64(value).tobytes() for row in metrics for value in row.values()
+    ]
 
-    def test_cold_read_after_reopen_is_bit_identical(self, tmp_path):
-        path = tmp_path / "cold.sqlite"
+
+class TestRoundTrip:
+    def test_floats_round_trip_bit_identically_after_reopen(self, tmp_path):
+        path = tmp_path / "bits.sqlite"
         metrics = [{"value": value} for value in AWKWARD]
-        task = make_task()
-        with tiered_store(path) as store:
-            key = store.put(task, metrics)
-        with tiered_store(path) as reopened:
-            assert reopened.hot_entries == 0
+        with ResultStore(path) as store:
+            key = store.put(make_task(), metrics)
+        with ResultStore(path) as reopened:
             got = reopened.get(key)
-            assert got == metrics
-            for row, expected in zip(got, metrics):
-                # == would also pass for -0.0 vs 0.0; require the same bits.
-                assert np.float64(row["value"]).tobytes() == np.float64(
-                    expected["value"]
-                ).tobytes()
-            counters = reopened.counters()
-            assert counters.cold_hits == 1
-            assert counters.hot_hits == 0
-            # The cold read admits the entry, so the next one is hot.
-            assert reopened.get(key) == metrics
-            assert reopened.counters().hot_hits == 1
+        # == would also pass for -0.0 vs 0.0; require the same bits.
+        assert float_bits(got) == float_bits(metrics)
 
-    def test_entry_larger_than_hot_budget_stays_cold(self, tmp_path):
-        with tiered_store(
-            tmp_path / "big.sqlite", hot_budget_bytes=256
-        ) as store:
-            oversized = [{"metric": float(i)} for i in range(64)]
-            key = store.put(make_task(), oversized)
-            assert store.hot_entries == 0
-            for _ in range(2):
-                assert store.get(key) == oversized
-            counters = store.counters()
-            # Never admitted: every read is a cold-tier read.
-            assert counters.cold_hits == 2
-            assert counters.hot_hits == 0
-            assert store.hot_entries == 0
-
-    def test_lru_eviction_by_entry_budget(self, tmp_path):
-        with tiered_store(
-            tmp_path / "lru.sqlite", hot_budget_entries=2
-        ) as store:
-            keys = [
-                store.put(make_task(seeds=[seed]), [{"metric": float(seed)}])
-                for seed in range(3)
-            ]
-            assert store.hot_entries == 2
-            assert store.counters().evictions == 1
-            # The first entry was evicted; reading it is a cold hit.
-            assert store.get(keys[0]) == [{"metric": 0.0}]
-            assert store.counters().cold_hits == 1
-
-    def test_non_float_metrics_fall_back_inline(self, tmp_path):
-        path = tmp_path / "inline.sqlite"
+    def test_non_float_metric_values_keep_their_types(self, tmp_path):
+        path = tmp_path / "types.sqlite"
         metrics = [{"count": 3, "label": "ok", "flag": True, "missing": None}]
-        task = make_task()
-        with tiered_store(path) as store:
-            key = store.put(task, metrics)
-            assert store.counters().spills == 0
-            assert store.segment_count() == 0
-        with tiered_store(path) as reopened:
+        with ResultStore(path) as store:
+            key = store.put(make_task(), metrics)
+        with ResultStore(path) as reopened:
             got = reopened.get(key)
-            assert got == metrics
-            assert type(got[0]["count"]) is int
-            assert type(got[0]["flag"]) is bool
+        assert got == metrics
+        assert type(got[0]["count"]) is int
+        assert type(got[0]["flag"]) is bool
 
-    def test_compact_merges_segments_and_survives_reopen(self, tmp_path):
-        path = tmp_path / "compact.sqlite"
-        with tiered_store(path) as store:
-            keys = [
-                store.put(make_task(seeds=[seed]), [{"metric": float(seed)}])
-                for seed in range(4)
-            ]
-            assert store.segment_count() == 4
-            assert store.compact() is True
-            assert store.segment_count() == 1
-            assert store.counters().compactions == 1
-            for seed, key in enumerate(keys):
-                assert store.get(key) == [{"metric": float(seed)}]
-        with tiered_store(path) as reopened:
-            for seed, key in enumerate(keys):
-                assert reopened.get(key) == [{"metric": float(seed)}]
-            assert reopened.segment_count() == 1
-
-    def test_compact_below_threshold_is_a_noop_without_force(self, tmp_path):
-        with tiered_store(tmp_path / "noop.sqlite") as store:
-            store.put(make_task(), [{"metric": 1.0}])
-            assert store.compact() is False
-            assert store.compact(force=True) is True
-            assert store.get(store.key_for(make_task())) == [{"metric": 1.0}]
-
-    def test_max_age_eviction_drops_old_entries(self, tmp_path):
-        with tiered_store(
-            tmp_path / "aged.sqlite", max_age_seconds=0.0
-        ) as store:
-            store.put(make_task(seeds=[1]), [{"metric": 1.0}])
-            store.put(make_task(seeds=[2]), [{"count": 2}])  # inline row
-            time.sleep(0.01)
-            assert store.compact(force=True) is True
-            assert len(store) == 0
-            assert store.get(store.key_for(make_task(seeds=[1]))) is None
-
-    def test_cold_budget_evicts_least_recently_used(self, tmp_path):
-        with tiered_store(
-            tmp_path / "budget.sqlite",
-            cold_budget_bytes=1,
-            hot_budget_entries=1,
-        ) as store:
-            old = store.put(make_task(seeds=[1]), [{"metric": 1.0}])
-            new = store.put(make_task(seeds=[2]), [{"metric": 2.0}])
-            store.get(new)  # refresh recency of the newer entry
-            store.compact(force=True)
-            remaining = {key for key in (old, new) if key in store}
-            # A 1-byte budget keeps nothing resident except what the LRU
-            # order says to drop last — the untouched entry goes first.
-            assert old not in remaining
-
-    def test_memory_store_never_spills(self):
+    def test_get_many_counts_like_repeated_gets(self):
         with ResultStore() as store:
-            key = store.put(make_task(), [{"metric": 1.0}])
-            assert store.counters().spills == 0
-            assert store.segment_count() == 0
-            assert store.get(key) == [{"metric": 1.0}]
-
-    def test_get_many_counts_like_repeated_gets(self, tmp_path):
-        path = tmp_path / "bulk.sqlite"
-        with tiered_store(path) as store:
             present = [
                 store.put(make_task(seeds=[seed]), [{"metric": float(seed)}])
                 for seed in range(3)
             ]
-        with tiered_store(path) as reopened:
             absent = "0" * 64
-            keys = present + [absent, present[0], absent]
-            found = reopened.get_many(keys)
+            found = store.get_many(present + [absent, present[0], absent])
             assert set(found) == set(present)
             assert found[present[1]] == [{"metric": 1.0}]
-            counters = reopened.counters()
-            assert counters.hits == 4  # 3 first reads + 1 duplicate
-            assert counters.misses == 2  # the absent key, twice
-            assert counters.cold_hits == 3
-            assert counters.hot_hits == 1
+            assert store.counters().hits == 4  # 3 first reads + 1 duplicate
+            assert store.counters().misses == 2  # the absent key, twice
 
-    def test_invalid_budgets_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="hot_budget_bytes"):
-            ResultStore(tmp_path / "bad.sqlite", hot_budget_bytes=0)
-        with pytest.raises(ValueError, match="compact_threshold"):
-            ResultStore(tmp_path / "bad2.sqlite", compact_threshold=1)
+    def test_get_many_spans_several_query_chunks(self):
+        count = store_module._SELECT_CHUNK + 7
+        with ResultStore() as store:
+            keys = store.put_many(
+                (make_task(seeds=[seed]), [{"metric": float(seed)}])
+                for seed in range(count)
+            )
+            found = store.get_many(keys)
+        assert [found[key] for key in keys] == [
+            [{"metric": float(seed)}] for seed in range(count)
+        ]
 
 
-class TestLegacyMigration:
-    """Pre-tiered stores (PR-5/PR-6 schema) must open without data loss."""
+class TestOpenErrors:
+    """A file that is not a usable store is a typed error, not a traceback."""
 
-    LEGACY_SCHEMA = """
-    CREATE TABLE results (
+    def write_text_file(self, path):
+        path.write_text("not a database, just some text\n" * 64)
+        return path
+
+    def test_non_sqlite_file_raises_store_error_naming_the_path(self, tmp_path):
+        path = self.write_text_file(tmp_path / "corrupt.sqlite")
+        with pytest.raises(StoreError, match=re.escape(f"result store {path}:")):
+            ResultStore(path)
+
+    def test_failed_open_closes_its_connection(self, tmp_path, monkeypatch):
+        path = self.write_text_file(tmp_path / "corrupt.sqlite")
+        opened = []
+        connect = sqlite3.connect
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(store_module.sqlite3, "connect", recording_connect)
+        with pytest.raises(StoreError):
+            ResultStore(path)
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened[0].execute("SELECT 1")
+
+    def test_directory_path_raises_store_error(self, tmp_path):
+        with pytest.raises(StoreError, match="cannot open result store"):
+            ResultStore(tmp_path)
+
+
+class TestEarlierStores:
+    """Stores written by earlier versions open with no migration step.
+
+    Two layouts exist: the original table without location columns, and the
+    segment-spilling layout whose rows could point into
+    ``<path>.segments/`` with an empty ``metrics`` column.  Inline rows keep
+    serving; segment rows are misses until they are recomputed.
+    """
+
+    ORIGINAL_COLUMNS = """
         key TEXT PRIMARY KEY,
         function TEXT NOT NULL,
         name TEXT NOT NULL,
@@ -440,106 +365,96 @@ class TestLegacyMigration:
         code_version TEXT NOT NULL,
         metrics TEXT NOT NULL,
         created_at TEXT NOT NULL
-    )
     """
+    SEGMENT_COLUMNS = ORIGINAL_COLUMNS + ", segment TEXT, entry INTEGER"
 
-    def make_legacy_store(self, path, task, metrics):
+    def plan(self):
+        config = ExperimentConfig(
+            name="earlier-store", parameters=dict(BASE), replications=2, seed=3
+        )
+        return ShardPlan.from_config(config, dynamics_point_replication)
+
+    def write_store(self, path, columns, rows):
+        """``rows`` are ``(task, metrics JSON, segment, entry)`` tuples."""
         connection = sqlite3.connect(str(path))
-        connection.execute(self.LEGACY_SCHEMA)
-        connection.execute(
-            "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-            (
+        connection.execute(f"CREATE TABLE results ({columns})")
+        for task, metrics_json, segment, entry in rows:
+            values = [
                 task_key(task),
                 task.function_ref,
                 task.name,
                 canonical_json(task.parameters),
                 json.dumps(list(task.seeds)),
                 __version__,
-                json.dumps(metrics),
+                metrics_json,
                 "2026-01-01T00:00:00+00:00",
-            ),
-        )
+            ]
+            if "segment" in columns:
+                values += [segment, entry]
+            placeholders = ",".join("?" * len(values))
+            connection.execute(f"INSERT INTO results VALUES ({placeholders})", values)
         connection.commit()
         connection.close()
 
-    def test_legacy_store_opens_and_serves_old_rows(self, tmp_path):
-        path = tmp_path / "legacy.sqlite"
-        task = make_task()
-        metrics = [{"regret": 0.5}, {"regret": 0.25}]
-        self.make_legacy_store(path, task, metrics)
-        with tiered_store(path) as store:
-            assert store.get(store.key_for(task)) == metrics
-            assert store.counters().cold_hits == 1
-
-    def test_legacy_store_accepts_new_tiered_writes(self, tmp_path):
-        path = tmp_path / "legacy-grow.sqlite"
-        old_task = make_task(seeds=[1])
-        self.make_legacy_store(path, old_task, [{"regret": 0.5}])
-        with tiered_store(path) as store:
-            new_key = store.put(make_task(seeds=[2]), [{"regret": 0.25}])
-            assert store.counters().spills == 1
-            assert store.get(store.key_for(old_task)) == [{"regret": 0.5}]
-            assert store.get(new_key) == [{"regret": 0.25}]
-        with tiered_store(path) as reopened:
-            assert len(reopened) == 2
-            assert reopened.get(new_key) == [{"regret": 0.25}]
-
-
-class TestTierConcurrency:
-    def test_concurrent_reads_during_spills(self, tmp_path):
-        store = tiered_store(tmp_path / "racing.sqlite")
-        seeds = list(range(40))
-        keys = {}
-        errors = []
-        stop = threading.Event()
-
-        def reader():
-            try:
-                while not stop.is_set():
-                    for seed, key in list(keys.items()):
-                        got = store.get(key)
-                        if got is not None:
-                            assert got == [{"metric": float(seed)}]
-            except Exception as error:  # pragma: no cover - failure reporting
-                errors.append(error)
-
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        try:
-            for seed in seeds:
-                keys[seed] = store.put(
-                    make_task(seeds=[seed]), [{"metric": float(seed)}]
-                )
-                if seed % 10 == 9:
-                    store.compact(force=True)
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join(timeout=30)
-        assert not errors, errors
-        for seed, key in keys.items():
-            assert store.get(key) == [{"metric": float(seed)}]
-        store.close()
-
-    def test_background_thread_compacts_and_closes_cleanly(self, tmp_path):
-        store = ResultStore(
-            tmp_path / "auto.sqlite",
-            compact_threshold=2,
-            compaction_interval=0.05,
+    def test_original_layout_serves_inline_rows_bit_identically(self, tmp_path):
+        path = tmp_path / "original.sqlite"
+        task = self.plan().tasks[0]
+        metrics = [{"value": value} for value in AWKWARD]
+        self.write_store(
+            path, self.ORIGINAL_COLUMNS, [(task, json.dumps(metrics), None, None)]
         )
-        try:
-            for seed in range(3):
-                store.put(make_task(seeds=[seed]), [{"metric": float(seed)}])
-            deadline = time.time() + 10
-            # Each put can race a merge, so wait for convergence: every
-            # spill segment folded into one, with at least one merge done.
-            while time.time() < deadline:
-                if store.counters().compactions >= 1 and store.segment_count() == 1:
-                    break
-                time.sleep(0.02)
-            assert store.counters().compactions >= 1
-            assert store.segment_count() == 1
-        finally:
-            store.close()
-        assert store.closed
+        with ResultStore(path) as store:
+            got = store.get(store.key_for(task))
+            assert float_bits(got) == float_bits(metrics)
+            assert store.counters().hits == 1
+            other = store.put(self.plan().tasks[1], [{"metric": 1.0}])
+        with ResultStore(path) as reopened:
+            assert len(reopened) == 2
+            assert reopened.get(other) == [{"metric": 1.0}]
+
+    def test_segment_layout_recomputes_segment_rows_once(self, tmp_path):
+        path = tmp_path / "segmented.sqlite"
+        plan = self.plan()
+        inline_task, segment_task = plan.tasks
+        inline_metrics = execute_task(inline_task, dynamics_point_replication)
+        self.write_store(
+            path,
+            self.SEGMENT_COLUMNS,
+            [
+                (inline_task, json.dumps(inline_metrics), None, None),
+                (segment_task, "", "seg-0123456789ab.npz", 0),
+            ],
+        )
+        segments = tmp_path / "segmented.sqlite.segments"
+        segments.mkdir()
+        np.savez(segments / "seg-0123456789ab.npz", values=np.zeros((1, 1)))
+        calls = []
+
+        def counting(seed, parameters):
+            calls.append(seed)
+            return dynamics_point_replication(seed, parameters)
+
+        with ResultStore(path) as store:
+            inline_key, segment_key = (store.key_for(task) for task in plan.tasks)
+            got = store.get(inline_key)
+            assert float_bits(got) == float_bits(inline_metrics)
+            assert store.get(segment_key) is None
+            assert segment_key not in store
+            assert len(store) == 1
+            assert store.counters() == (1, 1)
+
+            cold = run_plan(plan, counting, store=store)
+            assert calls == list(segment_task.seeds)  # only the segment row
+            assert cold == run_plan(plan, dynamics_point_replication)
+            assert len(store) == 2
+
+            warm = run_plan(plan, counting, store=store)
+            assert len(calls) == 1  # both rows hit now
+            assert warm == cold
+            assert store.counters() == (4, 2)
+        connection = sqlite3.connect(str(path))
+        segment, entry = connection.execute(
+            "SELECT segment, entry FROM results WHERE key = ?", (segment_key,)
+        ).fetchone()
+        connection.close()
+        assert (segment, entry) == (None, None)

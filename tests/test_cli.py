@@ -454,8 +454,8 @@ class TestRuntimeFlags:
         assert main(self.SWEEP + ["--store", store, "--resume"]) == 0
         second = capsys.readouterr().out
         assert "4 cache hits, 0 misses, 4 rows" in second
-        # identical metric tables modulo the store-stats and tier lines
-        assert first.splitlines()[:-2] == second.splitlines()[:-2]
+        # identical metric tables modulo the store-stats line
+        assert first.splitlines()[:-1] == second.splitlines()[:-1]
 
     def test_resume_without_store_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -475,29 +475,21 @@ class TestRuntimeFlags:
         assert excinfo.value.code == 2
         assert "--workers must be at least 1" in capsys.readouterr().err
 
-    def test_store_hot_mb_reports_tier_stats(self, capsys, tmp_path):
-        store = str(tmp_path / "tiered.sqlite")
-        arguments = self.SWEEP + ["--store", store, "--store-hot-mb", "8"]
-        assert main(arguments) == 0
-        cold = capsys.readouterr().out
-        assert "4 spills" in cold
-        assert main(arguments + ["--resume"]) == 0
-        warm = capsys.readouterr().out
-        assert "4 cache hits, 0 misses, 4 rows" in warm
-        # A fresh process starts with an empty hot tier: replay is cold.
-        assert "0 hot hits, 4 cold hits" in warm
-
-    def test_nonpositive_store_hot_mb_rejected(self, capsys):
+    def test_corrupt_store_is_a_typed_error(self, capsys, tmp_path):
+        store = tmp_path / "corrupt.sqlite"
+        store.write_text("not a database, just some text\n" * 64)
         with pytest.raises(SystemExit) as excinfo:
-            main(self.SWEEP + ["--store-hot-mb", "0"])
+            main(self.SWEEP + ["--store", str(store)])
         assert excinfo.value.code == 2
-        assert "--store-hot-mb must be positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: cannot open result store {store}:" in err
 
-    def test_serve_rejects_nonpositive_store_hot_mb(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--store-hot-mb", "-1"])
-        assert excinfo.value.code == 2
-        assert "--store-hot-mb must be positive" in capsys.readouterr().err
+    def test_serve_rejects_a_corrupt_store(self, capsys, tmp_path):
+        store = tmp_path / "corrupt.sqlite"
+        store.write_text("not a database, just some text\n" * 64)
+        assert main(["serve", "--port", "0", "--store", str(store)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot open result store {store}:" in err
 
     def test_batched_sweep_notes_the_per_point_convention(self, capsys, tmp_path):
         arguments = self.SWEEP[:-1] + ["batched"]  # swap --engine loop -> batched
