@@ -4,6 +4,7 @@ import json
 import re
 import sqlite3
 import threading
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -178,6 +179,78 @@ class TestResultStore:
             assert len(keys) == 2
             assert len(store) == 2
 
+    def test_empty_batches_touch_nothing(self):
+        with ResultStore() as store:
+            assert store.put_many([]) == []
+            assert store.get_many([]) == {}
+            assert len(store) == 0
+            assert store.counters() == (0, 0)
+
+    def test_counters_carry_only_hits_and_misses(self):
+        with ResultStore() as store:
+            store.get("0" * 64)
+            assert store.counters().as_dict() == {"hits": 0, "misses": 1}
+
+    def test_new_store_has_one_table_without_location_columns(self, tmp_path):
+        with ResultStore(tmp_path / "fresh.sqlite") as store:
+            tables = store._connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            ).fetchall()
+            columns = [
+                row[1]
+                for row in store._connection.execute("PRAGMA table_info(results)")
+            ]
+        assert tables == [("results",)]
+        assert columns == [
+            "key",
+            "function",
+            "name",
+            "parameters",
+            "seeds",
+            "code_version",
+            "metrics",
+            "created_at",
+        ]
+
+    def test_put_records_the_task_provenance(self, tmp_path):
+        task = make_task(seeds=[7, 8])
+        with ResultStore(tmp_path / "provenance.sqlite", code_version="v9") as store:
+            key = store.put(task, [{"metric": 1.0}, {"metric": 2.0}])
+            row = store._connection.execute(
+                "SELECT function, name, parameters, seeds, code_version,"
+                " created_at FROM results WHERE key = ?",
+                (key,),
+            ).fetchone()
+        function, name, parameters, seeds, code_version, created_at = row
+        assert function == task.function_ref
+        assert name == task.name
+        assert parameters == canonical_json(task.parameters)
+        assert json.loads(seeds) == [7, 8]
+        assert code_version == "v9"
+        assert datetime.fromisoformat(created_at).tzinfo is not None
+
+    @pytest.mark.parametrize(
+        "operation",
+        [
+            lambda store: store.get_many(["0" * 64]),
+            lambda store: store.put(make_task(), [{"metric": 1.0}]),
+            lambda store: "0" * 64 in store,
+            lambda store: len(store),
+        ],
+        ids=["get_many", "put", "contains", "len"],
+    )
+    def test_closed_store_rejects_every_operation(self, operation):
+        store = ResultStore()
+        store.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            operation(store)
+
+    def test_context_manager_closes_when_the_body_raises(self):
+        with pytest.raises(KeyError):
+            with ResultStore() as store:
+                raise KeyError("boom")
+        assert store.closed
+
 
 class TestThreadSafety:
     """Regression: the daemon's worker threads share one store concurrently.
@@ -230,6 +303,77 @@ class TestThreadSafety:
         store = ResultStore(tmp_path / "wal.sqlite")
         mode = store._connection.execute("PRAGMA journal_mode").fetchone()[0]
         assert mode == "wal"
+        store.close()
+
+    def test_file_store_waits_thirty_seconds_for_a_lock(self, tmp_path):
+        with ResultStore(tmp_path / "busy.sqlite") as store:
+            timeout = store._connection.execute("PRAGMA busy_timeout").fetchone()[0]
+        assert timeout == 30_000
+
+    def test_two_instances_share_one_file(self, tmp_path):
+        # A CLI run next to a daemon: two connections on one file, each
+        # seeing the other's committed rows, each with its own counters.
+        path = tmp_path / "shared.sqlite"
+        with ResultStore(path) as writer, ResultStore(path) as reader:
+            key = writer.put(make_task(), [{"metric": 0.5}, {"metric": 0.25}])
+            assert reader.get(key) == [{"metric": 0.5}, {"metric": 0.25}]
+            assert len(reader) == 1
+            assert reader.counters() == (1, 0)
+            assert writer.counters() == (0, 0)
+
+    def test_bulk_lookups_during_batched_writes(self, tmp_path):
+        # The daemon shape: replay requests read a warm key set with
+        # get_many while another job flushes shards with put_many.
+        store = ResultStore(tmp_path / "replay.sqlite")
+        warm = {
+            store.put(make_task(seeds=[seed]), [{"value": AWKWARD[seed % 5]}]): (
+                AWKWARD[seed % 5]
+            )
+            for seed in range(40)
+        }
+        batches = [
+            [
+                (make_task(seeds=[1000 + batch, index]), [{"value": float(index)}])
+                for index in range(10)
+            ]
+            for batch in range(8)
+        ]
+        readers, rounds = 3, 20
+        errors = []
+        barrier = threading.Barrier(readers + 1)
+
+        def read():
+            try:
+                barrier.wait(timeout=10)
+                for _ in range(rounds):
+                    found = store.get_many(list(warm))
+                    assert {
+                        key: np.float64(rows[0]["value"]).tobytes()
+                        for key, rows in found.items()
+                    } == {
+                        key: np.float64(value).tobytes()
+                        for key, value in warm.items()
+                    }
+            except Exception as error:  # pragma: no cover - failure reporting
+                errors.append(error)
+
+        def write():
+            try:
+                barrier.wait(timeout=10)
+                for batch in batches:
+                    store.put_many(batch)
+            except Exception as error:  # pragma: no cover - failure reporting
+                errors.append(error)
+
+        threads = [threading.Thread(target=read) for _ in range(readers)]
+        threads.append(threading.Thread(target=write))
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not errors, errors
+        assert len(store) == len(warm) + 8 * 10
+        assert store.counters() == (readers * rounds * len(warm), 0)
         store.close()
 
     def test_close_is_idempotent_and_marks_closed(self):

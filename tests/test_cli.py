@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -483,6 +485,54 @@ class TestRuntimeFlags:
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
         assert f"error: cannot open result store {store}:" in err
+
+    @pytest.mark.parametrize("command", ["network", "protocol", "campaign"])
+    def test_every_store_command_rejects_a_corrupt_store(
+        self, command, capsys, tmp_path
+    ):
+        store = tmp_path / "corrupt.sqlite"
+        store.write_text("not a database, just some text\n" * 64)
+        spec = tmp_path / "campaign.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "name": "corrupt-store",
+                    "nodes": [
+                        {
+                            "id": "sim",
+                            "kind": "simulate",
+                            "request": {
+                                "kind": "sweep",
+                                "options": [0.8, 0.5],
+                                "populations": [50],
+                                "horizon": 4,
+                                "replications": 2,
+                                "engine": "loop",
+                            },
+                        }
+                    ],
+                }
+            )
+        )
+        arguments = {
+            "network": ["network", "--topology", "ring", "--size", "40",
+                        "--horizon", "5", "--replications", "2"],
+            "protocol": ["protocol", "--nodes", "40", "--rounds", "5",
+                         "--replications", "2"],
+            "campaign": ["campaign", "--spec", str(spec)],
+        }[command]
+        with pytest.raises(SystemExit) as excinfo:
+            main(arguments + ["--store", str(store)])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot open result store {store}:" in err
+
+    def test_store_hot_mb_flag_is_gone(self, capsys, tmp_path):
+        store = str(tmp_path / "sweep.sqlite")
+        with pytest.raises(SystemExit) as excinfo:
+            main(self.SWEEP + ["--store", store, "--store-hot-mb", "8"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --store-hot-mb" in capsys.readouterr().err
 
     def test_serve_rejects_a_corrupt_store(self, capsys, tmp_path):
         store = tmp_path / "corrupt.sqlite"
