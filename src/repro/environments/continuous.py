@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.environments.base import RewardEnvironment
 from repro.utils.rng import RngLike
@@ -126,6 +125,8 @@ class ContinuousRewardEnvironment(RewardEnvironment):
             raise ValueError("means must be a non-empty 1-D sequence")
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
+        from scipy import stats  # not at module level: ~1 s to import
+
         distributions = [stats.norm(loc=mean, scale=scale) for mean in means]
         return cls(distributions, threshold=threshold, rng=rng)
 
@@ -234,6 +235,8 @@ class EllisonFudenbergEnvironment(RewardEnvironment):
         """Gaussian instance: ``F_1 = N(mean_gap, s)``, ``F_2 = N(0, s)``, shocks ``N(0, shock_scale)``."""
         if reward_scale <= 0 or shock_scale <= 0:
             raise ValueError("reward_scale and shock_scale must be positive")
+        from scipy import stats  # not at module level: ~1 s to import
+
         return cls(
             stats.norm(loc=mean_gap, scale=reward_scale),
             stats.norm(loc=0.0, scale=reward_scale),

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
-from scipy import stats
 
 from repro.environments.base import RewardEnvironment
 from repro.utils.rng import RngLike
@@ -100,6 +99,8 @@ class CorrelatedOptionsEnvironment(RewardEnvironment):
         self._correlation = check_in_range(
             correlation, "correlation", 0.0, 1.0, inclusive_high=False
         )
+        from scipy import stats  # not at module level: ~1 s to import
+
         # Threshold such that P[Z > z_j] = eta_j for standard normal Z.
         self._thresholds = stats.norm.isf(np.clip(self._qualities, 1e-12, 1 - 1e-12))
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.analysis import (
     bootstrap_confidence_interval,
@@ -44,6 +45,36 @@ class TestNormalConfidenceInterval:
             normal_confidence_interval([])
         with pytest.raises(ValueError):
             normal_confidence_interval([1.0, 2.0], confidence=1.0)
+
+
+class TestMatchesScipyStats:
+    """Computed without ``scipy.stats``, yet equal to it bit for bit."""
+
+    SIZES = [*range(2, 65), 100, 1000, 2921]
+
+    @staticmethod
+    def _sample(n):
+        return np.random.default_rng(n).random(n)
+
+    @pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99])
+    def test_equals_t_ppf_times_sem(self, confidence):
+        for n in self.SIZES:
+            sample = self._sample(n)
+            mean = float(sample.mean())
+            quantile = stats.t.ppf(0.5 + confidence / 2.0, n - 1)
+            margin = float(quantile * stats.sem(sample))
+            expected = (mean - margin, mean + margin)
+            assert normal_confidence_interval(sample, confidence) == expected, n
+
+    def test_sizes_include_a_sqrt_pow_disagreement(self):
+        # At n = 2921, np.sqrt(n) and n ** 0.5 differ in the last bit and so
+        # do the SEMs they give; stats.sem divides by n ** 0.5.
+        n = 2921
+        std = self._sample(n).std(ddof=1)
+        assert n in self.SIZES
+        assert np.sqrt(n) != n**0.5
+        assert std / np.sqrt(n) != std / n**0.5
+        assert float(stats.sem(self._sample(n))) == std / n**0.5
 
 
 class TestBootstrapConfidenceInterval:
