@@ -27,9 +27,9 @@ def normal_confidence_interval(
     mean = float(array.mean())
     if array.size == 1:
         return mean, mean
-    # Bit-identical to ``stats.t.ppf(q, df) * stats.sem(array)`` without
-    # importing scipy.stats (~1 s) into every process: ``t.ppf`` is
-    # ``stdtrit`` and ``sem`` divides by ``n ** 0.5`` (``np.sqrt`` can differ).
+    # Bit-identical to ``stats.t.ppf(q, df) * stats.sem(array)`` without the
+    # slow scipy.stats import in every process: ``t.ppf`` is ``stdtrit`` and
+    # ``sem`` divides by ``n ** 0.5`` (``np.sqrt`` can differ in the last bit).
     sem = float(array.std(ddof=1) / array.size**0.5)
     if sem == 0.0:
         return mean, mean

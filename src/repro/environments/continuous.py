@@ -125,7 +125,7 @@ class ContinuousRewardEnvironment(RewardEnvironment):
             raise ValueError("means must be a non-empty 1-D sequence")
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
-        from scipy import stats  # not at module level: ~1 s to import
+        from scipy import stats  # not at module level: slow to import
 
         distributions = [stats.norm(loc=mean, scale=scale) for mean in means]
         return cls(distributions, threshold=threshold, rng=rng)
@@ -235,7 +235,7 @@ class EllisonFudenbergEnvironment(RewardEnvironment):
         """Gaussian instance: ``F_1 = N(mean_gap, s)``, ``F_2 = N(0, s)``, shocks ``N(0, shock_scale)``."""
         if reward_scale <= 0 or shock_scale <= 0:
             raise ValueError("reward_scale and shock_scale must be positive")
-        from scipy import stats  # not at module level: ~1 s to import
+        from scipy import stats  # not at module level: slow to import
 
         return cls(
             stats.norm(loc=mean_gap, scale=reward_scale),

@@ -99,7 +99,7 @@ class CorrelatedOptionsEnvironment(RewardEnvironment):
         self._correlation = check_in_range(
             correlation, "correlation", 0.0, 1.0, inclusive_high=False
         )
-        from scipy import stats  # not at module level: ~1 s to import
+        from scipy import stats  # not at module level: slow to import
 
         # Threshold such that P[Z > z_j] = eta_j for standard normal Z.
         self._thresholds = stats.norm.isf(np.clip(self._qualities, 1e-12, 1 - 1e-12))

@@ -1,7 +1,8 @@
 """Start-up guard: a repro process imports scipy only when it needs it.
 
-``scipy.stats`` takes about a second to import and ``scipy.special`` about a
-third of one, which would dominate every small ``python -m repro`` call.  No
+On a 2-core VM ``scipy.stats`` takes about a second to import and
+``scipy.special`` about a third of one, which would dominate every small
+``python -m repro`` call.  No
 module under ``src/repro`` imports scipy at module level; the few functions
 that need it import it themselves.  Pytest's own process may already hold
 scipy, so every runtime check runs in a fresh interpreter.
