@@ -24,7 +24,13 @@ import pytest
 
 from repro.experiments import ParameterGrid, ResultTable, run_sweep
 from repro.experiments.dynamics_sweep import dynamics_point_replication
-from repro.runtime import ParallelExecutor, ResultStore, SerialExecutor, Task
+from repro.runtime import (
+    ExecutionOptions,
+    ParallelExecutor,
+    ResultStore,
+    SerialExecutor,
+    Task,
+)
 
 QUALITIES = (0.8, 0.5, 0.5, 0.5, 0.5)
 POPULATION = 20_000
@@ -48,8 +54,7 @@ def _run(executor=None, store=None):
         replications=REPLICATES,
         seed=0,
         base_parameters=BASE_PARAMETERS,
-        executor=executor,
-        store=store,
+        options=ExecutionOptions(executor=executor, store=store),
     )
     seconds = time.perf_counter() - start
     assert len(results) == len(GRID)

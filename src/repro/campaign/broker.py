@@ -30,7 +30,7 @@ for the next idle broker and carries on.  An ``error`` frame (the task
 itself raised) aborts the run instead: tasks are deterministic, so retrying
 elsewhere would fail the same way.
 
-Determinism: brokers run the same :func:`~repro.runtime.shard.execute_task`
+Determinism: brokers run the same :func:`~repro.runtime.shard.execute_shard`
 compute path as every other backend and tasks are execution-invariant, so a
 broker campaign is bit-identical to a ``SerialExecutor`` run — at any broker
 count, with any shard-to-broker assignment, crashes included.
@@ -56,9 +56,8 @@ from repro.runtime.executors import (
     _execute_shard,
     _repro_import_root,
     _worker_initializer,
-    resolve_replication,
 )
-from repro.runtime.shard import Task, execute_task
+from repro.runtime.shard import Task
 from repro.utils.logging import get_logger
 
 logger = get_logger("campaign.broker")
@@ -632,11 +631,13 @@ def run_broker(
 def _execute_tasks(
     tasks: List[Task], pool: Optional[ProcessPoolExecutor]
 ) -> List[List[Dict[str, float]]]:
-    """Run one shard's tasks (in-process or on the local pool), in order."""
+    """Run one shard's tasks (in-process or on the local pool), in order.
+
+    In-process, the shard runs as one :func:`_execute_shard` call, so its
+    grid points share a fused launch.  On the pool every task runs alone;
+    the rows are the same either way.
+    """
     if pool is None:
-        return [
-            execute_task(task, resolve_replication(task.function_ref))
-            for task in tasks
-        ]
+        return [rows for _, rows in _execute_shard(tasks)]
     futures = [pool.submit(_execute_shard, [task]) for task in tasks]
     return [future.result()[0][1] for future in futures]

@@ -26,10 +26,11 @@ node is still queued.  Nodes of different kinds execute very differently:
 * ``report`` nodes collate upstream rows into one node-tagged table plus a
   rendered text report.
 
-The scheduler always routes simulate nodes through the runtime path (a
-:class:`SerialExecutor` when no backend is given) rather than the in-process
-fused engines, so backend choice can never change a campaign's numbers —
-the cross-backend bit-identity contract of ``repro campaign --backend``.
+Simulate nodes run on the scheduler's backend (a :class:`SerialExecutor`
+when none is given) through the same :func:`~repro.runtime.run_plan` path
+as every other run, so backend choice can never change a campaign's
+numbers — the cross-backend bit-identity contract of ``repro campaign
+--backend``.
 """
 
 from __future__ import annotations
@@ -247,9 +248,9 @@ class CampaignScheduler:
 
     def _run_simulate(self, node: CampaignNode, tracer: Any = None) -> NodeResult:
         assert node.request is not None
-        # Always hand execute_request an executor: the runtime per-point
-        # path is the one every backend shares, so in-process, pool and
-        # broker runs of the same node are bit-identical by construction.
+        # The node runs on the campaign's backend; every backend shares the
+        # one run_plan path, so in-process, pool and broker runs of the
+        # same node are bit-identical.
         options = ExecutionOptions(
             executor=self._backend, store=self._store, tracer=tracer
         )

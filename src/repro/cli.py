@@ -896,15 +896,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
         return 2
     options = _runtime_options(args)
     try:
-        if options is not None and args.engine == "batched":
-            print(
-                "note: with --workers/--store the batched sweep runs one grid "
-                "point per task (the per-point batched convention) instead of "
-                "the fused whole-grid launch, so sampled trajectories differ "
-                "from a plain `repro sweep` at the same seed — statistically "
-                "equivalent, and stable across worker counts and cache states",
-                file=sys.stderr,
-            )
         result = execute_request(request, options=options)
         print(
             result.description

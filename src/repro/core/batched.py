@@ -395,7 +395,9 @@ class BatchedDynamics:
     All replicates share one generator, so a batch is reproducible from a
     single seed; per-replicate streams are *not* individually re-runnable (use
     :class:`~repro.core.dynamics.FinitePopulationDynamics` with per-seed loops
-    when that is required).
+    when that is required).  A :class:`~repro.utils.rng.RowBlockGenerator`
+    instead gives each block of rows its own generator, so each block
+    reproduces the launch that holds it alone.
 
     The rows of a batch need not share one experiment configuration: the
     adoption parameters (via :class:`~repro.core.adoption.RowwiseAdoptionRule`),
@@ -427,8 +429,9 @@ class BatchedDynamics:
         batch, or a full :class:`BatchedPopulationState`.  Defaults to the
         near-uniform split in every replicate.
     rng:
-        Seed or generator.  With ``num_replicates == 1`` the stream is
-        consumed exactly as the sequential engine consumes it.
+        Seed, generator or :class:`~repro.utils.rng.RowBlockGenerator`.
+        With ``num_replicates == 1`` the stream is consumed exactly as the
+        sequential engine consumes it.
     backend:
         Array backend name or :class:`~repro.backends.ArrayBackend`
         (default NumPy — bit-identical to the pre-seam engine).

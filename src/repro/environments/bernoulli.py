@@ -107,7 +107,8 @@ class RowwiseBernoulliEnvironment(RewardEnvironment):
         Matrix of shape ``(R, m)``; row ``r`` holds the success
         probabilities ``eta_{r,j}`` of batch row ``r``.
     rng:
-        Seed or generator.
+        Seed, generator or :class:`~repro.utils.rng.RowBlockGenerator` (each
+        block of rows then draws from its own generator).
     precision:
         Storage precision (default float64).  With ``float32`` the quality
         matrix — the environment's only per-row state — is stored at half

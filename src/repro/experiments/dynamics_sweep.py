@@ -11,20 +11,20 @@ engines share one parameter convention:
 * ``@batched_replication`` at each grid point (what PR 1 added) — not defined
   here because :func:`dynamics_grid_replication` strictly dominates it;
 * :func:`dynamics_grid_replication` — the sweep-axis batched engine: the
-  whole ``G x R`` grid-times-replicates workload flattens into one
-  ``(G·R, m)`` :class:`~repro.core.batched.BatchedDynamics` launch with
-  per-row parameters, then unflattens into per-point results.
+  ``G x R`` grid-times-replicates workload flattens into one ``(G·R, m)``
+  :class:`~repro.core.batched.BatchedDynamics` launch with per-row
+  parameters (one per ``(T, m, backend, dtype)`` group), then unflattens
+  into per-point results.  Each point draws from its own generator, so the
+  fused launch gives the rows of ``G`` one-point launches.
 
 Parameter convention (per grid point, merged with ``base_parameters``):
 
 ``qualities``
-    Sequence of option qualities ``eta_j`` (required; same length ``m`` at
-    every point).
+    Sequence of option qualities ``eta_j`` (required).
 ``N``
     Population size (required).
 ``T``
-    Horizon (required; must be shared by every point — the batch advances in
-    lock-step).
+    Horizon (required).
 ``beta``
     Good-signal adoption probability (default 0.6).
 ``alpha``
@@ -34,9 +34,9 @@ Parameter convention (per grid point, merged with ``base_parameters``):
     Exploration rate (default: the theorem maximum ``min(1, delta^2/6)``
     evaluated at that point's own ``(alpha, beta)``).
 ``backend`` / ``dtype``
-    Optional array backend and storage precision, shared by every point of a
-    batch (grid engine only; the loop engine refuses non-default values) —
-    see :mod:`repro.experiments.engine_options`.
+    Optional array backend and storage precision (grid engine only; the
+    loop engine refuses non-default values) — see
+    :mod:`repro.experiments.engine_options`.
 
 Both engines report the same metrics per replicate — ``regret`` (expected
 regret over the trajectory) and ``best_option_share`` — and both derive their
@@ -60,7 +60,12 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.adoption import GeneralAdoptionRule, RowwiseAdoptionRule
-from repro.core.batched import BatchedDynamics, BatchedTrajectory
+from repro.backends import DEFAULT_BACKEND_NAME
+from repro.core.batched import (
+    BatchedDynamics,
+    BatchedPopulationState,
+    BatchedTrajectory,
+)
 from repro.core.dynamics import FinitePopulationDynamics
 from repro.core.regret import best_option_share, expected_regret
 from repro.core.sampling import MixtureSampling, default_exploration_rate
@@ -70,6 +75,7 @@ from repro.experiments.engine_options import (
     require_default_engine_options,
 )
 from repro.experiments.runner import grid_batched_replication
+from repro.utils.rng import RowBlockGenerator
 
 
 def _point_parameters(
@@ -123,8 +129,9 @@ class FlatGrid:
     def build(self, rng) -> Tuple[BatchedDynamics, RowwiseBernoulliEnvironment]:
         """Construct the single engine launch realising this flattened grid.
 
-        Both the environment and the dynamics draw from the *same* generator,
-        mirroring the per-point batched convention, so a sweep row is
+        Both the environment and the dynamics draw from ``rng`` — one
+        generator, or a :class:`~repro.utils.rng.RowBlockGenerator` giving
+        each grid point's rows their own — so a sweep row is
         bit-reproducible by rebuilding this pair with an equal generator.
         """
         environment = RowwiseBernoulliEnvironment(
@@ -219,46 +226,79 @@ def _metric_row(regret: float, share: float) -> Dict[str, float]:
     return {"regret": float(regret), "best_option_share": float(share)}
 
 
+def _point_rows(
+    trajectory: BatchedTrajectory, flat: FlatGrid, point: int
+) -> List[Dict[str, float]]:
+    """Metric rows of grid point ``point`` of a launch over ``flat``.
+
+    The point's rows are cut out into a trajectory of their own before the
+    metrics reduce over time, so the arithmetic, down to the summation
+    order, is that of a launch holding this point alone.
+    """
+    rows = slice(point * flat.replications, (point + 1) * flat.replications)
+    initial = trajectory.initial_state
+    block = BatchedTrajectory(
+        initial_state=BatchedPopulationState(
+            counts=initial.counts[rows],
+            population_size=initial.population_sizes[rows],
+        ),
+        pre_step_popularities=[
+            popularity[rows] for popularity in trajectory.pre_step_popularities
+        ],
+    )
+    qualities = flat.qualities[rows]
+    regrets = block.expected_regret(qualities)
+    shares = block.best_option_share(qualities.argmax(axis=1))
+    return [_metric_row(regret, share) for regret, share in zip(regrets, shares)]
+
+
 @grid_batched_replication
 def dynamics_grid_replication(
     seed_blocks: Sequence[Sequence[int]], points: Sequence[Dict[str, Any]]
 ) -> List[List[Dict[str, float]]]:
-    """Run the whole dynamics sweep as one flattened engine launch.
+    """Run a dynamics sweep in as few flattened engine launches as its points allow.
 
-    The generator is seeded with the concatenation of every point's seed
-    list, so the full sweep is a pure function of ``run_sweep``'s
-    ``(grid, replications, seed)`` arguments; a single row is reproducible by
-    rebuilding the same :class:`FlatGrid` and generator (see
+    Points that share ``(T, m, backend, dtype)`` run as one ``(G·R, m)``
+    launch; points on a non-NumPy backend run one launch each.  Inside a
+    launch, point ``g``'s rows take every draw from
+    ``np.random.default_rng(seed_blocks[g])`` (a
+    :class:`~repro.utils.rng.RowBlockGenerator`), which is the generator a
+    one-point call uses.  A point's rows therefore depend only on its own
+    seeds and parameters: any split of a grid into calls, and any sharding
+    of a sweep, gives the same rows (see
     ``tests/property/test_engine_invariants.py``).
     """
-    flat = flatten_grid(points, len(seed_blocks[0]) if seed_blocks else 0)
     if len(seed_blocks) != len(points):
         raise ValueError(
             f"got {len(seed_blocks)} seed blocks for {len(points)} grid points"
         )
-    flat_seeds = [seed for block in seed_blocks for seed in block]
-    if len(flat_seeds) != flat.num_rows:
-        raise ValueError(
-            "every grid point must contribute the same number of seeds; got "
-            f"{len(flat_seeds)} seeds for {flat.num_rows} rows"
-        )
-    generator = np.random.default_rng(flat_seeds)
-    dynamics, environment = flat.build(generator)
-    trajectory: BatchedTrajectory = dynamics.run(environment, flat.horizon)
-
-    regrets = trajectory.expected_regret(flat.qualities)
-    shares = trajectory.best_option_share(flat.qualities.argmax(axis=1))
-    replications = flat.replications
-    return [
-        [
-            _metric_row(
-                regrets[point * replications + row],
-                shares[point * replications + row],
+    launches: Dict[Tuple[Any, ...], List[int]] = {}
+    for index, parameters in enumerate(points):
+        qualities, _, horizon, *_ = _point_parameters(parameters)
+        backend, dtype = engine_options(parameters)
+        key: Tuple[Any, ...] = (horizon, qualities.size, backend, dtype)
+        if backend not in (None, DEFAULT_BACKEND_NAME):
+            key += (index,)  # off NumPy, every point is its own launch
+        launches.setdefault(key, []).append(index)
+    rows: List[List[Dict[str, float]]] = [[] for _ in points]
+    for indices in launches.values():
+        blocks = [seed_blocks[index] for index in indices]
+        flat = flatten_grid([points[index] for index in indices], len(blocks[0]))
+        if any(len(block) != flat.replications for block in blocks):
+            raise ValueError(
+                "every grid point must contribute the same number of seeds; "
+                f"got {sorted({len(block) for block in blocks})}"
             )
-            for row in range(replications)
-        ]
-        for point in range(len(points))
-    ]
+        generator = (
+            np.random.default_rng(list(blocks[0]))
+            if len(blocks) == 1
+            else RowBlockGenerator(blocks)
+        )
+        dynamics, environment = flat.build(generator)
+        trajectory = dynamics.run(environment, flat.horizon)
+        for position, index in enumerate(indices):
+            rows[index] = _point_rows(trajectory, flat, position)
+    return rows
 
 
 def dynamics_point_replication(

@@ -1,18 +1,22 @@
 """Replicated experiment execution.
 
-Two execution paths share one entry point (:func:`run_replications`):
+A replication function takes one of three forms, and the runtime
+(:func:`repro.runtime.run_plan`, the one execution path) calls each its own
+way:
 
-* the **per-seed loop** — the replication function is called once per seed,
-  each call simulating one replicate; and
-* the **batched fast path** — a function decorated with
-  :func:`batched_replication` receives the *whole* seed list at once and
-  returns one metrics dict per replicate.  Such functions typically drive
-  :class:`repro.core.batched.BatchedDynamics`, which advances all replicates
-  as one ``(R, m)`` count matrix per step and is more than an order of
-  magnitude faster at large ``N`` (see ``benchmarks/test_bench_batched.py``).
+* a **per-seed** function is called once per seed, each call simulating one
+  replicate;
+* a function decorated with :func:`batched_replication` receives the
+  *whole* seed list at once and returns one metrics dict per replicate.
+  Such functions typically drive :class:`repro.core.batched.BatchedDynamics`,
+  which advances all replicates as one ``(R, m)`` count matrix per step and
+  is more than an order of magnitude faster at large ``N`` (see
+  ``benchmarks/test_bench_batched.py``);
+* a function decorated with :func:`grid_batched_replication` receives the
+  seed lists and parameters of several grid points at once.
 
-Both paths derive the seed list identically from ``config.seed``, so results
-stay reproducible from the config alone either way.
+Every form derives the seed list identically from ``config.seed``, so
+results stay reproducible from the config alone.
 """
 
 from __future__ import annotations
@@ -49,22 +53,24 @@ def grid_batched_replication(
 
     Where :func:`batched_replication` collapses the replicate axis of *one*
     experiment configuration, a grid replication collapses the sweep axis as
-    well: :func:`~repro.experiments.sweep.run_sweep` calls it exactly once
-    with the seed lists and parameter dicts of **every** grid point, and the
-    function returns one metrics dict per (point, seed) pair — typically by
-    flattening all ``G x R`` rows into a single
+    well: the runtime calls it with the seed lists and parameter dicts of
+    all the grid points in one shard (every point, for a plain
+    :func:`~repro.experiments.sweep.run_sweep`), and the function returns one
+    metrics dict per (point, seed) pair — typically by flattening the
+    ``G x R`` rows into a single
     :class:`~repro.core.batched.BatchedDynamics` launch with per-row
     parameters.
 
-    The seed lists are derived per point exactly as the per-point paths derive
-    them, so switching engines never changes an experiment's provenance.
+    Which points share a call depends on how the runtime shards the sweep,
+    so a point's rows must depend only on its own seeds and parameters:
+    draw point ``g``'s rows from a generator seeded by ``seed_blocks[g]``
+    alone, e.g. with :class:`~repro.utils.rng.RowBlockGenerator`.
 
     Usage::
 
         @grid_batched_replication
         def replication(seed_blocks, points):
-            flat_seeds = [seed for block in seed_blocks for seed in block]
-            rng = np.random.default_rng(flat_seeds)
+            rng = RowBlockGenerator(seed_blocks)
             ...  # one (G*R, m) BatchedDynamics launch
             return [[{"regret": ...} for seed in block] for block in seed_blocks]
     """
@@ -143,90 +149,56 @@ def _validated_metrics(metrics: Any) -> Dict[str, float]:
     return {key: float(value) for key, value in metrics.items()}
 
 
+def _run_planned(
+    configs: Sequence[ExperimentConfig], replication: Callable, options: Any
+) -> List[List[Dict[str, float]]]:
+    """Per-config metric rows of ``configs``, run by :func:`repro.runtime.run_plan`."""
+    # Imported lazily: repro.runtime depends on this module.
+    from repro.runtime import ExecutionOptions, ShardPlan, run_plan
+
+    options = options if options is not None else ExecutionOptions()
+    return run_plan(
+        ShardPlan.from_configs(configs, replication),
+        replication,
+        executor=options.executor,
+        store=options.store,
+        tracer=options.tracer,
+    )
+
+
 def run_replications(
     config: ExperimentConfig,
     replication: ReplicationFunction,
     *,
     options: Any = None,
-    executor: Any = None,
-    store: Any = None,
 ) -> ReplicatedResult:
     """Run ``config.replications`` independent replications of an experiment.
 
     Each replication receives its own integer seed derived from
     ``config.seed``, so the whole experiment is reproducible from the config
-    alone and individual replications can be re-run in isolation.
+    alone and individual replications can be re-run in isolation.  A
+    function marked with :func:`batched_replication` is called once with
+    the full seed list instead of once per seed; the derived seeds, and
+    therefore the result's provenance record, are identical in both modes.
 
-    If ``replication`` opted in via :func:`batched_replication`, it is called
-    once with the full seed list (the batched fast path) instead of once per
-    seed; the derived seeds, and therefore the result's provenance record,
-    are identical in both modes.
-
+    Execution goes through the runtime (:func:`repro.runtime.run_plan`).
     ``options`` — an :class:`~repro.runtime.options.ExecutionOptions` —
-    routes execution through the parallel runtime (:mod:`repro.runtime`):
-    its executor (e.g. :class:`~repro.runtime.executors.ParallelExecutor`,
-    or any :class:`~repro.runtime.backend.Backend`) shards the per-seed work
-    — per-seed functions parallelise seed by seed, batched functions stay
-    one indivisible task — and its
-    :class:`~repro.runtime.store.ResultStore` serves cache hits and records
-    results for resume.  The runtime derives identical seeds, so results are
-    bit-identical to the default in-process path.  The legacy ``executor=``/
-    ``store=`` keyword arguments still work but emit
-    ``DeprecationWarning`` and run the exact same code path.
+    chooses its executor (e.g. a
+    :class:`~repro.runtime.executors.ParallelExecutor`, or any
+    :class:`~repro.runtime.backend.Backend`; per-seed functions parallelise
+    seed by seed, batched functions stay one indivisible task), a
+    :class:`~repro.runtime.store.ResultStore` serving cache hits and
+    recording results for resume, and a tracer.  None of these changes a
+    result.
     """
     if getattr(replication, "grid_replications", False):
         raise TypeError(
             "grid-batched replications run over a whole ParameterGrid; call "
             "run_sweep instead of run_replications"
         )
-    if options is not None or executor is not None or store is not None:
-        # Imported lazily: repro.runtime depends on this module.
-        from repro.runtime.options import resolve_options
-
-        options = resolve_options(
-            options, executor=executor, store=store, owner="run_replications"
-        )
-    if options is not None and options.engine_options:
-        config = ExperimentConfig(
-            name=config.name,
-            parameters=options.merged_parameters(config.parameters),
-            replications=config.replications,
-            seed=config.seed,
-        )
-    seeds = seeds_for_replications(config.seed, config.replications)
-    result = ReplicatedResult(config=config, seeds=seeds)
-    runtime_executor = options.resolve_executor() if options is not None else None
-    runtime_store = options.store if options is not None else None
-    runtime_tracer = options.tracer if options is not None else None
-    if (
-        runtime_executor is not None
-        or runtime_store is not None
-        or runtime_tracer is not None
-    ):
-        # Imported lazily: repro.runtime depends on this module.
-        from repro.runtime import ShardPlan, run_plan
-
-        plan = ShardPlan.from_config(config, replication)
-        rows_per_point = run_plan(
-            plan,
-            replication,
-            executor=runtime_executor,
-            store=runtime_store,
-            tracer=runtime_tracer,
-        )
-        result.metrics.extend(rows_per_point[0])
-        return result
-    if getattr(replication, "batched_replications", False):
-        rows = list(replication(list(seeds), dict(config.parameters)))
-        if len(rows) != len(seeds):
-            raise ValueError(
-                f"batched replication returned {len(rows)} metric rows for "
-                f"{len(seeds)} seeds"
-            )
-        result.metrics.extend(_validated_metrics(row) for row in rows)
-        return result
-    for seed in seeds:
-        result.metrics.append(
-            _validated_metrics(replication(seed, dict(config.parameters)))
-        )
+    result = ReplicatedResult(
+        config=config,
+        seeds=seeds_for_replications(config.seed, config.replications),
+    )
+    result.metrics.extend(_run_planned([config], replication, options)[0])
     return result

@@ -20,8 +20,9 @@ keyed by the plan's content (the hash of its task keys) and records one
 ``shard`` span per completed shard — worker-measured wall/CPU time, row
 count and rows/s — plus a ``cache_lookup`` event attributing hits vs
 misses.  All span ids derive from task content addresses, so the same plan
-traces identically on every backend; with the default null tracer the
-traced path is never entered at all.
+traces identically on every backend.  Task keys are derived once, and only
+when a store or an enabled tracer needs them; with the default null tracer
+and no store none are computed.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.obs.metrics import get_registry
 from repro.obs.trace import resolve_tracer
 from repro.runtime.executors import SerialExecutor
-from repro.runtime.shard import ShardPlan, Task, partition_tasks
+from repro.runtime.shard import ShardPlan, partition_tasks
 from repro.runtime.store import ResultStore, task_key
 
 PointMetrics = List[List[Dict[str, float]]]
@@ -49,40 +50,58 @@ def run_plan(
 ) -> PointMetrics:
     """Execute ``plan`` and return per-point metric rows in replicate order.
 
-    ``executor`` defaults to a fresh :class:`SerialExecutor`; ``store`` is
-    optional.  If the executor raises (worker crash, ``KeyboardInterrupt``),
-    every shard that completed before the failure has already been flushed
-    to the store, so re-running the same plan against the same store picks
-    up where the run died.  ``tracer`` defaults to the process tracer
+    This is the only way a sweep or replicated run executes.  ``executor``
+    defaults to an in-process :class:`SerialExecutor`.  Without a store it
+    runs the pending tasks as one shard, so a grid sweep is one fused
+    launch; with a store it keeps its default flush points.  If the executor
+    raises (worker crash, ``KeyboardInterrupt``), every shard that completed
+    before the failure has already been flushed to the store, so re-running
+    the same plan against the same store picks up where the run died.
+    ``tracer`` defaults to the process tracer
     (:func:`~repro.obs.trace.get_tracer`), a no-op unless one was installed.
     """
-    executor = executor if executor is not None else SerialExecutor()
+    if executor is None:
+        executor = SerialExecutor() if store is not None else SerialExecutor(1)
     tracer = resolve_tracer(tracer)
-    if getattr(tracer, "enabled", False):
-        return _run_plan_traced(plan, replication, executor, store, tracer)
-
-    completed: Dict[int, List[Dict[str, float]]] = {}
-    pending = list(plan.tasks)
+    traced = getattr(tracer, "enabled", False)
+    keys: Optional[List[str]] = None
     if store is not None:
-        # One bulk index lookup instead of a query per task: at 10^5 cached
-        # points the per-call overhead dominates a warm replay otherwise.
         keys = [store.key_for(task) for task in plan.tasks]
-        cached = store.get_many(keys)
-        pending = []
-        for task, key in zip(plan.tasks, keys):
-            metrics = cached.get(key)
-            if metrics is None:
-                pending.append(task)
-            else:
-                completed[task.ordinal] = metrics
-
-    shards = partition_tasks(pending, executor.num_shards)
-    for shard_results in executor.run_shards(shards, replication):
+    elif traced:
+        keys = [task_key(task) for task in plan.tasks]
+    key_by_ordinal = (
+        {task.ordinal: key for task, key in zip(plan.tasks, keys)} if traced else {}
+    )
+    completed: Dict[int, List[Dict[str, float]]] = {}
+    with tracer.span(
+        "run_plan",
+        _content_key(keys) if traced else "",
+        attributes={"tasks": len(plan.tasks), "points": plan.num_points},
+    ) as span:
+        pending = list(plan.tasks)
         if store is not None:
-            store.put_many(shard_results)
-        for task, metrics in shard_results:
-            completed[task.ordinal] = metrics
+            # One bulk index lookup instead of a query per task: at 10^5
+            # cached points the per-call overhead dominates a warm replay
+            # otherwise.
+            cached = store.get_many(keys)
+            pending = []
+            for task, key in zip(plan.tasks, keys):
+                metrics = cached.get(key)
+                if metrics is None:
+                    pending.append(task)
+                else:
+                    completed[task.ordinal] = metrics
+            if traced:
+                _trace_lookup(tracer, span, len(plan.tasks), len(pending))
 
+        shards = partition_tasks(pending, executor.num_shards)
+        for shard_results in executor.run_shards(shards, replication):
+            if store is not None:
+                store.put_many(shard_results)
+            for task, metrics in shard_results:
+                completed[task.ordinal] = metrics
+            if traced:
+                _trace_shard(tracer, executor, shard_results, key_by_ordinal)
     return _merge(plan, completed)
 
 
@@ -98,78 +117,36 @@ def _content_key(task_keys: Sequence[str]) -> str:
     return hashlib.sha256("\n".join(task_keys).encode("utf-8")).hexdigest()
 
 
-def _run_plan_traced(
-    plan: ShardPlan, replication, executor, store, tracer
-) -> PointMetrics:
-    """The traced twin of :func:`run_plan` — same work, spans recorded.
-
-    Kept separate so the untraced hot path pays nothing: no key hashing, no
-    attribute dicts, no getattr per shard.
-    """
+def _trace_lookup(tracer, span, tasks: int, misses: int) -> None:
+    """Attribute a plan's cache hits and misses to its span and the registry."""
     registry = get_registry()
-    cache_hits = registry.counter(
+    hits = tasks - misses
+    registry.counter(
         "repro_plan_cache_hits_total", "Plan tasks served from the result store."
-    )
-    cache_misses = registry.counter(
+    ).inc(hits)
+    registry.counter(
         "repro_plan_cache_misses_total", "Plan tasks that had to execute."
-    )
-    completed: Dict[int, List[Dict[str, float]]] = {}
-    keys = [
-        store.key_for(task) if store is not None else task_key(task)
-        for task in plan.tasks
-    ]
-    key_by_ordinal = {
-        task.ordinal: key for task, key in zip(plan.tasks, keys)
-    }
-    with tracer.span(
-        "run_plan",
-        _content_key(keys),
-        attributes={"tasks": len(plan.tasks), "points": plan.num_points},
-    ) as span:
-        pending: List[Task] = list(plan.tasks)
-        if store is not None:
-            cached = store.get_many(keys)
-            pending = []
-            for task, key in zip(plan.tasks, keys):
-                metrics = cached.get(key)
-                if metrics is None:
-                    pending.append(task)
-                else:
-                    completed[task.ordinal] = metrics
-            hits = len(plan.tasks) - len(pending)
-            cache_hits.inc(hits)
-            cache_misses.inc(len(pending))
-            span.set_attribute("cache_hits", hits)
-            span.set_attribute("cache_misses", len(pending))
-            tracer.event(
-                "cache_lookup",
-                {"hits": hits, "misses": len(pending), "tasks": len(plan.tasks)},
-            )
+    ).inc(misses)
+    span.set_attribute("cache_hits", hits)
+    span.set_attribute("cache_misses", misses)
+    tracer.event("cache_lookup", {"hits": hits, "misses": misses, "tasks": tasks})
 
-        shards = partition_tasks(pending, executor.num_shards)
-        for shard_results in executor.run_shards(shards, replication):
-            if store is not None:
-                store.put_many(shard_results)
-            rows = 0
-            for task, metrics in shard_results:
-                completed[task.ordinal] = metrics
-                rows += len(metrics)
-            timing = getattr(executor, "last_shard_timing", None) or {}
-            wall = float(timing.get("wall_s", 0.0))
-            attributes = {"tasks": len(shard_results), "rows": rows}
-            if wall > 0.0:
-                attributes["rows_per_s"] = rows / wall
-            # Shard spans are recorded retroactively — executors yield
-            # completed shards in arbitrary order — under a key derived
-            # from the shard's task keys, so ids are completion-order- and
-            # backend-independent.
-            tracer.record_span(
-                "shard",
-                _content_key(
-                    [key_by_ordinal[task.ordinal] for task, _ in shard_results]
-                ),
-                wall_s=wall,
-                cpu_s=float(timing.get("cpu_s", 0.0)),
-                attributes=attributes,
-            )
-    return _merge(plan, completed)
+
+def _trace_shard(tracer, executor, shard_results, key_by_ordinal) -> None:
+    """Record one completed shard's span from its worker-measured timing."""
+    rows = sum(len(metrics) for _, metrics in shard_results)
+    timing = getattr(executor, "last_shard_timing", None) or {}
+    wall = float(timing.get("wall_s", 0.0))
+    attributes = {"tasks": len(shard_results), "rows": rows}
+    if wall > 0.0:
+        attributes["rows_per_s"] = rows / wall
+    # Shard spans are recorded retroactively — executors yield completed
+    # shards in arbitrary order — under a key derived from the shard's task
+    # keys, so ids are completion-order- and backend-independent.
+    tracer.record_span(
+        "shard",
+        _content_key([key_by_ordinal[task.ordinal] for task, _ in shard_results]),
+        wall_s=wall,
+        cpu_s=float(timing.get("cpu_s", 0.0)),
+        attributes=attributes,
+    )

@@ -4,10 +4,11 @@ Both executors consume shards (lists of :class:`~repro.runtime.shard.Task`)
 and yield ``(task, metrics)`` pairs one completed shard at a time, so the
 driver can flush each shard to the :class:`~repro.runtime.store.ResultStore`
 the moment it finishes — that per-shard flush is what makes interrupted runs
-resumable.  Because every task runs through the same
-:func:`~repro.runtime.shard.execute_task` compute path and depends only on
-its own ``(function, parameters, seeds)``, the two executors (at any worker
-count) produce bit-identical metrics; only wall-clock differs.
+resumable.  Because every shard runs through the same
+:func:`~repro.runtime.shard.execute_shard` compute path and every task
+depends only on its own ``(function, parameters, seeds)``, the two executors
+(at any worker count) produce bit-identical metrics; only wall-clock
+differs.
 
 :class:`ParallelExecutor` ships tasks to ``ProcessPoolExecutor`` workers as
 plain picklable data.  Workers resolve the replication function from its
@@ -30,7 +31,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, get_registry
 from repro.obs.trace import current_context, set_ambient_context
-from repro.runtime.shard import Task, execute_task
+from repro.runtime.shard import Task, execute_shard
 
 ShardResults = List[Tuple[Task, List[Dict[str, float]]]]
 """One completed shard: each task paired with its per-seed metric rows."""
@@ -69,11 +70,10 @@ def _worker_initializer(
 
 
 def _execute_shard(tasks: Sequence[Task]) -> ShardResults:
-    """Worker-side entry point: run one shard and return its results."""
-    return [
-        (task, execute_task(task, resolve_replication(task.function_ref)))
-        for task in tasks
-    ]
+    """Worker-side entry point: run one shard of one plan's tasks."""
+    if not tasks:
+        return []
+    return execute_shard(tasks, resolve_replication(tasks[0].function_ref))
 
 
 def _execute_shard_timed(
@@ -97,8 +97,8 @@ def _execute_shard_timed(
 class SerialExecutor:
     """Zero-dependency in-process executor (the default).
 
-    ``num_shards`` only sets the flush granularity when a store is attached;
-    it never changes results.
+    ``num_shards`` only sets the flush granularity when a store is attached
+    and how many grid points share a fused launch; it never changes results.
     """
 
     def __init__(self, num_shards: int = 8) -> None:
@@ -116,7 +116,7 @@ class SerialExecutor:
         for shard in shards:
             wall_start = time.perf_counter()
             cpu_start = time.process_time()
-            results = [(task, execute_task(task, replication)) for task in shard]
+            results = execute_shard(shard, replication)
             self.last_shard_timing = {
                 "wall_s": time.perf_counter() - wall_start,
                 "cpu_s": time.process_time() - cpu_start,

@@ -1,128 +1,41 @@
 """One frozen options object for everything that configures *how* a run executes.
 
-Before this module the execution knobs travelled as a sprawl of keyword
-arguments — ``run_sweep(..., executor=..., store=...)``,
-``run_replications(..., executor=..., store=...)``,
-``execute_request(..., executor=..., store=...)`` — with each front end
-re-deriving executors from worker counts on its own.  :class:`ExecutionOptions`
-collapses them into one value the CLI, the service daemon and the campaign
-scheduler all build once and thread through every layer:
+:class:`ExecutionOptions` is the one value the CLI, the service daemon and
+the campaign scheduler build once and thread through
+:func:`~repro.service.requests.execute_request`,
+:func:`~repro.experiments.sweep.run_sweep` and
+:func:`~repro.experiments.runner.run_replications` into
+:func:`~repro.runtime.driver.run_plan`:
 
 ``executor``
-    A ready-made execution backend (anything satisfying
+    An execution backend (anything satisfying
     :class:`repro.runtime.backend.Backend` — serial, process pool, socket
-    broker).  Mutually exclusive with a non-default ``workers``.
-``workers``
-    Shorthand for "build me a :class:`ParallelExecutor` with this many
-    processes" (``1`` means in-process serial execution).
+    broker); ``None`` runs in-process on a :class:`SerialExecutor`.
 ``store``
     A :class:`~repro.runtime.store.ResultStore` serving cache hits and
     persisting completed shards for resume.
-``engine_options``
-    Extra per-point parameters (e.g. ``{"backend": "torch", "dtype":
-    "float32"}``) merged over every grid point's parameter dict — they ride
-    into result rows and content-address keys like any other parameter.
 ``tracer``
-    An optional :class:`~repro.obs.trace.Tracer`.  When set, execution
-    routes through the runtime path and every shard/node records a span;
-    trace ids derive from content addresses, so enabling tracing never
-    perturbs results.
+    An optional :class:`~repro.obs.trace.Tracer`; every shard/node records a
+    span.  Trace ids derive from content addresses.
 
-The legacy keyword arguments keep working but emit ``DeprecationWarning``;
-:func:`resolve_options` is the single place that folds them in, so every
-entry point deprecates identically and both spellings are bit-identical.
+Every run takes the same path whatever these hold, so no option changes a
+result row: only where the work runs, what is cached and what is recorded.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import Any, Dict, Mapping, Optional
-
-from repro.runtime.executors import ParallelExecutor
+from dataclasses import dataclass
+from typing import Any
 
 
 @dataclass(frozen=True)
 class ExecutionOptions:
-    """How a workload executes: backend/executor, store, workers, engine options.
+    """How a workload executes: executor, store and tracer.
 
     Frozen and side-effect free: building one never opens a store or starts
-    a process pool — :meth:`resolve_executor` materialises the executor at
-    the moment of use.
+    a process pool.
     """
 
     executor: Any = None
     store: Any = None
-    workers: int = 1
-    engine_options: Mapping[str, Any] = field(default_factory=dict)
     tracer: Any = None
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be at least 1, got {self.workers}")
-        if self.executor is not None and self.workers != 1:
-            raise ValueError(
-                "pass either a ready-made executor or a workers count, not both"
-            )
-        object.__setattr__(
-            self, "engine_options", MappingProxyType(dict(self.engine_options))
-        )
-
-    @property
-    def active(self) -> bool:
-        """Whether these options route execution through the parallel runtime."""
-        return (
-            self.executor is not None
-            or self.store is not None
-            or self.workers > 1
-            or self.tracer is not None
-        )
-
-    def resolve_executor(self) -> Any:
-        """The executor to run with: the given one, a pool, or ``None`` (serial)."""
-        if self.executor is not None:
-            return self.executor
-        if self.workers > 1:
-            return ParallelExecutor(self.workers)
-        return None
-
-    def merged_parameters(
-        self, parameters: Optional[Mapping[str, Any]]
-    ) -> Dict[str, Any]:
-        """``parameters`` with :attr:`engine_options` layered on top."""
-        merged = dict(parameters or {})
-        merged.update(self.engine_options)
-        return merged
-
-
-def resolve_options(
-    options: Optional[ExecutionOptions],
-    *,
-    executor: Any = None,
-    store: Any = None,
-    owner: str = "this function",
-) -> Optional[ExecutionOptions]:
-    """Fold legacy ``executor=``/``store=`` kwargs into an options object.
-
-    The one shared deprecation shim: when a caller still passes the
-    pre-:class:`ExecutionOptions` keyword arguments, warn once per call site
-    and build the equivalent options value, so old and new spellings run the
-    exact same code path (and therefore produce bit-identical results).
-    Mixing both spellings is an error — silently preferring one would make
-    the other a no-op.
-    """
-    if executor is None and store is None:
-        return options
-    if options is not None:
-        raise ValueError(
-            f"{owner} got both options= and the deprecated executor=/store= "
-            "keyword arguments; pass everything through options="
-        )
-    warnings.warn(
-        f"the executor=/store= keyword arguments of {owner} are deprecated; "
-        "pass options=ExecutionOptions(executor=..., store=...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return ExecutionOptions(executor=executor, store=store)

@@ -6,11 +6,11 @@ ordered tuple of :class:`Task` objects — the smallest units of work the
 runtime schedules, caches and resumes.  The decomposition is **deterministic**
 and **execution-invariant**:
 
-* every grid point derives its seed list exactly as the legacy serial paths
-  do (``seeds_for_replications(config.seed, config.replications)`` — the
+* every grid point derives its seed list as
+  ``seeds_for_replications(config.seed, config.replications)`` — the
   integer-seed materialisation of :func:`repro.utils.rng.spawn_rngs`'s
-  independent streams), so the runtime never changes an experiment's
-  provenance; and
+  independent streams — which is also the provenance record
+  :class:`~repro.experiments.runner.ReplicatedResult` keeps; and
 * every task is a pure function of its own ``(function, parameters, seeds)``
   triple — no task observes which shard it landed on, how many workers exist,
   or what ran before it — so **any** sharding (1 worker or 32, one shard or a
@@ -25,12 +25,11 @@ Task granularity follows the replication function's execution mode:
     ``@batched_replication`` functions derive one generator from the *whole*
     seed list, so a point's batch is indivisible: one task per point.
 ``grid``
-    ``@grid_batched_replication`` functions are called with a single-point
-    grid per task, which by construction equals the per-point batched
-    convention (the generator is seeded by that point's seed list alone).
-    Note this differs from the legacy whole-grid fused launch, whose single
-    generator consumes every point's seeds at once; the runtime trades that
-    fusion for shard-invariance and per-point caching.
+    ``@grid_batched_replication`` functions get one task per point too, but
+    :func:`execute_shard` hands all of a shard's grid tasks to the function
+    in one call, which fuses them into one engine launch.  Each point draws
+    from its own generator inside that launch, so a point's rows are the
+    same whichever shard it lands in and whichever points share it.
 """
 
 from __future__ import annotations
@@ -107,9 +106,8 @@ class ShardPlan:
     ) -> "ShardPlan":
         """Decompose ``configs`` into tasks for ``replication``.
 
-        Seed lists are derived per config exactly as
-        :func:`~repro.experiments.runner.run_replications` derives them, so
-        results are bit-identical to the serial paths seed by seed.
+        Seed lists are derived per config exactly as the
+        :class:`~repro.experiments.runner.ReplicatedResult` records them.
         """
         if not configs:
             raise ValueError("a shard plan needs at least one config")
@@ -181,33 +179,63 @@ def partition_tasks(tasks: Sequence[Task], num_shards: int) -> List[List[Task]]:
     return shards
 
 
-def execute_task(task: Task, function: Callable) -> List[Dict[str, float]]:
-    """Run one task, returning one validated metrics dict per seed.
-
-    This is the single compute path shared by every executor (the serial
-    executor calls it in-process; process-pool workers call it after
-    resolving ``task.function_ref``), which is what makes results
-    executor-invariant.
-    """
-    parameters = dict(task.parameters)
-    if task.mode == MODE_LOOP:
-        rows = [function(seed, dict(parameters)) for seed in task.seeds]
-        return [_validated_metrics(row) for row in rows]
-    if task.mode == MODE_BATCHED:
-        rows = list(function(list(task.seeds), parameters))
-    elif task.mode == MODE_GRID:
-        blocks = list(function([list(task.seeds)], [parameters]))
-        if len(blocks) != 1:
-            raise ValueError(
-                f"grid replication returned {len(blocks)} metric blocks for "
-                f"the single point of task {task.name}"
-            )
-        rows = list(blocks[0])
-    else:
-        raise ValueError(f"unknown task mode {task.mode!r}")
+def _checked_rows(task: Task, rows: Sequence[Any]) -> List[Dict[str, float]]:
     if len(rows) != len(task.seeds):
         raise ValueError(
             f"replication returned {len(rows)} metric rows for "
             f"{len(task.seeds)} seeds of {task.name}"
         )
     return [_validated_metrics(row) for row in rows]
+
+
+def _grid_rows(
+    tasks: Sequence[Task], function: Callable
+) -> List[List[Dict[str, float]]]:
+    """Rows of grid tasks, all passed to ``function`` in one call."""
+    if not tasks:
+        return []
+    blocks = list(
+        function(
+            [list(task.seeds) for task in tasks],
+            [dict(task.parameters) for task in tasks],
+        )
+    )
+    if len(blocks) != len(tasks):
+        raise ValueError(
+            f"grid replication returned {len(blocks)} metric blocks for "
+            f"{len(tasks)} grid points"
+        )
+    return [_checked_rows(task, list(rows)) for task, rows in zip(tasks, blocks)]
+
+
+def execute_task(task: Task, function: Callable) -> List[Dict[str, float]]:
+    """Run one task, returning one validated metrics dict per seed."""
+    parameters = dict(task.parameters)
+    if task.mode == MODE_LOOP:
+        return _checked_rows(
+            task, [function(seed, dict(parameters)) for seed in task.seeds]
+        )
+    if task.mode == MODE_BATCHED:
+        return _checked_rows(task, list(function(list(task.seeds), parameters)))
+    if task.mode == MODE_GRID:
+        return _grid_rows([task], function)[0]
+    raise ValueError(f"unknown task mode {task.mode!r}")
+
+
+def execute_shard(
+    tasks: Sequence[Task], function: Callable
+) -> List[Tuple[Task, List[Dict[str, float]]]]:
+    """Run one shard, pairing each task with its validated metric rows.
+
+    This is the single compute path of every executor and broker.  Grid
+    tasks go to ``function`` in one call, so a shard of grid points runs as
+    one fused launch; loop and batched tasks run one by one through
+    :func:`execute_task`.  Every task's rows depend only on the task, so
+    results are the same on any executor, at any shard size.
+    """
+    grid = [task for task in tasks if task.mode == MODE_GRID]
+    fused = iter(_grid_rows(grid, function))
+    return [
+        (task, next(fused) if task.mode == MODE_GRID else execute_task(task, function))
+        for task in tasks
+    ]

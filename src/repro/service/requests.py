@@ -15,21 +15,13 @@ SHA-256 of its canonical JSON) which the daemon uses to deduplicate
 identical submissions in flight; the underlying per-task
 :class:`~repro.runtime.store.ResultStore` keys are finer-grained, so two
 *different* requests that share grid points still share cache entries.
-
-Engine caveat (same as the CLI): when a ``batched`` sweep runs through the
-runtime (``executor``/``store`` attached), it executes one grid point per
-task — the per-point batched convention — rather than the fused whole-grid
-launch, so sampled trajectories differ from a store-less run at the same
-seed while remaining statistically equivalent.  Per-seed (``loop``/
-``vectorized``) engines and single-point batched runs are bit-identical on
-every path.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.backends import BACKENDS, PRECISIONS
@@ -46,7 +38,7 @@ from repro.experiments import (
     run_replications,
     run_sweep,
 )
-from repro.runtime.options import ExecutionOptions, resolve_options
+from repro.runtime.options import ExecutionOptions
 from repro.runtime.store import canonical_json
 
 SWEEP = "sweep"
@@ -57,14 +49,6 @@ REQUEST_KINDS = (SWEEP, NETWORK, PROTOCOL)
 """The workload kinds a request can describe (= the runtime-capable CLI commands)."""
 
 SWEEP_ENGINES = ("batched", "loop")
-
-PER_POINT_NOTE = (
-    "note: with a runtime executor/store the batched sweep runs one grid "
-    "point per task (the per-point batched convention) instead of the "
-    "fused whole-grid launch, so sampled trajectories differ from a plain "
-    "in-process run at the same seed — statistically equivalent, and "
-    "stable across worker counts and cache states"
-)
 
 
 class RequestError(ValueError):
@@ -542,7 +526,6 @@ class RequestResult:
     request: SimulationRequest
     table: ResultTable
     description: str
-    notes: Tuple[str, ...] = field(default=())
 
     @property
     def rows(self) -> List[Dict[str, Any]]:
@@ -564,27 +547,19 @@ def execute_request(
     request: SimulationRequest,
     *,
     options: Optional[ExecutionOptions] = None,
-    executor: Any = None,
-    store: Any = None,
     prepared: Optional[PreparedRequest] = None,
 ) -> RequestResult:
     """Execute ``request`` and return its result table.
 
     ``options`` — an :class:`~repro.runtime.options.ExecutionOptions` —
-    routes execution through the parallel runtime exactly as the CLI's
-    ``--workers``/``--store`` flags do; the legacy ``executor=``/``store=``
-    keyword arguments still work but emit ``DeprecationWarning``.  Pass a
-    ``prepared`` request to reuse a prior :func:`prepare_request` derivation
-    (e.g. when a front end already resolved it for display purposes).
+    chooses the executor, store and tracer exactly as the CLI's
+    ``--workers``/``--store``/``--trace-out`` flags do; none of them changes
+    a row.  Pass a ``prepared`` request to reuse a prior
+    :func:`prepare_request` derivation (e.g. when a front end already
+    resolved it for display purposes).
     """
-    options = resolve_options(
-        options, executor=executor, store=store, owner="execute_request"
-    )
     prepared = prepared if prepared is not None else prepare_request(request)
-    notes: Tuple[str, ...] = ()
     if prepared.grid is not None:
-        if request.engine == "batched" and options is not None and options.active:
-            notes = (PER_POINT_NOTE,)
         _, table = run_sweep(
             prepared.name,
             prepared.grid,
@@ -598,9 +573,7 @@ def execute_request(
             f"sweep engine={request.engine}: {len(prepared.grid)} grid points "
             f"x {prepared.replications} replications"
         )
-        return RequestResult(
-            request=request, table=table, description=description, notes=notes
-        )
+        return RequestResult(request=request, table=table, description=description)
     result = run_replications(
         prepared.config, prepared.replication, options=options
     )
@@ -608,5 +581,4 @@ def execute_request(
         request=request,
         table=_summary_table(result),
         description=prepared.config.describe(),
-        notes=notes,
     )

@@ -4,8 +4,10 @@ All stochastic components in the library accept a ``rng`` argument that can be
 
 * ``None`` — a fresh, OS-entropy-seeded generator is created,
 * an ``int`` — used as a seed for a new :class:`numpy.random.Generator`,
-* an existing :class:`numpy.random.Generator` — used as-is, or
-* a :class:`numpy.random.SeedSequence` — used to construct a generator.
+* an existing :class:`numpy.random.Generator` — used as-is,
+* a :class:`numpy.random.SeedSequence` — used to construct a generator, or
+* a :class:`RowBlockGenerator` — used as-is by the batched engines, which
+  then draw each block of rows from that block's own generator.
 
 Keeping this conversion in one place makes experiments reproducible from a
 single integer while still letting callers share one generator across
@@ -26,7 +28,7 @@ seed; the contract is pinned by a property test in
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -54,7 +56,7 @@ def ensure_rng(rng: RngLike = None) -> np.random.Generator:
     """
     if rng is None:
         return np.random.default_rng()
-    if isinstance(rng, np.random.Generator):
+    if isinstance(rng, (np.random.Generator, RowBlockGenerator)):
         return rng
     if isinstance(rng, (int, np.integer)):
         if rng < 0:
@@ -99,6 +101,64 @@ def seeds_for_replications(rng: RngLike, replications: int) -> List[int]:
         raise ValueError(f"replications must be positive, got {replications}")
     parent = ensure_rng(rng)
     return [int(seed) for seed in parent.integers(0, 2**63 - 1, size=replications)]
+
+
+class RowBlockGenerator:
+    """One generator per block of batch rows, behind the batched engines' draws.
+
+    Block ``b`` covers ``len(seed_blocks[b])`` consecutive rows and takes
+    every draw from ``np.random.default_rng(seed_blocks[b])``.  ``random``,
+    ``multinomial`` and ``binomial`` split their arguments along the leading
+    (row) axis, draw each block from its own generator and concatenate the
+    parts, so a block's rows are exactly those of a launch holding that
+    block alone.  :class:`~repro.core.batched.BatchedDynamics` and
+    :class:`~repro.environments.RowwiseBernoulliEnvironment` built on one
+    instance thus run several independent launches in one array pass.
+    """
+
+    def __init__(self, seed_blocks: Sequence[Sequence[int]]) -> None:
+        if not seed_blocks or not all(seed_blocks):
+            raise ValueError("every block needs at least one seed")
+        bounds = np.cumsum([0, *map(len, seed_blocks)]).tolist()
+        self._blocks = [
+            (np.random.default_rng(list(block)), slice(start, stop))
+            for block, start, stop in zip(seed_blocks, bounds, bounds[1:])
+        ]
+        self.num_rows = bounds[-1]
+
+    def _check_rows(self, *lengths: int) -> None:
+        for length in lengths:
+            if length != self.num_rows:
+                raise ValueError(f"draws must have {self.num_rows} rows, got {length}")
+
+    def random(self, size: Sequence[int]) -> np.ndarray:
+        """Uniforms on ``[0, 1)`` of shape ``size``; ``size[0]`` is the row count."""
+        rows, *rest = size
+        self._check_rows(rows)
+        return np.concatenate(
+            [
+                generator.random((block.stop - block.start, *rest))
+                for generator, block in self._blocks
+            ]
+        )
+
+    def multinomial(self, n, pvals: np.ndarray) -> np.ndarray:
+        """Row-wise multinomial counts; ``n`` is one count or one per row."""
+        per_row = np.ndim(n) > 0
+        self._check_rows(len(pvals), len(n) if per_row else len(pvals))
+        return np.concatenate(
+            [
+                generator.multinomial(n[rows] if per_row else n, pvals[rows])
+                for generator, rows in self._blocks
+            ]
+        )
+
+    def binomial(self, n: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Binomial draws over ``n`` and ``p``, both with one leading entry per row."""
+        self._check_rows(len(n), len(p))
+        return np.concatenate(
+            [generator.binomial(n[rows], p[rows]) for generator, rows in self._blocks]
+        )
 
 
 def interleave_choice(

@@ -123,14 +123,16 @@ class TestPrecisionInTheContentAddress:
     def test_store_keeps_one_entry_per_precision(self, tmp_path):
         from repro.experiments import ParameterGrid, run_sweep
         from repro.experiments.dynamics_sweep import dynamics_grid_replication
+        from repro.runtime.options import ExecutionOptions
         from repro.runtime.store import ResultStore
 
         grid = ParameterGrid({"N": [40]})
         base = {"qualities": (0.8, 0.5), "T": 5}
         with ResultStore(tmp_path / "store.sqlite") as store:
+            options = ExecutionOptions(store=store)
             run_sweep(
                 "precision", grid, dynamics_grid_replication,
-                replications=2, seed=0, base_parameters=base, store=store,
+                replications=2, seed=0, base_parameters=base, options=options,
             )
             entries_after_default = len(store)
             assert entries_after_default > 0
@@ -139,7 +141,7 @@ class TestPrecisionInTheContentAddress:
             run_sweep(
                 "precision", grid, dynamics_grid_replication,
                 replications=2, seed=0,
-                base_parameters={**base, "dtype": "float32"}, store=store,
+                base_parameters={**base, "dtype": "float32"}, options=options,
             )
             assert len(store) == 2 * entries_after_default
             after = store.counters().as_dict()
@@ -148,7 +150,7 @@ class TestPrecisionInTheContentAddress:
             run_sweep(
                 "precision", grid, dynamics_grid_replication,
                 replications=2, seed=0,
-                base_parameters={**base, "dtype": "float32"}, store=store,
+                base_parameters={**base, "dtype": "float32"}, options=options,
             )
             assert len(store) == 2 * entries_after_default
             assert store.counters().as_dict()["hits"] > after["hits"]

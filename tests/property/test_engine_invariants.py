@@ -12,8 +12,9 @@ invariants must hold for each:
   dynamics, bit for bit;
 * :func:`run_replications` / :func:`run_sweep` outputs are a pure function of
   the config seed, on the per-seed loop, the per-point batched path, and the
-  whole-grid batched path — and a flattened sweep row is bit-reproducible by
-  a standalone :class:`BatchedDynamics` launch built from the same seeds.
+  whole-grid batched path — and a grid point's rows are those of a
+  standalone one-point :class:`BatchedDynamics` launch from its own seeds,
+  however the grid's points are split into launches.
 """
 
 import numpy as np
@@ -341,13 +342,13 @@ class TestSweepAxisBatching:
             result.metrics for result in changed_results
         ]
 
-    def test_grid_rows_bit_match_standalone_batched_run(self):
-        """A sweep row is reproducible by a hand-built flattened BatchedDynamics.
+    def test_grid_rows_bit_match_standalone_one_point_launches(self):
+        """Each sweep point is reproducible by a hand-built one-point launch.
 
-        This is the exact-seed guarantee of sweep-axis batching: the harness
-        adds nothing to the engine's random stream, so rebuilding the same
-        (G*R, m) launch from the same seeds yields the sweep's metrics bit
-        for bit.
+        This is the exact-seed guarantee of sweep-axis batching: point ``g``
+        draws from ``default_rng(seeds_g)`` inside the fused launch, so
+        rebuilding that point alone as an ``(R, m)`` launch from its own seed
+        list yields the sweep's metrics bit for bit.
         """
         grid = ParameterGrid(SWEEP_GRID_AXES)
         replications = 3
@@ -356,52 +357,91 @@ class TestSweepAxisBatching:
             replications=replications, seed=13, base_parameters=SWEEP_BASE,
         )
 
-        # Hand-build the flattened launch (deliberately NOT via flatten_grid,
+        # Hand-build each point's launch (deliberately NOT via flatten_grid,
         # so the test pins the documented construction, not the helper).
-        points = list(grid)
-        num_rows = len(points) * replications
-        seed_blocks = [
-            seeds_for_replications(13 + index, replications)
-            for index in range(len(points))
-        ]
-        assert [result.seeds for result in results] == seed_blocks
-        flat_seeds = [seed for block in seed_blocks for seed in block]
-        qualities = np.tile(np.asarray(SWEEP_BASE["qualities"]), (num_rows, 1))
-        betas = np.repeat([point["beta"] for point in points], replications)
-        sizes = np.repeat([point["N"] for point in points], replications)
-
-        generator = np.random.default_rng(flat_seeds)
-        environment = RowwiseBernoulliEnvironment(qualities, rng=generator)
-        dynamics = BatchedDynamics(
-            num_replicates=num_rows,
-            population_size=sizes,
-            num_options=qualities.shape[1],
-            adoption_rule=RowwiseAdoptionRule(1.0 - betas, betas),
-            sampling_rule=MixtureSampling(np.full(num_rows, SWEEP_BASE["mu"])),
-            rng=generator,
-        )
-        trajectory = dynamics.run(environment, SWEEP_BASE["T"])
-        regrets = trajectory.expected_regret(qualities)
-        shares = trajectory.best_option_share(qualities.argmax(axis=1))
-
-        for point_index, result in enumerate(results):
+        for index, (point, result) in enumerate(zip(grid, results)):
+            seeds = seeds_for_replications(13 + index, replications)
+            assert result.seeds == seeds
+            qualities = np.tile(np.asarray(SWEEP_BASE["qualities"]), (replications, 1))
+            betas = np.full(replications, point["beta"])
+            generator = np.random.default_rng(seeds)
+            environment = RowwiseBernoulliEnvironment(qualities, rng=generator)
+            dynamics = BatchedDynamics(
+                num_replicates=replications,
+                population_size=point["N"],
+                num_options=qualities.shape[1],
+                adoption_rule=RowwiseAdoptionRule(1.0 - betas, betas),
+                sampling_rule=MixtureSampling(np.full(replications, SWEEP_BASE["mu"])),
+                rng=generator,
+            )
+            trajectory = dynamics.run(environment, SWEEP_BASE["T"])
+            regrets = trajectory.expected_regret(qualities)
+            shares = trajectory.best_option_share(qualities.argmax(axis=1))
             for row in range(replications):
-                flat_row = point_index * replications + row
-                assert result.metrics[row]["regret"] == float(regrets[flat_row])
-                assert result.metrics[row]["best_option_share"] == float(
-                    shares[flat_row]
-                )
+                assert result.metrics[row]["regret"] == float(regrets[row])
+                assert result.metrics[row]["best_option_share"] == float(shares[row])
 
     def test_grid_function_rejected_by_run_replications(self):
         config = ExperimentConfig(name="grid", parameters={}, replications=2, seed=0)
         with pytest.raises(TypeError):
             run_replications(config, dynamics_grid_replication)
 
-    def test_mismatched_horizons_rejected(self):
-        grid = ParameterGrid({"T": (5, 6)})
-        with pytest.raises(ValueError, match="horizon"):
-            run_sweep(
-                "bad", grid, dynamics_grid_replication,
-                replications=2, seed=0,
-                base_parameters={"qualities": (0.8, 0.4), "N": 50},
+    def test_mixed_horizons_match_their_separate_runs(self):
+        """Points of different horizons launch separately inside one sweep."""
+        base = {"qualities": (0.8, 0.4), "N": 50}
+        mixed, _ = run_sweep(
+            "mixed", ParameterGrid({"T": (5, 6)}), dynamics_grid_replication,
+            replications=2, seed=0, base_parameters=base,
+        )
+        for index, horizon in enumerate((5, 6)):
+            (alone,), _ = run_sweep(
+                "alone", ParameterGrid({"T": (horizon,)}), dynamics_grid_replication,
+                replications=2, seed=index, base_parameters=base,
             )
+            assert mixed[index].metrics == alone.metrics
+
+
+POINT_STRATEGY = st.fixed_dictionaries(
+    {
+        "qualities": st.just((0.8, 0.5, 0.45)),
+        "N": st.sampled_from([20, 50, 80]),
+        "T": st.sampled_from([3, 5, 8]),
+        "beta": st.sampled_from([0.55, 0.6, 0.75]),
+    },
+    optional={
+        "mu": st.sampled_from([0.05, 0.2]),
+        "dtype": st.just("float32"),
+    },
+)
+
+
+class TestGridGroupingInvariance:
+    """A point's rows do not depend on which other points share its call."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        points=st.lists(POINT_STRATEGY, min_size=1, max_size=6),
+        replications=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_any_split_gives_identical_rows(self, points, replications, data):
+        seed_blocks = [
+            seeds_for_replications(100 + index, replications)
+            for index in range(len(points))
+        ]
+        whole = dynamics_grid_replication(seed_blocks, points)
+        groups = data.draw(
+            st.lists(st.integers(0, 3), min_size=len(points), max_size=len(points)),
+            label="group of each point",
+        )
+        order = data.draw(st.permutations(range(len(points))), label="call order")
+        calls = {}
+        for index in order:
+            calls.setdefault(groups[index], []).append(index)
+        for indices in calls.values():
+            rows = dynamics_grid_replication(
+                [seed_blocks[index] for index in indices],
+                [points[index] for index in indices],
+            )
+            for index, point_rows in zip(indices, rows):
+                assert point_rows == whole[index]

@@ -1,162 +1,115 @@
-"""ExecutionOptions: validation, resolution, and the legacy-kwargs shim."""
+"""ExecutionOptions: three fields, and none of them changes a row."""
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
 
 import pytest
 
 from repro.experiments import ParameterGrid, run_sweep, sweep_configs
-from repro.experiments.dynamics_sweep import dynamics_point_replication
+from repro.experiments.dynamics_sweep import (
+    dynamics_grid_replication,
+    dynamics_point_replication,
+)
 from repro.experiments.runner import run_replications
+from repro.obs.trace import MemorySink, Tracer
 from repro.runtime import ParallelExecutor, ResultStore, SerialExecutor
-from repro.runtime.options import ExecutionOptions, resolve_options
+from repro.runtime.options import ExecutionOptions
 from repro.service import execute_request, sweep_request
 
 BASE = {"qualities": (0.8, 0.5), "T": 6}
-GRID = ParameterGrid({"N": [40]})
+GRID = ParameterGrid({"N": [40, 60]})
 
 
-class TestValidation:
-    def test_defaults_are_inactive(self):
+class TestFields:
+    def test_defaults_are_empty(self):
         options = ExecutionOptions()
-        assert not options.active
-        assert options.resolve_executor() is None
+        assert (options.executor, options.store, options.tracer) == (None, None, None)
 
-    def test_workers_below_one_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            ExecutionOptions(workers=0)
-
-    def test_executor_and_workers_are_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="not both"):
-            ExecutionOptions(executor=SerialExecutor(), workers=4)
+    def test_only_executor_store_and_tracer(self):
+        names = [field.name for field in dataclasses.fields(ExecutionOptions)]
+        assert names == ["executor", "store", "tracer"]
 
     def test_frozen(self):
         options = ExecutionOptions()
         with pytest.raises(AttributeError):
-            options.workers = 2
-
-    def test_engine_options_are_read_only(self):
-        options = ExecutionOptions(engine_options={"backend": "numpy"})
-        with pytest.raises(TypeError):
-            options.engine_options["backend"] = "torch"
-
-    def test_engine_options_copied_from_the_input(self):
-        source = {"backend": "numpy"}
-        options = ExecutionOptions(engine_options=source)
-        source["backend"] = "torch"
-        assert options.engine_options["backend"] == "numpy"
+            options.executor = SerialExecutor()
 
 
-class TestResolution:
-    def test_explicit_executor_wins(self):
-        executor = SerialExecutor()
-        assert ExecutionOptions(executor=executor).resolve_executor() is executor
-
-    def test_workers_build_a_pool(self):
-        resolved = ExecutionOptions(workers=2).resolve_executor()
-        assert isinstance(resolved, ParallelExecutor)
-
-    def test_store_alone_activates_the_runtime_path(self, tmp_path):
-        with ResultStore(tmp_path / "opts.sqlite") as store:
-            options = ExecutionOptions(store=store)
-            assert options.active
-            assert options.resolve_executor() is None
-
-    def test_merged_parameters_layer_engine_options(self):
-        options = ExecutionOptions(engine_options={"backend": "numpy"})
-        merged = options.merged_parameters({"N": 40})
-        assert merged == {"N": 40, "backend": "numpy"}
+def _option_variants(tmp_path):
+    """Each option alone, as the CLI flags set them."""
+    return {
+        "executor": ExecutionOptions(executor=ParallelExecutor(2)),
+        "store": ExecutionOptions(store=ResultStore(tmp_path / "opts.sqlite")),
+        "tracer": ExecutionOptions(tracer=Tracer(MemorySink())),
+    }
 
 
-class TestResolveOptionsShim:
-    def test_no_legacy_kwargs_pass_through(self):
-        options = ExecutionOptions()
-        assert resolve_options(options) is options
-        assert resolve_options(None) is None
-
-    def test_legacy_kwargs_warn_and_build_options(self):
-        executor = SerialExecutor()
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            resolved = resolve_options(None, executor=executor, owner="run_x")
-        assert resolved is not None
-        assert resolved.executor is executor
-
-    def test_mixing_spellings_is_an_error(self):
-        with pytest.raises(ValueError, match="both options="):
-            resolve_options(
-                ExecutionOptions(), executor=SerialExecutor(), owner="run_x"
-            )
-
-
-class TestBothSpellingsBitIdentical:
-    def test_run_sweep(self):
-        executor = SerialExecutor()
-        new_results, new_table = run_sweep(
-            "opts",
-            GRID,
-            dynamics_point_replication,
-            replications=2,
-            seed=3,
-            base_parameters=BASE,
-            options=ExecutionOptions(executor=executor),
+class TestOptionsNeverChangeRows:
+    @pytest.mark.parametrize(
+        "replication",
+        [dynamics_point_replication, dynamics_grid_replication],
+        ids=["loop", "grid"],
+    )
+    def test_run_sweep(self, replication, tmp_path):
+        plain_results, plain_table = run_sweep(
+            "opts", GRID, replication, replications=2, seed=3, base_parameters=BASE
         )
-        with pytest.warns(DeprecationWarning):
-            old_results, old_table = run_sweep(
+        for name, options in _option_variants(tmp_path).items():
+            results, table = run_sweep(
                 "opts",
                 GRID,
-                dynamics_point_replication,
+                replication,
                 replications=2,
                 seed=3,
                 base_parameters=BASE,
-                executor=executor,
+                options=options,
             )
-        assert [r.metrics for r in old_results] == [r.metrics for r in new_results]
-        assert old_table.rows == new_table.rows
+            assert [r.metrics for r in results] == [
+                r.metrics for r in plain_results
+            ], name
+            assert table.rows == plain_table.rows, name
+            if options.store is not None:
+                options.store.close()
 
-    def test_run_replications(self):
-        (config,) = sweep_configs(
+    def test_run_replications(self, tmp_path):
+        config = sweep_configs(
             "opts", GRID, replications=2, seed=3, base_parameters=BASE
-        )
-        executor = SerialExecutor()
-        new = run_replications(
-            config,
-            dynamics_point_replication,
-            options=ExecutionOptions(executor=executor),
-        )
-        with pytest.warns(DeprecationWarning):
-            old = run_replications(
-                config, dynamics_point_replication, executor=executor
+        )[0]
+        plain = run_replications(config, dynamics_point_replication)
+        for name, options in _option_variants(tmp_path).items():
+            result = run_replications(
+                config, dynamics_point_replication, options=options
             )
-        assert old.metrics == new.metrics
+            assert result.metrics == plain.metrics, name
+            if options.store is not None:
+                options.store.close()
 
-    def test_execute_request(self):
+    def test_execute_request(self, tmp_path):
         request = sweep_request(
-            options=[0.8, 0.5],
-            populations=[40],
-            horizon=6,
-            replications=2,
-            engine="loop",
+            options=[0.8, 0.5], populations=[40, 60], horizon=6, replications=2
         )
-        executor = SerialExecutor()
-        new = execute_request(
-            request, options=ExecutionOptions(executor=executor)
-        )
-        with pytest.warns(DeprecationWarning):
-            old = execute_request(request, executor=executor)
-        assert old.rows == new.rows
-        assert old.description == new.description
+        plain = execute_request(request)
+        for name, options in _option_variants(tmp_path).items():
+            result = execute_request(request, options=options)
+            assert result.rows == plain.rows, name
+            assert result.description == plain.description, name
+            if options.store is not None:
+                options.store.close()
 
-    def test_new_spelling_does_not_warn(self):
-        request = sweep_request(
-            options=[0.8, 0.5],
-            populations=[40],
-            horizon=6,
-            replications=2,
-            engine="loop",
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            execute_request(
-                request, options=ExecutionOptions(executor=SerialExecutor())
+
+class TestLegacyKeywordsRemoved:
+    def test_run_sweep_rejects_executor_keyword(self):
+        with pytest.raises(TypeError):
+            run_sweep(
+                "opts",
+                GRID,
+                dynamics_point_replication,
+                base_parameters=BASE,
+                executor=SerialExecutor(),
             )
+
+    def test_execute_request_rejects_store_keyword(self):
+        request = sweep_request(options=[0.8, 0.5], populations=[40], horizon=6)
+        with pytest.raises(TypeError):
+            execute_request(request, store=None)

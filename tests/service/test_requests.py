@@ -179,7 +179,6 @@ class TestExecuteRequest:
         )
         assert result.rows == [dict(row) for row in table.rows]
         assert "engine=loop" in result.description
-        assert result.notes == ()
 
     def test_network_matches_direct_run_replications(self):
         request = network_request(

@@ -541,12 +541,6 @@ class TestRuntimeFlags:
         err = capsys.readouterr().err
         assert f"error: cannot open result store {store}:" in err
 
-    def test_batched_sweep_notes_the_per_point_convention(self, capsys, tmp_path):
-        arguments = self.SWEEP[:-1] + ["batched"]  # swap --engine loop -> batched
-        store = str(tmp_path / "batched.sqlite")
-        assert main(arguments + ["--store", store]) == 0
-        assert "one grid point per task" in capsys.readouterr().err
-
     def test_network_batched_workers_notes_single_task(self, capsys):
         exit_code = main(
             [

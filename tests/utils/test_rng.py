@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import ensure_rng, interleave_choice, seeds_for_replications, spawn_rngs
+from repro.utils.rng import (
+    RowBlockGenerator,
+    ensure_rng,
+    interleave_choice,
+    seeds_for_replications,
+    spawn_rngs,
+)
 
 
 class TestEnsureRng:
@@ -83,3 +89,52 @@ class TestInterleaveChoice:
     def test_empty_options_rejected(self):
         with pytest.raises(ValueError):
             interleave_choice(0, [])
+
+
+class TestRowBlockGenerator:
+    SEED_BLOCKS = [[11, 12], [13], [14, 15, 16]]
+
+    def test_ensure_rng_passes_it_through(self):
+        generator = RowBlockGenerator(self.SEED_BLOCKS)
+        assert ensure_rng(generator) is generator
+        assert generator.num_rows == 6
+
+    def test_each_block_draws_from_its_own_seed_list(self):
+        generator = RowBlockGenerator(self.SEED_BLOCKS)
+        pvals = np.full((6, 3), 1 / 3)
+        sizes = np.array([50, 50, 60, 70, 70, 70])
+        adopt = np.full((6, 3), 0.4)
+        uniforms = generator.random((6, 3))
+        counts = generator.multinomial(sizes, pvals)
+        thinned = generator.binomial(counts, adopt)
+        start = 0
+        for seeds in self.SEED_BLOCKS:
+            alone = np.random.default_rng(seeds)
+            rows = slice(start, start + len(seeds))
+            np.testing.assert_array_equal(
+                uniforms[rows], alone.random((len(seeds), 3))
+            )
+            expected = alone.multinomial(sizes[rows], pvals[rows])
+            np.testing.assert_array_equal(counts[rows], expected)
+            np.testing.assert_array_equal(
+                thinned[rows], alone.binomial(expected, adopt[rows])
+            )
+            start = rows.stop
+
+    def test_scalar_count_matches_a_constant_per_row_count(self):
+        pvals = np.full((6, 2), 0.5)
+        scalar = RowBlockGenerator(self.SEED_BLOCKS).multinomial(40, pvals)
+        per_row = RowBlockGenerator(self.SEED_BLOCKS).multinomial(np.full(6, 40), pvals)
+        np.testing.assert_array_equal(scalar, per_row)
+
+    def test_row_count_mismatch_rejected(self):
+        generator = RowBlockGenerator(self.SEED_BLOCKS)
+        with pytest.raises(ValueError, match="6 rows"):
+            generator.random((5, 2))
+        with pytest.raises(ValueError, match="6 rows"):
+            generator.binomial(np.ones((6, 2), dtype=int), np.full(2, 0.5))
+
+    @pytest.mark.parametrize("seed_blocks", [[], [[1], []]])
+    def test_empty_blocks_rejected(self, seed_blocks):
+        with pytest.raises(ValueError, match="at least one seed"):
+            RowBlockGenerator(seed_blocks)
