@@ -9,8 +9,8 @@ point:
   :class:`FinitePopulationDynamics` launch per replicate, ``G * R`` launches);
 * ``point-batched`` — PR 1's per-point batched path (one ``(R, m)``
   :class:`BatchedDynamics` launch per grid point, ``G`` launches);
-* ``grid-batched`` — this PR's sweep-axis path (a single ``(G*R, m)`` launch
-  with per-row parameters).
+* ``grid-batched`` — the sweep-axis path (a single ``(G*R, m)`` launch with
+  per-row parameters, each grid point drawing from its own generator).
 
 The grid-batched engine must deliver at least the ISSUE's 5x throughput floor
 over the per-point loop, and its result table must agree with the loop

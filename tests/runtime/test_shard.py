@@ -10,6 +10,7 @@ from repro.experiments.dynamics_sweep import (
 from repro.experiments.network_sweep import network_batched_replication
 from repro.runtime import (
     ShardPlan,
+    execute_shard,
     execute_task,
     function_reference,
     partition_tasks,
@@ -150,3 +151,38 @@ class TestExecuteTask:
         plan = ShardPlan.from_config(config, bad_batched)
         with pytest.raises(ValueError, match="metric rows"):
             execute_task(plan.tasks[0], bad_batched)
+
+
+class TestExecuteShard:
+    def test_grid_tasks_share_one_call_with_per_task_rows(self):
+        calls = []
+
+        def counting(seed_blocks, points):
+            calls.append(len(points))
+            return dynamics_grid_replication(seed_blocks, points)
+
+        counting.grid_replications = True
+        plan = ShardPlan.from_configs(small_configs(points=3), counting)
+        results = execute_shard(plan.tasks, counting)
+        assert calls == [3]
+        assert [task for task, _ in results] == list(plan.tasks)
+        for task, rows in results:
+            assert rows == execute_task(task, dynamics_grid_replication)
+
+    def test_loop_tasks_run_one_by_one(self):
+        plan = ShardPlan.from_configs(
+            small_configs(points=2, replications=2), dynamics_point_replication
+        )
+        results = execute_shard(plan.tasks, dynamics_point_replication)
+        assert [task for task, _ in results] == list(plan.tasks)
+        for task, rows in results:
+            assert rows == execute_task(task, dynamics_point_replication)
+
+    def test_block_count_mismatch_rejected(self):
+        def short(seed_blocks, points):
+            return dynamics_grid_replication(seed_blocks, points)[:1]
+
+        short.grid_replications = True
+        plan = ShardPlan.from_configs(small_configs(points=2), short)
+        with pytest.raises(ValueError, match="1 metric blocks for 2 grid points"):
+            execute_shard(plan.tasks, short)
