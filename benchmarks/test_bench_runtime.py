@@ -12,7 +12,9 @@ one task per ``(point, seed)`` pair — runs three ways through the same
 
 Floors asserted (ISSUE 5): the 4-worker sweep is at least 2x faster than
 serial, bit-identical per-(point, seed); warm replay is at least 50x faster
-than the cold compute, with zero store misses.
+than the cold compute, with zero store misses.  The store-bound replay
+benchmark also derives the keys of one replay request's plan in one pass
+and floors that at 2x over a task-by-task pass with the same keys.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ import time
 
 import pytest
 
-from repro.experiments import ParameterGrid, ResultTable, run_sweep
+from repro.experiments import ParameterGrid, ResultTable, run_sweep, sweep_configs
 from repro.experiments.dynamics_sweep import dynamics_point_replication
 from repro.runtime import (
     ExecutionOptions,
     ParallelExecutor,
     ResultStore,
     SerialExecutor,
+    ShardPlan,
     Task,
 )
 
@@ -141,6 +144,8 @@ STORE_BATCH = 5_000
 STORE_METRIC_ROWS = 2
 REPLAY_REQUEST_KEYS = 875  # per-seed tasks in one serve-replay request
 REPLAY_REQUESTS = 50
+KEY_PASSES = 5
+REQUIRED_ONE_PASS_KEY_SPEEDUP = 2.0
 
 
 def _synthetic_task(index: int) -> Task:
@@ -155,6 +160,29 @@ def _synthetic_task(index: int) -> Task:
         seeds=(index,),
         replicate_offset=0,
     )
+
+
+def _replay_request_plan() -> ShardPlan:
+    """The loop-engine sweep plan of one serve-replay request: 5 points x 175 seeds."""
+    configs = sweep_configs(
+        "sweep-loop",
+        ParameterGrid({"N": (12, 19, 27, 33, 40)}),
+        replications=REPLAY_REQUEST_KEYS // 5,
+        seed=1234,
+        base_parameters={"qualities": (0.71, 0.42), "T": 8, "beta": 0.6},
+    )
+    plan = ShardPlan.from_configs(configs, dynamics_point_replication)
+    assert len(plan) == REPLAY_REQUEST_KEYS
+    return plan
+
+
+def _best_seconds(function) -> float:
+    best = float("inf")
+    for _ in range(KEY_PASSES):
+        start = time.perf_counter()
+        function()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def _synthetic_metrics(index: int):
@@ -173,8 +201,20 @@ def test_store_bound_replay_at_scale(save_results, tmp_path):
     ``REPLAY_REQUEST_KEYS``-key ``get_many`` (the size of one daemon replay
     request), and — after a reopen — one ``get_many`` over every key.
     Asserts zero misses on both replay phases and a bit-identical round
-    trip; throughput is recorded but not floored.
+    trip; throughput is recorded but not floored.  It also derives the keys
+    of one replay request's plan task by task (``key_for``) and in one pass
+    (``keys_for``), asserts they are equal and floors the one-pass speedup
+    at 2x (best of ``KEY_PASSES`` each).
     """
+    plan = _replay_request_plan()
+    with ResultStore() as key_store:
+        one_pass = key_store.keys_for(plan.tasks)
+        assert one_pass == [key_store.key_for(task) for task in plan.tasks]
+        per_task_seconds = _best_seconds(
+            lambda: [key_store.key_for(task) for task in plan.tasks]
+        )
+        one_pass_seconds = _best_seconds(lambda: key_store.keys_for(plan.tasks))
+
     path = tmp_path / "bench_store.sqlite"
     tasks = [_synthetic_task(index) for index in range(STORE_ENTRIES)]
     expected = {index: _synthetic_metrics(index) for index in range(0, STORE_ENTRIES, 9973)}
@@ -227,8 +267,16 @@ def test_store_bound_replay_at_scale(save_results, tmp_path):
                         REPLAY_REQUESTS * REPLAY_REQUEST_KEYS,
                     ),
                     ("cold-replay", cold_seconds, STORE_ENTRIES),
+                    ("keys-per-task", per_task_seconds, REPLAY_REQUEST_KEYS),
+                    ("keys-one-pass", one_pass_seconds, REPLAY_REQUEST_KEYS),
                 )
             ]
         ),
         "bench_store_replay",
+    )
+    key_speedup = per_task_seconds / one_pass_seconds
+    assert key_speedup >= REQUIRED_ONE_PASS_KEY_SPEEDUP, (
+        f"one-pass key derivation {key_speedup:.1f}x faster than per-task "
+        f"key_for, below the required {REQUIRED_ONE_PASS_KEY_SPEEDUP:.0f}x on "
+        f"a {REPLAY_REQUEST_KEYS}-task replay plan"
     )

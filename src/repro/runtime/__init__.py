@@ -51,6 +51,7 @@ from repro.runtime.store import (
     canonical_json,
     canonical_value,
     task_key,
+    task_keys,
 )
 
 __all__ = [
@@ -74,4 +75,5 @@ __all__ = [
     "resolve_replication",
     "run_plan",
     "task_key",
+    "task_keys",
 ]

@@ -34,7 +34,7 @@ from repro.obs.metrics import get_registry
 from repro.obs.trace import resolve_tracer
 from repro.runtime.executors import SerialExecutor
 from repro.runtime.shard import ShardPlan, partition_tasks
-from repro.runtime.store import ResultStore, task_key
+from repro.runtime.store import ResultStore, task_keys
 
 PointMetrics = List[List[Dict[str, float]]]
 """Per grid point, one metrics dict per seed (in seed order)."""
@@ -66,9 +66,9 @@ def run_plan(
     traced = getattr(tracer, "enabled", False)
     keys: Optional[List[str]] = None
     if store is not None:
-        keys = [store.key_for(task) for task in plan.tasks]
+        keys = store.keys_for(plan.tasks)
     elif traced:
-        keys = [task_key(task) for task in plan.tasks]
+        keys = task_keys(plan.tasks)
     key_by_ordinal = (
         {task.ordinal: key for task, key in zip(plan.tasks, keys)} if traced else {}
     )
@@ -112,9 +112,9 @@ def _merge(plan: ShardPlan, completed: Dict[int, List[Dict[str, float]]]):
     return merged
 
 
-def _content_key(task_keys: Sequence[str]) -> str:
+def _content_key(keys: Sequence[str]) -> str:
     """Content address of a group of tasks: the hash of their keys, in order."""
-    return hashlib.sha256("\n".join(task_keys).encode("utf-8")).hexdigest()
+    return hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
 
 
 def _trace_lookup(tracer, span, tasks: int, misses: int) -> None:

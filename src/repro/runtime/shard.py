@@ -115,6 +115,9 @@ class ShardPlan:
         reference = function_reference(replication)
         tasks: List[Task] = []
         for point_index, config in enumerate(configs):
+            # One copy per point, shared by its tasks: consumers copy before
+            # use, and the shared object lets task_keys encode it once.
+            parameters = dict(config.parameters)
             seeds = seeds_for_replications(config.seed, config.replications)
             if mode == MODE_LOOP:
                 blocks = [(offset, (seed,)) for offset, seed in enumerate(seeds)]
@@ -128,19 +131,12 @@ class ShardPlan:
                         name=config.name,
                         function_ref=reference,
                         mode=mode,
-                        parameters=dict(config.parameters),
+                        parameters=parameters,
                         seeds=block,
                         replicate_offset=offset,
                     )
                 )
         return cls(configs=tuple(configs), tasks=tuple(tasks))
-
-    @classmethod
-    def from_config(
-        cls, config: ExperimentConfig, replication: Callable
-    ) -> "ShardPlan":
-        """Plan for a single replicated experiment configuration."""
-        return cls.from_configs([config], replication)
 
     @property
     def num_points(self) -> int:

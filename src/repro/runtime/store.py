@@ -143,17 +143,40 @@ def canonical_json(value: Any) -> str:
     )
 
 
+def task_keys(tasks: Sequence[Task], code_version: str = __version__) -> List[str]:
+    """The content-addressed cache keys of ``tasks``, in order.
+
+    Each key hashes the canonical JSON of the task's payload, whose sorted
+    members are ``code_version``, ``function``, ``parameters`` and
+    ``seeds``.  Everything before the seed list is encoded once per
+    ``(function, parameters object)``, so a point's tasks share one encoding
+    of its parameters.  Keying the memo on ``id`` is sound: ``tasks`` keeps
+    every parameters dict alive for the call, and nothing mutates a task's
+    parameters.
+    """
+    prefixes: Dict[Tuple[str, int], str] = {}
+    keys = []
+    for task in tasks:
+        memo = (task.function_ref, id(task.parameters))
+        prefix = prefixes.get(memo)
+        if prefix is None:
+            head = canonical_json(
+                {
+                    "code_version": code_version,
+                    "function": task.function_ref,
+                    "parameters": task.parameters,
+                    "seeds": [],
+                }
+            )
+            prefix = prefixes[memo] = head[: -len("[]}")]
+        payload = prefix + canonical_json(list(task.seeds)) + "}"
+        keys.append(hashlib.sha256(payload.encode("utf-8")).hexdigest())
+    return keys
+
+
 def task_key(task: Task, code_version: str = __version__) -> str:
     """The content-addressed cache key of ``task``."""
-    payload = canonical_json(
-        {
-            "function": task.function_ref,
-            "parameters": task.parameters,
-            "seeds": list(task.seeds),
-            "code_version": code_version,
-        }
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return task_keys([task], code_version)[0]
 
 
 class StoreError(Exception):
@@ -237,6 +260,10 @@ class ResultStore:
         """Cache key of ``task`` under this store's code version."""
         return task_key(task, self.code_version)
 
+    def keys_for(self, tasks: Sequence[Task]) -> List[str]:
+        """Cache keys of ``tasks`` under this store's code version, in one pass."""
+        return task_keys(tasks, self.code_version)
+
     def get(self, key: str) -> Optional[Metrics]:
         """Stored metrics for ``key``, or ``None`` (counts hits/misses)."""
         return self.get_many([key]).get(key)
@@ -277,10 +304,12 @@ class ResultStore:
 
     def put_many(self, entries: Iterable[Tuple[Task, Metrics]]) -> List[str]:
         """Store a batch of results in one transaction (a shard flush)."""
+        entries = list(entries)
+        keys = self.keys_for([task for task, _ in entries])
         now = datetime.now(timezone.utc).isoformat()
         rows = [
             (
-                self.key_for(task),
+                key,
                 task.function_ref,
                 task.name,
                 canonical_json(task.parameters),
@@ -289,13 +318,13 @@ class ResultStore:
                 json.dumps(metrics),
                 now,
             )
-            for task, metrics in entries
+            for key, (task, metrics) in zip(keys, entries)
         ]
         with self._lock:
             connection = self._require_connection()
             connection.executemany(_INSERT, rows)
             connection.commit()
-        return [row[0] for row in rows]
+        return keys
 
     def counters(self) -> StoreCounters:
         """Atomic snapshot of this instance's hit/miss counters."""

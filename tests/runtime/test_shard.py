@@ -85,11 +85,11 @@ class TestShardPlan:
         with pytest.raises(ValueError):
             ShardPlan.from_configs([], dynamics_point_replication)
 
-    def test_from_config_single_point(self):
+    def test_single_config_plan(self):
         config = ExperimentConfig(
             name="single", parameters=dict(BASE, N=50), replications=3, seed=0
         )
-        plan = ShardPlan.from_config(config, dynamics_point_replication)
+        plan = ShardPlan.from_configs([config], dynamics_point_replication)
         assert plan.num_points == 1
         assert len(plan) == 3
 
@@ -148,7 +148,7 @@ class TestExecuteTask:
         config = ExperimentConfig(
             name="bad", parameters=dict(BASE, N=50), replications=3, seed=0
         )
-        plan = ShardPlan.from_config(config, bad_batched)
+        plan = ShardPlan.from_configs([config], bad_batched)
         with pytest.raises(ValueError, match="metric rows"):
             execute_task(plan.tasks[0], bad_batched)
 

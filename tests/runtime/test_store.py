@@ -11,17 +11,23 @@ import pytest
 
 import repro.runtime.store as store_module
 from repro import __version__
-from repro.experiments import ExperimentConfig
-from repro.experiments.dynamics_sweep import dynamics_point_replication
+from repro.experiments import ExperimentConfig, ParameterGrid, sweep_configs
+from repro.experiments.dynamics_sweep import (
+    dynamics_grid_replication,
+    dynamics_point_replication,
+)
+from repro.experiments.network_sweep import network_batched_replication
 from repro.runtime import (
     ResultStore,
     ShardPlan,
     StoreError,
+    Task,
     canonical_json,
     canonical_value,
     execute_task,
     run_plan,
     task_key,
+    task_keys,
 )
 
 BASE = {"qualities": (0.8, 0.5), "T": 10, "N": 50}
@@ -34,7 +40,7 @@ def make_task(parameters=None, seeds=None, replications=2, seed=0):
         replications=replications,
         seed=seed,
     )
-    plan = ShardPlan.from_config(config, dynamics_point_replication)
+    plan = ShardPlan.from_configs([config], dynamics_point_replication)
     task = plan.tasks[0]
     if seeds is not None:
         task = type(task)(
@@ -122,6 +128,141 @@ class TestTaskKey:
     def test_code_version_changes_the_key(self):
         task = make_task()
         assert task_key(task, "v1") != task_key(task, "v2")
+
+
+def pinned_loop_sweep_task():
+    configs = sweep_configs(
+        "pin-loop",
+        ParameterGrid({"N": [20, 40], "beta": [0.55, 0.7]}),
+        replications=3,
+        seed=11,
+        base_parameters={"qualities": (0.8, 0.5), "T": 10},
+    )
+    return ShardPlan.from_configs(configs, dynamics_point_replication).tasks[7]
+
+
+def pinned_batched_network_task():
+    config = ExperimentConfig(
+        name="network-batched",
+        parameters={
+            "qualities": (0.9, 0.6, 0.3),
+            "topology": "watts_strogatz",
+            "N": 500,
+            "T": 40,
+            "beta": 0.6,
+            "graph_seed": 5,
+            "mu": 0.05,
+        },
+        replications=4,
+        seed=21,
+    )
+    return ShardPlan.from_configs([config], network_batched_replication).tasks[0]
+
+
+def pinned_float32_grid_task():
+    configs = sweep_configs(
+        "pin-grid",
+        ParameterGrid({"N": [100, 200]}),
+        replications=5,
+        seed=3,
+        base_parameters={
+            "qualities": (0.8, 0.5, 0.5),
+            "T": 25,
+            "beta": 0.6,
+            "dtype": "float32",
+        },
+    )
+    return ShardPlan.from_configs(configs, dynamics_grid_replication).tasks[1]
+
+
+def pinned_awkward_task():
+    return Task(
+        ordinal=0,
+        point_index=0,
+        name="pin-awkward",
+        function_ref="repro.experiments.dynamics_sweep:dynamics_point_replication",
+        mode="loop",
+        parameters={
+            "N": np.int64(64),
+            "beta": np.float32(0.625),
+            "mu": np.float64(0.1),
+            "qualities": np.array([0.75, 0.5]),
+            "label": "Gruppe \u00fcber \u2013 \u793e\u4f1a",
+            "flag": np.bool_(True),
+        },
+        seeds=(7, 8),
+        replicate_offset=0,
+    )
+
+
+# (task builder, code version, SHA-256 digest), computed with the per-task
+# encoder that preceded ``task_keys``.  Every store on disk is addressed by
+# these bytes: a changed digest turns each stored entry into a miss.
+# Bumping ``repro.__version__`` changes the default-version keys by design;
+# re-pin them in the same change.
+PINNED_KEYS = [
+    (
+        pinned_loop_sweep_task,
+        __version__,
+        "ab4590b3a493441a17a08c8dcbe8a49c976c7dcba2a2c6437657571b36b172cf",
+    ),
+    (
+        pinned_batched_network_task,
+        __version__,
+        "b0d2ef0b7474e2f04a474b2341c4ab0d5867d18c4b241b3ce501959bff0fca27",
+    ),
+    (
+        pinned_float32_grid_task,
+        __version__,
+        "4f827190efca48aa9918dfe99bb2b162dae906ce341c859a11485adc9fc4bff6",
+    ),
+    (
+        pinned_awkward_task,
+        __version__,
+        "888427ffa1e6e63ec9edfc19c1993efc3d2c3ed9aa33088b099d0317b3d7fe6b",
+    ),
+    (
+        pinned_loop_sweep_task,
+        "0.9.0-pinned",
+        "e27536142bbd3c4251c3413ceb7aff8b483a15899edb9ab6cc7f08414acf8bc8",
+    ),
+]
+PINNED_IDS = ["loop-sweep", "batched-network", "float32-grid", "awkward", "old-version"]
+
+
+class TestPinnedKeys:
+    """The content addresses themselves, not only their equalities."""
+
+    def test_pinned_tasks_are_the_intended_ones(self):
+        assert pinned_loop_sweep_task().mode == "loop"
+        assert pinned_batched_network_task().mode == "batched"
+        assert pinned_float32_grid_task().mode == "grid"
+        assert pinned_float32_grid_task().parameters["dtype"] == "float32"
+
+    @pytest.mark.parametrize("build, code_version, digest", PINNED_KEYS, ids=PINNED_IDS)
+    def test_every_entry_point_returns_the_pinned_digest(
+        self, build, code_version, digest
+    ):
+        task = build()
+        assert task_key(task, code_version) == digest
+        assert task_keys([task], code_version) == [digest]
+        with ResultStore(code_version=code_version) as store:
+            assert store.key_for(task) == digest
+            assert store.keys_for([task]) == [digest]
+
+    def test_one_pass_over_all_pinned_tasks(self):
+        tasks = [build() for build, _, _ in PINNED_KEYS[:4]]
+        digests = [digest for _, _, digest in PINNED_KEYS[:4]]
+        assert task_keys(tasks) == digests
+        with ResultStore() as store:
+            assert store.keys_for(tasks) == digests
+
+    def test_put_many_writes_under_the_pinned_digests(self):
+        tasks = [build() for build, _, _ in PINNED_KEYS[:4]]
+        with ResultStore() as store:
+            keys = store.put_many((task, [{"metric": 1.0}]) for task in tasks)
+            assert keys == [digest for _, _, digest in PINNED_KEYS[:4]]
+            assert all(key in store for key in keys)
 
 
 class TestResultStore:
@@ -516,7 +657,7 @@ class TestEarlierStores:
         config = ExperimentConfig(
             name="earlier-store", parameters=dict(BASE), replications=2, seed=3
         )
-        return ShardPlan.from_config(config, dynamics_point_replication)
+        return ShardPlan.from_configs([config], dynamics_point_replication)
 
     def write_store(self, path, columns, rows):
         """``rows`` are ``(task, metrics JSON, segment, entry)`` tuples."""
