@@ -5,10 +5,8 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.campaign.broker import DEFAULT_ADDRESS, BrokerBackend
+from repro.runtime.backend import BACKEND_NAMES
 from repro.runtime.executors import ParallelExecutor, SerialExecutor
-
-BACKEND_NAMES = ("inproc", "pool", "broker")
-"""The campaign backend spellings the CLI accepts."""
 
 
 def make_backend(

@@ -75,15 +75,6 @@ import numpy as np
 
 from repro import __version__
 from repro.backends import BACKENDS, PRECISIONS
-from repro.campaign import (
-    BACKEND_NAMES as CAMPAIGN_BACKENDS,
-    BrokerError,
-    CampaignError,
-    campaign_from_spec,
-    make_backend,
-    run_broker,
-    run_campaign,
-)
 from repro.core.batched import simulate_batched_population
 from repro.core.coupling import run_coupled_dynamics
 from repro.core.dynamics import simulate_finite_population
@@ -97,13 +88,12 @@ from repro.experiments import (
     ExperimentConfig,
     ResultTable,
     batched_replication,
-    build_network,
     run_replications,
     write_csv,
 )
 from repro.obs import TRACE_OUT_ENV, JsonlSink, Tracer, summarize_trace_file
 from repro.runtime import ExecutionOptions, ParallelExecutor, ResultStore, StoreError
-from repro.service.daemon import SimulationDaemon, SimulationService
+from repro.runtime.backend import BACKEND_NAMES as CAMPAIGN_BACKENDS
 from repro.service.requests import (
     RequestError,
     execute_request,
@@ -226,14 +216,16 @@ def _open_store(args: argparse.Namespace) -> Optional[ResultStore]:
         raise SystemExit(2)
 
 
+def _check_workers(workers: Optional[int]) -> None:
+    """Exit with status 2 unless ``--workers`` is unset or at least 1."""
+    if workers is not None and workers < 1:
+        print(f"error: --workers must be at least 1, got {workers}", file=sys.stderr)
+        raise SystemExit(2)
+
+
 def _runtime_options(args: argparse.Namespace) -> Optional[ExecutionOptions]:
     """Translate --workers/--store/--resume into an :class:`ExecutionOptions`."""
-    if args.workers < 1:
-        print(
-            f"error: --workers must be at least 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    _check_workers(args.workers)
     store = _open_store(args)
     executor = ParallelExecutor(args.workers) if args.workers > 1 else None
     tracer = _open_tracer(args)
@@ -927,6 +919,8 @@ def _command_network(args: argparse.Namespace) -> int:
     except RequestError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    from repro.experiments.network_sweep import build_network
+
     prepared = prepare_request(request)
     network = build_network(prepared.config.parameters)
     # Only the cheap statistics by default: spectral gap / diameter /
@@ -996,17 +990,15 @@ def _command_protocol(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print(
-            f"error: --workers must be at least 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    _check_workers(args.workers)
+    from repro.service.daemon import SimulationDaemon, SimulationService
+
     try:
         store = ResultStore(args.store) if args.store else None
     except StoreError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    service = None
     try:
         service = SimulationService(
             store,
@@ -1017,6 +1009,8 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
         server = SimulationDaemon((args.host, args.port), service, verbose=args.verbose)
     except (OSError, ValueError) as error:
+        if service is not None:
+            service.close()
         if store is not None:
             store.close()
         print(f"error: cannot start daemon: {error}", file=sys.stderr)
@@ -1055,12 +1049,15 @@ def _load_campaign_spec(source: str) -> Any:
 
 
 def _command_campaign(args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers < 1:
-        print(
-            f"error: --workers must be at least 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    _check_workers(args.workers)
+    from repro.campaign import (
+        BrokerError,
+        CampaignError,
+        campaign_from_spec,
+        make_backend,
+        run_campaign,
+    )
+
     try:
         campaign = campaign_from_spec(_load_campaign_spec(args.spec))
     except CampaignError as error:
@@ -1133,12 +1130,8 @@ def _command_campaign(args: argparse.Namespace) -> int:
 
 
 def _command_broker(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print(
-            f"error: --workers must be at least 1, got {args.workers}",
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
+    _check_workers(args.workers)
+    from repro.campaign import BrokerError, run_broker
 
     def on_shard(count: int, tasks: int) -> None:
         print(f"shard {count}: {tasks} task(s) done", flush=True)

@@ -5,7 +5,12 @@ ad-hoc loops so that every experiment (E1–E12 in DESIGN.md) shares the same
 seeding discipline, replication statistics, and output formats (text tables
 via :func:`repro.utils.format_table` and CSV files via
 :func:`repro.experiments.io.write_csv`).
+
+The network and protocol sweeps (networkx, the protocol engines) load on
+first access (PEP 562), so a dynamics sweep never imports them.
 """
+
+import importlib
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
@@ -21,24 +26,30 @@ from repro.experiments.dynamics_sweep import (
     dynamics_point_replication,
     flatten_grid,
 )
-from repro.experiments.network_sweep import (
-    NETWORK_ENGINES,
-    NETWORK_REPLICATIONS,
-    build_network,
-    network_batched_replication,
-    network_point_replication,
-    network_vectorized_replication,
-)
-from repro.experiments.protocol_sweep import (
-    PROTOCOL_ENGINES,
-    PROTOCOL_REPLICATIONS,
-    protocol_batched_replication,
-    protocol_point_replication,
-    protocol_vectorized_replication,
-)
+from repro.experiments.engine_options import NETWORK_ENGINES, PROTOCOL_ENGINES
 from repro.experiments.results import ResultTable
 from repro.experiments.io import read_csv, write_csv
 from repro.experiments.report import generate_report, table_to_markdown
+
+_LAZY_MODULES = {
+    "NETWORK_REPLICATIONS": "network_sweep",
+    "build_network": "network_sweep",
+    "network_batched_replication": "network_sweep",
+    "network_point_replication": "network_sweep",
+    "network_vectorized_replication": "network_sweep",
+    "PROTOCOL_REPLICATIONS": "protocol_sweep",
+    "protocol_batched_replication": "protocol_sweep",
+    "protocol_point_replication": "protocol_sweep",
+    "protocol_vectorized_replication": "protocol_sweep",
+}
+
+
+def __getattr__(name):
+    module = _LAZY_MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "ExperimentConfig",
@@ -54,19 +65,11 @@ __all__ = [
     "dynamics_point_replication",
     "flatten_grid",
     "NETWORK_ENGINES",
-    "NETWORK_REPLICATIONS",
-    "build_network",
-    "network_batched_replication",
-    "network_point_replication",
-    "network_vectorized_replication",
     "PROTOCOL_ENGINES",
-    "PROTOCOL_REPLICATIONS",
-    "protocol_batched_replication",
-    "protocol_point_replication",
-    "protocol_vectorized_replication",
     "ResultTable",
     "read_csv",
     "write_csv",
     "generate_report",
     "table_to_markdown",
+    *_LAZY_MODULES,
 ]

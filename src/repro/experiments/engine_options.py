@@ -24,6 +24,12 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.backends import BACKENDS, DEFAULT_BACKEND_NAME, PRECISIONS
 
+NETWORK_ENGINES = ("loop", "vectorized", "batched")
+"""The interchangeable execution engines for the network workloads."""
+
+PROTOCOL_ENGINES = ("loop", "vectorized", "batched")
+"""The interchangeable execution engines for the protocol workloads."""
+
 
 def engine_options(parameters: Dict[str, Any]) -> Tuple[Optional[str], Optional[str]]:
     """Extract and validate a point's optional ``(backend, dtype)`` pair.

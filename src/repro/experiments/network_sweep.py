@@ -75,9 +75,6 @@ from repro.network.dynamics import NetworkDynamics, NetworkDynamicsBase
 from repro.network.topology import SocialNetwork
 from repro.network.vectorized import BatchedNetworkDynamics, VectorizedNetworkDynamics
 
-NETWORK_ENGINES = ("loop", "vectorized", "batched")
-"""The interchangeable execution engines for the network workloads."""
-
 
 @lru_cache(maxsize=8)
 def _cached_network(

@@ -80,9 +80,6 @@ from repro.experiments.engine_options import (
 )
 from repro.experiments.runner import batched_replication
 
-PROTOCOL_ENGINES = ("loop", "vectorized", "batched")
-"""The interchangeable execution engines for the protocol workloads."""
-
 
 def _point_parameters(parameters: Dict[str, Any]) -> Dict[str, Any]:
     """Normalise one point's parameters with engine-shared defaults."""

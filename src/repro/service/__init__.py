@@ -19,17 +19,13 @@ cache-first API daemon on top of the parallel runtime (:mod:`repro.runtime`):
   ``urllib``-based client (submit/status/result/wait/run).
 
 Entry point: ``repro serve --port 8080 --store results.sqlite``; see the
-README's "Serving" section.
+README's "Serving" section.  Only the request layer loads with the package;
+the client, job queue and daemon (with the HTTP stack) load on first access
+(PEP 562), so a one-shot CLI command never imports them.
 """
 
-from repro.service.client import JobFailed, ServiceClient, ServiceError
-from repro.service.daemon import (
-    DaemonHandle,
-    SimulationDaemon,
-    SimulationService,
-    start_daemon,
-)
-from repro.service.jobs import Job, JobQueue, QueueFull
+import importlib
+
 from repro.service.requests import (
     RequestError,
     RequestResult,
@@ -42,24 +38,36 @@ from repro.service.requests import (
     sweep_request,
 )
 
+_LAZY_MODULES = {
+    "JobFailed": "client",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "DaemonHandle": "daemon",
+    "SimulationDaemon": "daemon",
+    "SimulationService": "daemon",
+    "start_daemon": "daemon",
+    "Job": "jobs",
+    "JobQueue": "jobs",
+    "QueueFull": "jobs",
+}
+
+
+def __getattr__(name):
+    module = _LAZY_MODULES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
 __all__ = [
-    "DaemonHandle",
-    "Job",
-    "JobFailed",
-    "JobQueue",
-    "QueueFull",
     "RequestError",
     "RequestResult",
-    "ServiceClient",
-    "ServiceError",
-    "SimulationDaemon",
     "SimulationRequest",
-    "SimulationService",
     "execute_request",
     "network_request",
     "prepare_request",
     "protocol_request",
     "request_from_dict",
-    "start_daemon",
     "sweep_request",
+    *_LAZY_MODULES,
 ]

@@ -20,6 +20,7 @@ identical submissions in flight; the underlying per-task
 from __future__ import annotations
 
 import hashlib
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
@@ -27,9 +28,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.backends import BACKENDS, PRECISIONS
 from repro.experiments import (
     NETWORK_ENGINES,
-    NETWORK_REPLICATIONS,
     PROTOCOL_ENGINES,
-    PROTOCOL_REPLICATIONS,
     ExperimentConfig,
     ParameterGrid,
     ResultTable,
@@ -245,7 +244,7 @@ def network_request(
     dtype: Any = None,
 ) -> SimulationRequest:
     """A ``repro network`` workload: the dynamics on a social topology."""
-    engine = _engine(engine, tuple(NETWORK_ENGINES))
+    engine = _engine(engine, NETWORK_ENGINES)
     spec: Dict[str, Any] = {
         "options": _float_list("options", options),
         "topology": str(topology),
@@ -288,7 +287,7 @@ def protocol_request(
     ``delay > 0`` requires the loop engine (the only one that models
     per-message delay).
     """
-    engine = _engine(engine, tuple(PROTOCOL_ENGINES))
+    engine = _engine(engine, PROTOCOL_ENGINES)
     rounds = _positive_int("rounds", rounds)
     delay = _finite_float("delay", delay)
     if delay > 0 and engine != "loop":
@@ -328,51 +327,10 @@ _BUILDERS: Dict[str, Callable[..., SimulationRequest]] = {
     PROTOCOL: protocol_request,
 }
 
+# A payload's fields are exactly its builder's keyword arguments.
 _ALLOWED_FIELDS: Dict[str, Tuple[str, ...]] = {
-    SWEEP: (
-        "options",
-        "populations",
-        "horizon",
-        "beta",
-        "betas",
-        "mus",
-        "replications",
-        "seed",
-        "engine",
-        "backend",
-        "dtype",
-    ),
-    NETWORK: (
-        "options",
-        "topology",
-        "size",
-        "horizon",
-        "beta",
-        "mu",
-        "graph_seed",
-        "replications",
-        "seed",
-        "engine",
-        "backend",
-        "dtype",
-    ),
-    PROTOCOL: (
-        "options",
-        "nodes",
-        "rounds",
-        "beta",
-        "mu",
-        "loss",
-        "delay",
-        "crash",
-        "mass_crash_round",
-        "mass_crash_fraction",
-        "replications",
-        "seed",
-        "engine",
-        "backend",
-        "dtype",
-    ),
+    kind: tuple(inspect.signature(builder).parameters)
+    for kind, builder in _BUILDERS.items()
 }
 
 
@@ -458,7 +416,12 @@ def prepare_request(request: SimulationRequest) -> PreparedRequest:
             grid=ParameterGrid(axes),
             base_parameters=base_parameters,
         )
+    # A kind's engines load only when that kind runs (networkx, the protocol
+    # stack).  The daemon resolves them here, in its own process, so the
+    # per-job pool workers it forks inherit them.
     if request.kind == NETWORK:
+        from repro.experiments.network_sweep import NETWORK_REPLICATIONS
+
         parameters: Dict[str, Any] = {
             "qualities": tuple(spec["options"]),
             "topology": spec["topology"],
@@ -486,6 +449,8 @@ def prepare_request(request: SimulationRequest) -> PreparedRequest:
             config=config,
         )
     if request.kind == PROTOCOL:
+        from repro.experiments.protocol_sweep import PROTOCOL_REPLICATIONS
+
         parameters = {
             "qualities": tuple(spec["options"]),
             "N": spec["nodes"],

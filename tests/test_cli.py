@@ -644,13 +644,15 @@ class TestServeParser:
 
 
 class TestServeCommand:
+    # `repro serve` imports the daemon module when it runs, so the patches
+    # target repro.service.daemon rather than repro.cli.
     def test_serve_runs_and_shuts_down_cleanly(self, capsys, monkeypatch, tmp_path):
-        import repro.cli as cli_module
+        from repro.service import daemon
 
         # serve_forever blocks; stand in a Ctrl-C so the command exercises
         # its startup banner and graceful-shutdown path end to end.
         monkeypatch.setattr(
-            cli_module.SimulationDaemon,
+            daemon.SimulationDaemon,
             "serve_forever",
             lambda self: (_ for _ in ()).throw(KeyboardInterrupt()),
         )
@@ -662,10 +664,10 @@ class TestServeCommand:
         assert "shutting down" in captured.err
 
     def test_serve_without_store_notes_recomputation(self, capsys, monkeypatch):
-        import repro.cli as cli_module
+        from repro.service import daemon
 
         monkeypatch.setattr(
-            cli_module.SimulationDaemon,
+            daemon.SimulationDaemon,
             "serve_forever",
             lambda self: (_ for _ in ()).throw(KeyboardInterrupt()),
         )
@@ -675,8 +677,11 @@ class TestServeCommand:
     def test_serve_bind_failure_closes_store_and_returns_2(
         self, capsys, monkeypatch, tmp_path
     ):
+        import threading
+
         import repro.cli as cli_module
         from repro.runtime import ResultStore
+        from repro.service import daemon
 
         created = []
 
@@ -688,15 +693,22 @@ class TestServeCommand:
         monkeypatch.setattr(cli_module, "ResultStore", RecordingStore)
 
         def refuse_bind(address, service, verbose=False):
-            service.close()
             raise OSError("address already in use")
 
-        monkeypatch.setattr(cli_module, "SimulationDaemon", refuse_bind)
+        monkeypatch.setattr(daemon, "SimulationDaemon", refuse_bind)
+        before = set(threading.enumerate())
         exit_code = main(["serve", "--store", str(tmp_path / "serve.sqlite")])
         assert exit_code == 2
         assert "cannot start daemon" in capsys.readouterr().err
         assert len(created) == 1
         assert created[0].closed
+        # The command closes the service it built, so its job threads end.
+        leaked = [
+            thread.name
+            for thread in set(threading.enumerate()) - before
+            if thread.name.startswith("repro-job-worker")
+        ]
+        assert leaked == []
 
 
 class TestEngineOptionFlags:

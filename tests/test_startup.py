@@ -1,11 +1,13 @@
-"""Start-up guard: a repro process imports scipy only when it needs it.
+"""Start-up guard: a repro process imports only what its command runs.
 
 On a 2-core VM ``scipy.stats`` takes about a second to import and
 ``scipy.special`` about a third of one, which would dominate every small
 ``python -m repro`` call.  No
 module under ``src/repro`` imports scipy at module level; the few functions
-that need it import it themselves.  Pytest's own process may already hold
-scipy, so every runtime check runs in a fresh interpreter.
+that need it import it themselves.  Likewise networkx (~0.15 s), the HTTP
+daemon and the campaign stack load only in the commands that use them.
+Pytest's own process may already hold all of these, so every runtime check
+runs in a fresh interpreter.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import repro
 PACKAGE = Path(repro.__file__).resolve().parent
 
 # Imports repro.cli, optionally runs repro.cli.main(argv), then prints the
-# scipy modules the interpreter holds.
+# names of the modules the interpreter holds.
 _PROBE = """
 import contextlib, io, json, sys
 import repro, repro.cli
@@ -33,7 +35,7 @@ if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         code = repro.cli.main(argv)
     assert code == 0, code
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
 
 SWEEP = ["sweep", "--options", "0.8", "0.5", "--populations", "200", "400"]
@@ -44,7 +46,19 @@ PROTOCOL = ["protocol", "--options", "0.8", "0.5", "--nodes", "200"]
 PROTOCOL += ["--rounds", "20", "--replications", "4"]
 
 
-def _scipy_modules(argv):
+# What a bare `import repro.cli` must leave to the commands that use them.
+COMMAND_SUBSYSTEMS = (
+    "networkx",
+    "http.server",
+    "repro.campaign",
+    "repro.service.daemon",
+    "repro.network",
+    "repro.distributed",
+)
+
+
+def _loaded_modules(argv, *packages):
+    """The loaded modules in ``packages`` (or below them) after ``argv``."""
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     result = subprocess.run(
@@ -55,7 +69,11 @@ def _scipy_modules(argv):
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    return {
+        module
+        for module in json.loads(result.stdout.splitlines()[-1])
+        if any(module == name or module.startswith(name + ".") for name in packages)
+    }
 
 
 def _module_level_scipy_imports(source):
@@ -88,16 +106,34 @@ def test_no_module_imports_scipy_at_module_level():
 
 
 def test_importing_the_cli_loads_no_scipy():
-    assert _scipy_modules([]) == set()
+    assert _loaded_modules([], "scipy") == set()
+
+
+def test_importing_the_cli_loads_no_command_subsystem():
+    assert _loaded_modules([], *COMMAND_SUBSYSTEMS) == set()
 
 
 @pytest.mark.parametrize("engine", ["batched", "loop"])
 def test_sweep_loads_no_scipy(engine):
-    assert _scipy_modules([*SWEEP, "--engine", engine]) == set()
+    assert _loaded_modules([*SWEEP, "--engine", engine], "scipy") == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[*SWEEP, "--engine", "batched"], [*SWEEP, "--engine", "loop"], PROTOCOL],
+    ids=["sweep-batched", "sweep-loop", "protocol"],
+)
+def test_commands_without_a_graph_load_no_networkx(argv):
+    assert _loaded_modules(argv, "networkx") == set()
+
+
+def test_network_loads_networkx():
+    # The positive control: the probe does see networkx when it is loaded.
+    assert "networkx" in _loaded_modules(NETWORK, "networkx")
 
 
 @pytest.mark.parametrize("argv", [NETWORK, PROTOCOL], ids=["network", "protocol"])
 def test_summary_tables_load_scipy_special_not_stats(argv):
-    modules = _scipy_modules(argv)
+    modules = _loaded_modules(argv, "scipy")
     assert "scipy.special" in modules
     assert "scipy.stats" not in modules
