@@ -25,7 +25,7 @@ import importlib
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, wait
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -206,6 +206,9 @@ class ParallelExecutor:
             "repro_shards_completed_total",
             "Shards completed, by execution backend.",
         )
+        # Imported here: only a pooled run needs multiprocessing (~15 ms).
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(
             max_workers=self.max_workers,
             mp_context=self.mp_context,

@@ -5,7 +5,8 @@ On a 2-core VM ``scipy.stats`` takes about a second to import and
 ``python -m repro`` call.  No
 module under ``src/repro`` imports scipy at module level; the few functions
 that need it import it themselves.  Likewise networkx (~0.15 s), the HTTP
-daemon and the campaign stack load only in the commands that use them.
+daemon, the campaign stack and the process pool load only in the commands
+that use them.
 Pytest's own process may already hold all of these, so every runtime check
 runs in a fresh interpreter.
 """
@@ -54,6 +55,7 @@ COMMAND_SUBSYSTEMS = (
     "repro.service.daemon",
     "repro.network",
     "repro.distributed",
+    "multiprocessing",
 )
 
 
