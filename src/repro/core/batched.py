@@ -46,6 +46,27 @@ from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive_int, check_quality_vector
 
 
+def choice_counts(choices: np.ndarray, num_options: int) -> np.ndarray:
+    """Per-row counts of options ``0..m-1`` in an ``(R, N)`` choices matrix.
+
+    One bincount over ``m + 1`` slots per row, slot 0 collecting the ``-1``
+    (sitting-out) entries, so no mask or compress of the matrix is needed.
+    """
+    rows, slots = choices.shape[0], num_options + 1
+    keys = np.arange(1, rows * slots, slots)[:, None] + choices
+    counts = np.bincount(keys.ravel(), minlength=rows * slots)
+    return counts.reshape(rows, slots)[:, 1:]
+
+
+def row_lookup(table: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """``table[r, columns[r, i]]`` for an ``(R, k)`` table, as one flat take.
+
+    A column of ``-1`` reads some entry of the table; callers mask those cells.
+    """
+    offsets = np.arange(0, table.size, table.shape[1])[:, None]
+    return table.ravel().take(columns + offsets, mode="clip")
+
+
 @dataclass(frozen=True)
 class BatchedPopulationState:
     """Snapshot of ``R`` independent replicate populations at one time step.

@@ -58,7 +58,12 @@ from repro.backends import (
     resolve_precision,
 )
 from repro.core.adoption import AdoptionRule, SymmetricAdoptionRule
-from repro.core.batched import BatchedPopulationState, BatchedTrajectory
+from repro.core.batched import (
+    BatchedPopulationState,
+    BatchedTrajectory,
+    choice_counts,
+    row_lookup,
+)
 from repro.distributed.failures import FailureModel, NoFailures
 from repro.distributed.protocol import ProtocolBase
 from repro.distributed.transport import TransportStats
@@ -88,15 +93,17 @@ def _lossy_exchange(
     """
     num_waiting = peer_choices.size
     query_arrives = rng.random(num_waiting) >= loss_rate
-    reply_arrives = rng.random(num_waiting) >= loss_rate
-    replies_sent = int(query_arrives.sum())
-    reply_delivered = query_arrives & reply_arrives
+    reply_delivered = rng.random(num_waiting) >= loss_rate
+    replies_sent = int(np.count_nonzero(query_arrives))
+    reply_delivered &= query_arrives
+    replies_delivered = int(np.count_nonzero(reply_delivered))
+    # Every message is delivered or dropped: the dropped queries and replies
+    # are the queries that did not end in a delivered reply.
     stats.sent += num_waiting + replies_sent
-    stats.delivered += replies_sent + int(reply_delivered.sum())
-    stats.dropped += (num_waiting - replies_sent) + int(
-        (query_arrives & ~reply_arrives).sum()
-    )
-    return reply_delivered & (peer_choices >= 0)
+    stats.delivered += replies_sent + replies_delivered
+    stats.dropped += num_waiting - replies_delivered
+    reply_delivered &= peer_choices >= 0
+    return reply_delivered
 
 
 class VectorizedProtocol(ProtocolBase):
@@ -338,8 +345,8 @@ class BatchedProtocol:
 
     Advances ``R`` statistically independent fleets in lock-step as
     ``(R, N)`` choice and alive matrices: per round, one ``(R, N)`` explore
-    draw, then — over the compressed set of still-waiting (replicate, node)
-    pairs — a rank-shifted uniform peer draw and two Bernoulli loss masks
+    draw, then — over the compressed set of still-waiting alive cells, as
+    flat indices — a rank-shifted uniform peer draw and two Bernoulli loss masks
     per retry sub-round, and finally one broadcast adoption thinning.  All
     replicates share one generator, so a batch is reproducible from a single
     seed but individual replicates are not independently re-runnable (same
@@ -494,15 +501,8 @@ class BatchedProtocol:
 
     def state(self) -> BatchedPopulationState:
         """Per-replicate alive-committed counts as a batched state."""
-        committed = self._alive & (self._choices >= 0)
-        keys = (
-            np.arange(self._num_replicates, dtype=np.int64)[:, None]
-            * self._num_options
-            + np.where(committed, self._choices, 0).astype(np.int64)
-        )[committed]
-        counts = np.bincount(
-            keys, minlength=self._num_replicates * self._num_options
-        ).reshape(self._num_replicates, self._num_options)
+        alive_choices = np.where(self._alive, self._choices, -1)
+        counts = choice_counts(alive_choices, self._num_options)
         return BatchedPopulationState(
             counts=counts.astype(self._precision.int_dtype),
             population_size=self._num_nodes,
@@ -571,55 +571,53 @@ class BatchedProtocol:
         considered[explore] = self._rng.integers(
             self._num_options, size=int(explore.sum())
         )
-        # Per-row rank of each alive node and the row's alive positions in
-        # index order — both constant across the retry sub-rounds.
-        rank = np.cumsum(self._alive, axis=1) - 1
-        alive_order = np.argsort(~self._alive, axis=1, kind="stable")
-        peer_high = np.maximum(alive_counts - 1, 1)
 
-        # The retry sub-rounds work on the compressed (replicate, node) index
-        # pairs still waiting — the waiting set shrinks geometrically, so
-        # later attempts touch a few percent of the grid, not all of it.
-        waiting_rows, waiting_cols = np.nonzero(self._alive & ~explore)
+        # The retry sub-rounds work on flat cell indices.  `alive_cells`
+        # lists every alive cell in row-major order, so row r's alive nodes
+        # are its slice from `row_start[r]`, and a node's position in it,
+        # less its row's start, is its rank among the row's alive nodes.
+        # Each waiting node is tracked by that position; the waiting set
+        # shrinks geometrically, so later attempts touch a few percent of
+        # the grid, not all of it.
+        alive_cells = np.flatnonzero(self._alive)
+        row_start = np.repeat(np.cumsum(alive_counts) - alive_counts, alive_counts)
+        peer_high = np.repeat(np.maximum(alive_counts - 1, 1), alive_counts)
+        waiting = np.flatnonzero(~explore.ravel()[alive_cells])
+        flat_choices = self._choices.ravel()
+        flat_considered = considered.ravel()
         for _ in range(self._max_query_attempts):
-            num_waiting = waiting_rows.size
-            if num_waiting == 0:
+            if waiting.size == 0:
                 break
             # 3a. One uniform integer draw per query; rank-shift excludes
             #     self (waiting cells always have >= 2 alive in their row).
-            draws = self._rng.integers(peer_high[waiting_rows])
-            peer_rank = draws + (draws >= rank[waiting_rows, waiting_cols])
-            peers = alive_order[waiting_rows, peer_rank]
+            peer = row_start[waiting] + self._rng.integers(peer_high[waiting])
+            peer += peer >= waiting
             # 3b/3c. Loss masks and stats via the shared sub-round law.
-            peer_choice = self._choices[waiting_rows, peers]
+            peer_choice = flat_choices[alive_cells[peer]]
             satisfied = _lossy_exchange(
                 self._rng, self._loss_rate, peer_choice, self._stats
             )
-            considered[waiting_rows[satisfied], waiting_cols[satisfied]] = (
-                peer_choice[satisfied]
-            )
-            waiting_rows = waiting_rows[~satisfied]
-            waiting_cols = waiting_cols[~satisfied]
+            # Index arrays, not boolean masks: numpy compresses through them
+            # several times faster.
+            answered = np.flatnonzero(satisfied)
+            flat_considered[alive_cells[waiting[answered]]] = peer_choice[answered]
+            waiting = waiting.compress(~satisfied)
 
         # 4. Fallback exploration for nodes that never heard back.
-        num_fallback = waiting_rows.size
-        if num_fallback:
-            considered[waiting_rows, waiting_cols] = self._rng.integers(
-                self._num_options, size=num_fallback
+        if waiting.size:
+            flat_considered[alive_cells[waiting]] = self._rng.integers(
+                self._num_options, size=waiting.size
             )
-            self._fallback_explorations += num_fallback
+            self._fallback_explorations += int(waiting.size)
 
-        # 5. Adoption stage: gather each node's considered-option signal and
-        #    thin in one broadcast draw.
-        active = considered >= 0
-        signals = np.take_along_axis(
-            rewards, np.where(active, considered, 0), axis=1
+        # 5. Adoption stage: every alive node considers an option; look its
+        #    adopt probability up from the (R, m) table and thin in one
+        #    broadcast draw.
+        adopt_probability = row_lookup(
+            self._adoption_rule.adopt_probabilities(rewards), considered
         )
-        adopt_probability = self._adoption_rule.adopt_probabilities(signals)
-        adopted = (self._rng.random(shape) < adopt_probability) & active
-        self._choices = np.where(
-            active, np.where(adopted, considered, -1), self._choices
-        ).astype(self._precision.int_dtype)
+        adopted = self._rng.random(shape) < adopt_probability
+        np.copyto(self._choices, np.where(adopted, considered, -1), where=self._alive)
         self._round += 1
 
     def run(self, environment: RewardEnvironment, rounds: int) -> BatchedProtocolResult:

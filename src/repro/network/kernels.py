@@ -1,18 +1,18 @@
 """Optional numba-fused kernel for the CSR neighbour-sampling hot loop.
 
 The vectorised network engines compute, per step, the committed-neighbour
-option counts (a CSR gather + bincount materialising the ``(R, E)`` gather
-and the ``(R, N, m)`` count tensor) followed by row-normalised inverse-CDF
-sampling.  Those two passes are memory-bound: every byte of the count tensor
-is written once and read once.  The fused kernel here walks each agent's CSR
-row once, tallies the counts into an ``m``-length register histogram and
-draws the inverse-CDF pick in the same pass — ``O(E + R·N·m)`` work with
-``O(m)`` scratch per agent instead of ``O(R·(E + N·m))`` materialised
-intermediates.
+option counts (a CSR gather + bincount per replicate, materialising an
+``(E,)`` key gather at a time and the ``(R, N, m)`` count tensor) followed
+by row-normalised inverse-CDF sampling.  Those two passes are memory-bound:
+every byte of the count tensor is written once and read once.  The fused
+kernel here walks each agent's CSR row once, tallies the counts into an
+``m``-length register histogram and draws the inverse-CDF pick in the same
+pass — ``O(E + R·N·m)`` work with ``O(m)`` scratch per agent instead of
+``O(E + R·N·m)`` materialised intermediates.
 
 Given the same uniforms the fused pick is **bit-identical** to the two-pass
 NumPy path (both compute ``u * total`` in float64 and select the first index
-whose inclusive cumulative count exceeds the target, clamped to ``m - 1``),
+whose inclusive cumulative count exceeds the target, capped at ``m - 1``),
 so engines may switch freely between them — the golden fixtures pass either
 way.  When numba is absent (:data:`HAS_NUMBA` false) the engines fall back
 to the pure-NumPy two-pass path; the un-jitted kernel loop is kept importable

@@ -14,10 +14,11 @@ graph already has:
   row-normalised inverse-CDF sampling on ``S``.  No Python loop over agents.
 * :class:`BatchedNetworkDynamics` adds a replicate axis: ``R`` replicates
   *sharing one graph* advance as a single ``(R, N)`` choices matrix per step.
-  The per-step matvec is the same CSR gather applied to all rows at once —
+  The per-step matvec is the same CSR gather applied to every row —
   equivalent to one matvec ``A @ onehot`` on an ``(N, R·m)`` one-hot whose
-  block ``r`` encodes replicate ``r``'s choices, realised as one flat
-  bincount over ``(replicate, agent, option)`` keys.
+  block ``r`` encodes replicate ``r``'s choices, realised as one bincount
+  per replicate over ``(slot, agent)`` keys, where slot 0 collects the
+  sitting-out neighbours and slot ``j + 1`` option ``j``.
 
 Both engines simulate exactly the per-step law of the reference loop (explore
 with probability ``mu``; otherwise copy a uniformly random committed
@@ -28,10 +29,12 @@ the equivalence is *distributional* and is enforced by KS / chi-squared
 cross-validation in ``tests/integration/test_cross_validation.py``, with
 bit-exact golden fixtures pinning each engine separately.
 
-Memory model of the batched engine: per step it materialises the ``(R, E)``
-neighbour-choice gather (``E`` = number of directed edge slots) and the
-``(R, N, m)`` count tensor — ``O(R·(E + N·m))`` independent of the horizon;
-the recorded trajectory stores only ``(R, m)`` aggregates per step.
+Memory model of the batched engine: per step it materialises one
+replicate's ``(E,)`` neighbour-key gather at a time (``E`` = number of
+directed edge slots), so keys and counts stay cache-sized, and the
+``(R, m + 1, N)`` slot-count tensor, read as ``(R, N, m)`` option planes —
+``O(E + R·N·m)`` independent of the horizon; the recorded trajectory stores
+only ``(R, m)`` aggregates per step.
 """
 
 from __future__ import annotations
@@ -47,7 +50,12 @@ from repro.backends import (
     resolve_precision,
 )
 from repro.core.adoption import AdoptionRule, SymmetricAdoptionRule
-from repro.core.batched import BatchedPopulationState, BatchedTrajectory
+from repro.core.batched import (
+    BatchedPopulationState,
+    BatchedTrajectory,
+    choice_counts,
+    row_lookup,
+)
 from repro.core.sampling import default_exploration_rate
 from repro.core.state import PopulationState
 from repro.environments.base import RewardEnvironment
@@ -59,19 +67,19 @@ from repro.utils.validation import check_positive_int, check_probability
 
 
 def _check_key_space(num_replicates: int, size: int, num_options: int) -> None:
-    """Refuse bincount key spaces that would wrap the int64 flat index.
+    """Refuse count tensors whose flat index would wrap int64.
 
-    The batched matvec flattens ``(replicate, agent, option)`` into one int64
-    key, so it needs ``R * N * m <= 2**63 - 1``.  The product is taken over
+    The batched matvec counts into ``m + 1`` slots per agent and replicate,
+    so it needs ``R * N * (m + 1) <= 2**63 - 1``.  The product is taken over
     Python ints (which cannot wrap), so the guard fires *before* any array
     arithmetic could silently alias distinct keys.
     """
-    span = int(num_replicates) * int(size) * int(num_options)
+    span = int(num_replicates) * int(size) * (int(num_options) + 1)
     if span > np.iinfo(np.int64).max:
         raise OverflowError(
-            f"bincount key space R*N*m = {num_replicates} * {size} * "
-            f"{num_options} = {span} overflows int64 flat indices; shard the "
-            "replicate axis across runs instead"
+            f"bincount key space R*N*(m+1) = {num_replicates} * {size} * "
+            f"{int(num_options) + 1} = {span} overflows int64 flat indices; "
+            "shard the replicate axis across runs instead"
         )
 
 
@@ -93,31 +101,8 @@ def resolve_use_numba(use_numba: Optional[bool]) -> bool:
     return bool(use_numba)
 
 
-def batched_key_base(
-    network: SocialNetwork, num_replicates: int, num_options: int
-) -> np.ndarray:
-    """The constant ``(R, E)`` bincount-key base of the batched CSR matvec.
-
-    ``base[r, e] = (r * N + edge_rows[e]) * m`` — adding a gathered neighbour
-    choice to it yields the flat ``(replicate, agent, option)`` bincount key.
-    It depends only on the graph and the batch shape, so
-    :class:`BatchedNetworkDynamics` computes it once and reuses it every step
-    (trading ``R·E`` int64s of memory — the same size as one step's
-    throwaway intermediate — for two fewer large allocations per step).
-    """
-    _check_key_space(num_replicates, network.size, num_options)
-    return (
-        np.arange(num_replicates, dtype=np.int64)[:, None] * network.size
-        + network.csr_edge_rows[None, :]
-    ) * num_options
-
-
 def committed_neighbor_counts(
-    network: SocialNetwork,
-    choices: np.ndarray,
-    num_options: int,
-    *,
-    key_base: Optional[np.ndarray] = None,
+    network: SocialNetwork, choices: np.ndarray, num_options: int
 ) -> np.ndarray:
     """Per-agent committed-neighbour option counts via one CSR gather + bincount.
 
@@ -129,10 +114,6 @@ def committed_neighbor_counts(
         Current options, shape ``(N,)`` or ``(R, N)``; ``-1`` = sitting out.
     num_options:
         Number of options ``m``.
-    key_base:
-        Optional precomputed :func:`batched_key_base` for the ``(R, N)``
-        path; callers stepping the same batch repeatedly pass it to avoid
-        rebuilding the constant offsets every step.
 
     Returns
     -------
@@ -140,33 +121,25 @@ def committed_neighbor_counts(
         ``S`` with shape ``(N, m)`` (respectively ``(R, N, m)``):
         ``S[..., i, j]`` is the number of agent ``i``'s neighbours whose
         current choice is ``j`` — exactly ``A @ onehot(choices)`` with the
-        sitting-out rows of the one-hot all zero.
+        sitting-out rows of the one-hot all zero.  It is a view whose option
+        planes ``S[..., j]`` are contiguous along the agent axis.
     """
-    indices = network.csr_indices
-    size = network.size
     if choices.ndim == 1:
-        _check_key_space(1, size, num_options)
-        neighbor_choices = choices[indices]  # (E,) gather
-        valid = neighbor_choices >= 0
-        # Promote both key components to int64 explicitly: the gather
-        # inherits whatever (possibly 32-bit) dtype the choices carry, and
-        # N * m can exceed 2**31 long before it exceeds the int64 space the
-        # guard above certifies.
-        keys = network.csr_edge_rows[valid].astype(np.int64) * num_options + (
-            neighbor_choices[valid].astype(np.int64)
-        )
-        return np.bincount(keys, minlength=size * num_options).reshape(
-            size, num_options
-        )
-    num_replicates = choices.shape[0]
-    neighbor_choices = choices[:, indices]  # (R, E) gather
-    valid = neighbor_choices >= 0
-    if key_base is None:
-        key_base = batched_key_base(network, num_replicates, num_options)
-    keys = (key_base + neighbor_choices)[valid]
-    return np.bincount(keys, minlength=num_replicates * size * num_options).reshape(
-        num_replicates, size, num_options
-    )
+        return committed_neighbor_counts(network, choices[None, :], num_options)[0]
+    size = network.size
+    _check_key_space(choices.shape[0], size, num_options)
+    # Key of neighbour choice c for agent i: (c + 1) * N + i, so slot 0
+    # collects sitting-out neighbours and the gather needs no mask or
+    # compress.  One bincount per replicate keeps its keys and counts
+    # cache-sized.
+    slot_offsets = np.multiply(choices, size, dtype=np.int64)
+    slot_offsets += size
+    counts = np.empty((choices.shape[0], (num_options + 1) * size), dtype=np.int64)
+    for row_counts, row_offsets in zip(counts, slot_offsets):
+        keys = row_offsets[network.csr_indices]
+        keys += network.csr_edge_rows
+        row_counts[:] = np.bincount(keys, minlength=row_counts.size)
+    return counts.reshape(-1, num_options + 1, size)[:, 1:].transpose(0, 2, 1)
 
 
 def _inverse_cdf_rows(
@@ -180,21 +153,23 @@ def _inverse_cdf_rows(
     ``u * total`` lands in ``[cdf_{j-1}, cdf_j)``, so option ``j`` is chosen
     with probability exactly ``counts[..., j] / total``.
 
-    Returns ``(picks, totals)`` — the row totals fall out of the cumsum for
-    free, and callers need them for the fallback mask.  Every pick is clamped
-    to the valid range ``0..m-1``: for rows with a positive total the clamp
-    is a no-op whenever ``u < 1`` strictly (the unclamped count of
-    ``cdf <= target`` entries is already at most ``m - 1``), and it also
-    repairs the ``u == 1.0`` boundary where the target ties the final CDF
-    entry.  Rows summing to zero hit the clamp by construction and report
-    ``m - 1`` — callers MUST still mask them via ``totals == 0`` (they are
-    exactly the uniform-fallback agents).
+    Returns ``(picks, totals)`` — callers need the row totals for the
+    fallback mask.  The pick counts the CDF entries ``cdf_0 .. cdf_{m-2}``
+    at or below the target, one comparison per option plane, so it lies in
+    ``0..m-1`` by construction: for rows with a positive total this is the
+    inverse-CDF pick whenever ``u < 1`` strictly, and at the ``u == 1.0``
+    boundary, where the target ties the final CDF entry, it is ``m - 1``.
+    Rows summing to zero also report ``m - 1`` — callers MUST still mask
+    them via ``totals == 0`` (they are exactly the uniform-fallback agents).
     """
-    cdf = np.cumsum(counts, axis=-1)
-    totals = cdf[..., -1]
+    totals = counts.sum(axis=-1)
     targets = uniforms * totals
-    picks = (targets[..., None] >= cdf).sum(axis=-1)
-    return np.minimum(picks, counts.shape[-1] - 1), totals
+    cdf = np.zeros(totals.shape, dtype=np.int64)
+    picks = np.zeros(totals.shape, dtype=np.int64)
+    for option in range(counts.shape[-1] - 1):
+        cdf += counts[..., option]
+        picks += targets >= cdf
+    return picks, totals
 
 
 class VectorizedNetworkDynamics(NetworkDynamicsBase):
@@ -279,12 +254,12 @@ class BatchedNetworkDynamics:
     """Replicate-axis vectorised simulator of the network-restricted dynamics.
 
     Advances ``R`` statistically independent replicates *sharing one graph*
-    as a single ``(R, N)`` choices matrix per step: one CSR matvec on the
-    reshaped ``(N, R·m)`` one-hot produces every replicate's committed-
-    neighbour counts at once, followed by batched inverse-CDF sampling and
-    one broadcast adoption thinning.  The graph (and its CSR arrays) is built
-    once and shared read-only across replicates — memory is ``O(E + R·N)``
-    for the dynamic state, not ``O(R·E)``.
+    as a single ``(R, N)`` choices matrix per step: a CSR gather and one
+    bincount per replicate produce every replicate's committed-neighbour
+    counts, followed by batched inverse-CDF sampling and one broadcast
+    adoption thinning.  The graph (and its CSR arrays) is built once and
+    shared read-only across replicates — memory is ``O(E + R·N·m)`` for the
+    dynamic state, not ``O(R·E)``.
 
     All replicates share one generator, so a batch is reproducible from a
     single seed but individual replicates are not independently re-runnable
@@ -347,9 +322,6 @@ class BatchedNetworkDynamics:
         self._choices = self._backend.to_numpy(
             self._rng.integers(num_options, size=(num_replicates, network.size))
         ).astype(self._precision.int_dtype)
-        # Constant across steps; precomputed so the hot loop's matvec is a
-        # pure gather + add + bincount.
-        self._key_base = batched_key_base(network, num_replicates, num_options)
 
     # ------------------------------------------------------------ properties
     @property
@@ -418,15 +390,7 @@ class BatchedNetworkDynamics:
 
     def state(self) -> BatchedPopulationState:
         """Aggregate ``(R, m)`` committed counts of every replicate."""
-        committed = self._choices >= 0
-        keys = (
-            np.arange(self._num_replicates, dtype=np.int64)[:, None]
-            * self._num_options
-            + self._choices.astype(np.int64)
-        )[committed]
-        counts = np.bincount(
-            keys, minlength=self._num_replicates * self._num_options
-        ).reshape(self._num_replicates, self._num_options)
+        counts = choice_counts(self._choices, self._num_options)
         return BatchedPopulationState(
             counts=counts.astype(self._precision.int_dtype),
             population_size=self._network.size,
@@ -466,7 +430,7 @@ class BatchedNetworkDynamics:
         explore_mask = to_numpy(self._rng.random(shape)) < self._mu
         uniform_options = to_numpy(
             self._rng.integers(self._num_options, size=shape)
-        ).astype(np.int64)
+        ).astype(np.int64, copy=False)
 
         # Stage 1: either the fused single-pass CSR kernel or the two-pass
         # gather + inverse-CDF path — bit-identical given the same uniforms.
@@ -477,10 +441,7 @@ class BatchedNetworkDynamics:
             )
         else:
             counts = committed_neighbor_counts(
-                self._network,
-                self._choices,
-                self._num_options,
-                key_base=self._key_base,
+                self._network, self._choices, self._num_options
             )  # (R, N, m)
             neighbor_pick, totals = _inverse_cdf_rows(counts, pick_uniforms)
         no_committed_neighbor = totals == 0
@@ -488,13 +449,14 @@ class BatchedNetworkDynamics:
             explore_mask | no_committed_neighbor, uniform_options, neighbor_pick
         )
 
-        considered_rewards = np.take_along_axis(rewards, considered, axis=1)
-        adopt_probability = self._adoption_rule.adopt_probabilities(
-            considered_rewards
+        # The adopt probability depends only on the considered option's
+        # signal: look it up from the (R, m) table of every option's.
+        adopt_probability = row_lookup(
+            self._adoption_rule.adopt_probabilities(rewards), considered
         )
         adopted = to_numpy(self._rng.random(shape)) < adopt_probability
         self._choices = np.where(adopted, considered, -1).astype(
-            self._precision.int_dtype
+            self._precision.int_dtype, copy=False
         )
         self._time += 1
         return self.state()

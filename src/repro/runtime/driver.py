@@ -5,7 +5,9 @@
 
 1. looks every task up in the :class:`~repro.runtime.store.ResultStore`
    (when one is attached) and keeps the cache hits,
-2. partitions only the *misses* into shards and hands them to the executor,
+2. partitions only the *misses* into shards and hands them to the executor
+   (a grid plan into one fused launch per shard the executor runs at once,
+   any other plan into the executor's ``num_shards`` chunks),
 3. flushes each completed shard back to the store the moment it arrives —
    so a killed run resumes shard-by-shard — and
 4. merges everything back into per-point metric lists in replicate order.
@@ -33,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.obs.metrics import get_registry
 from repro.obs.trace import resolve_tracer
 from repro.runtime.executors import SerialExecutor
-from repro.runtime.shard import ShardPlan, partition_tasks
+from repro.runtime.shard import MODE_GRID, ShardPlan, Task, partition_tasks
 from repro.runtime.store import ResultStore, task_keys
 
 PointMetrics = List[List[Dict[str, float]]]
@@ -52,8 +54,11 @@ def run_plan(
 
     This is the only way a sweep or replicated run executes.  ``executor``
     defaults to an in-process :class:`SerialExecutor`.  Without a store it
-    runs the pending tasks as one shard, so a grid sweep is one fused
-    launch; with a store it keeps its default flush points.  If the executor
+    runs the pending tasks as one shard; with a store it keeps its default
+    flush points.  Grid tasks are split into as many shards as the executor
+    reports it runs at once (its ``concurrency``), so a grid sweep is one
+    fused launch per worker; backends that report none, like the broker,
+    get ``num_shards`` chunks of every plan.  If the executor
     raises (worker crash, ``KeyboardInterrupt``), every shard that completed
     before the failure has already been flushed to the store, so re-running
     the same plan against the same store picks up where the run died.
@@ -94,7 +99,7 @@ def run_plan(
             if traced:
                 _trace_lookup(tracer, span, len(plan.tasks), len(pending))
 
-        shards = partition_tasks(pending, executor.num_shards)
+        shards = partition_tasks(pending, _shard_count(pending, executor))
         for shard_results in executor.run_shards(shards, replication):
             if store is not None:
                 store.put_many(shard_results)
@@ -103,6 +108,14 @@ def run_plan(
             if traced:
                 _trace_shard(tracer, executor, shard_results, key_by_ordinal)
     return _merge(plan, completed)
+
+
+def _shard_count(pending: Sequence[Task], executor) -> int:
+    """One shard per concurrent launch for grid tasks, else ``num_shards``."""
+    concurrency = getattr(executor, "concurrency", None)
+    if concurrency is not None and pending and pending[0].mode == MODE_GRID:
+        return concurrency
+    return executor.num_shards
 
 
 def _merge(plan: ShardPlan, completed: Dict[int, List[Dict[str, float]]]):

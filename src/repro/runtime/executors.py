@@ -97,9 +97,13 @@ def _execute_shard_timed(
 class SerialExecutor:
     """Zero-dependency in-process executor (the default).
 
-    ``num_shards`` only sets the flush granularity when a store is attached
-    and how many grid points share a fused launch; it never changes results.
+    It runs one shard at a time (``concurrency`` 1), so the driver hands it
+    a grid plan as one fused launch.  ``num_shards`` chunks loop and batched
+    plans, which sets the store's flush points; it never changes results.
     """
+
+    #: Shards this executor runs at once.
+    concurrency = 1
 
     def __init__(self, num_shards: int = 8) -> None:
         if num_shards <= 0:
@@ -132,9 +136,11 @@ class ParallelExecutor:
     max_workers:
         Worker process count (default: ``os.cpu_count()``).
     shards_per_worker:
-        Dispatch granularity — the plan's pending tasks are chunked into
-        ``max_workers * shards_per_worker`` shards so slow tasks cannot
-        starve the pool and store flushes happen throughout the run.
+        Dispatch granularity of loop and batched plans — their pending
+        tasks are chunked into ``max_workers * shards_per_worker`` shards so
+        slow tasks cannot starve the pool and store flushes happen
+        throughout the run.  A grid plan runs as ``max_workers`` shards, one
+        fused launch per worker (see :func:`~repro.runtime.driver.run_plan`).
     mp_context:
         Optional :mod:`multiprocessing` context; the platform default
         (``fork`` on Linux) keeps worker start-up cheap, while ``spawn``
@@ -164,8 +170,13 @@ class ParallelExecutor:
 
     @property
     def num_shards(self) -> int:
-        """Default number of dispatch chunks for a plan's pending tasks."""
+        """Dispatch chunks for a loop or batched plan's pending tasks."""
         return self.max_workers * self.shards_per_worker
+
+    @property
+    def concurrency(self) -> int:
+        """Shards this executor runs at once: one per worker process."""
+        return self.max_workers
 
     def _check_resolvable(self, replication: Callable) -> None:
         # Imported lazily: repro.runtime.backend imports this module.
@@ -215,17 +226,18 @@ class ParallelExecutor:
             initializer=_worker_initializer,
             initargs=((package_root,), trace_context),
         )
+        pending = set()
         try:
             submitted = time.perf_counter()
-            pending = {
-                pool.submit(_execute_shard_timed, list(shard)) for shard in shards
-            }
-            in_flight.inc(len(pending), backend="parallel")
+            for shard in shards:
+                pending.add(pool.submit(_execute_shard_timed, list(shard)))
+                in_flight.inc(backend="parallel")
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                # Done futures leave the gauge now, before a failed one raises.
+                in_flight.dec(len(done), backend="parallel")
                 for future in done:
                     results, timing = future.result()
-                    in_flight.dec(backend="parallel")
                     completed.inc(backend="parallel")
                     elapsed = time.perf_counter() - submitted
                     dispatch.observe(
@@ -234,8 +246,8 @@ class ParallelExecutor:
                     self.last_shard_timing = timing
                     yield results
         except BaseException:
-            # Abort path (worker crash, KeyboardInterrupt, abandoned
-            # generator): drop every not-yet-started shard and return
+            # Abort path (failed submit, worker crash, KeyboardInterrupt,
+            # abandoned generator): drop every not-yet-started shard and return
             # *without* joining the pool — a `with pool:` exit would block
             # until in-flight shards finish, hanging a Ctrl-C for as long as
             # the slowest running shard.  Workers still running their

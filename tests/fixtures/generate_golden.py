@@ -13,6 +13,8 @@ To regenerate after an *intentional* dynamics change::
 
     PYTHONPATH=src python tests/fixtures/generate_golden.py
 
+and print the digests of the larger, digest-pinned runs with ``--digests``.
+
 NumPy only guarantees distribution-stream stability within a release line, so
 every fixture records the ``major.minor`` NumPy version it was generated
 under; the comparison test skips (rather than fails) under a different
@@ -21,7 +23,9 @@ release line.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +140,39 @@ PROTOCOL_BATCHED_CONFIG = {
     "mass_failure_fraction": 0.3,
     "max_query_attempts": 4,
     "seed": 71,
+}
+
+
+# Runs at the sizes the daemon's never-cached jobs use (N ~ 3000, R = 8):
+# too large to commit as fixtures, so the test pins the SHA-256 digest of each
+# record instead (see :func:`record_digest`), at both storage precisions.
+SERVE_SIZE_NETWORK_CONFIG = {
+    "qualities": [0.82, 0.61, 0.37],
+    "topology": "watts_strogatz",
+    "size": 3000,
+    "nearest_neighbors": 6,
+    "rewiring_probability": 0.1,
+    "graph_seed": 81,
+    "num_replicates": 8,
+    "horizon": 40,
+    "beta": 0.7,
+    "mu": 0.05,
+    "seed": 82,
+}
+
+SERVE_SIZE_PROTOCOL_CONFIG = {
+    "qualities": [0.85, 0.62, 0.45, 0.3],
+    "num_nodes": 3000,
+    "num_replicates": 8,
+    "horizon": 40,
+    "beta": 0.65,
+    "mu": 0.05,
+    "loss_rate": 0.15,
+    "per_round_crash_probability": 0.002,
+    "mass_failure_round": 20,
+    "mass_failure_fraction": 0.3,
+    "max_query_attempts": 6,
+    "seed": 91,
 }
 
 
@@ -267,25 +304,37 @@ def golden_network_vectorized() -> dict:
     )
 
 
-def golden_network_batched() -> dict:
-    """Seeded :class:`BatchedNetworkDynamics` run: R replicates on one ring.
-
-    One generator drives both the environment batch draws and the dynamics,
-    exactly as ``network_batched_replication`` wires them.
-    """
-    config = NETWORK_BATCHED_CONFIG
-    generator = np.random.default_rng(config["seed"])
-    environment = BernoulliEnvironment(config["qualities"], rng=generator)
-    network = SocialNetwork.ring(
+def _batched_network(config: dict) -> SocialNetwork:
+    if config.get("topology") == "watts_strogatz":
+        return SocialNetwork.watts_strogatz(
+            config["size"],
+            nearest_neighbors=config["nearest_neighbors"],
+            rewiring_probability=config["rewiring_probability"],
+            rng=config["graph_seed"],
+        )
+    return SocialNetwork.ring(
         config["ring_size"], neighbors_each_side=config["neighbors_each_side"]
     )
+
+
+def golden_network_batched(config: dict = NETWORK_BATCHED_CONFIG) -> dict:
+    """Seeded :class:`BatchedNetworkDynamics` run: R replicates on one graph.
+
+    One generator drives both the environment batch draws and the dynamics,
+    exactly as ``network_batched_replication`` wires them.  The graph is a
+    ring unless ``config`` names the ``watts_strogatz`` topology; an optional
+    ``dtype`` key selects the storage precision.
+    """
+    generator = np.random.default_rng(config["seed"])
+    environment = BernoulliEnvironment(config["qualities"], rng=generator)
     dynamics = BatchedNetworkDynamics(
-        network=network,
+        network=_batched_network(config),
         num_options=len(config["qualities"]),
         num_replicates=config["num_replicates"],
         adoption_rule=SymmetricAdoptionRule(config["beta"]),
         exploration_rate=config["mu"],
         rng=generator,
+        precision=config.get("dtype"),
     )
     choices = []
     counts = []
@@ -358,13 +407,13 @@ def golden_protocol_vectorized() -> dict:
     )
 
 
-def golden_protocol_batched() -> dict:
+def golden_protocol_batched(config: dict = PROTOCOL_BATCHED_CONFIG) -> dict:
     """Seeded :class:`BatchedProtocol` run: R lossy fleets in one launch.
 
     One generator drives both the environment batch draws and the protocol,
-    exactly as ``protocol_batched_replication`` wires them.
+    exactly as ``protocol_batched_replication`` wires them.  An optional
+    ``dtype`` key in ``config`` selects the storage precision.
     """
-    config = PROTOCOL_BATCHED_CONFIG
     generator = np.random.default_rng(config["seed"])
     environment = BernoulliEnvironment(config["qualities"], rng=generator)
     protocol = BatchedProtocol(
@@ -379,6 +428,7 @@ def golden_protocol_batched() -> dict:
         mass_failure_fraction=config["mass_failure_fraction"],
         max_query_attempts=config["max_query_attempts"],
         rng=generator,
+        precision=config.get("dtype"),
     )
     choices = []
     alive = []
@@ -416,6 +466,31 @@ GENERATORS = {
 }
 
 
+SERVE_SIZE_RUNS = {
+    f"{name}/{dtype}": (generate, {**config, "dtype": dtype})
+    for name, generate, config in (
+        ("network_batched", golden_network_batched, SERVE_SIZE_NETWORK_CONFIG),
+        ("protocol_batched", golden_protocol_batched, SERVE_SIZE_PROTOCOL_CONFIG),
+    )
+    for dtype in ("float64", "float32")
+}
+"""Digest-pinned runs: name -> (generator, config)."""
+
+
+def record_digest(record: dict) -> str:
+    """SHA-256 of a record's canonical JSON (sorted keys, compact separators)."""
+    encoded = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+
+def serve_size_digests() -> dict:
+    """Digest of every :data:`SERVE_SIZE_RUNS` record, by run name."""
+    return {
+        name: record_digest(generate(config))
+        for name, (generate, config) in SERVE_SIZE_RUNS.items()
+    }
+
+
 def generate_all(directory: Path = GOLDEN_DIR) -> None:
     """Write every golden fixture as pretty-printed JSON under ``directory``."""
     directory.mkdir(parents=True, exist_ok=True)
@@ -428,4 +503,8 @@ def generate_all(directory: Path = GOLDEN_DIR) -> None:
 
 
 if __name__ == "__main__":
-    generate_all()
+    if sys.argv[1:] == ["--digests"]:
+        for name, digest in serve_size_digests().items():
+            print(f"{name} {digest}")
+    else:
+        generate_all()

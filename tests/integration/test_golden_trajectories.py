@@ -159,3 +159,42 @@ class TestGoldenTrajectories:
             stats = fixture["transport_stats"]
             assert stats["sent"] == stats["delivered"] + stats["dropped"]
             assert stats["delayed"] == 0
+
+
+# Digests of generate_golden.SERVE_SIZE_RUNS, recorded under numpy 2.4 before
+# the batched engines' bookkeeping was reworked: any reordered or reshaped
+# random draw at these sizes changes a digest.
+SERVE_SIZE_NUMPY_RELEASE = "2.4"
+SERVE_SIZE_DIGESTS = {
+    "network_batched/float64": (
+        "39351dfae57fbe7052ecd325fe582b2d39913bf90bbaa1fd2b801a271ad32a1a"
+    ),
+    "network_batched/float32": (
+        "d54e845c5fa2c06384b32b370d7086f5ecbc498529ceee277cb261393ecee7f4"
+    ),
+    "protocol_batched/float64": (
+        "ce312b56039e1f04b148733ccbd91217a3e68e3c3758ba47866cf2635f4ca5d5"
+    ),
+    "protocol_batched/float32": (
+        "57544a4ffea40fb0b43dc8b1f06ea8b526a636dc81ed50579ead0bf54442683e"
+    ),
+}
+
+
+class TestServeSizeDigests:
+    """Batched engines at daemon job sizes (N = 3000, R = 8, T = 40)."""
+
+    def test_every_run_is_pinned(self):
+        assert set(SERVE_SIZE_DIGESTS) == set(generate_golden.SERVE_SIZE_RUNS)
+
+    @pytest.mark.parametrize("run", sorted(SERVE_SIZE_DIGESTS))
+    def test_run_reproduces_pinned_digest(self, run):
+        _skip_unless_same_numpy_release({"numpy_release": SERVE_SIZE_NUMPY_RELEASE})
+        generate, config = generate_golden.SERVE_SIZE_RUNS[run]
+        record = generate(config)
+        assert record["numpy_release"] == SERVE_SIZE_NUMPY_RELEASE
+        assert generate_golden.record_digest(record) == SERVE_SIZE_DIGESTS[run], (
+            f"{run} drifted from its pinned digest; if the change is "
+            "intentional, print new digests with `PYTHONPATH=src python "
+            "tests/fixtures/generate_golden.py --digests`"
+        )

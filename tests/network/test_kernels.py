@@ -30,7 +30,6 @@ from repro.network.vectorized import (
     VectorizedNetworkDynamics,
     _check_key_space,
     _inverse_cdf_rows,
-    batched_key_base,
     committed_neighbor_counts,
     resolve_use_numba,
 )
@@ -211,10 +210,11 @@ class TestKeySpaceOverflowGuard:
         with pytest.raises(OverflowError, match="shard the"):
             committed_neighbor_counts(fake, choices, 2**25)
 
-    def test_batched_key_base_guards_the_full_product(self):
+    def test_batched_gather_guards_the_full_product(self):
         fake = _FakeHugeNetwork(size=2**40)
+        choices = np.zeros((2, 4), dtype=np.int64)
         with pytest.raises(OverflowError, match="overflows int64"):
-            batched_key_base(fake, 2, 2**25)
+            committed_neighbor_counts(fake, choices, 2**25)
 
     def test_gather_promotes_narrow_choice_dtypes(self, network):
         """int32 choices must not wrap the ``row * m + choice`` keys."""

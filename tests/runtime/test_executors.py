@@ -1,6 +1,8 @@
 """Tests for the serial and multi-process executors and the plan driver."""
 
+import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.experiments import (
     sweep_configs,
 )
 from repro.experiments.dynamics_sweep import dynamics_point_replication
+from repro.obs.metrics import get_registry
 from repro.runtime import (
     ParallelExecutor,
     ResultStore,
@@ -174,3 +177,67 @@ class TestAbortDoesNotJoinRunningShards:
         with pytest.raises(KeyboardInterrupt):
             shard_results.throw(KeyboardInterrupt)
         assert time.monotonic() - start < self.SLOW - 1.0
+
+
+def failing_replication(seed, parameters):
+    """Module-level replication that raises in the worker when told to."""
+    if parameters.get("fail"):
+        raise ValueError(f"replication failed for seed {seed}")
+    return {"metric": float(seed)}
+
+
+def _in_flight() -> float:
+    return get_registry().gauge("repro_shards_in_flight").value(backend="parallel")
+
+
+def _assert_no_child_survives(before, timeout=15.0):
+    deadline = time.monotonic() + timeout
+    while set(multiprocessing.active_children()) - before:
+        assert time.monotonic() < deadline, "a pool worker outlived the failed run"
+        time.sleep(0.05)
+
+
+class TestAbortPathCleansUp:
+    """A failed run raises its own error, stops its workers and settles the gauge."""
+
+    def _shards(self, fail_index=None):
+        configs = [
+            ExperimentConfig(
+                name=f"fail[{index}]",
+                parameters={"fail": index == fail_index},
+                replications=1,
+                seed=index,
+            )
+            for index in range(4)
+        ]
+        plan = ShardPlan.from_configs(configs, failing_replication)
+        return plan.shards(len(plan))
+
+    def test_failed_submit_propagates_and_stops_the_pool(self, monkeypatch):
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def submit_once(pool, *args, **kwargs):
+            calls.append(pool)
+            if len(calls) == 2:
+                raise RuntimeError("cannot schedule new futures after shutdown")
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_once)
+        before = set(multiprocessing.active_children())
+        gauge = _in_flight()
+        executor = ParallelExecutor(2, shards_per_worker=2)
+        with pytest.raises(RuntimeError, match="cannot schedule new futures"):
+            list(executor.run_shards(self._shards(), failing_replication))
+        assert len(calls) == 2
+        _assert_no_child_survives(before)
+        assert _in_flight() == gauge
+
+    def test_worker_error_propagates_and_settles_the_gauge(self):
+        before = set(multiprocessing.active_children())
+        gauge = _in_flight()
+        executor = ParallelExecutor(2, shards_per_worker=2)
+        with pytest.raises(ValueError, match="replication failed for seed"):
+            list(executor.run_shards(self._shards(fail_index=1), failing_replication))
+        _assert_no_child_survives(before)
+        assert _in_flight() == gauge
