@@ -116,6 +116,7 @@ class TestGridPlans:
                 executor=backend,
             )
         thread.join(timeout=10.0)
+        assert not thread.is_alive()
         assert sizes == [5, 5, 5, 5, 4]
         assert rows == serial_grid_rows
 
