@@ -13,7 +13,7 @@ To regenerate after an *intentional* dynamics change::
 
     PYTHONPATH=src python tests/fixtures/generate_golden.py
 
-and print the digests of the larger, digest-pinned runs with ``--digests``.
+and print the digests of the digest-pinned runs with ``--digests``.
 
 NumPy only guarantees distribution-stream stability within a release line, so
 every fixture records the ``major.minor`` NumPy version it was generated
@@ -173,6 +173,45 @@ SERVE_SIZE_PROTOCOL_CONFIG = {
     "mass_failure_fraction": 0.3,
     "max_query_attempts": 6,
     "seed": 91,
+}
+
+
+# One replicate re-run from its own seed: a batched engine at R = 1 whose
+# environment is seeded at ``seed`` and whose engine is seeded at
+# ``seed + 1``, the per-seed convention.  The test pins the digest of each
+# record; the digests were recorded with the single-replicate engines these
+# runs replaced, so they also pin that R = 1 reproduces those engines draw
+# for draw.
+SINGLE_REPLICATE_NETWORK_CONFIGS = {
+    topology: {
+        "qualities": [0.8, 0.55, 0.4],
+        "topology": topology,
+        "size": size,
+        "horizon": 30,
+        "beta": 0.7,
+        "mu": 0.05,
+        "seed": seed,
+    }
+    for topology, size, seed in (
+        ("watts_strogatz", 400, 101),
+        ("ring", 300, 103),
+        ("star", 200, 105),
+        ("complete", 120, 107),
+    )
+}
+
+SINGLE_REPLICATE_PROTOCOL_CONFIGS = {
+    f"loss={loss}": {
+        "qualities": [0.85, 0.6, 0.4],
+        "num_nodes": 300,
+        "horizon": 30,
+        "beta": 0.65,
+        "mu": 0.05,
+        "loss_rate": loss,
+        "max_query_attempts": 6,
+        "seed": seed,
+    }
+    for loss, seed in ((0.0, 111), (0.15, 113), (0.3, 115))
 }
 
 
@@ -455,6 +494,93 @@ def golden_protocol_batched(config: dict = PROTOCOL_BATCHED_CONFIG) -> dict:
     )
 
 
+def _single_replicate_network(config: dict) -> SocialNetwork:
+    size = config["size"]
+    if config["topology"] == "watts_strogatz":
+        return SocialNetwork.watts_strogatz(
+            size, nearest_neighbors=6, rewiring_probability=0.1, rng=config["seed"]
+        )
+    if config["topology"] == "ring":
+        return SocialNetwork.ring(size, neighbors_each_side=2)
+    if config["topology"] == "star":
+        return SocialNetwork.star(size)
+    return SocialNetwork.complete(size)
+
+
+def network_single_replicate(config: dict, use_numba: bool = False) -> dict:
+    """One network replicate: :class:`BatchedNetworkDynamics` at R = 1.
+
+    Records the replicate's per-step choices, counts and rewards (row 0 of
+    each batch).  ``use_numba`` selects the fused kernel or the two-pass
+    NumPy path; both must give the same record.
+    """
+    environment = BernoulliEnvironment(config["qualities"], rng=config["seed"])
+    dynamics = BatchedNetworkDynamics(
+        network=_single_replicate_network(config),
+        num_options=len(config["qualities"]),
+        num_replicates=1,
+        adoption_rule=SymmetricAdoptionRule(config["beta"]),
+        exploration_rate=config["mu"],
+        rng=config["seed"] + 1,
+        use_numba=use_numba,
+    )
+    choices = []
+    counts = []
+    rewards = []
+    for _ in range(config["horizon"]):
+        reward = environment.sample_batch(1)
+        state = dynamics.step(reward)
+        rewards.append(reward[0])
+        counts.append(state.counts[0])
+        choices.append(dynamics.choices()[0])
+    return _record(
+        "network_single_replicate",
+        config,
+        counts,
+        rewards,
+        extra={"choices": np.asarray(choices).tolist()},
+    )
+
+
+def protocol_single_replicate(config: dict) -> dict:
+    """One loss-only protocol replicate: :class:`BatchedProtocol` at R = 1.
+
+    Records the replicate's per-round choices, counts and rewards, plus the
+    run's transport counters and fallback count.
+    """
+    environment = BernoulliEnvironment(config["qualities"], rng=config["seed"])
+    protocol = BatchedProtocol(
+        num_nodes=config["num_nodes"],
+        num_options=len(config["qualities"]),
+        num_replicates=1,
+        adoption_rule=SymmetricAdoptionRule(config["beta"]),
+        exploration_rate=config["mu"],
+        loss_rate=config["loss_rate"],
+        max_query_attempts=config["max_query_attempts"],
+        rng=config["seed"] + 1,
+    )
+    choices = []
+    counts = []
+    rewards = []
+    for _ in range(config["horizon"]):
+        reward = environment.sample_batch(1)
+        protocol.run_round(reward)
+        rewards.append(reward[0])
+        choices.append(protocol.choices()[0])
+        counts.append(protocol.state().counts[0])
+    return _record(
+        "protocol_single_replicate",
+        config,
+        counts,
+        rewards,
+        extra={
+            "choices": np.asarray(choices).tolist(),
+            "transport_stats": protocol.transport_stats(),
+            "fallback_explorations": protocol.fallback_explorations,
+        },
+    )
+
+
 GENERATORS = {
     "sequential": golden_sequential,
     "batched": golden_batched,
@@ -476,6 +602,18 @@ SERVE_SIZE_RUNS = {
 }
 """Digest-pinned runs: name -> (generator, config)."""
 
+SINGLE_REPLICATE_RUNS = {
+    **{
+        f"network/{name}": (network_single_replicate, config)
+        for name, config in SINGLE_REPLICATE_NETWORK_CONFIGS.items()
+    },
+    **{
+        f"protocol/{name}": (protocol_single_replicate, config)
+        for name, config in SINGLE_REPLICATE_PROTOCOL_CONFIGS.items()
+    },
+}
+"""Digest-pinned single-replicate runs: name -> (generator, config)."""
+
 
 def record_digest(record: dict) -> str:
     """SHA-256 of a record's canonical JSON (sorted keys, compact separators)."""
@@ -483,11 +621,11 @@ def record_digest(record: dict) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def serve_size_digests() -> dict:
-    """Digest of every :data:`SERVE_SIZE_RUNS` record, by run name."""
+def run_digests(runs: dict) -> dict:
+    """Digest of every record of ``runs`` (name -> (generator, config)), by name."""
     return {
         name: record_digest(generate(config))
-        for name, (generate, config) in SERVE_SIZE_RUNS.items()
+        for name, (generate, config) in runs.items()
     }
 
 
@@ -504,7 +642,8 @@ def generate_all(directory: Path = GOLDEN_DIR) -> None:
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--digests"]:
-        for name, digest in serve_size_digests().items():
-            print(f"{name} {digest}")
+        for runs in (SERVE_SIZE_RUNS, SINGLE_REPLICATE_RUNS):
+            for name, digest in run_digests(runs).items():
+                print(f"{name} {digest}")
     else:
         generate_all()

@@ -27,6 +27,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.network.kernels import HAS_NUMBA
+
 FIXTURES_DIR = Path(__file__).parent.parent / "fixtures"
 GOLDEN_DIR = FIXTURES_DIR / "golden"
 
@@ -198,3 +200,62 @@ class TestServeSizeDigests:
             "intentional, print new digests with `PYTHONPATH=src python "
             "tests/fixtures/generate_golden.py --digests`"
         )
+
+
+# Digests of generate_golden.SINGLE_REPLICATE_RUNS, recorded under numpy 2.4
+# with the single-replicate engines (VectorizedNetworkDynamics and a
+# loss-only VectorizedProtocol, environment seed s, engine seed s + 1).  The
+# batched engines at R = 1 must reproduce them, so one replicate can still be
+# re-run from its own seed.
+SINGLE_REPLICATE_DIGESTS = {
+    "network/watts_strogatz": (
+        "db45fa16e9d98043c51e24533b2112b424b752f3a3d49c57f051c5c4e337c1ef"
+    ),
+    "network/ring": (
+        "0c51e49941561ac21ff2cff844454cf9b0386de8607af0c6f80bc5e96b3bbdcf"
+    ),
+    "network/star": (
+        "7fa1cc0661d52fc4ed330c69bfeac57b46c1833541ea420653ee67fb18b8bd25"
+    ),
+    "network/complete": (
+        "694a08a9dcc01bf74718c6ff653d9d93ce3dc34cef488a210bd34ce7a8561035"
+    ),
+    "protocol/loss=0.0": (
+        "587fb6dcd25bdaf488a1d91a94b9d2ab798a7af4d6e7bb73edef083fd81036db"
+    ),
+    "protocol/loss=0.15": (
+        "1014660490e5c4c615f36fb954d089ccfa9a058571ddf0318e62ac6fc6da0fbb"
+    ),
+    "protocol/loss=0.3": (
+        "a8d075133d1b011b24426f2de63606593202aba8816bd3d1de6f14b3f3ad5cbe"
+    ),
+}
+
+NETWORK_SINGLE_REPLICATE_RUNS = sorted(
+    run for run in SINGLE_REPLICATE_DIGESTS if run.startswith("network/")
+)
+
+
+class TestSingleReplicateDigests:
+    """The per-seed contract: batched engines at R = 1, seeded per replicate."""
+
+    def test_every_run_is_pinned(self):
+        assert set(SINGLE_REPLICATE_DIGESTS) == set(
+            generate_golden.SINGLE_REPLICATE_RUNS
+        )
+
+    @pytest.mark.parametrize("run", sorted(SINGLE_REPLICATE_DIGESTS))
+    def test_run_reproduces_pinned_digest(self, run):
+        _skip_unless_same_numpy_release({"numpy_release": "2.4"})
+        generate, config = generate_golden.SINGLE_REPLICATE_RUNS[run]
+        assert generate_golden.record_digest(generate(config)) == (
+            SINGLE_REPLICATE_DIGESTS[run]
+        ), f"{run} drifted from the digest of its single-replicate run"
+
+    @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
+    @pytest.mark.parametrize("run", NETWORK_SINGLE_REPLICATE_RUNS)
+    def test_fused_kernel_reproduces_pinned_digest(self, run):
+        _skip_unless_same_numpy_release({"numpy_release": "2.4"})
+        _, config = generate_golden.SINGLE_REPLICATE_RUNS[run]
+        record = generate_golden.network_single_replicate(config, use_numba=True)
+        assert generate_golden.record_digest(record) == SINGLE_REPLICATE_DIGESTS[run]
