@@ -1,13 +1,13 @@
-"""Backend/precision benchmark: the multi-backend seam on the flattened sweep.
+"""Precision benchmark: float32 storage on the flattened sweep.
 
-Three claims of the array-engine refactor, measured on the ISSUE's target
-workload — a 10^5-row flattened dynamics sweep (20 grid points x 5000
-replications) advanced in lock-step:
+Three claims of the storage-precision knob, measured on a 10^5-row
+flattened dynamics sweep (20 grid points x 5000 replications) advanced in
+lock-step:
 
-1. **No NumPy regression**: the default float64/int64 path through the
-   backend seam sustains the throughput floor, and the float32 path costs no
-   more wall time than the default (they run the same float64 draw math and
-   differ only in storage dtype).
+1. **Throughput floor**: the default float64/int64 path sustains the
+   throughput floor, and the float32 path costs no more wall time than the
+   default (they run the same float64 draw math and differ only in storage
+   dtype).
 2. **float32 memory**: opting into ``dtype=float32`` cuts the peak traced
    allocation of the sweep by at least 40% (the recorded trajectory —
    popularity + counts + rewards per step — dominates, and its float/int
@@ -73,8 +73,8 @@ def _time_sweep(dtype, rounds: int) -> float:
     return min(timings)
 
 
-@pytest.mark.benchmark(group="backends")
-def test_backend_seam_throughput_and_float32_memory(save_results, traced_peak):
+@pytest.mark.benchmark(group="precision")
+def test_default_throughput_and_float32_memory(save_results, traced_peak):
     """Default path holds the throughput floor; float32 saves >= 40% peak memory."""
     # Warm once so allocator/import effects don't bias the first timed round.
     _time_sweep(None, rounds=1)
@@ -109,7 +109,7 @@ def test_backend_seam_throughput_and_float32_memory(save_results, traced_peak):
 
     default_rate = row_steps / default_seconds
     assert default_rate >= REQUIRED_ROW_STEPS_PER_S, (
-        f"default NumPy path regressed to {default_rate:,.0f} row-steps/s, "
+        f"default float64 path regressed to {default_rate:,.0f} row-steps/s, "
         f"below the {REQUIRED_ROW_STEPS_PER_S:,.0f} floor"
     )
     # Same draw math at both precisions -> float32 must not cost extra time
@@ -125,7 +125,7 @@ def test_backend_seam_throughput_and_float32_memory(save_results, traced_peak):
     )
 
 
-@pytest.mark.benchmark(group="backends")
+@pytest.mark.benchmark(group="precision")
 def test_float32_regrets_statistically_match_float64():
     """Per-row regrets at the two precisions pass a two-sample KS test."""
     default_regrets = _run_sweep(None)
@@ -137,7 +137,7 @@ def test_float32_regrets_statistically_match_float64():
     )
 
 
-@pytest.mark.benchmark(group="backends")
+@pytest.mark.benchmark(group="precision")
 @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
 def test_numba_fused_kernel_matches_numpy_two_pass():
     """With numba installed the fused CSR kernel is bit-identical to NumPy."""

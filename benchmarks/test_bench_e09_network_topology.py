@@ -11,7 +11,8 @@ best-option share and graph statistics.  Expected shape: the complete graph
 (Erdős–Rényi, small-world, preferential attachment) come close; poorly mixing
 graphs (ring, grid) and the star are noticeably worse.
 
-Runs on the vectorised sparse engine (``engine="vectorized"``) — the
+Runs one replicate per seed on the batched sparse engine
+(``simulate_batched_network_dynamics`` with ``num_replicates=1``) — the
 per-agent loop makes this same sweep an order of magnitude slower (see
 ``benchmarks/test_bench_network.py`` for the measured engine comparison).
 """
@@ -23,7 +24,7 @@ import pytest
 
 from repro import BernoulliEnvironment, best_option_share, expected_regret
 from repro.experiments import ResultTable
-from repro.network import SocialNetwork, simulate_network_dynamics
+from repro.network import SocialNetwork, simulate_batched_network_dynamics
 
 POPULATION = 300
 NUM_OPTIONS = 3
@@ -40,10 +41,10 @@ def run_experiment() -> ResultTable:
         regrets, shares = [], []
         for seed in range(REPLICATIONS):
             env = BernoulliEnvironment(QUALITIES, rng=seed)
-            trajectory = simulate_network_dynamics(
-                env, network, HORIZON, beta=BETA, rng=seed + 50, engine="vectorized"
+            trajectory = simulate_batched_network_dynamics(
+                env, network, HORIZON, 1, beta=BETA, rng=seed + 50
             )
-            matrix = trajectory.popularity_matrix()
+            matrix = trajectory.replicate(0).popularity_matrix()
             regrets.append(expected_regret(matrix, QUALITIES))
             shares.append(best_option_share(matrix, 0))
         metrics = network.metrics()

@@ -6,7 +6,8 @@ network-restricted dynamics over a family of standard topologies at the same
 size and reports regret, best-option share and time-to-dominance against the
 graphs' structural statistics (average degree, diameter, spectral gap).
 
-The runs use the vectorised sparse engine (``engine="vectorized"``), which
+Each run is one replicate of the batched sparse engine
+(``simulate_batched_network_dynamics`` with ``num_replicates=1``), which
 advances every agent at once through one CSR matvec per step — the same
 sweep on the per-agent reference loop takes orders of magnitude longer (see
 ``benchmarks/test_bench_network.py``).
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro import BernoulliEnvironment, best_option_share, expected_regret
 from repro.analysis import dominance_time
-from repro.network import SocialNetwork, simulate_network_dynamics
+from repro.network import SocialNetwork, simulate_batched_network_dynamics
 from repro.utils import format_table
 
 POPULATION = 400
@@ -34,11 +35,10 @@ def evaluate(network: SocialNetwork) -> dict:
     regrets, shares, dominance_times = [], [], []
     for seed in range(REPLICATIONS):
         environment = BernoulliEnvironment(QUALITIES, rng=seed)
-        trajectory = simulate_network_dynamics(
-            environment, network, HORIZON, beta=BETA, rng=100 + seed,
-            engine="vectorized",
+        trajectory = simulate_batched_network_dynamics(
+            environment, network, HORIZON, 1, beta=BETA, rng=100 + seed
         )
-        matrix = trajectory.popularity_matrix()
+        matrix = trajectory.replicate(0).popularity_matrix()
         regrets.append(expected_regret(matrix, QUALITIES))
         shares.append(best_option_share(matrix, 0))
         time_to_dominate = dominance_time(matrix[:, 0], threshold=0.6, sustain=10)

@@ -13,11 +13,12 @@ random peer.  The script stresses the protocol with message loss and a
 mid-run mass failure, and shows the surviving fleet still concentrates on
 the best channel.
 
-Engine: the array-ops :class:`repro.distributed.VectorizedProtocol`, which
-simulates the same lossy round law as the message-passing loop but runs a
-5000-sensor fleet orders of magnitude faster (swap in
-``DistributedLearningProtocol`` with a ``LossyTransport`` to model
-per-message *delay*, the one feature only the loop engine has).
+Engine: one replicate of the array-ops :class:`repro.distributed.BatchedProtocol`
+(``num_replicates=1``, with its built-in mass failure), which simulates the
+same lossy round law as the message-passing loop but runs a 5000-sensor
+fleet orders of magnitude faster (swap in ``DistributedLearningProtocol``
+with a ``LossyTransport`` to model per-message *delay*, the one feature only
+the loop engine has).
 
 Run with:  python examples/sensor_network.py
 """
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from repro import BernoulliEnvironment
 from repro.core.adoption import SymmetricAdoptionRule
-from repro.distributed import CrashFailureModel, VectorizedProtocol
+from repro.distributed import BatchedProtocol
 from repro.utils import ascii_line_plot, format_table
 
 NUM_SENSORS = 5000
@@ -38,17 +39,15 @@ BETA = 0.65
 
 def run_fleet(loss_rate: float, crash_fraction: float, seed: int):
     environment = BernoulliEnvironment(CHANNEL_QUALITIES, rng=seed)
-    protocol = VectorizedProtocol(
+    protocol = BatchedProtocol(
         num_nodes=NUM_SENSORS,
         num_options=NUM_CHANNELS,
+        num_replicates=1,
         adoption_rule=SymmetricAdoptionRule(BETA),
         exploration_rate=0.03,
         loss_rate=loss_rate,
-        failure_model=CrashFailureModel(
-            mass_failure_round=ROUNDS // 2,
-            mass_failure_fraction=crash_fraction,
-            rng=seed + 2,
-        ),
+        mass_failure_round=ROUNDS // 2,
+        mass_failure_fraction=crash_fraction,
         rng=seed + 3,
     )
     return protocol.run(environment, ROUNDS)
@@ -69,14 +68,14 @@ def main() -> None:
         rows.append(
             {
                 "scenario": scenario["name"],
-                "regret": result.regret,
-                "share on best channel": result.best_option_share,
+                "regret": float(result.regret()[0]),
+                "share on best channel": float(result.best_option_share()[0]),
                 "messages sent": result.transport_stats["sent"],
                 "messages dropped": result.transport_stats["dropped"],
-                "sensors alive at end": int(result.alive_series[-1]),
+                "sensors alive at end": int(result.alive_matrix[-1, 0]),
             }
         )
-        series[scenario["name"]] = result.popularity_matrix[:, 0]
+        series[scenario["name"]] = result.trajectory.popularity_tensor()[:, 0, 0]
 
     print(
         f"{NUM_SENSORS} sensors agreeing on 1 of {NUM_CHANNELS} radio channels over {ROUNDS} rounds"

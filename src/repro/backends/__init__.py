@@ -1,17 +1,10 @@
-"""Multi-backend array engine: the Array-API seam and dtype discipline.
+"""Storage precision of the batched engines.
 
-Public surface:
-
-* :func:`get_namespace` / :data:`BACKENDS` / :func:`available_backends` —
-  backend lookup (NumPy default; CuPy/torch optional and import-guarded);
-* :class:`ArrayBackend` / :class:`BackendUnavailableError` — the seam's
-  abstract interface and its unavailability signal;
-* :class:`Precision` / :func:`resolve_precision` / :data:`PRECISIONS` —
-  the storage-dtype discipline threaded through the vectorised engines.
+Public surface: :class:`Precision` / :func:`resolve_precision` /
+:data:`PRECISIONS` — the storage-dtype discipline threaded through the
+batched engines (``--dtype``).
 """
 
-from repro.backends.base import ArrayBackend, BackendUnavailableError
-from repro.backends.numpy_backend import NumpyBackend
 from repro.backends.precision import (
     DEFAULT_PRECISION,
     PRECISIONS,
@@ -19,26 +12,11 @@ from repro.backends.precision import (
     PrecisionLike,
     resolve_precision,
 )
-from repro.backends.registry import (
-    BACKENDS,
-    DEFAULT_BACKEND_NAME,
-    BackendLike,
-    available_backends,
-    get_namespace,
-)
 
 __all__ = [
-    "ArrayBackend",
-    "BackendUnavailableError",
-    "NumpyBackend",
     "Precision",
     "PrecisionLike",
     "PRECISIONS",
     "DEFAULT_PRECISION",
     "resolve_precision",
-    "BACKENDS",
-    "DEFAULT_BACKEND_NAME",
-    "BackendLike",
-    "available_backends",
-    "get_namespace",
 ]

@@ -1,4 +1,4 @@
-"""Dtype discipline for the vectorised engines: the :class:`Precision` config.
+"""Dtype discipline for the batched engines: the :class:`Precision` config.
 
 A :class:`Precision` names the storage dtypes of an engine's hot state — the
 ``(R, m)`` count matrices, the ``(R, N)`` choice matrices and the recorded
@@ -11,9 +11,9 @@ trajectory tensors.  Two presets exist:
   per-cell footprint of every stored state matrix (17 bytes per recorded
   trajectory cell-step drop to 9; see ``benchmarks/test_bench_backends.py``).
 
-The dtype contract (documented in the README's "Backends & precision"
-section): *random draws always consume the generator stream in float64*,
-regardless of precision — only what the engines **store** changes dtype.
+The dtype contract (documented in the README's "Precision" section):
+*random draws always consume the generator stream in float64*, regardless
+of precision — only what the engines **store** changes dtype.
 Consequently the dynamics themselves are unchanged under ``float32``; what is
 rounded is the recorded popularity trajectory (and, for the rowwise sweep
 environment, the stored quality matrix, whose rounding perturbs reward

@@ -15,19 +15,19 @@ writing a script::
     python -m repro broker   --coordinator tcp://coordinator-host:5555 --workers 4
     python -m repro trace    summarize trace.jsonl
 
+Every simulation command has two engines: the batched replicate-axis
+engine (the default) and ``--engine loop``, the per-seed reference loop.
 ``run`` executes many independent replications at once on the batched
-replicate-axis engine (:class:`repro.core.batched.BatchedDynamics`); pass
-``--engine loop`` to fall back to the sequential per-seed loop.  ``sweep``
-goes further: the whole ``(N x beta x mu)`` parameter grid times its
-replications runs as a *single* batched launch with per-row parameters
-(``--engine loop`` falls back to the per-point per-seed loop).  ``network``
-runs the neighbourhood-restricted dynamics on a chosen topology — by default
-on the replicate-batched sparse engine
-(:class:`repro.network.vectorized.BatchedNetworkDynamics`); ``--engine
-vectorized`` runs one replicate per seed on the sparse engine and
-``--engine loop`` falls back to the per-agent reference loop.  ``protocol``
-runs the message-passing distributed protocol under message loss and
-crash-stop failures — by default on the replicate-batched
+engine (:class:`repro.core.batched.BatchedDynamics`) and prints their
+summary; it runs as a one-point ``sweep``.  ``sweep`` goes further: the
+whole ``(N x beta x mu)`` parameter grid times its replications runs as a
+*single* batched launch with per-row parameters.  ``network`` runs the
+neighbourhood-restricted dynamics on a chosen topology — by default on the
+replicate-batched sparse engine
+(:class:`repro.network.vectorized.BatchedNetworkDynamics`), with ``--engine
+loop`` the per-agent reference loop.  ``protocol`` runs the message-passing
+distributed protocol under message loss and crash-stop failures — by
+default on the replicate-batched
 :class:`repro.distributed.vectorized.BatchedProtocol`; only ``--engine
 loop`` models per-message delay (``--delay``).
 
@@ -36,7 +36,7 @@ runtime flags (``--workers K --store PATH [--resume]``): the workload is
 sharded across ``K`` worker processes and every computed result lands in a
 content-addressed sqlite store that serves cache hits on re-runs and lets a
 killed run resume shard-by-shard — with bit-identical metrics at any worker
-count (see the README's "Scaling out" guide).  All three derive their
+count (see the README's "Scaling out" guide).  They and ``run`` derive their
 workload through the shared request layer (:mod:`repro.service.requests`),
 the same path ``serve`` — the long-running simulation-as-a-service API
 daemon (job submission, polling, cache-first result serving; see the
@@ -69,13 +69,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from repro import __version__
-from repro.backends import BACKENDS, PRECISIONS
-from repro.core.batched import simulate_batched_population
+from repro.backends import PRECISIONS
 from repro.core.coupling import run_coupled_dynamics
 from repro.core.dynamics import simulate_finite_population
 from repro.core.infinite import simulate_infinite_population
@@ -85,10 +84,8 @@ from repro.environments import BernoulliEnvironment
 from repro.experiments import (
     NETWORK_ENGINES,
     PROTOCOL_ENGINES,
-    ExperimentConfig,
     ResultTable,
-    batched_replication,
-    run_replications,
+    run_sweep,
     write_csv,
 )
 from repro.obs import TRACE_OUT_ENV, JsonlSink, Tracer, summarize_trace_file
@@ -100,36 +97,24 @@ from repro.service.requests import (
     network_request,
     prepare_request,
     protocol_request,
+    summary_table,
     sweep_request,
 )
 from repro.utils.ascii_plot import ascii_line_plot
 
 
-def _add_engine_arguments(subparser: argparse.ArgumentParser) -> None:
-    """Attach the array-engine flags shared by sweep/network/protocol."""
-    engine = subparser.add_argument_group(
-        "array engine",
-        "select the array backend and storage precision of the batched "
-        "engines (see the README's 'Backends & precision' section); "
-        "non-default values require --engine batched and get their own "
-        "result-store cache entries",
-    )
-    engine.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default=None,
-        help=(
-            "array backend (default numpy; cupy/torch are optional extras "
-            "and fail fast when not installed)"
-        ),
-    )
-    engine.add_argument(
+def _add_dtype_argument(subparser: argparse.ArgumentParser) -> None:
+    """Attach the storage-precision flag shared by sweep/network/protocol."""
+    subparser.add_argument(
         "--dtype",
         choices=tuple(PRECISIONS),
         default=None,
         help=(
-            "storage precision (default float64/int64; float32/int32 "
-            "roughly halves batch memory, statistically equivalent)"
+            "storage precision of the batched engine (default float64/int64; "
+            "float32/int32 roughly halves batch memory, statistically "
+            "equivalent; needs --engine batched and gets its own "
+            "result-store cache entries; see the README's 'Precision' "
+            "section)"
         ),
     )
 
@@ -240,7 +225,7 @@ def _warn_single_task(args: argparse.Namespace) -> None:
         print(
             "note: the batched engine advances all replicates as one "
             "indivisible task, so --workers adds no parallelism here; use "
-            "--engine vectorized (or loop) to shard across seeds",
+            "--engine loop to shard across seeds",
             file=sys.stderr,
         )
 
@@ -400,14 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sweep.add_argument("--output", type=str, default=None)
-    _add_engine_arguments(sweep)
+    _add_dtype_argument(sweep)
     _add_runtime_arguments(sweep)
 
     network = subparsers.add_parser(
         "network",
         help=(
             "run the neighbourhood-restricted dynamics on a topology using "
-            "the vectorised sparse engines"
+            "the batched sparse engine"
         ),
     )
     network.add_argument("--options", type=float, nargs="+", default=[0.8, 0.5, 0.5])
@@ -436,10 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=NETWORK_ENGINES,
         default="batched",
-        help=(
-            "batched (R, N) sparse engine (default), per-seed vectorized "
-            "sparse engine, or the per-agent reference loop"
-        ),
+        help="batched (R, N) sparse engine (default) or the per-agent reference loop",
     )
     network.add_argument(
         "--stats",
@@ -451,14 +433,14 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     network.add_argument("--output", type=str, default=None, help="write the summary table to this CSV path")
-    _add_engine_arguments(network)
+    _add_dtype_argument(network)
     _add_runtime_arguments(network)
 
     protocol = subparsers.add_parser(
         "protocol",
         help=(
             "run the message-passing distributed protocol under message "
-            "loss and crash-stop failures using the vectorised engines"
+            "loss and crash-stop failures using the batched engine"
         ),
     )
     protocol.add_argument(
@@ -497,12 +479,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=PROTOCOL_ENGINES,
         default="batched",
         help=(
-            "batched (R, N) engine (default), per-seed vectorized engine, "
-            "or the per-message reference loop (required for --delay > 0)"
+            "batched (R, N) engine (default) or the per-message reference "
+            "loop (required for --delay > 0)"
         ),
     )
     protocol.add_argument("--output", type=str, default=None, help="write the summary table to this CSV path")
-    _add_engine_arguments(protocol)
+    _add_dtype_argument(protocol)
     _add_runtime_arguments(protocol)
 
     serve = subparsers.add_parser(
@@ -753,73 +735,32 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
-    qualities = list(args.options)
-    best = int(np.argmax(qualities))
-
-    if args.engine == "batched":
-
-        @batched_replication
-        def replication(seeds, parameters):
-            # One generator, seeded by the full seed list, drives both the
-            # reward draws and the batched dynamics — reproducible from the
-            # config, vectorised across all replicates.
-            generator = np.random.default_rng(seeds)
-            env = BernoulliEnvironment(qualities, rng=generator)
-            trajectory = simulate_batched_population(
-                env,
-                population_size=args.population,
-                horizon=args.horizon,
-                num_replicates=len(seeds),
-                beta=args.beta,
-                mu=args.mu,
-                rng=generator,
-            )
-            regrets = trajectory.expected_regret(qualities)
-            shares = trajectory.best_option_share(best)
-            return [
-                {"regret": float(regret), "best_option_share": float(share)}
-                for regret, share in zip(regrets, shares)
-            ]
-
-    else:
-
-        def replication(seed, parameters):
-            env = BernoulliEnvironment(qualities, rng=seed)
-            trajectory = simulate_finite_population(
-                env,
-                population_size=args.population,
-                horizon=args.horizon,
-                beta=args.beta,
-                mu=args.mu,
-                rng=seed + 1,
-            )
-            matrix = trajectory.popularity_matrix()
-            return {
-                "regret": expected_regret(matrix, qualities),
-                "best_option_share": best_option_share(matrix, best),
-            }
-
-    config = ExperimentConfig(
-        name=f"run-{args.engine}",
-        parameters={
-            "options": " ".join(str(quality) for quality in qualities),
-            "N": args.population,
-            "horizon": args.horizon,
-            "beta": args.beta,
-            "mu": args.mu if args.mu is not None else "default",
-            "engine": args.engine,
-        },
-        replications=args.replications,
-        seed=args.seed,
+    try:
+        request = sweep_request(
+            options=args.options,
+            populations=[args.population],
+            horizon=args.horizon,
+            beta=args.beta,
+            mus=None if args.mu is None else [args.mu],
+            replications=args.replications,
+            seed=args.seed,
+            engine=args.engine,
+        )
+    except RequestError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
+    prepared = prepare_request(request)
+    (result,), _ = run_sweep(
+        f"run-{args.engine}",
+        prepared.grid,
+        prepared.replication,
+        replications=prepared.replications,
+        seed=prepared.seed,
+        base_parameters=prepared.base_parameters,
     )
-    result = run_replications(config, replication)
-    table = ResultTable()
-    for name in result.metric_names():
-        row = {"metric": name}
-        row.update(result.summarize(name).as_dict())
-        table.add_row(row)
-    print(config.describe())
-    _finish(table, args.output)
+    spec = ", ".join(f"{key}={value}" for key, value in sorted(request.spec.items()))
+    print(f"run {spec}")
+    _finish(summary_table(result), args.output)
     return 0
 
 
@@ -880,7 +821,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
             replications=args.replications,
             seed=args.seed,
             engine=args.engine,
-            backend=args.backend,
             dtype=args.dtype,
         )
     except RequestError as error:
@@ -913,7 +853,6 @@ def _command_network(args: argparse.Namespace) -> int:
             replications=args.replications,
             seed=args.seed,
             engine=args.engine,
-            backend=args.backend,
             dtype=args.dtype,
         )
     except RequestError as error:
@@ -966,7 +905,6 @@ def _command_protocol(args: argparse.Namespace) -> int:
             replications=args.replications,
             seed=args.seed,
             engine=args.engine,
-            backend=args.backend,
             dtype=args.dtype,
         )
     except RequestError as error:

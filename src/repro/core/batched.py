@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.backends import BackendLike, PrecisionLike, get_namespace, resolve_precision
+from repro.backends import PrecisionLike, resolve_precision
 from repro.core.adoption import (
     AdoptionRule,
     GeneralAdoptionRule,
@@ -42,7 +42,7 @@ from repro.core.adoption import (
 from repro.core.sampling import MixtureSampling, SamplingRule, default_exploration_rate
 from repro.core.state import PopulationState, Trajectory
 from repro.environments.base import RewardEnvironment
-from repro.utils.rng import RngLike
+from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int, check_quality_vector
 
 
@@ -453,9 +453,6 @@ class BatchedDynamics:
         Seed, generator or :class:`~repro.utils.rng.RowBlockGenerator`.
         With ``num_replicates == 1`` the stream is consumed exactly as the
         sequential engine consumes it.
-    backend:
-        Array backend name or :class:`~repro.backends.ArrayBackend`
-        (default NumPy — bit-identical to the pre-seam engine).
     precision:
         Storage :class:`~repro.backends.Precision` (name or instance).  The
         default float64/int64 is bit-identical to the historical behaviour;
@@ -473,12 +470,9 @@ class BatchedDynamics:
         sampling_rule: Optional[SamplingRule] = None,
         initial_state: Optional[Union[PopulationState, BatchedPopulationState]] = None,
         rng: RngLike = None,
-        backend: BackendLike = None,
         precision: PrecisionLike = None,
     ) -> None:
-        self._backend = get_namespace(backend)
         self._precision = resolve_precision(precision)
-        self._xp = self._backend.xp
         self._num_replicates = check_positive_int(num_replicates, "num_replicates")
         if np.ndim(population_size) == 0:
             self._population_size: Union[int, np.ndarray] = check_positive_int(
@@ -557,7 +551,7 @@ class BatchedDynamics:
             )
         self._initial_state = initial_state
         self._state = initial_state
-        self._rng = self._backend.rng(rng)
+        self._rng = ensure_rng(rng)
 
     # ------------------------------------------------------------ properties
     @property
@@ -586,11 +580,6 @@ class BatchedDynamics:
         return self._sampling_rule
 
     @property
-    def backend(self):
-        """The :class:`~repro.backends.ArrayBackend` this engine runs on."""
-        return self._backend
-
-    @property
     def precision(self):
         """The storage :class:`~repro.backends.Precision` of the hot state."""
         return self._precision
@@ -615,7 +604,7 @@ class BatchedDynamics:
         """
         self._state = self._initial_state
         if rng is not None:
-            self._rng = self._backend.rng(rng)
+            self._rng = ensure_rng(rng)
 
     # ------------------------------------------------------------------ step
     def step(self, rewards: np.ndarray) -> BatchedPopulationState:
@@ -629,10 +618,9 @@ class BatchedDynamics:
             draw of the environment) or a single ``(m,)`` vector shared by
             all replicates (the coupled / common-rewards regime).
         """
-        xp = self._xp
-        rewards = xp.asarray(rewards)
+        rewards = np.asarray(rewards)
         if rewards.shape == (self._num_options,):
-            rewards = xp.broadcast_to(
+            rewards = np.broadcast_to(
                 rewards, (self._num_replicates, self._num_options)
             )
         elif rewards.shape != (self._num_replicates, self._num_options):
@@ -640,7 +628,7 @@ class BatchedDynamics:
                 f"rewards must have shape ({self._num_replicates}, "
                 f"{self._num_options}) or ({self._num_options},), got {rewards.shape}"
             )
-        if xp.any((rewards != 0) & (rewards != 1)):
+        if np.any((rewards != 0) & (rewards != 1)):
             raise ValueError("rewards must be binary")
 
         # The sampling/adoption math and both draws run in float64 at every
@@ -652,9 +640,7 @@ class BatchedDynamics:
         )
         selected = self._rng.multinomial(self._population_size, consideration)
         adopt_probabilities = self._adoption_rule.adopt_probabilities(rewards)
-        new_counts = self._backend.to_numpy(
-            self._rng.binomial(selected, adopt_probabilities)
-        )
+        new_counts = self._rng.binomial(selected, adopt_probabilities)
         self._state = BatchedPopulationState(
             counts=new_counts.astype(self._precision.int_dtype),
             population_size=self._population_size,
@@ -699,7 +685,6 @@ def simulate_batched_population(
     mu: Union[None, float, np.ndarray] = None,
     alpha: Union[None, float, np.ndarray] = None,
     rng: RngLike = None,
-    backend: BackendLike = None,
     precision: PrecisionLike = None,
 ) -> BatchedTrajectory:
     """One-call helper: run ``num_replicates`` replicates with paper defaults.
@@ -729,7 +714,6 @@ def simulate_batched_population(
         adoption_rule=adoption_rule,
         sampling_rule=MixtureSampling(mu) if mu is not None else None,
         rng=rng,
-        backend=backend,
         precision=precision,
     )
     return dynamics.run(environment, horizon)

@@ -15,25 +15,22 @@ signal of the option it is considering and runs the adopt step.  A
 :class:`CrashFailureModel` can permanently crash a fraction of nodes at chosen
 rounds.
 
-Three engines simulate the protocol's round law:
+Two engines simulate the protocol's round law:
 
 * :class:`DistributedLearningProtocol` — the explicit message-passing loop
-  (one Python object per node and per message); the only engine that models
-  per-message *delay*;
-* :class:`VectorizedProtocol` — one round for all ``N`` alive nodes as array
-  operations (uniform peer sampling as one integer draw, query/reply loss as
-  Bernoulli masks, crash-stop failures as a boolean alive mask); and
+  (one Python object per node and per message), which returns a
+  :class:`ProtocolResult`; the reference semantics, and the only engine
+  that models per-message *delay*; and
 * :class:`BatchedProtocol` — ``R`` replicates advancing as ``(R, N)``
-  choice/alive matrices per round, so a loss-rate x crash-fraction grid
-  collapses into a few launches.
-
-The single-replicate engines share :class:`ProtocolBase` (regret accounting,
-round bookkeeping, the :class:`ProtocolResult` they both return);
-:class:`BatchedProtocol` stands alone and returns a
-:class:`BatchedProtocolResult` with per-replicate ``(R,)`` metrics.
+  choice/alive matrices per round (uniform peer sampling as one integer
+  draw, query/reply loss as Bernoulli masks, crash-stop failures as a
+  boolean alive mask), so a loss-rate x crash-fraction grid collapses into a
+  few launches; it returns a :class:`BatchedProtocolResult` with
+  per-replicate ``(R,)`` metrics, and ``R = 1`` runs a single replicate from
+  its own seed.
 
 The loop engine is the reference behind experiment E10 cross-validation; the
-vectorised engines power the E10 benchmark and the ``sensor_network.py``
+batched engine powers the E10 benchmark and the ``sensor_network.py``
 example at scales the loop cannot reach.
 """
 
@@ -41,16 +38,8 @@ from repro.distributed.messages import ChoiceQuery, ChoiceReply, Message
 from repro.distributed.transport import LossyTransport, TransportStats
 from repro.distributed.node import ProtocolNode
 from repro.distributed.failures import CrashFailureModel, FailureModel, NoFailures
-from repro.distributed.protocol import (
-    DistributedLearningProtocol,
-    ProtocolBase,
-    ProtocolResult,
-)
-from repro.distributed.vectorized import (
-    BatchedProtocol,
-    BatchedProtocolResult,
-    VectorizedProtocol,
-)
+from repro.distributed.protocol import DistributedLearningProtocol, ProtocolResult
+from repro.distributed.vectorized import BatchedProtocol, BatchedProtocolResult
 
 __all__ = [
     "Message",
@@ -62,10 +51,8 @@ __all__ = [
     "CrashFailureModel",
     "FailureModel",
     "NoFailures",
-    "ProtocolBase",
     "DistributedLearningProtocol",
     "ProtocolResult",
-    "VectorizedProtocol",
     "BatchedProtocol",
     "BatchedProtocolResult",
 ]

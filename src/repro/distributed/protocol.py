@@ -26,7 +26,6 @@ each round so the standard regret definitions apply unchanged.
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -81,130 +80,14 @@ class ProtocolResult:
         return int(self.popularity_matrix.shape[0])
 
 
-class ProtocolBase(abc.ABC):
-    """Shared substrate of the distributed-protocol engines.
-
-    Owns everything that does not depend on *how* a round is computed: the
-    option count, the exploration rate ``mu``, the generator, the round
-    counter, the fallback-exploration counter, and the :meth:`run` driver
-    (per-round regret accounting via :class:`RegretAccumulator`, popularity /
-    reward / alive bookkeeping, and the :class:`ProtocolResult` assembly).
-
-    Engines implement :meth:`run_round` (one lossy round for the whole
-    group), :meth:`popularity` (pre-round popularity among alive committed
-    nodes), :meth:`num_alive` and :meth:`transport_stats`.  Today's engines:
-
-    * :class:`DistributedLearningProtocol` — the explicit message-passing
-      loop (one Python object per node, real :class:`Message` objects over a
-      :class:`LossyTransport`); the only engine that models per-message
-      *delay*; and
-    * :class:`~repro.distributed.vectorized.VectorizedProtocol` — the
-      array-ops engine (peer sampling, loss masks and the adopt step as
-      whole-population NumPy operations), loss-only.
-
-    Parameters
-    ----------
-    num_options:
-        Number of options ``m``.
-    exploration_rate:
-        The probability ``mu`` of deliberate uniform exploration.
-    rng:
-        Seed or generator.
-    """
-
-    def __init__(
-        self,
-        num_options: int,
-        exploration_rate: float,
-        rng: RngLike = None,
-    ) -> None:
-        self._num_options = check_positive_int(num_options, "num_options")
-        self._mu = check_probability(exploration_rate, "exploration_rate")
-        self._rng = ensure_rng(rng)
-        self._round = 0
-        self._fallback_explorations = 0
-
-    # ------------------------------------------------------------ properties
-    @property
-    def num_options(self) -> int:
-        """Number of options ``m``."""
-        return self._num_options
-
-    @property
-    def exploration_rate(self) -> float:
-        """The exploration probability ``mu``."""
-        return self._mu
-
-    @property
-    def round_number(self) -> int:
-        """Rounds executed so far."""
-        return self._round
-
-    @property
-    def fallback_explorations(self) -> int:
-        """Node-rounds that fell back to uniform exploration so far."""
-        return self._fallback_explorations
-
-    # ------------------------------------------------------------- interface
-    @abc.abstractmethod
-    def popularity(self) -> np.ndarray:
-        """Popularity among alive committed nodes (uniform when none committed)."""
-
-    @abc.abstractmethod
-    def num_alive(self) -> int:
-        """Number of nodes that have not crashed."""
-
-    @abc.abstractmethod
-    def run_round(self, rewards: np.ndarray) -> None:
-        """Execute one protocol round with the given quality signals."""
-
-    @abc.abstractmethod
-    def transport_stats(self) -> Dict[str, int]:
-        """Message counters accumulated so far, as a plain dict."""
-
-    # ---------------------------------------------------------------- driver
-    def _validated_rewards(self, rewards: np.ndarray) -> np.ndarray:
-        rewards = np.asarray(rewards)
-        if rewards.shape != (self._num_options,):
-            raise ValueError(
-                f"rewards must have shape ({self._num_options},), got {rewards.shape}"
-            )
-        return rewards
-
-    def run(self, environment: RewardEnvironment, rounds: int) -> ProtocolResult:
-        """Run the protocol for ``rounds`` rounds against ``environment``."""
-        rounds = check_positive_int(rounds, "rounds")
-        if environment.num_options != self._num_options:
-            raise ValueError(
-                "environment and protocol disagree on the number of options"
-            )
-        best_option = environment.best_option
-        accumulator = RegretAccumulator(best_quality=environment.best_quality)
-        popularity_rows = []
-        reward_rows = []
-        alive_series = []
-        for _ in range(rounds):
-            popularity = self.popularity()
-            rewards = environment.sample()
-            alive_series.append(self.num_alive())
-            self.run_round(rewards)
-            accumulator.update(popularity, rewards)
-            popularity_rows.append(popularity)
-            reward_rows.append(rewards)
-        popularity_matrix = np.stack(popularity_rows)
-        return ProtocolResult(
-            popularity_matrix=popularity_matrix,
-            reward_matrix=np.stack(reward_rows),
-            regret=accumulator.regret(),
-            best_option_share=float(popularity_matrix[:, best_option].mean()),
-            alive_series=np.asarray(alive_series, dtype=np.int64),
-            transport_stats=self.transport_stats(),
-            fallback_explorations=self._fallback_explorations,
-        )
-
-
-class DistributedLearningProtocol(ProtocolBase):
+class DistributedLearningProtocol:
     """Simulator of the protocol over ``N`` message-passing nodes.
+
+    The reference engine: one Python object per node and per message, and
+    the only engine that models per-message *delay*.
+    :class:`~repro.distributed.vectorized.BatchedProtocol` simulates the same
+    round law under loss and crashes for ``R`` replicates at array speed
+    (``R = 1`` runs a single replicate from its own seed).
 
     Parameters
     ----------
@@ -241,7 +124,11 @@ class DistributedLearningProtocol(ProtocolBase):
         rng: RngLike = None,
     ) -> None:
         num_nodes = check_positive_int(num_nodes, "num_nodes")
-        super().__init__(num_options, exploration_rate, rng)
+        self._num_options = check_positive_int(num_options, "num_options")
+        self._mu = check_probability(exploration_rate, "exploration_rate")
+        self._rng = ensure_rng(rng)
+        self._round = 0
+        self._fallback_explorations = 0
         adoption_rule = adoption_rule or SymmetricAdoptionRule(0.6)
         self._nodes = [
             ProtocolNode(
@@ -259,6 +146,26 @@ class DistributedLearningProtocol(ProtocolBase):
         )
 
     # ------------------------------------------------------------ properties
+    @property
+    def num_options(self) -> int:
+        """Number of options ``m``."""
+        return self._num_options
+
+    @property
+    def exploration_rate(self) -> float:
+        """The exploration probability ``mu``."""
+        return self._mu
+
+    @property
+    def round_number(self) -> int:
+        """Rounds executed so far."""
+        return self._round
+
+    @property
+    def fallback_explorations(self) -> int:
+        """Node-rounds that fell back to uniform exploration so far."""
+        return self._fallback_explorations
+
     @property
     def nodes(self) -> List[ProtocolNode]:
         """The simulated devices."""
@@ -292,10 +199,46 @@ class DistributedLearningProtocol(ProtocolBase):
             return np.full(self._num_options, 1.0 / self._num_options)
         return counts / total
 
+    # ---------------------------------------------------------------- driver
+    def run(self, environment: RewardEnvironment, rounds: int) -> ProtocolResult:
+        """Run the protocol for ``rounds`` rounds against ``environment``."""
+        rounds = check_positive_int(rounds, "rounds")
+        if environment.num_options != self._num_options:
+            raise ValueError(
+                "environment and protocol disagree on the number of options"
+            )
+        best_option = environment.best_option
+        accumulator = RegretAccumulator(best_quality=environment.best_quality)
+        popularity_rows = []
+        reward_rows = []
+        alive_series = []
+        for _ in range(rounds):
+            popularity = self.popularity()
+            rewards = environment.sample()
+            alive_series.append(self.num_alive())
+            self.run_round(rewards)
+            accumulator.update(popularity, rewards)
+            popularity_rows.append(popularity)
+            reward_rows.append(rewards)
+        popularity_matrix = np.stack(popularity_rows)
+        return ProtocolResult(
+            popularity_matrix=popularity_matrix,
+            reward_matrix=np.stack(reward_rows),
+            regret=accumulator.regret(),
+            best_option_share=float(popularity_matrix[:, best_option].mean()),
+            alive_series=np.asarray(alive_series, dtype=np.int64),
+            transport_stats=self.transport_stats(),
+            fallback_explorations=self._fallback_explorations,
+        )
+
     # ----------------------------------------------------------------- round
     def run_round(self, rewards: np.ndarray) -> None:
         """Execute one protocol round with the given quality signals."""
-        rewards = self._validated_rewards(rewards)
+        rewards = np.asarray(rewards)
+        if rewards.shape != (self._num_options,):
+            raise ValueError(
+                f"rewards must have shape ({self._num_options},), got {rewards.shape}"
+            )
 
         # 1. Crash injection.
         alive_ids = [node.node_id for node in self.alive_nodes()]

@@ -1,22 +1,19 @@
-"""Vectorised engines for the distributed-protocol simulation.
+"""Replicate-axis engine for the distributed-protocol simulation.
 
 The message-passing loop (:class:`~repro.distributed.protocol.DistributedLearningProtocol`)
 advances one node and one :class:`~repro.distributed.messages.Message` object
 at a time in Python, which makes the lossy-round experiments (E10) orders of
-magnitude slower than every other engine in this repository.  The two engines
-here simulate the *same round law* as whole-population array operations:
-
-* :class:`VectorizedProtocol` simulates one round for all ``N`` alive nodes
-  at once — uniform peer sampling is one integer draw per querying node
-  (rank-shifted to exclude self), query and reply loss are independent
-  Bernoulli masks over the peer vector, crash-stop failures are a boolean
-  ``alive`` mask threaded through every step, and the adopt step is one
-  broadcast thinning via :meth:`~repro.core.adoption.AdoptionRule.adopt_probabilities`.
-* :class:`BatchedProtocol` adds a replicate axis: ``R`` independent fleets
-  advance as ``(R, N)`` choice/alive matrices per round, recording
-  :class:`~repro.core.batched.BatchedPopulationState` snapshots into a
-  :class:`~repro.core.batched.BatchedTrajectory` — so a loss-rate x
-  crash-fraction grid collapses into a few launches.
+magnitude slower than every other engine in this repository.
+:class:`BatchedProtocol` simulates the *same round law* as array operations:
+``R`` independent fleets advance as ``(R, N)`` choice/alive matrices per
+round — uniform peer sampling is one rank-shifted integer draw per querying
+node, query and reply loss are independent Bernoulli masks, crash-stop
+failures are a boolean ``alive`` mask threaded through every step, and the
+adopt step is one broadcast thinning — recording
+:class:`~repro.core.batched.BatchedPopulationState` snapshots into a
+:class:`~repro.core.batched.BatchedTrajectory`, so a loss-rate x
+crash-fraction grid collapses into a few launches.  ``R = 1`` runs a single
+replicate from its own seed.
 
 Per round (identical to the loop's law):
 
@@ -33,15 +30,15 @@ Per round (identical to the loop's law):
 5. every alive node observes its considered option's fresh signal and runs
    the adopt step.
 
-What the vectorised engines do **not** model is per-message *delay*
+What the engine does **not** model is per-message *delay*
 (``delay_rate`` of :class:`~repro.distributed.transport.LossyTransport`):
 a delayed message changes which round a reply lands in, which is inherently
 sequential bookkeeping — use the loop engine when delay matters.  Under pure
 loss the delivered-message law is identical, so the engines are
-distributionally equivalent to the loop (KS / chi-squared cross-validated in
+distributionally equivalent (KS / chi-squared cross-validated in
 ``tests/integration/test_cross_validation.py``, with bit-exact golden
-fixtures pinning each engine separately).  The engines consume the random
-stream differently from the loop, so equal seeds give different trajectories.
+fixtures pinning the batched engine).  The engines consume the random stream
+differently, so equal seeds give different trajectories.
 """
 
 from __future__ import annotations
@@ -51,12 +48,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.backends import (
-    BackendLike,
-    PrecisionLike,
-    get_namespace,
-    resolve_precision,
-)
+from repro.backends import PrecisionLike, resolve_precision
 from repro.core.adoption import AdoptionRule, SymmetricAdoptionRule
 from repro.core.batched import (
     BatchedPopulationState,
@@ -64,8 +56,6 @@ from repro.core.batched import (
     choice_counts,
     row_lookup,
 )
-from repro.distributed.failures import FailureModel, NoFailures
-from repro.distributed.protocol import ProtocolBase
 from repro.distributed.transport import TransportStats
 from repro.environments.base import RewardEnvironment
 from repro.utils.rng import RngLike, ensure_rng
@@ -74,216 +64,6 @@ from repro.utils.validation import (
     check_positive_int,
     check_probability,
 )
-
-
-def _lossy_exchange(
-    rng: np.random.Generator,
-    loss_rate: float,
-    peer_choices: np.ndarray,
-    stats: TransportStats,
-) -> np.ndarray:
-    """One retry sub-round's message law, shared by both vectorised engines.
-
-    Draws the independent Bernoulli loss masks for the queries and the
-    replies of the still-waiting nodes (``peer_choices`` holds each waiting
-    node's sampled peer's current option), updates the transport counters —
-    every delivered query is answered, so replies-sent equals
-    queries-delivered — and returns the satisfied mask: a reply delivered
-    from a *committed* peer.
-    """
-    num_waiting = peer_choices.size
-    query_arrives = rng.random(num_waiting) >= loss_rate
-    reply_delivered = rng.random(num_waiting) >= loss_rate
-    replies_sent = int(np.count_nonzero(query_arrives))
-    reply_delivered &= query_arrives
-    replies_delivered = int(np.count_nonzero(reply_delivered))
-    # Every message is delivered or dropped: the dropped queries and replies
-    # are the queries that did not end in a delivered reply.
-    stats.sent += num_waiting + replies_sent
-    stats.delivered += replies_sent + replies_delivered
-    stats.dropped += num_waiting - replies_delivered
-    reply_delivered &= peer_choices >= 0
-    return reply_delivered
-
-
-class VectorizedProtocol(ProtocolBase):
-    """Array-ops simulator of the protocol over ``N`` nodes (loss, no delay).
-
-    Drop-in for :class:`~repro.distributed.protocol.DistributedLearningProtocol`
-    on lossy-but-undelayed networks: same constructor knobs (with the
-    transport object replaced by a plain ``loss_rate``), same
-    :class:`~repro.distributed.protocol.ProtocolResult`, same regret
-    accounting — the round itself runs in ``O(N)`` NumPy work instead of
-    ``O(N)`` Python message objects.
-
-    Parameters
-    ----------
-    num_nodes:
-        Number of devices ``N``.
-    num_options:
-        Number of options ``m``.
-    adoption_rule:
-        Shared adoption rule; defaults to the paper's symmetric rule with
-        ``beta = 0.6``.
-    exploration_rate:
-        The probability ``mu`` of deliberate uniform exploration.
-    loss_rate:
-        Probability that each query and each reply is independently dropped
-        (the ``loss_rate`` of the loop engine's transport).  Per-message
-        delay is not modelled — use the loop engine for ``delay_rate > 0``.
-    failure_model:
-        Crash injection model (same API as the loop engine); defaults to no
-        failures.
-    max_query_attempts:
-        How many times a node re-queries with a fresh random peer before
-        falling back to uniform exploration.
-    rng:
-        Seed or generator.
-    """
-
-    def __init__(
-        self,
-        num_nodes: int,
-        num_options: int,
-        adoption_rule: Optional[AdoptionRule] = None,
-        exploration_rate: float = 0.05,
-        loss_rate: float = 0.0,
-        failure_model: Optional[FailureModel] = None,
-        max_query_attempts: int = 6,
-        rng: RngLike = None,
-    ) -> None:
-        num_nodes = check_positive_int(num_nodes, "num_nodes")
-        super().__init__(num_options, exploration_rate, rng)
-        self._num_nodes = num_nodes
-        self._adoption_rule = adoption_rule or SymmetricAdoptionRule(0.6)
-        self._loss_rate = check_probability(loss_rate, "loss_rate")
-        self._failure_model = failure_model or NoFailures()
-        self._max_query_attempts = check_positive_int(
-            max_query_attempts, "max_query_attempts"
-        )
-        self._stats = TransportStats()
-        # Every node starts committed to a uniformly random option, exactly
-        # like the loop engine's node initialisation.
-        self._choices = self._rng.integers(num_options, size=num_nodes).astype(
-            np.int64
-        )
-        self._alive = np.ones(num_nodes, dtype=bool)
-
-    # ------------------------------------------------------------ properties
-    @property
-    def num_nodes(self) -> int:
-        """Number of devices ``N``."""
-        return self._num_nodes
-
-    @property
-    def adoption_rule(self) -> AdoptionRule:
-        """The shared adoption rule."""
-        return self._adoption_rule
-
-    @property
-    def loss_rate(self) -> float:
-        """Per-message drop probability."""
-        return self._loss_rate
-
-    def choices(self) -> np.ndarray:
-        """Per-node current options (-1 means sitting out); copy.
-
-        Crashed nodes retain their last committed option here — mask with
-        :meth:`alive` (as :meth:`popularity` does) before counting.
-        """
-        return self._choices.copy()
-
-    def alive(self) -> np.ndarray:
-        """Boolean alive mask over the nodes; copy."""
-        return self._alive.copy()
-
-    def num_alive(self) -> int:
-        """Number of nodes that have not crashed."""
-        return int(self._alive.sum())
-
-    def transport_stats(self) -> Dict[str, int]:
-        """Message counters (``delayed`` is always 0 — delay is not modelled)."""
-        return self._stats.as_dict()
-
-    def popularity(self) -> np.ndarray:
-        """Popularity among alive committed nodes (uniform when none committed)."""
-        committed = self._choices[self._alive & (self._choices >= 0)]
-        counts = np.bincount(committed, minlength=self._num_options)
-        total = counts.sum()
-        if total == 0:
-            return np.full(self._num_options, 1.0 / self._num_options)
-        return counts / total
-
-    # ----------------------------------------------------------------- round
-    def run_round(self, rewards: np.ndarray) -> None:
-        """Execute one protocol round with the given quality signals."""
-        rewards = self._validated_rewards(rewards)
-        if np.any((rewards != 0) & (rewards != 1)):
-            raise ValueError("rewards must be binary")
-
-        # 1. Crash injection (the failure model keeps the loop engine's API).
-        alive_ids = np.flatnonzero(self._alive)
-        crashed = self._failure_model.crashes_for_round(
-            self._round, alive_ids.tolist()
-        )
-        if crashed:
-            self._alive[np.asarray(crashed, dtype=np.int64)] = False
-            alive_ids = np.flatnonzero(self._alive)
-        num_alive = alive_ids.size
-        if num_alive == 0:
-            self._round += 1
-            return
-
-        # 2. Sampling stage: a mu-fraction explores (everyone, when a single
-        #    survivor has no peer to query); the rest query random peers.
-        explore = self._rng.random(num_alive) < self._mu
-        if num_alive == 1:
-            explore[:] = True
-        considered = np.full(self._num_nodes, -1, dtype=np.int64)
-        explorers = alive_ids[explore]
-        considered[explorers] = self._rng.integers(
-            self._num_options, size=explorers.size
-        )
-        waiting = alive_ids[~explore]
-        # Rank of each waiting node inside the sorted alive_ids vector, used
-        # to exclude self from its peer draw below.
-        waiting_rank = np.flatnonzero(~explore)
-
-        for _ in range(self._max_query_attempts):
-            if waiting.size == 0:
-                break
-            num_waiting = waiting.size
-            # 3a. One uniform integer draw per query: an index into the
-            #     alive vector with self excluded by shifting draws at or
-            #     above the node's own rank up by one.
-            draws = self._rng.integers(num_alive - 1, size=num_waiting)
-            peers = alive_ids[draws + (draws >= waiting_rank)]
-            # 3b/3c. Loss masks and stats via the shared sub-round law; a
-            #        delivered reply from a committed peer satisfies the
-            #        node, everyone else (lost exchange, sitting-out peer)
-            #        retries.
-            satisfied = _lossy_exchange(
-                self._rng, self._loss_rate, self._choices[peers], self._stats
-            )
-            considered[waiting[satisfied]] = self._choices[peers[satisfied]]
-            waiting = waiting[~satisfied]
-            waiting_rank = waiting_rank[~satisfied]
-
-        # 4. Fallback exploration for nodes that never heard back.
-        if waiting.size:
-            considered[waiting] = self._rng.integers(
-                self._num_options, size=waiting.size
-            )
-            self._fallback_explorations += int(waiting.size)
-
-        # 5. Adoption stage: one broadcast thinning on the fresh signals.
-        active = considered >= 0
-        adopt_probability = self._adoption_rule.adopt_probabilities(
-            rewards[considered[active]]
-        )
-        adopted = self._rng.random(int(active.sum())) < adopt_probability
-        self._choices[active] = np.where(adopted, considered[active], -1)
-        self._round += 1
 
 
 @dataclass
@@ -350,7 +130,8 @@ class BatchedProtocol:
     per retry sub-round, and finally one broadcast adoption thinning.  All
     replicates share one generator, so a batch is reproducible from a single
     seed but individual replicates are not independently re-runnable (same
-    contract as :class:`~repro.core.batched.BatchedDynamics`).
+    contract as :class:`~repro.core.batched.BatchedDynamics`).  When that is
+    required, run one replicate per seed with ``num_replicates=1``.
 
     Crash-stop failures mirror
     :class:`~repro.distributed.failures.CrashFailureModel` with the
@@ -382,13 +163,6 @@ class BatchedProtocol:
         Re-query attempts before falling back to uniform exploration.
     rng:
         Seed or generator.
-    backend:
-        Array backend name or instance (default NumPy); see
-        :func:`repro.backends.get_namespace`.  Accepted for interface
-        symmetry with the other batched engines: the protocol's compressed
-        retry bookkeeping (array-``high`` integer draws over shrinking index
-        sets) is inherently host-side, so rounds always execute through the
-        host NumPy generator regardless of the backend chosen.
     precision:
         Storage precision (default float64/int64).  Random draws always run
         in float64, so the stored-state dtype does not perturb the stream.
@@ -407,7 +181,6 @@ class BatchedProtocol:
         mass_failure_fraction: float = 0.0,
         max_query_attempts: int = 6,
         rng: RngLike = None,
-        backend: BackendLike = None,
         precision: PrecisionLike = None,
     ) -> None:
         self._num_nodes = check_positive_int(num_nodes, "num_nodes")
@@ -430,7 +203,6 @@ class BatchedProtocol:
         self._max_query_attempts = check_positive_int(
             max_query_attempts, "max_query_attempts"
         )
-        self._backend = get_namespace(backend)
         self._precision = resolve_precision(precision)
         self._precision.check_count_value(int(num_nodes), "num_nodes")
         self._rng = ensure_rng(rng)
@@ -468,11 +240,6 @@ class BatchedProtocol:
     def fallback_explorations(self) -> int:
         """Node-rounds that fell back to uniform exploration, over all replicates."""
         return self._fallback_explorations
-
-    @property
-    def backend(self):
-        """The array backend the protocol was configured with."""
-        return self._backend
 
     @property
     def precision(self):
@@ -592,11 +359,22 @@ class BatchedProtocol:
             #     self (waiting cells always have >= 2 alive in their row).
             peer = row_start[waiting] + self._rng.integers(peer_high[waiting])
             peer += peer >= waiting
-            # 3b/3c. Loss masks and stats via the shared sub-round law.
+            # 3b/3c. Independent loss masks for the queries and the replies.
+            #        Every delivered query is answered, so replies sent equal
+            #        queries delivered, and every message is delivered or
+            #        dropped.  A reply delivered from a committed peer
+            #        satisfies the node; everyone else retries.
             peer_choice = flat_choices[alive_cells[peer]]
-            satisfied = _lossy_exchange(
-                self._rng, self._loss_rate, peer_choice, self._stats
-            )
+            num_waiting = waiting.size
+            query_arrives = self._rng.random(num_waiting) >= self._loss_rate
+            satisfied = self._rng.random(num_waiting) >= self._loss_rate
+            replies_sent = int(np.count_nonzero(query_arrives))
+            satisfied &= query_arrives
+            replies_delivered = int(np.count_nonzero(satisfied))
+            self._stats.sent += num_waiting + replies_sent
+            self._stats.delivered += replies_sent + replies_delivered
+            self._stats.dropped += num_waiting - replies_delivered
+            satisfied &= peer_choice >= 0
             # Index arrays, not boolean masks: numpy compresses through them
             # several times faster.
             answered = np.flatnonzero(satisfied)

@@ -36,11 +36,9 @@ _LAZY_MODULES = {
     "build_network": "network_sweep",
     "network_batched_replication": "network_sweep",
     "network_point_replication": "network_sweep",
-    "network_vectorized_replication": "network_sweep",
     "PROTOCOL_REPLICATIONS": "protocol_sweep",
     "protocol_batched_replication": "protocol_sweep",
     "protocol_point_replication": "protocol_sweep",
-    "protocol_vectorized_replication": "protocol_sweep",
 }
 
 

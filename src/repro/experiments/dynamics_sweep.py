@@ -13,9 +13,9 @@ engines share one parameter convention:
 * :func:`dynamics_grid_replication` — the sweep-axis batched engine: the
   ``G x R`` grid-times-replicates workload flattens into one ``(G·R, m)``
   :class:`~repro.core.batched.BatchedDynamics` launch with per-row
-  parameters (one per ``(T, m, backend, dtype)`` group), then unflattens
-  into per-point results.  Each point draws from its own generator, so the
-  fused launch gives the rows of ``G`` one-point launches.
+  parameters (one per ``(T, m, dtype)`` group), then unflattens into
+  per-point results.  Each point draws from its own generator, so the fused
+  launch gives the rows of ``G`` one-point launches.
 
 Parameter convention (per grid point, merged with ``base_parameters``):
 
@@ -33,10 +33,9 @@ Parameter convention (per grid point, merged with ``base_parameters``):
 ``mu``
     Exploration rate (default: the theorem maximum ``min(1, delta^2/6)``
     evaluated at that point's own ``(alpha, beta)``).
-``backend`` / ``dtype``
-    Optional array backend and storage precision (grid engine only; the
-    loop engine refuses non-default values) — see
-    :mod:`repro.experiments.engine_options`.
+``dtype``
+    Optional storage precision (grid engine only; the loop engine refuses
+    non-default values) — see :mod:`repro.experiments.engine_options`.
 
 Both engines report the same metrics per replicate — ``regret`` (expected
 regret over the trajectory) and ``best_option_share`` — and both derive their
@@ -60,7 +59,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.adoption import GeneralAdoptionRule, RowwiseAdoptionRule
-from repro.backends import DEFAULT_BACKEND_NAME
 from repro.core.batched import (
     BatchedDynamics,
     BatchedPopulationState,
@@ -70,10 +68,7 @@ from repro.core.dynamics import FinitePopulationDynamics
 from repro.core.regret import best_option_share, expected_regret
 from repro.core.sampling import MixtureSampling, default_exploration_rate
 from repro.environments import BernoulliEnvironment, RowwiseBernoulliEnvironment
-from repro.experiments.engine_options import (
-    engine_options,
-    require_default_engine_options,
-)
+from repro.experiments.engine_options import engine_dtype, require_default_dtype
 from repro.experiments.runner import grid_batched_replication
 from repro.utils.rng import RowBlockGenerator
 
@@ -113,7 +108,6 @@ class FlatGrid:
     mu: np.ndarray  # (G*R,)
     horizon: int
     replications: int
-    backend: Optional[str] = None  # array backend name, None = numpy
     dtype: Optional[str] = None  # storage precision name, None = float64
 
     @property
@@ -144,7 +138,6 @@ class FlatGrid:
             adoption_rule=RowwiseAdoptionRule(self.alpha, self.beta),
             sampling_rule=MixtureSampling(self.mu),
             rng=rng,
-            backend=self.backend,
             precision=self.dtype,
         )
         return dynamics, environment
@@ -168,14 +161,13 @@ def flatten_grid(points: Sequence[Dict[str, Any]], replications: int) -> FlatGri
     betas: List[float] = []
     mus: List[float] = []
     horizons = set()
-    option_pairs = {engine_options(parameters) for parameters in points}
-    if len(option_pairs) != 1:
+    dtypes = {engine_dtype(parameters) for parameters in points}
+    if len(dtypes) != 1:
         raise ValueError(
-            "the flattened batch runs on one backend at one precision, so "
-            "every grid point must share the same backend/dtype; got "
-            f"{sorted(option_pairs, key=repr)}"
+            "the flattened batch runs at one precision, so every grid point "
+            f"must share the same dtype; got {sorted(dtypes, key=repr)}"
         )
-    backend, dtype = option_pairs.pop()
+    dtype = dtypes.pop()
     for parameters in points:
         qualities, population, horizon, alpha, beta, mu = _point_parameters(parameters)
         if mu is None:
@@ -217,7 +209,6 @@ def flatten_grid(points: Sequence[Dict[str, Any]], replications: int) -> FlatGri
         mu=np.repeat(np.asarray(mus), replications),
         horizon=horizons.pop(),
         replications=replications,
-        backend=backend,
         dtype=dtype,
     )
 
@@ -258,9 +249,8 @@ def dynamics_grid_replication(
 ) -> List[List[Dict[str, float]]]:
     """Run a dynamics sweep in as few flattened engine launches as its points allow.
 
-    Points that share ``(T, m, backend, dtype)`` run as one ``(G·R, m)``
-    launch; points on a non-NumPy backend run one launch each.  Inside a
-    launch, point ``g``'s rows take every draw from
+    Points that share ``(T, m, dtype)`` run as one ``(G·R, m)`` launch.
+    Inside a launch, point ``g``'s rows take every draw from
     ``np.random.default_rng(seed_blocks[g])`` (a
     :class:`~repro.utils.rng.RowBlockGenerator`), which is the generator a
     one-point call uses.  A point's rows therefore depend only on its own
@@ -275,10 +265,7 @@ def dynamics_grid_replication(
     launches: Dict[Tuple[Any, ...], List[int]] = {}
     for index, parameters in enumerate(points):
         qualities, _, horizon, *_ = _point_parameters(parameters)
-        backend, dtype = engine_options(parameters)
-        key: Tuple[Any, ...] = (horizon, qualities.size, backend, dtype)
-        if backend not in (None, DEFAULT_BACKEND_NAME):
-            key += (index,)  # off NumPy, every point is its own launch
+        key = (horizon, qualities.size, engine_dtype(parameters))
         launches.setdefault(key, []).append(index)
     rows: List[List[Dict[str, float]]] = [[] for _ in points]
     for indices in launches.values():
@@ -310,7 +297,7 @@ def dynamics_point_replication(
     replicate, with the environment seeded at ``seed`` and the dynamics at
     ``seed + 1`` (the repository's per-seed convention).
     """
-    require_default_engine_options(parameters, "loop")
+    require_default_dtype(parameters, "loop")
     qualities, population, horizon, alpha, beta, mu = _point_parameters(parameters)
     rule = GeneralAdoptionRule(alpha, beta)
     if mu is None:

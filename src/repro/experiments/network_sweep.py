@@ -3,14 +3,11 @@
 These are the workloads behind the ``repro network`` CLI and the E9 topology
 experiments: the neighbourhood-restricted dynamics on Bernoulli qualities,
 replicated over seeds (and, via :func:`~repro.experiments.sweep.run_sweep`,
-over topology/parameter grids).  Three interchangeable execution engines
+over topology/parameter grids).  Two interchangeable execution engines
 share one parameter convention:
 
 * :func:`network_point_replication` — the per-agent reference loop
-  (:class:`~repro.network.dynamics.NetworkDynamics`, one run per seed);
-* :func:`network_vectorized_replication` — the sparse vectorised engine
-  (:class:`~repro.network.vectorized.VectorizedNetworkDynamics`), still one
-  run per seed but with no Python loop over agents; and
+  (:class:`~repro.network.dynamics.NetworkDynamics`, one run per seed); and
 * :func:`network_batched_replication` — the replicate-axis engine
   (:class:`~repro.network.vectorized.BatchedNetworkDynamics`): all ``R``
   replicates advance as one ``(R, N)`` choices matrix on a single shared
@@ -41,15 +38,14 @@ Parameter convention (per grid point, merged with ``base_parameters``):
     Optional topology-family parameters (ring half-width, Erdős–Rényi edge
     probability, Barabási–Albert attachments, Watts–Strogatz neighbours and
     rewiring probability); defaults match ``SocialNetwork.standard_suite``.
-``backend`` / ``dtype``
-    Optional array backend and storage precision (batched engine only; the
-    per-seed engines refuse non-default values) — see
-    :mod:`repro.experiments.engine_options`.
+``dtype``
+    Optional storage precision (batched engine only; the loop engine refuses
+    non-default values) — see :mod:`repro.experiments.engine_options`.
 
 All engines report the same per-replicate metrics — ``regret`` and
 ``best_option_share`` — and derive their randomness from the seed lists the
 harness hands them, so results are reproducible from the config alone on any
-engine.  Seeding conventions: the per-seed engines use the repository's
+engine.  Seeding conventions: the loop engine uses the repository's
 ``(env=seed, dynamics=seed+1)`` convention; the batched engine derives one
 generator from the full seed list (shared by environment and dynamics),
 matching :func:`~repro.experiments.dynamics_sweep.dynamics_grid_replication`.
@@ -66,14 +62,11 @@ from repro.core.adoption import SymmetricAdoptionRule
 from repro.core.regret import best_option_share, expected_regret
 from repro.core.sampling import default_exploration_rate
 from repro.environments import BernoulliEnvironment
-from repro.experiments.engine_options import (
-    engine_options,
-    require_default_engine_options,
-)
+from repro.experiments.engine_options import engine_dtype, require_default_dtype
 from repro.experiments.runner import batched_replication
-from repro.network.dynamics import NetworkDynamics, NetworkDynamicsBase
+from repro.network.dynamics import NetworkDynamics
 from repro.network.topology import SocialNetwork
-from repro.network.vectorized import BatchedNetworkDynamics, VectorizedNetworkDynamics
+from repro.network.vectorized import BatchedNetworkDynamics
 
 
 @lru_cache(maxsize=8)
@@ -116,9 +109,9 @@ def build_network(parameters: Dict[str, Any]) -> SocialNetwork:
     Deterministic: random families are seeded from ``graph_seed`` (default
     0), so every replicate and every engine sees the same graph.  Recently
     built graphs are cached (keyed on every topology-relevant parameter), so
-    the per-seed engines do not pay graph construction — networkx build plus
-    the CSR cache — once per replicate; treat the returned network as
-    read-only shared state.
+    the per-seed loop engine does not pay graph construction — networkx
+    build plus the CSR cache — once per replicate; treat the returned
+    network as read-only shared state.
     """
     try:
         topology = str(parameters["topology"])
@@ -157,44 +150,25 @@ def _point_parameters(
     return qualities, horizon, beta, float(mu)
 
 
-def _metric_row(matrix: np.ndarray, qualities: np.ndarray) -> Dict[str, float]:
-    best = int(qualities.argmax())
-    return {
-        "regret": float(expected_regret(matrix, qualities)),
-        "best_option_share": float(best_option_share(matrix, best)),
-    }
-
-
-def _run_single(
-    dynamics_class, seed: int, parameters: Dict[str, Any]
+def network_point_replication(
+    seed: int, parameters: Dict[str, Any]
 ) -> Dict[str, float]:
-    require_default_engine_options(parameters, "per-seed")
+    """Per-seed loop engine (the ``--engine loop`` reference path)."""
+    require_default_dtype(parameters, "loop")
     qualities, horizon, beta, mu = _point_parameters(parameters)
-    network = build_network(parameters)
-    environment = BernoulliEnvironment(qualities, rng=seed)
-    dynamics: NetworkDynamicsBase = dynamics_class(
-        network=network,
+    dynamics = NetworkDynamics(
+        network=build_network(parameters),
         num_options=int(qualities.size),
         adoption_rule=SymmetricAdoptionRule(beta),
         exploration_rate=mu,
         rng=seed + 1,
     )
-    trajectory = dynamics.run(environment, horizon)
-    return _metric_row(trajectory.popularity_matrix(), qualities)
-
-
-def network_point_replication(
-    seed: int, parameters: Dict[str, Any]
-) -> Dict[str, float]:
-    """Per-seed loop engine (the ``--engine loop`` reference path)."""
-    return _run_single(NetworkDynamics, seed, parameters)
-
-
-def network_vectorized_replication(
-    seed: int, parameters: Dict[str, Any]
-) -> Dict[str, float]:
-    """Per-seed sparse vectorised engine — one run per seed, no per-agent loop."""
-    return _run_single(VectorizedNetworkDynamics, seed, parameters)
+    trajectory = dynamics.run(BernoulliEnvironment(qualities, rng=seed), horizon)
+    matrix = trajectory.popularity_matrix()
+    return {
+        "regret": float(expected_regret(matrix, qualities)),
+        "best_option_share": float(best_option_share(matrix, int(qualities.argmax()))),
+    }
 
 
 @batched_replication
@@ -209,7 +183,6 @@ def network_batched_replication(
     (the standard batched-engine trade-off).
     """
     qualities, horizon, beta, mu = _point_parameters(parameters)
-    backend, dtype = engine_options(parameters)
     network = build_network(parameters)
     generator = np.random.default_rng(list(seeds))
     environment = BernoulliEnvironment(qualities, rng=generator)
@@ -220,8 +193,7 @@ def network_batched_replication(
         adoption_rule=SymmetricAdoptionRule(beta),
         exploration_rate=mu,
         rng=generator,
-        backend=backend,
-        precision=dtype,
+        precision=engine_dtype(parameters),
     )
     trajectory = dynamics.run(environment, horizon)
     regrets = trajectory.expected_regret(qualities)
@@ -234,7 +206,6 @@ def network_batched_replication(
 
 NETWORK_REPLICATIONS = {
     "loop": network_point_replication,
-    "vectorized": network_vectorized_replication,
     "batched": network_batched_replication,
 }
 """Engine name -> replication function, for the CLI and sweep wiring."""

@@ -4,14 +4,11 @@ These are the workloads behind the ``repro protocol`` CLI and the E10
 robustness experiments: the message-passing protocol on Bernoulli qualities
 under message loss and crash-stop failures, replicated over seeds (and, via
 :func:`~repro.experiments.sweep.run_sweep`, over drop-rate / crash grids).
-Three interchangeable execution engines share one parameter convention:
+Two interchangeable execution engines share one parameter convention:
 
 * :func:`protocol_point_replication` — the explicit message-passing loop
   (:class:`~repro.distributed.protocol.DistributedLearningProtocol`, one run
-  per seed); the only engine that models per-message *delay*;
-* :func:`protocol_vectorized_replication` — the array-ops engine
-  (:class:`~repro.distributed.vectorized.VectorizedProtocol`), still one run
-  per seed but with no Python loop over nodes or messages; and
+  per seed); the only engine that models per-message *delay*; and
 * :func:`protocol_batched_replication` — the replicate-axis engine
   (:class:`~repro.distributed.vectorized.BatchedProtocol`): all ``R``
   replicates advance as one ``(R, N)`` launch (the ``@batched_replication``
@@ -34,7 +31,7 @@ Parameter convention (per grid point, merged with ``base_parameters``):
     Per-message drop probability (default 0.0).
 ``delay``
     Per-message one-round delay probability (default 0.0).  Only the loop
-    engine models delay; the vectorised engines raise on ``delay > 0``.
+    engine models delay; the batched engine raises on ``delay > 0``.
 ``crash``
     Per-round, per-node crash probability (default 0.0).
 ``mass_crash_round`` / ``mass_crash_fraction``
@@ -42,16 +39,15 @@ Parameter convention (per grid point, merged with ``base_parameters``):
     the fraction of surviving nodes it kills (default 0.0).
 ``max_query_attempts``
     Re-query attempts before falling back to uniform exploration (default 6).
-``backend`` / ``dtype``
-    Optional array backend and storage precision (batched engine only; the
-    per-seed engines refuse non-default values) — see
-    :mod:`repro.experiments.engine_options`.
+``dtype``
+    Optional storage precision (batched engine only; the loop engine refuses
+    non-default values) — see :mod:`repro.experiments.engine_options`.
 
 All engines report the same per-replicate metrics — ``regret`` (realised,
 the protocol's streaming definition), ``best_option_share`` and
 ``alive_fraction`` (surviving share at the final round) — and derive their
 randomness from the seed lists the harness hands them.  Seeding conventions:
-the per-seed engines use ``(env=seed, failures=seed+2, transport=seed+3,
+the loop engine uses ``(env=seed, failures=seed+2, transport=seed+3,
 protocol=seed+4)`` — matching the E10 benchmark convention — and the batched
 engine derives one generator from the full seed list, shared by the
 environment and the dynamics.
@@ -71,13 +67,9 @@ from repro.distributed import (
     DistributedLearningProtocol,
     LossyTransport,
     NoFailures,
-    VectorizedProtocol,
 )
 from repro.environments import BernoulliEnvironment
-from repro.experiments.engine_options import (
-    engine_options,
-    require_default_engine_options,
-)
+from repro.experiments.engine_options import engine_dtype, require_default_dtype
 from repro.experiments.runner import batched_replication
 
 
@@ -111,15 +103,6 @@ def _point_parameters(parameters: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def _require_no_delay(point: Dict[str, Any], engine: str) -> None:
-    if point["delay"] > 0:
-        raise ValueError(
-            f"the {engine} engine does not model per-message delay "
-            f"(delay={point['delay']}); use the loop engine for delayed "
-            "transports"
-        )
-
-
 def _failure_model(point: Dict[str, Any], rng) -> CrashFailureModel | NoFailures:
     if (
         point["crash"] > 0
@@ -138,7 +121,7 @@ def protocol_point_replication(
     seed: int, parameters: Dict[str, Any]
 ) -> Dict[str, float]:
     """Per-seed message-passing loop engine (the ``--engine loop`` reference path)."""
-    require_default_engine_options(parameters, "loop")
+    require_default_dtype(parameters, "loop")
     point = _point_parameters(parameters)
     environment = BernoulliEnvironment(point["qualities"], rng=seed)
     protocol = DistributedLearningProtocol(
@@ -149,32 +132,6 @@ def protocol_point_replication(
         transport=LossyTransport(
             loss_rate=point["loss"], delay_rate=point["delay"], rng=seed + 3
         ),
-        failure_model=_failure_model(point, seed + 2),
-        max_query_attempts=point["max_query_attempts"],
-        rng=seed + 4,
-    )
-    result = protocol.run(environment, point["T"])
-    return {
-        "regret": float(result.regret),
-        "best_option_share": float(result.best_option_share),
-        "alive_fraction": float(result.alive_series[-1]) / point["N"],
-    }
-
-
-def protocol_vectorized_replication(
-    seed: int, parameters: Dict[str, Any]
-) -> Dict[str, float]:
-    """Per-seed array-ops engine — one run per seed, no per-node Python loop."""
-    require_default_engine_options(parameters, "vectorized")
-    point = _point_parameters(parameters)
-    _require_no_delay(point, "vectorized")
-    environment = BernoulliEnvironment(point["qualities"], rng=seed)
-    protocol = VectorizedProtocol(
-        point["N"],
-        int(point["qualities"].size),
-        adoption_rule=SymmetricAdoptionRule(point["beta"]),
-        exploration_rate=point["mu"],
-        loss_rate=point["loss"],
         failure_model=_failure_model(point, seed + 2),
         max_query_attempts=point["max_query_attempts"],
         rng=seed + 4,
@@ -199,8 +156,12 @@ def protocol_batched_replication(
     (the standard batched-engine trade-off).
     """
     point = _point_parameters(parameters)
-    _require_no_delay(point, "batched")
-    backend, dtype = engine_options(parameters)
+    if point["delay"] > 0:
+        raise ValueError(
+            "the batched engine does not model per-message delay "
+            f"(delay={point['delay']}); use the loop engine for delayed "
+            "transports"
+        )
     generator = np.random.default_rng(list(seeds))
     environment = BernoulliEnvironment(point["qualities"], rng=generator)
     protocol = BatchedProtocol(
@@ -215,8 +176,7 @@ def protocol_batched_replication(
         mass_failure_fraction=point["mass_crash_fraction"],
         max_query_attempts=point["max_query_attempts"],
         rng=generator,
-        backend=backend,
-        precision=dtype,
+        precision=engine_dtype(parameters),
     )
     result = protocol.run(environment, point["T"])
     regrets = result.regret()
@@ -234,7 +194,6 @@ def protocol_batched_replication(
 
 PROTOCOL_REPLICATIONS = {
     "loop": protocol_point_replication,
-    "vectorized": protocol_vectorized_replication,
     "batched": protocol_batched_replication,
 }
 """Engine name -> replication function, for the CLI and sweep wiring."""

@@ -9,32 +9,27 @@ This subpackage provides the substrate to study that question empirically:
 
 * :class:`SocialNetwork` — a thin wrapper around :mod:`networkx` graphs with
   the neighbour queries the dynamics needs (per-node arrays *and* a cached
-  CSR view for the vectorised engines) plus the topology statistics (degree,
+  CSR view for the batched engine) plus the topology statistics (degree,
   diameter, clustering, spectral gap) the results are reported against;
 * topology constructors for the standard families (complete, ring, 2-D grid,
   star, Erdős–Rényi, Barabási–Albert, Watts–Strogatz);
 * :class:`NetworkDynamics` — the paper's two-stage dynamics with stage (1)
   restricted to each individual's neighbourhood (per-agent reference loop);
-* :class:`VectorizedNetworkDynamics` — the same process with every agent
-  advanced at once via one sparse CSR matvec per step; and
+  and
 * :class:`BatchedNetworkDynamics` — ``R`` replicates sharing one graph,
-  advanced as a single ``(R, N)`` choices matrix per step.
+  advanced as a single ``(R, N)`` choices matrix per step via one sparse CSR
+  matvec per replicate (``R = 1`` runs a single replicate from its own seed).
 
 On the complete graph the network dynamics coincides (in distribution) with
-the original dynamics, which the test suite verifies; the vectorised and
-batched engines are KS / chi-squared cross-validated against the loop engine
-on sparse topologies.
+the original dynamics, which the test suite verifies; the batched engine is
+KS / chi-squared cross-validated against the loop engine on sparse
+topologies.
 """
 
 from repro.network.topology import SocialNetwork
-from repro.network.dynamics import (
-    NetworkDynamics,
-    NetworkDynamicsBase,
-    simulate_network_dynamics,
-)
+from repro.network.dynamics import NetworkDynamics, simulate_network_dynamics
 from repro.network.vectorized import (
     BatchedNetworkDynamics,
-    VectorizedNetworkDynamics,
     committed_neighbor_counts,
     simulate_batched_network_dynamics,
 )
@@ -42,8 +37,6 @@ from repro.network.vectorized import (
 __all__ = [
     "SocialNetwork",
     "NetworkDynamics",
-    "NetworkDynamicsBase",
-    "VectorizedNetworkDynamics",
     "BatchedNetworkDynamics",
     "committed_neighbor_counts",
     "simulate_network_dynamics",

@@ -5,19 +5,14 @@ of a uniformly random *neighbour* in the social graph (rather than of any
 group member); stage (2) is unchanged.  With the complete graph this reduces
 to the original dynamics.
 
-Two single-replicate engines implement the same per-step law:
-
-* :class:`NetworkDynamics` — the per-agent reference loop (one Python
-  iteration per agent per step); and
-* :class:`~repro.network.vectorized.VectorizedNetworkDynamics` — the sparse
-  vectorised engine, which computes every agent's committed-neighbour option
-  counts in one CSR matvec and samples the considered options in bulk.
-
-Both share :class:`NetworkDynamicsBase` (state, validation, the run loop), so
-they differ only in how :meth:`~NetworkDynamicsBase.step` realises the
-transition.  The engines consume randomness differently, so equal seeds give
-different trajectories; the equivalence is distributional, enforced by the
-KS / chi-squared cross-validation in ``tests/integration/``.
+:class:`NetworkDynamics` is the per-agent reference loop (one Python
+iteration per agent per step) and defines the process's semantics.  The
+replicate-axis engine
+:class:`~repro.network.vectorized.BatchedNetworkDynamics` simulates the same
+per-step law with one CSR matvec per replicate and step; the two consume
+randomness differently, so equal seeds give different trajectories, and the
+equivalence is distributional, enforced by the KS / chi-squared
+cross-validation in ``tests/integration/``.
 """
 
 from __future__ import annotations
@@ -35,13 +30,14 @@ from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int, check_probability
 
 
-class NetworkDynamicsBase:
-    """Shared substrate of the single-replicate network engines.
+class NetworkDynamics:
+    """Per-agent reference implementation of the network-restricted dynamics.
 
-    Owns the configuration (graph, option count, adoption rule, exploration
-    rate, generator), the per-agent choice vector, and everything that does
-    not depend on *how* a step is computed: state accounting, choice
-    overrides, and the run loop.  Subclasses implement :meth:`step`.
+    Advances one agent at a time in Python; exact but slow — at large ``N``
+    use :class:`~repro.network.vectorized.BatchedNetworkDynamics` (with
+    ``num_replicates=1`` for a single replicate), which simulates the same
+    process orders of magnitude faster (see
+    ``benchmarks/test_bench_network.py``).
 
     Each individual keeps its current option (or "sitting out").  Per step:
 
@@ -153,7 +149,9 @@ class NetworkDynamicsBase:
         """Popularity distribution among committed agents (uniform if none)."""
         return self.state().popularity()
 
-    def _validated_rewards(self, rewards: np.ndarray) -> np.ndarray:
+    # ------------------------------------------------------------------ step
+    def step(self, rewards: np.ndarray) -> PopulationState:
+        """Advance all agents one step given the reward vector ``R^{t+1}``."""
         rewards = np.asarray(rewards)
         if rewards.shape != (self._num_options,):
             raise ValueError(
@@ -161,45 +159,6 @@ class NetworkDynamicsBase:
             )
         if np.any((rewards != 0) & (rewards != 1)):
             raise ValueError("rewards must be binary")
-        return rewards
-
-    def step(self, rewards: np.ndarray) -> PopulationState:
-        """Advance all agents one step given the reward vector ``R^{t+1}``."""
-        raise NotImplementedError
-
-    def run(self, environment: RewardEnvironment, horizon: int) -> Trajectory:
-        """Simulate ``horizon`` steps against ``environment``; record the trajectory."""
-        horizon = check_positive_int(horizon, "horizon")
-        if environment.num_options != self._num_options:
-            raise ValueError(
-                "environment and dynamics disagree on the number of options"
-            )
-        # One state per step: the pre-step popularity is read off the state
-        # the previous step() already computed instead of rebuilding the
-        # bincount from the raw choices a second time.
-        state = self.state()
-        trajectory = Trajectory(initial_state=state)
-        for _ in range(horizon):
-            pre_step_popularity = state.popularity()
-            rewards = environment.sample()
-            state = self.step(rewards)
-            trajectory.record(pre_step_popularity, rewards, state)
-        return trajectory
-
-
-class NetworkDynamics(NetworkDynamicsBase):
-    """Per-agent reference implementation of the network-restricted dynamics.
-
-    Advances one agent at a time in Python; exact but slow — at large ``N``
-    use :class:`~repro.network.vectorized.VectorizedNetworkDynamics`, which
-    simulates the same process orders of magnitude faster (see
-    ``benchmarks/test_bench_network.py``).
-    """
-
-    # ------------------------------------------------------------------ step
-    def step(self, rewards: np.ndarray) -> PopulationState:
-        """Advance all agents one step given the reward vector ``R^{t+1}``."""
-        rewards = self._validated_rewards(rewards)
 
         size = self._network.size
         previous_choices = self._choices
@@ -239,6 +198,25 @@ class NetworkDynamics(NetworkDynamicsBase):
         self._time += 1
         return self.state()
 
+    def run(self, environment: RewardEnvironment, horizon: int) -> Trajectory:
+        """Simulate ``horizon`` steps against ``environment``; record the trajectory."""
+        horizon = check_positive_int(horizon, "horizon")
+        if environment.num_options != self._num_options:
+            raise ValueError(
+                "environment and dynamics disagree on the number of options"
+            )
+        # One state per step: the pre-step popularity is read off the state
+        # the previous step() already computed instead of rebuilding the
+        # bincount from the raw choices a second time.
+        state = self.state()
+        trajectory = Trajectory(initial_state=state)
+        for _ in range(horizon):
+            pre_step_popularity = state.popularity()
+            rewards = environment.sample()
+            state = self.step(rewards)
+            trajectory.record(pre_step_popularity, rewards, state)
+        return trajectory
+
 
 def simulate_network_dynamics(
     environment: RewardEnvironment,
@@ -248,37 +226,20 @@ def simulate_network_dynamics(
     beta: float = 0.6,
     mu: Optional[float] = None,
     rng: RngLike = None,
-    engine: str = "loop",
 ) -> Trajectory:
     """One-call helper mirroring :func:`repro.core.dynamics.simulate_finite_population`.
 
-    ``engine`` selects the implementation: ``"loop"`` (the per-agent
-    reference, default) or ``"vectorized"`` (the sparse CSR engine — same
-    process, orders of magnitude faster at large ``N``).  The engines consume
-    randomness differently, so equal seeds give different — statistically
-    equivalent — trajectories.
+    Runs the per-agent reference loop; for speed at large ``N`` use
+    :func:`~repro.network.vectorized.simulate_batched_network_dynamics`.
     """
     adoption_rule = SymmetricAdoptionRule(beta)
     if mu is None:
         mu = default_exploration_rate(adoption_rule)
-    if engine == "loop":
-        dynamics: NetworkDynamicsBase = NetworkDynamics(
-            network=network,
-            num_options=environment.num_options,
-            adoption_rule=adoption_rule,
-            exploration_rate=mu,
-            rng=rng,
-        )
-    elif engine == "vectorized":
-        from repro.network.vectorized import VectorizedNetworkDynamics
-
-        dynamics = VectorizedNetworkDynamics(
-            network=network,
-            num_options=environment.num_options,
-            adoption_rule=adoption_rule,
-            exploration_rate=mu,
-            rng=rng,
-        )
-    else:
-        raise ValueError(f"engine must be 'loop' or 'vectorized', got {engine!r}")
+    dynamics = NetworkDynamics(
+        network=network,
+        num_options=environment.num_options,
+        adoption_rule=adoption_rule,
+        exploration_rate=mu,
+        rng=rng,
+    )
     return dynamics.run(environment, horizon)

@@ -1,6 +1,6 @@
 """Optional numba-fused kernel for the CSR neighbour-sampling hot loop.
 
-The vectorised network engines compute, per step, the committed-neighbour
+The batched network engine computes, per step, the committed-neighbour
 option counts (a CSR gather + bincount per replicate, materialising an
 ``(E,)`` key gather at a time and the ``(R, N, m)`` count tensor) followed
 by row-normalised inverse-CDF sampling.  Those two passes are memory-bound:
@@ -13,10 +13,10 @@ pass — ``O(E + R·N·m)`` work with ``O(m)`` scratch per agent instead of
 Given the same uniforms the fused pick is **bit-identical** to the two-pass
 NumPy path (both compute ``u * total`` in float64 and select the first index
 whose inclusive cumulative count exceeds the target, capped at ``m - 1``),
-so engines may switch freely between them — the golden fixtures pass either
-way.  When numba is absent (:data:`HAS_NUMBA` false) the engines fall back
-to the pure-NumPy two-pass path; the un-jitted kernel loop is kept importable
-for equivalence tests but is never dispatched to in production.
+so the engine may switch freely between them — the golden fixtures pass
+either way.  When numba is absent (:data:`HAS_NUMBA` false) the engine falls
+back to the pure-NumPy two-pass path; the un-jitted kernel loop is kept
+importable for equivalence tests but is never dispatched to in production.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def fused_neighbor_pick(
         The :class:`~repro.network.topology.SocialNetwork` (its cached
         ``csr_indptr``/``csr_indices`` arrays drive the row walks).
     choices:
-        Current options, shape ``(N,)`` or ``(R, N)``; ``-1`` = sitting out.
+        Current options, shape ``(R, N)``; ``-1`` = sitting out.
     uniforms:
         Matching-shape float64 uniforms in ``[0, 1)``.
     num_options:
@@ -113,10 +113,6 @@ def fused_neighbor_pick(
             "fused_neighbor_pick needs numba (not installed); use the "
             "pure-NumPy path instead"
         )
-    squeeze = choices.ndim == 1
-    if squeeze:
-        choices = choices[None, :]
-        uniforms = uniforms[None, :]
     picks = np.empty(choices.shape, dtype=np.int64)
     totals = np.empty(choices.shape, dtype=np.int64)
     kernel(
@@ -128,6 +124,4 @@ def fused_neighbor_pick(
         picks,
         totals,
     )
-    if squeeze:
-        return picks[0], totals[0]
     return picks, totals

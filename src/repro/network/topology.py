@@ -18,7 +18,7 @@ class SocialNetwork:
     the network-restricted dynamics queries every step: per-node neighbour
     arrays for the per-agent loop engine, and a CSR (compressed sparse row)
     view — ``csr_indptr`` / ``csr_indices`` plus cached degrees — for the
-    vectorised engines, which consume the whole adjacency in single NumPy
+    batched engine, which consumes the whole adjacency in single NumPy
     passes instead of per-node lookups.  Isolated vertices are allowed (such
     an individual can only learn through uniform exploration).
 
@@ -91,8 +91,8 @@ class SocialNetwork:
     def csr_edge_rows(self) -> np.ndarray:
         """Row index of every CSR slot, shape ``(2E,)`` — ``repeat(arange(N), degrees)``.
 
-        Precomputed once so the vectorised engines' per-step sparse matvec is
-        a pure gather + bincount with no per-step index construction.
+        Precomputed once so the batched engine's per-step sparse matvec is a
+        pure gather + bincount with no per-step index construction.
         """
         return self._build_csr()[3]
 

@@ -1,40 +1,34 @@
-"""Vectorised sparse engines for the network-restricted dynamics.
+"""Replicate-axis sparse engine for the network-restricted dynamics.
 
 The per-agent reference loop (:class:`~repro.network.dynamics.NetworkDynamics`)
 advances one agent at a time in Python, which makes topology experiments at
-``N = 10^4`` orders of magnitude slower than the batched core engine.  The two
-engines here remove that loop by exploiting the sparse adjacency structure the
-graph already has:
+``N = 10^4`` orders of magnitude slower than the batched core engine.
+:class:`BatchedNetworkDynamics` removes that loop by exploiting the sparse
+adjacency structure the graph already has: ``R`` replicates *sharing one
+graph* advance as a single ``(R, N)`` choices matrix per step.  Every
+agent's committed-neighbour option counts ``S = A @ onehot(choices)`` come
+from one CSR gather and one :func:`numpy.bincount` per replicate over
+``(slot, agent)`` keys, where slot 0 collects the sitting-out neighbours and
+slot ``j + 1`` option ``j``; "a uniformly random committed neighbour's
+choice" is then drawn per agent by row-normalised inverse-CDF sampling on
+``S``.  No Python loop over agents.
 
-* :class:`VectorizedNetworkDynamics` computes every agent's committed-
-  neighbour option counts ``S = A @ onehot(choices)`` (shape ``(N, m)``) in a
-  single sparse matvec over the graph's CSR arrays — a gather of neighbour
-  choices along ``csr_indices`` followed by one :func:`numpy.bincount` — then
-  samples "a uniformly random committed neighbour's choice" per agent by
-  row-normalised inverse-CDF sampling on ``S``.  No Python loop over agents.
-* :class:`BatchedNetworkDynamics` adds a replicate axis: ``R`` replicates
-  *sharing one graph* advance as a single ``(R, N)`` choices matrix per step.
-  The per-step matvec is the same CSR gather applied to every row —
-  equivalent to one matvec ``A @ onehot`` on an ``(N, R·m)`` one-hot whose
-  block ``r`` encodes replicate ``r``'s choices, realised as one bincount
-  per replicate over ``(slot, agent)`` keys, where slot 0 collects the
-  sitting-out neighbours and slot ``j + 1`` option ``j``.
-
-Both engines simulate exactly the per-step law of the reference loop (explore
+The engine simulates exactly the per-step law of the reference loop (explore
 with probability ``mu``; otherwise copy a uniformly random committed
 neighbour, falling back to uniform when the neighbourhood has no committed
-member; then adopt via ``beta``/``alpha`` thinning).  They consume the random
+member; then adopt via ``beta``/``alpha`` thinning).  It consumes the random
 stream differently from the loop, so equal seeds give different trajectories;
 the equivalence is *distributional* and is enforced by KS / chi-squared
 cross-validation in ``tests/integration/test_cross_validation.py``, with
-bit-exact golden fixtures pinning each engine separately.
+bit-exact golden fixtures pinning the engine.  To re-run one replicate from
+its own seed, run the engine with ``num_replicates=1`` seeded from that seed.
 
-Memory model of the batched engine: per step it materialises one
-replicate's ``(E,)`` neighbour-key gather at a time (``E`` = number of
-directed edge slots), so keys and counts stay cache-sized, and the
-``(R, m + 1, N)`` slot-count tensor, read as ``(R, N, m)`` option planes —
-``O(E + R·N·m)`` independent of the horizon; the recorded trajectory stores
-only ``(R, m)`` aggregates per step.
+Memory model: per step the engine materialises one replicate's ``(E,)``
+neighbour-key gather at a time (``E`` = number of directed edge slots), so
+keys and counts stay cache-sized, and the ``(R, m + 1, N)`` slot-count
+tensor, read as ``(R, N, m)`` option planes — ``O(E + R·N·m)`` independent
+of the horizon; the recorded trajectory stores only ``(R, m)`` aggregates
+per step.
 """
 
 from __future__ import annotations
@@ -43,12 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backends import (
-    BackendLike,
-    PrecisionLike,
-    get_namespace,
-    resolve_precision,
-)
+from repro.backends import PrecisionLike, resolve_precision
 from repro.core.adoption import AdoptionRule, SymmetricAdoptionRule
 from repro.core.batched import (
     BatchedPopulationState,
@@ -57,12 +46,10 @@ from repro.core.batched import (
     row_lookup,
 )
 from repro.core.sampling import default_exploration_rate
-from repro.core.state import PopulationState
 from repro.environments.base import RewardEnvironment
-from repro.network.dynamics import NetworkDynamicsBase
 from repro.network.kernels import HAS_NUMBA, fused_neighbor_pick
 from repro.network.topology import SocialNetwork
-from repro.utils.rng import RngLike
+from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int, check_probability
 
 
@@ -84,7 +71,7 @@ def _check_key_space(num_replicates: int, size: int, num_options: int) -> None:
 
 
 def resolve_use_numba(use_numba: Optional[bool]) -> bool:
-    """Resolve the engines' ``use_numba`` knob against numba availability.
+    """Resolve the engine's ``use_numba`` knob against numba availability.
 
     ``None`` auto-selects the fused kernel exactly when numba is importable;
     ``True`` demands it (raising when the package is missing rather than
@@ -111,21 +98,19 @@ def committed_neighbor_counts(
     network:
         The social graph (its CSR arrays are built once and cached).
     choices:
-        Current options, shape ``(N,)`` or ``(R, N)``; ``-1`` = sitting out.
+        Current options, shape ``(R, N)``; ``-1`` = sitting out.
     num_options:
         Number of options ``m``.
 
     Returns
     -------
     numpy.ndarray
-        ``S`` with shape ``(N, m)`` (respectively ``(R, N, m)``):
-        ``S[..., i, j]`` is the number of agent ``i``'s neighbours whose
-        current choice is ``j`` — exactly ``A @ onehot(choices)`` with the
-        sitting-out rows of the one-hot all zero.  It is a view whose option
-        planes ``S[..., j]`` are contiguous along the agent axis.
+        ``S`` with shape ``(R, N, m)``: ``S[r, i, j]`` is the number of agent
+        ``i``'s neighbours whose current choice in replicate ``r`` is ``j`` —
+        exactly ``A @ onehot(choices[r])`` with the sitting-out rows of the
+        one-hot all zero.  It is a view whose option planes ``S[..., j]`` are
+        contiguous along the agent axis.
     """
-    if choices.ndim == 1:
-        return committed_neighbor_counts(network, choices[None, :], num_options)[0]
     size = network.size
     _check_key_space(choices.shape[0], size, num_options)
     # Key of neighbour choice c for agent i: (c + 1) * N + i, so slot 0
@@ -172,84 +157,6 @@ def _inverse_cdf_rows(
     return picks, totals
 
 
-class VectorizedNetworkDynamics(NetworkDynamicsBase):
-    """Sparse vectorised implementation of the network-restricted dynamics.
-
-    Same constructor, state accounting and per-step law as
-    :class:`~repro.network.dynamics.NetworkDynamics` (plus the ``use_numba``
-    knob); the step itself runs in ``O(E + N·m)`` NumPy work with no Python
-    loop over agents.  The engines draw randomness in different orders, so
-    equal seeds give different — statistically equivalent — trajectories
-    (KS / chi-squared validated).  With ``use_numba`` the stage-1 gather and
-    inverse-CDF draw fuse into one CSR pass via
-    :func:`~repro.network.kernels.fused_neighbor_pick`; given the same seed
-    the fused and two-pass trajectories are bit-identical.
-    """
-
-    def __init__(
-        self,
-        network: SocialNetwork,
-        num_options: int,
-        adoption_rule: Optional[AdoptionRule] = None,
-        exploration_rate: float = 0.05,
-        rng: RngLike = None,
-        use_numba: Optional[bool] = None,
-    ) -> None:
-        super().__init__(
-            network,
-            num_options,
-            adoption_rule=adoption_rule,
-            exploration_rate=exploration_rate,
-            rng=rng,
-        )
-        self._use_numba = resolve_use_numba(use_numba)
-
-    @property
-    def use_numba(self) -> bool:
-        """Whether stage 1 dispatches to the fused numba kernel."""
-        return self._use_numba
-
-    # ------------------------------------------------------------------ step
-    def step(self, rewards: np.ndarray) -> PopulationState:
-        """Advance all agents one step given the reward vector ``R^{t+1}``."""
-        rewards = self._validated_rewards(rewards)
-        size = self._network.size
-
-        explore_mask = self._rng.random(size) < self._mu
-        uniform_options = self._rng.integers(
-            self._num_options, size=size
-        ).astype(np.int64)
-
-        # Stage 1: committed-neighbour counts in one sparse matvec, then one
-        # inverse-CDF draw per agent — "a uniformly random committed
-        # neighbour's choice" without touching individual neighbourhoods.
-        # The fused kernel computes the same picks/totals (bit-identical)
-        # from the same uniforms in a single CSR pass.
-        pick_uniforms = self._rng.random(size)
-        if self._use_numba:
-            neighbor_pick, totals = fused_neighbor_pick(
-                self._network, self._choices, pick_uniforms, self._num_options
-            )
-        else:
-            counts = committed_neighbor_counts(
-                self._network, self._choices, self._num_options
-            )
-            neighbor_pick, totals = _inverse_cdf_rows(counts, pick_uniforms)
-        no_committed_neighbor = totals == 0
-        considered = np.where(
-            explore_mask | no_committed_neighbor, uniform_options, neighbor_pick
-        )
-
-        # Stage 2: adopt via beta/alpha thinning on the fresh signals.
-        adopt_probability = self._adoption_rule.adopt_probabilities(
-            rewards[considered]
-        )
-        adopted = self._rng.random(size) < adopt_probability
-        self._choices = np.where(adopted, considered, -1).astype(np.int64)
-        self._time += 1
-        return self.state()
-
-
 class BatchedNetworkDynamics:
     """Replicate-axis vectorised simulator of the network-restricted dynamics.
 
@@ -263,8 +170,8 @@ class BatchedNetworkDynamics:
 
     All replicates share one generator, so a batch is reproducible from a
     single seed but individual replicates are not independently re-runnable
-    (same contract as :class:`~repro.core.batched.BatchedDynamics`; use the
-    single-replicate engines with per-seed loops when that is required).
+    (same contract as :class:`~repro.core.batched.BatchedDynamics`).  When
+    that is required, run one replicate per seed with ``num_replicates=1``.
 
     Parameters
     ----------
@@ -281,9 +188,6 @@ class BatchedNetworkDynamics:
         The probability ``mu`` of uniform exploration in stage (1).
     rng:
         Seed or generator.
-    backend:
-        Array backend name or instance (default NumPy); see
-        :func:`repro.backends.get_namespace`.
     precision:
         Storage precision (default float64/int64).  Random draws always run
         in float64, so the stored-state dtype does not perturb the stream —
@@ -302,7 +206,6 @@ class BatchedNetworkDynamics:
         adoption_rule: Optional[AdoptionRule] = None,
         exploration_rate: float = 0.05,
         rng: RngLike = None,
-        backend: BackendLike = None,
         precision: PrecisionLike = None,
         use_numba: Optional[bool] = None,
     ) -> None:
@@ -313,14 +216,13 @@ class BatchedNetworkDynamics:
         self._num_replicates = check_positive_int(num_replicates, "num_replicates")
         self._adoption_rule = adoption_rule or SymmetricAdoptionRule(0.6)
         self._mu = check_probability(exploration_rate, "exploration_rate")
-        self._backend = get_namespace(backend)
         self._precision = resolve_precision(precision)
         self._precision.check_count_value(int(network.size), "network size")
         self._use_numba = resolve_use_numba(use_numba)
-        self._rng = self._backend.rng(rng)
+        self._rng = ensure_rng(rng)
         self._time = 0
-        self._choices = self._backend.to_numpy(
-            self._rng.integers(num_options, size=(num_replicates, network.size))
+        self._choices = self._rng.integers(
+            num_options, size=(num_replicates, network.size)
         ).astype(self._precision.int_dtype)
 
     # ------------------------------------------------------------ properties
@@ -353,11 +255,6 @@ class BatchedNetworkDynamics:
     def time(self) -> int:
         """Number of steps simulated."""
         return self._time
-
-    @property
-    def backend(self):
-        """The array backend the engine draws randomness through."""
-        return self._backend
 
     @property
     def precision(self):
@@ -425,16 +322,13 @@ class BatchedNetworkDynamics:
         if np.any((rewards != 0) & (rewards != 1)):
             raise ValueError("rewards must be binary")
 
-        to_numpy = self._backend.to_numpy
         shape = (self._num_replicates, self._network.size)
-        explore_mask = to_numpy(self._rng.random(shape)) < self._mu
-        uniform_options = to_numpy(
-            self._rng.integers(self._num_options, size=shape)
-        ).astype(np.int64, copy=False)
+        explore_mask = self._rng.random(shape) < self._mu
+        uniform_options = self._rng.integers(self._num_options, size=shape)
 
         # Stage 1: either the fused single-pass CSR kernel or the two-pass
         # gather + inverse-CDF path — bit-identical given the same uniforms.
-        pick_uniforms = to_numpy(self._rng.random(shape))
+        pick_uniforms = self._rng.random(shape)
         if self._use_numba:
             neighbor_pick, totals = fused_neighbor_pick(
                 self._network, self._choices, pick_uniforms, self._num_options
@@ -454,7 +348,7 @@ class BatchedNetworkDynamics:
         adopt_probability = row_lookup(
             self._adoption_rule.adopt_probabilities(rewards), considered
         )
-        adopted = to_numpy(self._rng.random(shape)) < adopt_probability
+        adopted = self._rng.random(shape) < adopt_probability
         self._choices = np.where(adopted, considered, -1).astype(
             self._precision.int_dtype, copy=False
         )
@@ -494,7 +388,6 @@ def simulate_batched_network_dynamics(
     beta: float = 0.6,
     mu: Optional[float] = None,
     rng: RngLike = None,
-    backend: BackendLike = None,
     precision: PrecisionLike = None,
     use_numba: Optional[bool] = None,
 ) -> BatchedTrajectory:
@@ -516,7 +409,6 @@ def simulate_batched_network_dynamics(
         adoption_rule=adoption_rule,
         exploration_rate=mu,
         rng=rng,
-        backend=backend,
         precision=precision,
         use_numba=use_numba,
     )

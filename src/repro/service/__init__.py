@@ -13,8 +13,8 @@ cache-first API daemon on top of the parallel runtime (:mod:`repro.runtime`):
 * :mod:`repro.service.daemon` — :class:`SimulationDaemon`: the stdlib
   ``ThreadingHTTPServer`` front end serving API v1 (``POST /v1/jobs``,
   ``POST /v1/campaigns``, ``GET /v1/jobs/<id>``, ``GET /v1/jobs/<id>/result``,
-  ``GET /v1/healthz``, ``GET /v1/stats``; unversioned paths remain as
-  deprecated aliases), embeddable via :func:`start_daemon`;
+  ``GET /v1/healthz``, ``GET /v1/stats``), embeddable via
+  :func:`start_daemon`;
 * :mod:`repro.service.client` — :class:`ServiceClient`: a thin
   ``urllib``-based client (submit/status/result/wait/run).
 

@@ -31,7 +31,7 @@ API_PREFIX = "/v1"
 
 
 def _error_message(payload: Any) -> Optional[str]:
-    """The human-readable message of an error payload (envelope or legacy)."""
+    """The human-readable message of an error payload (envelope or bare string)."""
     if not isinstance(payload, dict):
         return None
     envelope = payload.get("error")

@@ -35,10 +35,10 @@ Endpoints (API v1 — every route lives under ``/v1/``)::
                                they never disagree), the queue-wait
                                histogram, and runtime shard/broker metrics
 
-The pre-versioning unversioned paths (``/jobs``, ``/healthz``, ...) remain
-as deprecated aliases: they answer with byte-identical bodies plus a
-``Deprecation: true`` header.  Unknown version prefixes (``/v2/...``) are
-404s.  Every error response uses one envelope::
+Every other path is a 404: unknown version prefixes (``/v2/...``) answer
+``unknown_version`` and anything else, including the unversioned paths
+(``/jobs``, ``/healthz``, ...), ``not_found``.  Every error response uses one
+envelope::
 
     {"error": {"code": "<machine-readable>", "message": "<human-readable>"}}
 
@@ -267,28 +267,20 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     def service(self) -> SimulationService:
         return self.server.service  # type: ignore[attr-defined]
 
-    def _send_json(
-        self, status: int, payload: Dict[str, Any], *, legacy: bool = False
-    ) -> None:
+    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if legacy:
-            # Pre-versioning alias path: identical body, plus a deprecation
-            # signal so callers migrate to /v1.
-            self.send_header("Deprecation", "true")
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(self, status: int, body: str, *, legacy: bool = False) -> None:
+    def _send_text(self, status: int, body: str) -> None:
         """Plain-text response (the Prometheus exposition endpoint)."""
         encoded = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
         self.send_header("Content-Length", str(len(encoded)))
-        if legacy:
-            self.send_header("Deprecation", "true")
         self.end_headers()
         self.wfile.write(encoded)
 
@@ -298,25 +290,25 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         code: str,
         message: str,
         *,
-        legacy: bool = False,
         extra: Optional[Dict[str, Any]] = None,
     ) -> None:
         """One error envelope for every failure: ``{"error": {code, message}}``."""
         payload: Dict[str, Any] = {"error": {"code": code, "message": message}}
         if extra:
             payload.update(extra)
-        self._send_json(status, payload, legacy=legacy)
+        self._send_json(status, payload)
 
-    def _route(self) -> Optional[Tuple[List[str], bool]]:
-        """Split the path into segments; returns ``(segments, legacy)``.
+    def _route(self) -> Optional[List[str]]:
+        """The path's segments after the ``/v1`` prefix.
 
-        ``/v1/...`` is the canonical surface; bare paths are the deprecated
-        legacy aliases.  Any *other* version prefix (``/v2/...``) is answered
-        with a 404 envelope here and ``None`` is returned.
+        ``/v1/...`` is the only surface.  Any *other* version prefix
+        (``/v2/...``) is answered with a 404 ``unknown_version`` envelope and
+        any other path with a 404 ``not_found`` envelope here, and ``None``
+        is returned.
         """
         parts = [part for part in self.path.split("?")[0].split("/") if part]
         if parts and parts[0] == API_PREFIX.lstrip("/"):
-            return parts[1:], False
+            return parts[1:]
         if parts and _VERSION_SEGMENT.fullmatch(parts[0]):
             self._send_error(
                 404,
@@ -324,8 +316,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 f"unknown API version {parts[0]!r}; this daemon serves "
                 f"{API_PREFIX}",
             )
-            return None
-        return parts, True
+        else:
+            self._send_error(404, "not_found", f"unknown path {self.path}")
+        return None
 
     def _read_json(self) -> Dict[str, Any]:
         length = int(self.headers.get("Content-Length") or 0)
@@ -347,10 +340,9 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     # -- routes --------------------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
-        route = self._route()
-        if route is None:
+        parts = self._route()
+        if parts is None:
             return
-        parts, legacy = route
         if parts == ["jobs"]:
             submit = self.service.submit
             invalid_code = "invalid_request"
@@ -358,9 +350,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             submit = self.service.submit_campaign
             invalid_code = "invalid_campaign"
         else:
-            self._send_error(
-                404, "not_found", f"unknown path {self.path}", legacy=legacy
-            )
+            self._send_error(404, "not_found", f"unknown path {self.path}")
             return
         try:
             job, attached = submit(self._read_json())
@@ -368,10 +358,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             # RequestError and CampaignError are both ValueErrors; the
             # latter is only importable lazily (repro.campaign builds on
             # this package), so catch the shared base.
-            self._send_error(400, invalid_code, str(error), legacy=legacy)
+            self._send_error(400, invalid_code, str(error))
             return
         except QueueFull as error:
-            self._send_error(429, "queue_full", str(error), legacy=legacy)
+            self._send_error(429, "queue_full", str(error))
             return
         self._send_json(
             200 if attached else 202,
@@ -381,56 +371,49 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 "status": job.status,
                 "attached": attached,
             },
-            legacy=legacy,
         )
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        route = self._route()
-        if route is None:
+        parts = self._route()
+        if parts is None:
             return
-        parts, legacy = route
         if parts == ["healthz"]:
-            self._send_json(
-                200, {"status": "ok", "version": __version__}, legacy=legacy
-            )
+            self._send_json(200, {"status": "ok", "version": __version__})
             return
         if parts == ["stats"]:
-            self._send_json(200, self.service.stats(), legacy=legacy)
+            self._send_json(200, self.service.stats())
             return
         if parts == ["metrics"]:
-            self._send_text(200, self.service.render_metrics(), legacy=legacy)
+            self._send_text(200, self.service.render_metrics())
             return
         if len(parts) >= 2 and parts[0] == "jobs":
             job = self.service.queue.get(parts[1])
             if job is None:
-                self._send_error(
-                    404, "unknown_job", f"unknown job {parts[1]!r}", legacy=legacy
-                )
+                self._send_error(404, "unknown_job", f"unknown job {parts[1]!r}")
                 return
             if len(parts) == 2:
-                self._send_json(200, job.snapshot(), legacy=legacy)
+                self._send_json(200, job.snapshot())
                 return
             if len(parts) == 3 and parts[2] == "trace":
-                self._send_json(200, self.service.job_trace(job), legacy=legacy)
+                self._send_json(200, self.service.job_trace(job))
                 return
             if len(parts) == 3 and parts[2] == "result":
                 if job.status == DONE:
                     payload = job.snapshot()
                     payload["description"] = job.description
                     payload["rows"] = job.rows
-                    self._send_json(200, payload, legacy=legacy)
+                    self._send_json(200, payload)
                 elif job.status == ERROR:
                     self._send_error(
                         500,
                         "job_failed",
                         job.error or "job failed",
-                        legacy=legacy,
                         extra={"job": job.snapshot()},
                     )
                 else:
-                    self._send_json(202, job.snapshot(), legacy=legacy)
+                    self._send_json(202, job.snapshot())
                 return
-        self._send_error(404, "not_found", f"unknown path {self.path}", legacy=legacy)
+        self._send_error(404, "not_found", f"unknown path {self.path}")
 
 
 class SimulationDaemon(ThreadingHTTPServer):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.backends import BACKENDS, PRECISIONS
+from repro.backends import PRECISIONS
 from repro.experiments import (
     NETWORK_ENGINES,
     PROTOCOL_ENGINES,
@@ -157,42 +157,30 @@ def _engine(value: str, allowed: Tuple[str, ...]) -> str:
     return value
 
 
-def _backend_dtype_fields(
-    engine: str, backend: Any, dtype: Any
-) -> Dict[str, Any]:
-    """Validate and canonicalise a request's ``backend``/``dtype`` pair.
+def _dtype_fields(engine: str, dtype: Any) -> Dict[str, Any]:
+    """Validate and canonicalise a request's ``dtype``.
 
-    Default selections (``None``, ``"numpy"``, ``"float64"``) normalise to
-    *absent* fields, so requests predating these knobs keep their content
-    addresses; non-default selections become spec fields — and therefore
-    part of the request key and of every per-point parameter dict the
+    The default (``None`` or ``"float64"``) normalises to an *absent* field,
+    so requests predating the knob keep their content addresses; a
+    non-default precision becomes a spec field — and therefore part of the
+    request key and of every per-point parameter dict the
     :class:`~repro.runtime.store.ResultStore` keys on — so a float32 run can
-    never hit a float64 cache entry.  Non-default values need the batched
-    engine (the per-seed paths always run NumPy float64).
+    never hit a float64 cache entry.  It needs the batched engine (the loop
+    engines always run float64).
     """
-    fields: Dict[str, Any] = {}
-    if backend is not None:
-        backend = str(backend)
-        _require(
-            backend in BACKENDS,
-            f"unknown backend {backend!r}; expected one of {', '.join(BACKENDS)}",
-        )
-        if backend != "numpy":
-            fields["backend"] = backend
-    if dtype is not None:
-        dtype = str(dtype)
-        _require(
-            dtype in PRECISIONS,
-            f"unknown dtype {dtype!r}; expected one of {', '.join(PRECISIONS)}",
-        )
-        if dtype != "float64":
-            fields["dtype"] = dtype
-    if fields and engine != "batched":
-        raise RequestError(
-            "backend/dtype overrides need the batched engine (the per-seed "
-            f"engines always run numpy/float64); got engine={engine!r}"
-        )
-    return fields
+    if dtype is None or str(dtype) == "float64":
+        return {}
+    dtype = str(dtype)
+    _require(
+        dtype in PRECISIONS,
+        f"unknown dtype {dtype!r}; expected one of {', '.join(PRECISIONS)}",
+    )
+    _require(
+        engine == "batched",
+        "dtype overrides need the batched engine (the loop engines always "
+        f"run float64); got engine={engine!r}",
+    )
+    return {"dtype": dtype}
 
 
 def sweep_request(
@@ -206,7 +194,6 @@ def sweep_request(
     replications: int = 3,
     seed: int = 0,
     engine: str = "batched",
-    backend: Any = None,
     dtype: Any = None,
 ) -> SimulationRequest:
     """A ``repro sweep`` workload: the dynamics over a ``N x beta x mu`` grid."""
@@ -224,7 +211,7 @@ def sweep_request(
         spec["betas"] = _float_list("betas", betas)
     if mus is not None:
         spec["mus"] = _float_list("mus", mus)
-    spec.update(_backend_dtype_fields(engine, backend, dtype))
+    spec.update(_dtype_fields(engine, dtype))
     return SimulationRequest(kind=SWEEP, spec=spec)
 
 
@@ -240,7 +227,6 @@ def network_request(
     replications: int = 20,
     seed: int = 0,
     engine: str = "batched",
-    backend: Any = None,
     dtype: Any = None,
 ) -> SimulationRequest:
     """A ``repro network`` workload: the dynamics on a social topology."""
@@ -258,7 +244,7 @@ def network_request(
     }
     if mu is not None:
         spec["mu"] = _finite_float("mu", mu)
-    spec.update(_backend_dtype_fields(engine, backend, dtype))
+    spec.update(_dtype_fields(engine, dtype))
     return SimulationRequest(kind=NETWORK, spec=spec)
 
 
@@ -277,7 +263,6 @@ def protocol_request(
     replications: int = 20,
     seed: int = 0,
     engine: str = "batched",
-    backend: Any = None,
     dtype: Any = None,
 ) -> SimulationRequest:
     """A ``repro protocol`` workload: the distributed protocol under failures.
@@ -317,7 +302,7 @@ def protocol_request(
         )
     if mu is not None:
         spec["mu"] = _finite_float("mu", mu)
-    spec.update(_backend_dtype_fields(engine, backend, dtype))
+    spec.update(_dtype_fields(engine, dtype))
     return SimulationRequest(kind=PROTOCOL, spec=spec)
 
 
@@ -400,9 +385,8 @@ def prepare_request(request: SimulationRequest) -> PreparedRequest:
         }
         if not spec.get("betas"):
             base_parameters["beta"] = spec["beta"]
-        for option_key in ("backend", "dtype"):
-            if option_key in spec:
-                base_parameters[option_key] = spec[option_key]
+        if "dtype" in spec:
+            base_parameters["dtype"] = spec["dtype"]
         replication = (
             dynamics_grid_replication
             if request.engine == "batched"
@@ -432,9 +416,8 @@ def prepare_request(request: SimulationRequest) -> PreparedRequest:
         }
         if "mu" in spec:
             parameters["mu"] = spec["mu"]
-        for option_key in ("backend", "dtype"):
-            if option_key in spec:
-                parameters[option_key] = spec[option_key]
+        if "dtype" in spec:
+            parameters["dtype"] = spec["dtype"]
         config = ExperimentConfig(
             name=f"network-{request.engine}",
             parameters=parameters,
@@ -465,9 +448,8 @@ def prepare_request(request: SimulationRequest) -> PreparedRequest:
             parameters["mass_crash_round"] = spec["mass_crash_round"]
         if "mu" in spec:
             parameters["mu"] = spec["mu"]
-        for option_key in ("backend", "dtype"):
-            if option_key in spec:
-                parameters[option_key] = spec[option_key]
+        if "dtype" in spec:
+            parameters["dtype"] = spec["dtype"]
         config = ExperimentConfig(
             name=f"protocol-{request.engine}",
             parameters=parameters,
@@ -498,8 +480,8 @@ class RequestResult:
         return [dict(row) for row in self.table.rows]
 
 
-def _summary_table(result) -> ResultTable:
-    """Metric-summary table of a ReplicatedResult (the network/protocol form)."""
+def summary_table(result) -> ResultTable:
+    """Metric-summary table of a ReplicatedResult (the run/network/protocol form)."""
     table = ResultTable()
     for name in result.metric_names():
         row: Dict[str, Any] = {"metric": name}
@@ -544,6 +526,6 @@ def execute_request(
     )
     return RequestResult(
         request=request,
-        table=_summary_table(result),
+        table=summary_table(result),
         description=prepared.config.describe(),
     )

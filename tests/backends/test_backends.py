@@ -1,4 +1,4 @@
-"""Tests for the array-namespace seam (repro.backends)."""
+"""Tests for the storage-precision config (repro.backends)."""
 
 from __future__ import annotations
 
@@ -6,21 +6,11 @@ import numpy as np
 import pytest
 
 from repro.backends import (
-    BACKENDS,
-    DEFAULT_BACKEND_NAME,
     DEFAULT_PRECISION,
     PRECISIONS,
-    ArrayBackend,
-    BackendUnavailableError,
-    NumpyBackend,
     Precision,
-    available_backends,
-    get_namespace,
     resolve_precision,
 )
-from repro.backends.cupy_backend import HAS_CUPY
-from repro.backends.torch_backend import HAS_TORCH
-from repro.utils.rng import ensure_rng
 
 
 class TestPrecision:
@@ -58,71 +48,6 @@ class TestPrecision:
     def test_default_precision_counts_past_int32(self):
         value = int(np.iinfo(np.int32).max) + 1
         assert DEFAULT_PRECISION.check_count_value(value, "N") == value
-
-
-class TestRegistry:
-    def test_none_and_numpy_share_one_cached_backend(self):
-        default = get_namespace(None)
-        named = get_namespace("numpy")
-        assert default is named
-        assert isinstance(default, NumpyBackend)
-        assert default.name == DEFAULT_BACKEND_NAME
-
-    def test_backend_instances_pass_through(self):
-        backend = get_namespace("numpy")
-        assert get_namespace(backend) is backend
-
-    def test_unknown_name_rejected_with_the_alternatives(self):
-        with pytest.raises(ValueError, match="metal.*numpy, cupy, torch"):
-            get_namespace("metal")
-
-    def test_non_backend_type_rejected(self):
-        with pytest.raises(TypeError, match="int"):
-            get_namespace(7)
-
-    def test_numpy_is_always_available(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert set(names) <= set(BACKENDS)
-
-    @pytest.mark.parametrize(
-        "name, installed",
-        [("cupy", HAS_CUPY), ("torch", HAS_TORCH)],
-    )
-    def test_optional_backends_raise_when_not_installed(self, name, installed):
-        if installed:
-            backend = get_namespace(name)
-            assert isinstance(backend, ArrayBackend)
-            assert backend.name == name
-        else:
-            with pytest.raises(BackendUnavailableError, match=name):
-                get_namespace(name)
-
-
-class TestNumpyBackend:
-    """The default backend is a pure pass-through — the bit-identity anchor."""
-
-    def test_xp_is_the_numpy_module(self):
-        assert get_namespace("numpy").xp is np
-
-    def test_rng_matches_ensure_rng_stream(self):
-        backend = get_namespace("numpy")
-        assert np.array_equal(
-            backend.rng(123).random(8), ensure_rng(123).random(8)
-        )
-
-    def test_rng_passes_generators_through(self):
-        backend = get_namespace("numpy")
-        generator = np.random.default_rng(0)
-        assert backend.rng(generator) is generator
-
-    def test_asarray_and_to_numpy_round_trip(self):
-        backend = get_namespace("numpy")
-        array = backend.asarray([1, 2, 3], dtype=np.int32)
-        assert array.dtype == np.int32
-        returned = backend.to_numpy(array)
-        assert isinstance(returned, np.ndarray)
-        assert np.array_equal(returned, [1, 2, 3])
 
     def test_precision_registry_is_consistent(self):
         for name, precision in PRECISIONS.items():

@@ -1,102 +1,11 @@
-"""Unit tests for the vectorised protocol engines."""
+"""Unit tests for the batched protocol engine."""
 
 import numpy as np
 import pytest
 
 from repro.core.adoption import SymmetricAdoptionRule
-from repro.distributed import (
-    BatchedProtocol,
-    CrashFailureModel,
-    VectorizedProtocol,
-)
+from repro.distributed import BatchedProtocol
 from repro.environments import BernoulliEnvironment
-
-
-class TestVectorizedProtocolBasics:
-    def test_initialisation(self):
-        protocol = VectorizedProtocol(50, 3, rng=0)
-        assert protocol.num_nodes == 50
-        assert protocol.num_options == 3
-        assert protocol.num_alive() == 50
-        assert protocol.popularity().sum() == pytest.approx(1.0)
-        # Every node starts committed, like the loop engine's nodes.
-        assert np.all(protocol.choices() >= 0)
-        assert np.all(protocol.alive())
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            VectorizedProtocol(0, 2)
-        with pytest.raises(ValueError):
-            VectorizedProtocol(10, 2, loss_rate=1.5)
-        with pytest.raises(ValueError):
-            VectorizedProtocol(10, 2, exploration_rate=-0.1)
-        with pytest.raises(ValueError):
-            VectorizedProtocol(10, 2, max_query_attempts=0)
-
-    def test_round_counter_advances(self):
-        protocol = VectorizedProtocol(20, 2, rng=0)
-        protocol.run_round(np.array([1, 0]))
-        protocol.run_round(np.array([0, 1]))
-        assert protocol.round_number == 2
-
-    def test_rewards_validated(self):
-        protocol = VectorizedProtocol(20, 2, rng=0)
-        with pytest.raises(ValueError):
-            protocol.run_round(np.array([1, 0, 1]))
-        with pytest.raises(ValueError):
-            protocol.run_round(np.array([1, 0.5]))
-
-    def test_run_result_shapes(self):
-        env = BernoulliEnvironment([0.8, 0.4], rng=1)
-        protocol = VectorizedProtocol(100, 2, rng=2)
-        result = protocol.run(env, 40)
-        assert result.rounds == 40
-        assert result.popularity_matrix.shape == (40, 2)
-        assert result.reward_matrix.shape == (40, 2)
-        assert result.alive_series.shape == (40,)
-
-    def test_run_rejects_mismatched_environment(self):
-        env = BernoulliEnvironment([0.8, 0.4, 0.2], rng=1)
-        protocol = VectorizedProtocol(50, 2, rng=2)
-        with pytest.raises(ValueError):
-            protocol.run(env, 5)
-
-    def test_protocol_learns_best_option(self):
-        env = BernoulliEnvironment([0.9, 0.2], rng=5)
-        protocol = VectorizedProtocol(400, 2, exploration_rate=0.03, rng=6)
-        result = protocol.run(env, 300)
-        assert result.best_option_share > 0.6
-        assert result.regret < 0.35
-
-    def test_single_node_always_explores(self):
-        protocol = VectorizedProtocol(1, 3, exploration_rate=0.0, rng=0)
-        for _ in range(5):
-            protocol.run_round(np.array([1, 1, 1]))
-        # A lone node has no peer; it must explore rather than deadlock,
-        # without counting as a communication fallback.
-        assert protocol.fallback_explorations == 0
-        assert protocol.transport_stats()["sent"] == 0
-
-    def test_all_nodes_crashed_is_handled(self):
-        env = BernoulliEnvironment([0.8, 0.4], rng=6)
-        protocol = VectorizedProtocol(
-            20,
-            2,
-            failure_model=CrashFailureModel(per_round_crash_probability=1.0, rng=7),
-            rng=8,
-        )
-        result = protocol.run(env, 5)
-        assert protocol.num_alive() == 0
-        assert result.rounds == 5
-        # Popularity is uniform once nobody is alive.
-        np.testing.assert_allclose(result.popularity_matrix[-1], [0.5, 0.5])
-
-    def test_loss_triggers_fallback_exploration(self):
-        env = BernoulliEnvironment([0.8, 0.4], rng=0)
-        protocol = VectorizedProtocol(100, 2, loss_rate=0.5, rng=2)
-        result = protocol.run(env, 30)
-        assert result.fallback_explorations > 0
-        assert result.transport_stats["dropped"] > 0
 
 
 class TestBatchedProtocolBasics:
@@ -109,6 +18,12 @@ class TestBatchedProtocolBasics:
         assert np.all(protocol.alive_counts() == 40)
 
     def test_invalid_parameters_rejected(self):
+        with pytest.raises(ValueError):
+            BatchedProtocol(0, 2, num_replicates=1)
+        with pytest.raises(ValueError):
+            BatchedProtocol(10, 2, num_replicates=1, exploration_rate=-0.1)
+        with pytest.raises(ValueError):
+            BatchedProtocol(10, 2, num_replicates=1, max_query_attempts=0)
         with pytest.raises(ValueError):
             BatchedProtocol(10, 2, num_replicates=0)
         with pytest.raises(ValueError):
@@ -192,3 +107,32 @@ class TestBatchedProtocolBasics:
         result = protocol.run(env, 300)
         late_share = result.trajectory.popularity_tensor()[-30:, :, 0].mean()
         assert late_share > 0.6
+
+    def test_single_node_always_explores(self):
+        protocol = BatchedProtocol(1, 3, num_replicates=1, exploration_rate=0.0, rng=0)
+        for _ in range(5):
+            protocol.run_round(np.array([1, 1, 1]))
+        # A lone node has no peer; it must explore rather than deadlock,
+        # without counting as a communication fallback.
+        assert protocol.fallback_explorations == 0
+        assert protocol.transport_stats()["sent"] == 0
+
+    def test_all_nodes_crashed_is_handled(self):
+        env = BernoulliEnvironment([0.8, 0.4], rng=6)
+        protocol = BatchedProtocol(
+            20, 2, num_replicates=2, per_round_crash_probability=1.0, rng=8
+        )
+        result = protocol.run(env, 5)
+        assert np.all(protocol.alive_counts() == 0)
+        assert result.rounds == 5
+        # Popularity is uniform once nobody is alive.
+        np.testing.assert_allclose(
+            result.trajectory.popularity_tensor()[-1], [[0.5, 0.5], [0.5, 0.5]]
+        )
+
+    def test_loss_triggers_fallback_exploration(self):
+        env = BernoulliEnvironment([0.8, 0.4], rng=0)
+        protocol = BatchedProtocol(100, 2, num_replicates=1, loss_rate=0.5, rng=2)
+        result = protocol.run(env, 30)
+        assert result.fallback_explorations > 0
+        assert result.transport_stats["dropped"] > 0

@@ -78,8 +78,8 @@ class TestSensorNetworkExample:
         result = module.run_fleet(loss_rate=0.2, crash_fraction=0.2, seed=0)
         assert result.transport_stats["sent"] > 0
         assert result.transport_stats["dropped"] > 0
-        assert 0.0 <= result.best_option_share <= 1.0
-        assert result.alive_series[-1] <= 25
+        assert 0.0 <= result.best_option_share()[0] <= 1.0
+        assert result.alive_matrix[-1, 0] <= 25
 
 
 class TestServiceDemoExample:

@@ -1,4 +1,4 @@
-"""Tests for the backend/dtype parameter convention (repro.experiments.engine_options)."""
+"""Tests for the dtype parameter convention (repro.experiments.engine_options)."""
 
 from __future__ import annotations
 
@@ -9,53 +9,36 @@ from repro.experiments.dynamics_sweep import (
     dynamics_point_replication,
     flatten_grid,
 )
-from repro.experiments.engine_options import (
-    engine_options,
-    is_default_options,
-    require_default_engine_options,
+from repro.experiments.engine_options import engine_dtype, require_default_dtype
+from repro.experiments.network_sweep import (
+    network_batched_replication,
+    network_point_replication,
 )
-from repro.experiments.network_sweep import network_batched_replication
-from repro.experiments.protocol_sweep import (
-    protocol_point_replication,
-    protocol_vectorized_replication,
-)
+from repro.experiments.protocol_sweep import protocol_point_replication
 
 
 class TestEngineOptions:
     def test_absent_options_resolve_to_none(self):
-        assert engine_options({"N": 50}) == (None, None)
+        assert engine_dtype({"N": 50}) is None
 
     def test_present_options_are_returned(self):
-        parameters = {"N": 50, "backend": "numpy", "dtype": "float32"}
-        assert engine_options(parameters) == ("numpy", "float32")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            engine_options({"backend": "metal"})
+        assert engine_dtype({"N": 50, "dtype": "float32"}) == "float32"
 
     def test_unknown_dtype_rejected(self):
         with pytest.raises(ValueError, match="unknown dtype"):
-            engine_options({"dtype": "float16"})
-
-    def test_is_default_accepts_explicit_default_spellings(self):
-        assert is_default_options(None, None)
-        assert is_default_options("numpy", "float64")
-        assert not is_default_options(None, "float32")
-        assert not is_default_options("torch", None)
+            engine_dtype({"dtype": "float16"})
 
     def test_require_default_passes_defaults_through(self):
-        require_default_engine_options({"N": 50}, "loop")
-        require_default_engine_options(
-            {"backend": "numpy", "dtype": "float64"}, "loop"
-        )
+        require_default_dtype({"N": 50}, "loop")
+        require_default_dtype({"dtype": "float64"}, "loop")
 
     def test_require_default_names_the_refusing_engine(self):
         with pytest.raises(ValueError, match="loop engine only supports"):
-            require_default_engine_options({"dtype": "float32"}, "loop")
+            require_default_dtype({"dtype": "float32"}, "loop")
 
 
 class TestPerSeedEnginesRefuseOverrides:
-    """Defense in depth below the request layer: per-seed paths are numpy/float64."""
+    """Defense in depth below the request layer: the loop engines are float64."""
 
     def test_dynamics_loop_refuses_float32(self):
         parameters = {
@@ -66,10 +49,10 @@ class TestPerSeedEnginesRefuseOverrides:
 
     @pytest.mark.parametrize(
         "replication",
-        [protocol_point_replication, protocol_vectorized_replication],
-        ids=["loop", "vectorized"],
+        [protocol_point_replication, network_point_replication],
+        ids=["protocol", "network"],
     )
-    def test_protocol_per_seed_engines_refuse_float32(self, replication):
+    def test_per_seed_loop_engines_refuse_float32(self, replication):
         parameters = {
             "qualities": [0.8, 0.5], "N": 40, "T": 5, "dtype": "float32",
         }
@@ -80,25 +63,24 @@ class TestPerSeedEnginesRefuseOverrides:
 class TestFlattenGridOptions:
     POINT = {"qualities": [0.8, 0.5], "N": 40, "T": 6, "beta": 0.65}
 
-    def test_flattened_batch_carries_one_option_pair(self):
+    def test_flattened_batch_carries_one_dtype(self):
         points = [dict(self.POINT, dtype="float32") for _ in range(3)]
         flat = flatten_grid(points, 4)
         assert flat.dtype == "float32"
-        assert flat.backend is None
         dynamics, environment = flat.build(np.random.default_rng(0))
         assert dynamics.precision.name == "float32"
         assert environment.qualities.dtype == np.float32
 
     def test_default_points_build_the_default_engine(self):
         flat = flatten_grid([dict(self.POINT)], 4)
-        assert flat.backend is None and flat.dtype is None
+        assert flat.dtype is None
         dynamics, environment = flat.build(np.random.default_rng(0))
         assert dynamics.precision.is_default
         assert environment.qualities.dtype == np.float64
 
     def test_mixed_precision_points_rejected(self):
         points = [dict(self.POINT), dict(self.POINT, dtype="float32")]
-        with pytest.raises(ValueError, match="one backend at one precision"):
+        with pytest.raises(ValueError, match="at one precision"):
             flatten_grid(points, 4)
 
 

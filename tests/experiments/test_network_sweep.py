@@ -11,7 +11,6 @@ from repro.experiments import (
     build_network,
     network_batched_replication,
     network_point_replication,
-    network_vectorized_replication,
     run_replications,
     run_sweep,
 )
@@ -69,7 +68,6 @@ class TestReplicationFunctions:
     def test_engine_registry_is_complete(self):
         assert set(NETWORK_ENGINES) == set(NETWORK_REPLICATIONS)
         assert NETWORK_REPLICATIONS["loop"] is network_point_replication
-        assert NETWORK_REPLICATIONS["vectorized"] is network_vectorized_replication
         assert NETWORK_REPLICATIONS["batched"] is network_batched_replication
 
     def test_batched_function_is_marked_for_fast_path(self):
@@ -86,16 +84,15 @@ class TestReplicationFunctions:
         assert result.metric_names() == ["best_option_share", "regret"]
         assert np.all(np.isfinite(result.metric_values("regret")))
 
-    def test_point_engines_share_seeding_convention(self):
-        """loop and vectorized runs with equal seeds use (env=seed, dyn=seed+1)."""
+    def test_engines_are_deterministic_per_seed(self):
+        """Equal seeds give equal rows on the loop and the batched engine."""
         loop = network_point_replication(3, dict(PARAMETERS))
-        vectorized = network_vectorized_replication(3, dict(PARAMETERS))
-        # Different engines, same conventions: both deterministic per seed.
+        batched = network_batched_replication([3], dict(PARAMETERS))
         assert loop == network_point_replication(3, dict(PARAMETERS))
-        assert vectorized == network_vectorized_replication(3, dict(PARAMETERS))
+        assert batched == network_batched_replication([3], dict(PARAMETERS))
 
     def test_engines_agree_on_mean_share(self):
-        """All three engines estimate the same mean best-option share."""
+        """Both engines estimate the same mean best-option share."""
         replications = 24
         means = {}
         for engine in NETWORK_ENGINES:
@@ -107,13 +104,12 @@ class TestReplicationFunctions:
             )
             result = run_replications(config, NETWORK_REPLICATIONS[engine])
             means[engine] = result.metric_values("best_option_share").mean()
-        assert means["vectorized"] == pytest.approx(means["loop"], abs=0.1)
         assert means["batched"] == pytest.approx(means["loop"], abs=0.1)
 
     def test_default_mu_is_derived_from_beta(self):
         parameters = dict(PARAMETERS)
         del parameters["mu"]
-        metrics = network_vectorized_replication(0, parameters)
+        (metrics,) = network_batched_replication([0], parameters)
         assert 0.0 <= metrics["best_option_share"] <= 1.0
 
     def test_missing_required_keys_raise(self):

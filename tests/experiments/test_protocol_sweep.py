@@ -10,7 +10,6 @@ from repro.experiments import (
     ParameterGrid,
     protocol_batched_replication,
     protocol_point_replication,
-    protocol_vectorized_replication,
     run_replications,
     run_sweep,
 )
@@ -28,7 +27,6 @@ class TestRegistry:
     def test_every_engine_registered(self):
         assert set(PROTOCOL_ENGINES) == set(PROTOCOL_REPLICATIONS)
         assert PROTOCOL_REPLICATIONS["loop"] is protocol_point_replication
-        assert PROTOCOL_REPLICATIONS["vectorized"] is protocol_vectorized_replication
         assert PROTOCOL_REPLICATIONS["batched"] is protocol_batched_replication
 
     def test_batched_is_marked_for_the_fast_path(self):
@@ -59,27 +57,18 @@ class TestReplicationFunctions:
         with pytest.raises(KeyError):
             protocol_point_replication(0, {"qualities": (0.8, 0.4), "N": 10})
         with pytest.raises(KeyError):
-            protocol_vectorized_replication(0, {"N": 10, "T": 5})
+            protocol_batched_replication([0], {"N": 10, "T": 5})
 
     def test_mu_defaults_to_the_theorem_maximum(self):
-        # No mu given: both per-seed engines derive the same default, so the
-        # point is well-defined on every engine.
+        # No mu given: both engines derive the same default, so the point is
+        # well-defined on every engine.
         parameters = {"qualities": (0.8, 0.4), "N": 30, "T": 5, "beta": 0.65}
-        row = protocol_vectorized_replication(0, parameters)
+        (row,) = protocol_batched_replication([0], parameters)
         assert set(row) == {"regret", "best_option_share", "alive_fraction"}
 
-    @pytest.mark.parametrize(
-        "function",
-        [protocol_vectorized_replication, protocol_batched_replication],
-        ids=["vectorized", "batched"],
-    )
-    def test_vectorised_engines_reject_delay(self, function):
-        parameters = dict(BASE, delay=0.1)
+    def test_batched_engine_rejects_delay(self):
         with pytest.raises(ValueError, match="delay"):
-            if getattr(function, "batched_replications", False):
-                function([0, 1], parameters)
-            else:
-                function(0, parameters)
+            protocol_batched_replication([0, 1], dict(BASE, delay=0.1))
 
     def test_loop_engine_accepts_delay(self):
         row = protocol_point_replication(0, dict(BASE, delay=0.2))

@@ -34,14 +34,9 @@ from repro.core.adoption import RowwiseAdoptionRule, SymmetricAdoptionRule
 from repro.core.batched import BatchedDynamics
 from repro.core.dynamics import FinitePopulationDynamics
 from repro.core.sampling import MixtureSampling
-from repro.distributed import BatchedProtocol, CrashFailureModel, VectorizedProtocol
+from repro.distributed import BatchedProtocol
 from repro.environments import BernoulliEnvironment, RowwiseBernoulliEnvironment
-from repro.network import (
-    BatchedNetworkDynamics,
-    NetworkDynamics,
-    SocialNetwork,
-    VectorizedNetworkDynamics,
-)
+from repro.network import BatchedNetworkDynamics, NetworkDynamics, SocialNetwork
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -82,9 +77,12 @@ NETWORK_CONFIG = {
     "dynamics_seed": 32,
 }
 
-# The vectorised engine consumes the random stream differently from the loop
-# engine, so it gets its own fixture at the same configuration (and its own
-# seeds, to make clear no bit-identity with the loop fixture is implied).
+# One replicate of the batched engine, seeded per replicate (environment and
+# engine seeded separately).  It consumes the random stream differently from
+# the loop engine, so it gets its own fixture at the same configuration (and
+# its own seeds, to make clear no bit-identity with the loop fixture is
+# implied).  The fixture was recorded with the single-replicate engine that
+# the batched engine at R = 1 replaced; it reproduces it byte for byte.
 NETWORK_VECTORIZED_CONFIG = {
     "qualities": [0.85, 0.45],
     "ring_size": 30,
@@ -107,26 +105,10 @@ NETWORK_BATCHED_CONFIG = {
     "seed": 51,
 }
 
-# Both protocol fixtures exercise the full lossy surface: message loss,
+# The protocol fixture exercises the full lossy surface: message loss,
 # per-round crashes and a mid-run mass failure, so a drift in any of the
 # loss masks, the peer draw, the crash injection or the adopt thinning
 # changes the committed trajectory.
-PROTOCOL_VECTORIZED_CONFIG = {
-    "qualities": [0.85, 0.45, 0.3],
-    "num_nodes": 40,
-    "horizon": 12,
-    "beta": 0.65,
-    "mu": 0.1,
-    "loss_rate": 0.25,
-    "per_round_crash_probability": 0.02,
-    "mass_failure_round": 6,
-    "mass_failure_fraction": 0.3,
-    "max_query_attempts": 4,
-    "environment_seed": 61,
-    "failures_seed": 62,
-    "dynamics_seed": 63,
-}
-
 PROTOCOL_BATCHED_CONFIG = {
     "qualities": [0.85, 0.45, 0.3],
     "num_nodes": 30,
@@ -312,15 +294,16 @@ def golden_network() -> dict:
 
 
 def golden_network_vectorized() -> dict:
-    """Seeded :class:`VectorizedNetworkDynamics` run on a ring, choices per step."""
+    """Seeded one-replicate :class:`BatchedNetworkDynamics` run on a ring."""
     config = NETWORK_VECTORIZED_CONFIG
     environment = BernoulliEnvironment(config["qualities"], rng=config["environment_seed"])
     network = SocialNetwork.ring(
         config["ring_size"], neighbors_each_side=config["neighbors_each_side"]
     )
-    dynamics = VectorizedNetworkDynamics(
+    dynamics = BatchedNetworkDynamics(
         network=network,
         num_options=len(config["qualities"]),
+        num_replicates=1,
         adoption_rule=SymmetricAdoptionRule(config["beta"]),
         exploration_rate=config["mu"],
         rng=config["dynamics_seed"],
@@ -329,11 +312,11 @@ def golden_network_vectorized() -> dict:
     counts = []
     rewards = []
     for _ in range(config["horizon"]):
-        reward = environment.sample()
+        reward = environment.sample_batch(1)
         state = dynamics.step(reward)
-        rewards.append(reward)
-        counts.append(state.counts)
-        choices.append(dynamics.choices())
+        rewards.append(reward[0])
+        counts.append(state.counts[0])
+        choices.append(dynamics.choices()[0])
     return _record(
         "network_vectorized",
         config,
@@ -390,59 +373,6 @@ def golden_network_batched(config: dict = NETWORK_BATCHED_CONFIG) -> dict:
         counts,
         rewards,
         extra={"choices": np.asarray(choices).tolist()},
-    )
-
-
-def golden_protocol_vectorized() -> dict:
-    """Seeded :class:`VectorizedProtocol` run under loss and crashes.
-
-    Records per-round alive-committed counts, choices and alive masks, so
-    the crash injection is pinned alongside the round law.
-    """
-    config = PROTOCOL_VECTORIZED_CONFIG
-    environment = BernoulliEnvironment(
-        config["qualities"], rng=config["environment_seed"]
-    )
-    protocol = VectorizedProtocol(
-        num_nodes=config["num_nodes"],
-        num_options=len(config["qualities"]),
-        adoption_rule=SymmetricAdoptionRule(config["beta"]),
-        exploration_rate=config["mu"],
-        loss_rate=config["loss_rate"],
-        failure_model=CrashFailureModel(
-            per_round_crash_probability=config["per_round_crash_probability"],
-            mass_failure_round=config["mass_failure_round"],
-            mass_failure_fraction=config["mass_failure_fraction"],
-            rng=config["failures_seed"],
-        ),
-        max_query_attempts=config["max_query_attempts"],
-        rng=config["dynamics_seed"],
-    )
-    choices = []
-    alive = []
-    counts = []
-    rewards = []
-    for _ in range(config["horizon"]):
-        reward = environment.sample()
-        protocol.run_round(reward)
-        round_choices = protocol.choices()
-        round_alive = protocol.alive()
-        rewards.append(reward)
-        choices.append(round_choices)
-        alive.append(round_alive)
-        committed = round_choices[round_alive & (round_choices >= 0)]
-        counts.append(np.bincount(committed, minlength=len(config["qualities"])))
-    return _record(
-        "protocol_vectorized",
-        config,
-        counts,
-        rewards,
-        extra={
-            "choices": np.asarray(choices).tolist(),
-            "alive": np.asarray(alive).tolist(),
-            "transport_stats": protocol.transport_stats(),
-            "fallback_explorations": protocol.fallback_explorations,
-        },
     )
 
 
@@ -587,7 +517,6 @@ GENERATORS = {
     "network": golden_network,
     "network_vectorized": golden_network_vectorized,
     "network_batched": golden_network_batched,
-    "protocol_vectorized": golden_protocol_vectorized,
     "protocol_batched": golden_protocol_batched,
 }
 

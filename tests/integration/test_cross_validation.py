@@ -203,7 +203,8 @@ class TestBatchedEngineEquivalence:
 
 
 # --------------------------------------------------------------------------
-# Network engines: loop vs vectorised vs replicate-batched on a sparse graph.
+# Network engines: the per-agent loop vs the replicate-batched engine, run
+# per seed at R = 1 and as one R-replicate launch, on a sparse graph.
 # --------------------------------------------------------------------------
 
 NETWORK_SIZE = 150
@@ -212,15 +213,18 @@ NETWORK_REPLICATES = 70
 
 
 class TestNetworkEngineEquivalence:
-    """The vectorised and batched network engines against the per-agent loop.
+    """The batched network engine against the per-agent loop.
 
-    The gate runs on a genuinely sparse topology (a small-world graph, not
-    the complete graph), so it exercises the neighbourhood restriction the
-    engines actually vectorise: the CSR matvec, the committed-neighbour
-    inverse-CDF draw, and the uniform fallbacks.  The engines consume the
-    random stream differently, so the comparison is distributional — KS and
-    chi-squared on the terminal best-option popularity across replicates —
-    mirroring the PR 1 cross-validation pattern for the core engines.
+    The batched engine runs twice: once per seed at ``R = 1`` (the per-seed
+    re-run path, seeded like the loop) and once as a single ``R``-replicate
+    launch.  The gate runs on a genuinely sparse topology (a small-world
+    graph, not the complete graph), so it exercises the neighbourhood
+    restriction the engine vectorises: the CSR matvec, the
+    committed-neighbour inverse-CDF draw, and the uniform fallbacks.  The
+    engines consume the random stream differently, so the comparison is
+    distributional — KS and chi-squared on the terminal best-option
+    popularity across replicates — mirroring the cross-validation pattern
+    for the core engines.
     """
 
     # Fully seeded runs are deterministic, so the samples are computed once
@@ -241,22 +245,24 @@ class TestNetworkEngineEquivalence:
             terminal = []
             for seed in range(NETWORK_REPLICATES):
                 env = BernoulliEnvironment(QUALITIES, rng=seed)
-                trajectory = simulate_network_dynamics(
-                    env,
-                    network,
-                    NETWORK_HORIZON,
-                    beta=BETA,
-                    mu=MU,
-                    rng=seed + 1000,
-                    engine=engine,
-                )
-                terminal.append(trajectory.final_state().popularity()[0])
+                if engine == "loop":
+                    trajectory = simulate_network_dynamics(
+                        env, network, NETWORK_HORIZON, beta=BETA, mu=MU,
+                        rng=seed + 1000,
+                    )
+                    terminal.append(trajectory.final_state().popularity()[0])
+                else:
+                    trajectory = simulate_batched_network_dynamics(
+                        env, network, NETWORK_HORIZON, 1, beta=BETA, mu=MU,
+                        rng=seed + 1000,
+                    )
+                    terminal.append(trajectory.final_state().popularity()[0, 0])
             cls._cache[engine] = np.asarray(terminal)
         return cls._cache[engine]
 
     @classmethod
     def _batched_terminal_popularities(cls) -> np.ndarray:
-        if "batched" not in cls._cache:
+        if "launch" not in cls._cache:
             env = BernoulliEnvironment(QUALITIES, rng=777)
             trajectory = simulate_batched_network_dynamics(
                 env,
@@ -267,14 +273,14 @@ class TestNetworkEngineEquivalence:
                 mu=MU,
                 rng=778,
             )
-            cls._cache["batched"] = trajectory.final_state().popularity()[:, 0]
-        return cls._cache["batched"]
+            cls._cache["launch"] = trajectory.final_state().popularity()[:, 0]
+        return cls._cache["launch"]
 
-    def test_vectorized_matches_loop_ks(self):
-        """KS two-sample test: vectorised engine vs the per-agent loop."""
+    def test_single_replicate_batched_matches_loop_ks(self):
+        """KS two-sample test: batched engine at R = 1 per seed vs the loop."""
         loop = self._per_seed_terminal_popularities("loop")
-        vectorized = self._per_seed_terminal_popularities("vectorized")
-        result = stats.ks_2samp(loop, vectorized)
+        per_seed = self._per_seed_terminal_popularities("single_replicate")
+        result = stats.ks_2samp(loop, per_seed)
         assert result.pvalue > 0.01
 
     def test_batched_matches_loop_ks(self):
@@ -284,16 +290,16 @@ class TestNetworkEngineEquivalence:
         result = stats.ks_2samp(loop, batched)
         assert result.pvalue > 0.01
 
-    def test_vectorized_matches_loop_chi_squared(self):
+    def test_single_replicate_batched_matches_loop_chi_squared(self):
         """Chi-squared homogeneity on quartile-binned terminal popularity."""
         loop = self._per_seed_terminal_popularities("loop")
-        vectorized = self._per_seed_terminal_popularities("vectorized")
-        edges = np.quantile(np.concatenate([loop, vectorized]), [0.25, 0.5, 0.75])
+        per_seed = self._per_seed_terminal_popularities("single_replicate")
+        edges = np.quantile(np.concatenate([loop, per_seed]), [0.25, 0.5, 0.75])
         bins = np.concatenate([[-np.inf], edges, [np.inf]])
         table = np.array(
             [
                 np.histogram(loop, bins=bins)[0],
-                np.histogram(vectorized, bins=bins)[0],
+                np.histogram(per_seed, bins=bins)[0],
             ]
         )
         result = stats.chi2_contingency(table)
@@ -317,15 +323,16 @@ class TestNetworkEngineEquivalence:
     def test_all_network_engines_prefer_best_option(self):
         """Every engine concentrates the sparse-topology group on the best option."""
         loop = self._per_seed_terminal_popularities("loop")
-        vectorized = self._per_seed_terminal_popularities("vectorized")
+        per_seed = self._per_seed_terminal_popularities("single_replicate")
         batched = self._batched_terminal_popularities()
-        for values in (loop, vectorized, batched):
+        for values in (loop, per_seed, batched):
             assert values.mean() > 0.5
 
 
 # --------------------------------------------------------------------------
-# Protocol engines: message-passing loop vs vectorised vs replicate-batched
-# under genuinely lossy communication.
+# Protocol engines: the message-passing loop vs the replicate-batched engine,
+# run per seed at R = 1 and as one R-replicate launch, under genuinely lossy
+# communication.
 # --------------------------------------------------------------------------
 
 PROTOCOL_NODES = 150
@@ -335,16 +342,17 @@ PROTOCOL_LOSS = 0.25
 
 
 class TestProtocolEngineEquivalence:
-    """The vectorised and batched protocol engines against the message loop.
+    """The batched protocol engine against the message loop.
 
-    The gate runs with a *lossy* transport (25% per-message drop rate), so it
-    exercises exactly what the vectorised engines reimplement as array ops:
-    the Bernoulli loss masks on queries and replies, the retry sub-rounds and
-    the uniform fallback.  Under pure loss the delivered-message law of the
-    engines is identical; the engines consume the random stream differently,
-    so the comparison is distributional — KS and chi-squared on the terminal
-    best-option popularity across replicates, mirroring the network-engine
-    gate above.
+    The batched engine runs per seed at ``R = 1`` and as a single
+    ``R``-replicate launch.  The gate runs with a *lossy* transport (25%
+    per-message drop rate), so it exercises exactly what the batched engine
+    reimplements as array ops: the Bernoulli loss masks on queries and
+    replies, the retry sub-rounds and the uniform fallback.  Under pure loss
+    the delivered-message law of the engines is identical; the engines consume
+    the random stream differently, so the comparison is distributional — KS
+    and chi-squared on the terminal best-option popularity across replicates,
+    mirroring the network-engine gate above.
     """
 
     # Fully seeded runs are deterministic, so the samples are computed once
@@ -357,13 +365,9 @@ class TestProtocolEngineEquivalence:
         if engine in cls._cache:
             return cls._cache[engine]
         from repro.core.adoption import SymmetricAdoptionRule
-        from repro.distributed import (
-            BatchedProtocol,
-            LossyTransport,
-            VectorizedProtocol,
-        )
+        from repro.distributed import BatchedProtocol, LossyTransport
 
-        if engine == "batched":
+        if engine == "launch":
             env = BernoulliEnvironment(QUALITIES, rng=777)
             protocol = BatchedProtocol(
                 PROTOCOL_NODES,
@@ -390,17 +394,20 @@ class TestProtocolEngineEquivalence:
                     transport=LossyTransport(loss_rate=PROTOCOL_LOSS, rng=seed + 500),
                     rng=seed + 1000,
                 )
+                result = protocol.run(env, PROTOCOL_ROUNDS)
+                terminal.append(result.popularity_matrix[-1, 0])
             else:
-                protocol = VectorizedProtocol(
+                protocol = BatchedProtocol(
                     PROTOCOL_NODES,
                     2,
+                    num_replicates=1,
                     adoption_rule=SymmetricAdoptionRule(BETA),
                     exploration_rate=MU,
                     loss_rate=PROTOCOL_LOSS,
                     rng=seed + 1000,
                 )
-            result = protocol.run(env, PROTOCOL_ROUNDS)
-            terminal.append(result.popularity_matrix[-1, 0])
+                result = protocol.run(env, PROTOCOL_ROUNDS)
+                terminal.append(result.trajectory.popularity_tensor()[-1, 0, 0])
         cls._cache[engine] = np.asarray(terminal)
         return cls._cache[engine]
 
@@ -413,53 +420,54 @@ class TestProtocolEngineEquivalence:
         )
         return float(stats.chi2_contingency(table).pvalue)
 
-    def test_vectorized_matches_loop_ks(self):
-        """KS two-sample test: array-ops engine vs the message-passing loop."""
+    def test_single_replicate_batched_matches_loop_ks(self):
+        """KS two-sample test: batched engine at R = 1 per seed vs the loop."""
         loop = self._terminal_popularities("loop")
-        vectorized = self._terminal_popularities("vectorized")
-        assert stats.ks_2samp(loop, vectorized).pvalue > 0.01
+        per_seed = self._terminal_popularities("single_replicate")
+        assert stats.ks_2samp(loop, per_seed).pvalue > 0.01
 
     def test_batched_matches_loop_ks(self):
         """KS two-sample test: replicate-batched engine vs the message loop."""
         loop = self._terminal_popularities("loop")
-        batched = self._terminal_popularities("batched")
+        batched = self._terminal_popularities("launch")
         assert stats.ks_2samp(loop, batched).pvalue > 0.01
 
-    def test_vectorized_matches_loop_chi_squared(self):
+    def test_single_replicate_batched_matches_loop_chi_squared(self):
         """Chi-squared homogeneity on quartile-binned terminal popularity."""
         loop = self._terminal_popularities("loop")
-        vectorized = self._terminal_popularities("vectorized")
-        assert self._chi_squared_pvalue(loop, vectorized) > 0.01
+        per_seed = self._terminal_popularities("single_replicate")
+        assert self._chi_squared_pvalue(loop, per_seed) > 0.01
 
     def test_batched_matches_loop_chi_squared(self):
         """Chi-squared homogeneity: batched engine vs the message loop."""
         loop = self._terminal_popularities("loop")
-        batched = self._terminal_popularities("batched")
+        batched = self._terminal_popularities("launch")
         assert self._chi_squared_pvalue(loop, batched) > 0.01
 
-    def test_perfect_vectorized_protocol_matches_shared_memory(self):
-        """With no loss, the vectorised protocol reproduces the shared-memory dynamics."""
+    def test_perfect_batched_protocol_matches_shared_memory(self):
+        """Lossless, batched R = 1 protocol runs match the shared-memory dynamics."""
         from repro.core.adoption import SymmetricAdoptionRule
-        from repro.distributed import VectorizedProtocol
+        from repro.distributed import BatchedProtocol
 
-        def vectorized_protocol_metrics(seed: int) -> tuple[float, float]:
+        def batched_protocol_metrics(seed: int) -> tuple[float, float]:
             env = BernoulliEnvironment(QUALITIES, rng=seed)
-            protocol = VectorizedProtocol(
+            protocol = BatchedProtocol(
                 POPULATION,
                 2,
+                num_replicates=1,
                 adoption_rule=SymmetricAdoptionRule(BETA),
                 exploration_rate=MU,
                 rng=seed + 5000,
             )
             result = protocol.run(env, HORIZON)
-            return result.regret, result.best_option_share
+            return float(result.regret()[0]), float(result.best_option_share()[0])
 
         vec_regret, vec_share = average(vectorised_metrics)
-        proto_regret, proto_share = average(vectorized_protocol_metrics)
+        proto_regret, proto_share = average(batched_protocol_metrics)
         assert proto_regret == pytest.approx(vec_regret, abs=0.06)
         assert proto_share == pytest.approx(vec_share, abs=0.12)
 
     def test_all_protocol_engines_prefer_best_option(self):
         """Every engine concentrates the lossy fleet on the best option."""
-        for engine in ("loop", "vectorized", "batched"):
+        for engine in ("loop", "single_replicate", "launch"):
             assert self._terminal_popularities(engine).mean() > 0.5

@@ -136,7 +136,7 @@ class TestGoldenTrajectories:
                     committed = choices[step, replicate][choices[step, replicate] >= 0]
                     histogram = np.bincount(committed, minlength=num_options)
                     assert np.array_equal(histogram, counts[step, replicate])
-        elif engine in ("protocol_vectorized", "protocol_batched"):
+        elif engine == "protocol_batched":
             choices = np.asarray(fixture["choices"])
             alive = np.asarray(fixture["alive"], dtype=bool)
             num_options = len(fixture["config"]["qualities"])
@@ -155,9 +155,9 @@ class TestGoldenTrajectories:
                         flat_choices[step, row][mask], minlength=num_options
                     )
                     assert np.array_equal(histogram, flat_counts[step, row])
-            # Message conservation: the vectorised engines never queue
-            # messages across rounds, so every sent message was either
-            # delivered or dropped.
+            # Message conservation: the batched engine never queues messages
+            # across rounds, so every sent message was either delivered or
+            # dropped.
             stats = fixture["transport_stats"]
             assert stats["sent"] == stats["delivered"] + stats["dropped"]
             assert stats["delayed"] == 0

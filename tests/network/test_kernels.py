@@ -1,7 +1,7 @@
 """Tests for the fused CSR kernel and the sampling/overflow guards.
 
-Covers the three perf-sensitive correctness fixes that ride with the
-multi-backend engine:
+Covers the three perf-sensitive correctness fixes of the batched network
+engine:
 
 * the fused gather+pick kernel is bit-identical to the NumPy two-pass path
   (exercised through the un-jitted loop source, so no numba is needed);
@@ -27,7 +27,6 @@ from repro.network.kernels import (
 from repro.network.topology import SocialNetwork
 from repro.network.vectorized import (
     BatchedNetworkDynamics,
-    VectorizedNetworkDynamics,
     _check_key_space,
     _inverse_cdf_rows,
     committed_neighbor_counts,
@@ -64,19 +63,6 @@ class TestFusedKernelEquivalence:
         np.testing.assert_array_equal(fused_totals, totals)
         np.testing.assert_array_equal(fused_picks, picks)
 
-    def test_single_replicate_squeeze_round_trip(self, network):
-        rng = np.random.default_rng(7)
-        num_options = 3
-        choices = rng.integers(-1, num_options, size=network.size)
-        uniforms = rng.random(network.size)
-        fused_picks, fused_totals = fused_neighbor_pick(
-            network, choices, uniforms, num_options, impl=_gather_pick_loop
-        )
-        assert fused_picks.shape == (network.size,)
-        picks, totals = _two_pass(network, choices, uniforms, num_options)
-        np.testing.assert_array_equal(fused_totals, totals)
-        np.testing.assert_array_equal(fused_picks, picks)
-
     def test_all_sitting_out_reports_zero_totals_and_clamped_picks(self, network):
         choices = np.full((2, network.size), -1)
         uniforms = np.zeros((2, network.size))
@@ -109,15 +95,9 @@ class TestResolveUseNumba:
     @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed")
     def test_engines_surface_the_error_at_construction(self, network):
         with pytest.raises(RuntimeError, match="numba"):
-            VectorizedNetworkDynamics(network, 3, use_numba=True)
-        with pytest.raises(RuntimeError, match="numba"):
             BatchedNetworkDynamics(network, 3, num_replicates=2, use_numba=True)
 
     def test_engines_expose_the_resolved_knob(self, network):
-        assert (
-            VectorizedNetworkDynamics(network, 3, use_numba=False).use_numba
-            is False
-        )
         batched = BatchedNetworkDynamics(
             network, 3, num_replicates=2, use_numba=False
         )
@@ -127,15 +107,15 @@ class TestResolveUseNumba:
     def test_fused_engine_is_bit_identical_to_two_pass(self, network):
         def run(use_numba):
             environment = BernoulliEnvironment([0.8, 0.5, 0.5], rng=3)
-            dynamics = VectorizedNetworkDynamics(
-                network, 3, rng=5, use_numba=use_numba
+            dynamics = BatchedNetworkDynamics(
+                network, 3, num_replicates=1, rng=5, use_numba=use_numba
             )
             return dynamics.run(environment, 15)
 
         fused = run(True)
         two_pass = run(False)
         np.testing.assert_array_equal(
-            fused.popularity_matrix(), two_pass.popularity_matrix()
+            fused.popularity_tensor(), two_pass.popularity_tensor()
         )
 
 
@@ -206,7 +186,7 @@ class TestKeySpaceOverflowGuard:
 
     def test_single_replicate_gather_guards_n_times_m(self):
         fake = _FakeHugeNetwork(size=2**40)
-        choices = np.zeros(4, dtype=np.int64)
+        choices = np.zeros((1, 4), dtype=np.int64)
         with pytest.raises(OverflowError, match="shard the"):
             committed_neighbor_counts(fake, choices, 2**25)
 
@@ -219,7 +199,7 @@ class TestKeySpaceOverflowGuard:
     def test_gather_promotes_narrow_choice_dtypes(self, network):
         """int32 choices must not wrap the ``row * m + choice`` keys."""
         rng = np.random.default_rng(11)
-        wide = rng.integers(-1, 3, size=network.size, dtype=np.int64)
+        wide = rng.integers(-1, 3, size=(1, network.size), dtype=np.int64)
         narrow = wide.astype(np.int32)
         np.testing.assert_array_equal(
             committed_neighbor_counts(network, narrow, 3),

@@ -1,10 +1,10 @@
-"""Tests for the vectorised sparse network engines.
+"""Tests for the replicate-batched sparse network engine.
 
-Covers the CSR matvec helper, the single-replicate vectorised engine and the
-replicate-batched engine: API validation, the stage-1 fallback branches, the
-complete-graph reduction, and consistency between the batched engine and its
-per-replicate views.  Distributional equivalence with the per-agent loop is
-gated separately in ``tests/integration/test_cross_validation.py``.
+Covers the CSR matvec helper and the batched engine: API validation, the
+stage-1 fallback branches, the complete-graph reduction, and consistency
+between the batched engine and its per-replicate views.  Distributional
+equivalence with the per-agent loop is gated separately in
+``tests/integration/test_cross_validation.py``.
 """
 
 import networkx as nx
@@ -19,10 +19,8 @@ from repro.environments import BernoulliEnvironment
 from repro.network import (
     BatchedNetworkDynamics,
     SocialNetwork,
-    VectorizedNetworkDynamics,
     committed_neighbor_counts,
     simulate_batched_network_dynamics,
-    simulate_network_dynamics,
 )
 
 
@@ -31,15 +29,15 @@ class TestCommittedNeighborCounts:
 
     def test_matches_dense_matvec(self):
         network = SocialNetwork.watts_strogatz(40, 4, 0.3, rng=0)
-        choices = np.random.default_rng(1).integers(-1, 3, size=40)
+        choices = np.random.default_rng(1).integers(-1, 3, size=(1, 40))
         adjacency = nx.to_numpy_array(network.graph)
         onehot = np.zeros((40, 3))
-        for agent, choice in enumerate(choices):
+        for agent, choice in enumerate(choices[0]):
             if choice >= 0:
                 onehot[agent, choice] = 1.0
         expected = (adjacency @ onehot).astype(np.int64)
         np.testing.assert_array_equal(
-            committed_neighbor_counts(network, choices, 3), expected
+            committed_neighbor_counts(network, choices, 3), expected[None]
         )
 
     def test_batched_rows_match_single_calls(self):
@@ -49,159 +47,25 @@ class TestCommittedNeighborCounts:
         assert batched.shape == (5, 30, 4)
         for replicate in range(5):
             np.testing.assert_array_equal(
-                batched[replicate],
-                committed_neighbor_counts(network, choices[replicate], 4),
+                batched[replicate : replicate + 1],
+                committed_neighbor_counts(
+                    network, choices[replicate : replicate + 1], 4
+                ),
             )
 
     def test_sitting_out_neighbours_do_not_count(self):
         network = SocialNetwork.ring(6, neighbors_each_side=1)
-        choices = np.full(6, -1, dtype=np.int64)
+        choices = np.full((1, 6), -1, dtype=np.int64)
         np.testing.assert_array_equal(
-            committed_neighbor_counts(network, choices, 2), np.zeros((6, 2))
+            committed_neighbor_counts(network, choices, 2), np.zeros((1, 6, 2))
         )
 
     def test_isolated_graph_gives_zero_counts(self):
         network = SocialNetwork(nx.empty_graph(4), name="isolated")
-        choices = np.array([0, 1, 1, 0])
+        choices = np.array([[0, 1, 1, 0]])
         np.testing.assert_array_equal(
-            committed_neighbor_counts(network, choices, 2), np.zeros((4, 2))
+            committed_neighbor_counts(network, choices, 2), np.zeros((1, 4, 2))
         )
-
-
-class TestVectorizedNetworkDynamics:
-    def test_state_counts_bounded_by_population(self):
-        dynamics = VectorizedNetworkDynamics(SocialNetwork.ring(50), 3, rng=0)
-        state = dynamics.step(np.array([1, 0, 1]))
-        assert state.counts.sum() <= 50
-        assert state.population_size == 50
-
-    def test_time_advances_and_choices_reflect_state(self):
-        dynamics = VectorizedNetworkDynamics(SocialNetwork.complete(30), 2, rng=0)
-        dynamics.step(np.array([1, 1]))
-        dynamics.step(np.array([0, 1]))
-        assert dynamics.time == 2
-        choices = dynamics.choices()
-        assert (choices >= 0).sum() == dynamics.state().committed
-
-    def test_rejects_bad_rewards(self):
-        dynamics = VectorizedNetworkDynamics(SocialNetwork.complete(10), 2, rng=0)
-        with pytest.raises(ValueError):
-            dynamics.step(np.array([2, 0]))
-        with pytest.raises(ValueError):
-            dynamics.step(np.array([1]))
-
-    def test_rejects_non_network(self):
-        with pytest.raises(TypeError):
-            VectorizedNetworkDynamics("graph", 2)
-
-    def test_no_neighbour_fallback_considers_uniformly(self):
-        """Isolated agents fall back to uniform consideration, never imitation."""
-        size = 400
-        network = SocialNetwork(nx.empty_graph(size), name="isolated")
-        dynamics = VectorizedNetworkDynamics(
-            network, 2, adoption_rule=AlwaysAdoptRule(), exploration_rate=0.0, rng=7
-        )
-        dynamics.set_choices(np.zeros(size, dtype=np.int64))
-        state = dynamics.step(np.array([1, 1]))
-        assert state.committed == size
-        assert state.counts[0] > size // 4
-        assert state.counts[1] > size // 4
-
-    def test_all_neighbours_sitting_out_falls_back_to_uniform(self):
-        size = 400
-        dynamics = VectorizedNetworkDynamics(
-            SocialNetwork.ring(size, neighbors_each_side=2),
-            2,
-            adoption_rule=AlwaysAdoptRule(),
-            exploration_rate=0.0,
-            rng=8,
-        )
-        dynamics.set_choices(np.full(size, -1, dtype=np.int64))
-        state = dynamics.step(np.array([1, 1]))
-        assert state.committed == size
-        assert state.counts[0] > size // 4
-        assert state.counts[1] > size // 4
-
-    def test_pure_imitation_copies_unanimous_neighbourhood(self):
-        """With mu=0 and a unanimous committed group, imitation is deterministic."""
-        size = 60
-        dynamics = VectorizedNetworkDynamics(
-            SocialNetwork.ring(size, neighbors_each_side=3),
-            3,
-            adoption_rule=AlwaysAdoptRule(),
-            exploration_rate=0.0,
-            rng=9,
-        )
-        dynamics.set_choices(np.full(size, 2, dtype=np.int64))
-        state = dynamics.step(np.array([1, 1, 1]))
-        np.testing.assert_array_equal(state.counts, [0, 0, size])
-
-    def test_never_adopting_group_stays_sitting_out(self):
-        dynamics = VectorizedNetworkDynamics(
-            SocialNetwork.ring(20), 2,
-            adoption_rule=GeneralAdoptionRule(0.0, 0.0), exploration_rate=0.0, rng=9,
-        )
-        env = BernoulliEnvironment([0.9, 0.1], rng=10)
-        trajectory = dynamics.run(env, 5)
-        for state in trajectory.states:
-            assert state.committed == 0
-        assert np.allclose(dynamics.popularity(), [0.5, 0.5])
-
-    def test_seeded_runs_are_reproducible(self):
-        network = SocialNetwork.watts_strogatz(80, 4, 0.2, rng=0)
-        results = []
-        for _ in range(2):
-            env = BernoulliEnvironment([0.8, 0.4], rng=3)
-            trajectory = simulate_network_dynamics(
-                env, network, 30, beta=0.65, rng=4, engine="vectorized"
-            )
-            results.append(trajectory.popularity_matrix())
-        np.testing.assert_array_equal(results[0], results[1])
-
-    def test_complete_graph_one_step_matches_core_dynamics(self):
-        """On the complete graph the per-step transition law matches the
-        original exchangeable dynamics (mean counts over many seeds)."""
-        size, replicates = 300, 200
-        rewards = np.array([1, 0])
-        rule = SymmetricAdoptionRule(0.7)
-        network = SocialNetwork.complete(size)
-
-        vectorized_counts = np.zeros(2)
-        core_counts = np.zeros(2)
-        for seed in range(replicates):
-            vectorized = VectorizedNetworkDynamics(
-                network, 2, adoption_rule=rule, exploration_rate=0.1, rng=seed
-            )
-            vectorized_counts += vectorized.step(rewards).counts
-            core = FinitePopulationDynamics(
-                size, 2, adoption_rule=rule,
-                sampling_rule=MixtureSampling(0.1), rng=seed + 100_000,
-            )
-            core_counts += core.step(rewards).counts
-        # Monte Carlo SE of each mean count is ~0.6; tolerance 3 is ~5 sigma.
-        assert np.all(
-            np.abs(vectorized_counts / replicates - core_counts / replicates) < 3.0
-        )
-
-    def test_helper_engine_argument_validated(self):
-        env = BernoulliEnvironment([0.8, 0.4], rng=0)
-        with pytest.raises(ValueError):
-            simulate_network_dynamics(
-                env, SocialNetwork.ring(10), 5, engine="warp-drive"
-            )
-
-    def test_helper_default_mu_is_shared_theorem_default(self):
-        env = BernoulliEnvironment([0.8, 0.4], rng=0)
-        network = SocialNetwork.ring(10)
-        trajectory = simulate_network_dynamics(env, network, 3, beta=0.6, rng=1)
-        assert trajectory.horizon == 3
-        # The loop and vectorised helpers share default_exploration_rate.
-        rule = SymmetricAdoptionRule(0.6)
-        dynamics = VectorizedNetworkDynamics(network, 2, rule, rng=1)
-        assert default_exploration_rate(rule) == pytest.approx(
-            min(1.0, rule.delta**2 / 6.0)
-        )
-        assert dynamics.exploration_rate == pytest.approx(0.05)
 
 
 class TestBatchedNetworkDynamics:
@@ -314,3 +178,89 @@ class TestBatchedNetworkDynamics:
         assert dynamics.num_replicates == 3
         assert dynamics.adoption_rule is rule
         assert dynamics.exploration_rate == pytest.approx(0.2)
+
+    def test_time_advances_and_choices_reflect_state(self):
+        dynamics = BatchedNetworkDynamics(SocialNetwork.complete(30), 2, 2, rng=0)
+        dynamics.step(np.array([1, 1]))
+        dynamics.step(np.array([0, 1]))
+        assert dynamics.time == 2
+        committed = (dynamics.choices() >= 0).sum(axis=1)
+        np.testing.assert_array_equal(committed, dynamics.state().committed)
+
+    def test_no_neighbour_fallback_considers_uniformly(self):
+        """Isolated agents fall back to uniform consideration, never imitation."""
+        size = 400
+        network = SocialNetwork(nx.empty_graph(size), name="isolated")
+        dynamics = BatchedNetworkDynamics(
+            network, 2, 1, adoption_rule=AlwaysAdoptRule(), exploration_rate=0.0, rng=7
+        )
+        dynamics.set_choices(np.zeros((1, size), dtype=np.int64))
+        state = dynamics.step(np.array([1, 1]))
+        assert state.committed[0] == size
+        assert state.counts[0, 0] > size // 4
+        assert state.counts[0, 1] > size // 4
+
+    def test_pure_imitation_copies_unanimous_neighbourhood(self):
+        """With mu=0 and a unanimous committed group, imitation is deterministic."""
+        size = 60
+        dynamics = BatchedNetworkDynamics(
+            SocialNetwork.ring(size, neighbors_each_side=3),
+            3,
+            1,
+            adoption_rule=AlwaysAdoptRule(),
+            exploration_rate=0.0,
+            rng=9,
+        )
+        dynamics.set_choices(np.full((1, size), 2, dtype=np.int64))
+        state = dynamics.step(np.array([1, 1, 1]))
+        np.testing.assert_array_equal(state.counts, [[0, 0, size]])
+
+    def test_never_adopting_group_stays_sitting_out(self):
+        dynamics = BatchedNetworkDynamics(
+            SocialNetwork.ring(20), 2, 1,
+            adoption_rule=GeneralAdoptionRule(0.0, 0.0), exploration_rate=0.0, rng=9,
+        )
+        env = BernoulliEnvironment([0.9, 0.1], rng=10)
+        trajectory = dynamics.run(env, 5)
+        for state in trajectory.states:
+            assert np.all(state.committed == 0)
+        assert np.allclose(dynamics.popularity(), [[0.5, 0.5]])
+
+    def test_complete_graph_one_step_matches_core_dynamics(self):
+        """On the complete graph the per-step transition law matches the
+        original exchangeable dynamics (mean counts over many replicates)."""
+        size, replicates = 300, 200
+        rewards = np.array([1, 0])
+        rule = SymmetricAdoptionRule(0.7)
+        network = SocialNetwork.complete(size)
+
+        batched = BatchedNetworkDynamics(
+            network, 2, replicates, adoption_rule=rule, exploration_rate=0.1, rng=0
+        )
+        batched_counts = batched.step(rewards).counts.sum(axis=0)
+        core_counts = np.zeros(2)
+        for seed in range(replicates):
+            core = FinitePopulationDynamics(
+                size, 2, adoption_rule=rule,
+                sampling_rule=MixtureSampling(0.1), rng=seed + 100_000,
+            )
+            core_counts += core.step(rewards).counts
+        # Monte Carlo SE of each mean count is ~0.6; tolerance 3 is ~5 sigma.
+        assert np.all(
+            np.abs(batched_counts / replicates - core_counts / replicates) < 3.0
+        )
+
+    def test_helper_default_mu_is_shared_theorem_default(self):
+        env = BernoulliEnvironment([0.8, 0.4], rng=0)
+        network = SocialNetwork.ring(10)
+        trajectory = simulate_batched_network_dynamics(
+            env, network, 3, 1, beta=0.6, rng=1
+        )
+        assert trajectory.horizon == 3
+        # The loop and batched helpers share default_exploration_rate.
+        rule = SymmetricAdoptionRule(0.6)
+        dynamics = BatchedNetworkDynamics(network, 2, 1, rule, rng=1)
+        assert default_exploration_rate(rule) == pytest.approx(
+            min(1.0, rule.delta**2 / 6.0)
+        )
+        assert dynamics.exploration_rate == pytest.approx(0.05)

@@ -7,8 +7,8 @@ the generator stream in float64, so ``float32`` changes only what the engines
 * **bit-identity of the dynamics** — for every batched engine (core, network,
   protocol) the float32 run visits exactly the same count matrices as the
   float64 run from the same seed, merely stored in ``int32``; and the
-  explicit ``backend="numpy"``/``precision="float64"`` spelling is
-  bit-identical to the implicit default (which the golden fixtures in
+  explicit ``precision="float64"`` spelling is bit-identical to the
+  implicit default (which the golden fixtures in
   ``tests/integration/test_golden_trajectories.py`` pin in turn);
 * **int32 conservation** — narrowed count matrices still conserve the
   population row by row (no silent wrap-around);
@@ -93,7 +93,6 @@ class TestCoreEngineBitIdentity:
             adoption_rule=SymmetricAdoptionRule(0.65),
             sampling_rule=MixtureSampling(0.05),
             rng=9,
-            backend="numpy",
             precision="float64",
         )
         environment = BernoulliEnvironment(QUALITIES + [0.5], rng=2)

@@ -1,9 +1,9 @@
-"""Property tests shared by the three network engines.
+"""Property tests shared by the two network engines.
 
-Every network engine — the per-agent loop :class:`NetworkDynamics`, the
-sparse :class:`VectorizedNetworkDynamics`, and the replicate-axis
-:class:`BatchedNetworkDynamics` — simulates the same neighbourhood-restricted
-two-stage process, so the same invariants must hold for each:
+Both network engines — the per-agent loop :class:`NetworkDynamics` and the
+replicate-axis :class:`BatchedNetworkDynamics` (at ``R = 1`` and above) —
+simulate the same neighbourhood-restricted two-stage process, so the same
+invariants must hold for each:
 
 * per-step choices lie in ``{-1, 0, .., m-1}`` and committed counts are
   non-negative and sum to at most ``N``;
@@ -30,14 +30,8 @@ from repro.network import (
     BatchedNetworkDynamics,
     NetworkDynamics,
     SocialNetwork,
-    VectorizedNetworkDynamics,
     committed_neighbor_counts,
 )
-
-ENGINE_CLASSES = {
-    "loop": NetworkDynamics,
-    "vectorized": VectorizedNetworkDynamics,
-}
 
 
 def _random_network(size: int, edge_probability: float, seed: int) -> SocialNetwork:
@@ -45,7 +39,6 @@ def _random_network(size: int, edge_probability: float, seed: int) -> SocialNetw
 
 
 class TestStepInvariants:
-    @pytest.mark.parametrize("engine", sorted(ENGINE_CLASSES))
     @given(
         size=st.integers(min_value=2, max_value=40),
         options=st.integers(min_value=1, max_value=4),
@@ -55,11 +48,11 @@ class TestStepInvariants:
         seed=st.integers(min_value=0, max_value=2**16),
     )
     @settings(max_examples=25, deadline=None)
-    def test_counts_bounded_and_popularity_on_simplex(
-        self, engine, size, options, edge_probability, beta, mu, seed
+    def test_loop_counts_bounded_and_popularity_on_simplex(
+        self, size, options, edge_probability, beta, mu, seed
     ):
         network = _random_network(size, edge_probability, seed)
-        dynamics = ENGINE_CLASSES[engine](
+        dynamics = NetworkDynamics(
             network,
             options,
             adoption_rule=SymmetricAdoptionRule(beta),
@@ -118,15 +111,15 @@ class TestMatvecAgainstDense:
         import networkx as nx
 
         network = _random_network(size, edge_probability, seed)
-        choices = np.random.default_rng(seed).integers(-1, options, size=size)
+        choices = np.random.default_rng(seed).integers(-1, options, size=(1, size))
         adjacency = nx.to_numpy_array(network.graph)
         onehot = np.zeros((size, options))
-        for agent, choice in enumerate(choices):
+        for agent, choice in enumerate(choices[0]):
             if choice >= 0:
                 onehot[agent, choice] = 1.0
         np.testing.assert_array_equal(
             committed_neighbor_counts(network, choices, options),
-            (adjacency @ onehot).astype(np.int64),
+            (adjacency @ onehot).astype(np.int64)[None],
         )
 
 

@@ -1,15 +1,14 @@
-"""Property tests shared by the three distributed-protocol engines.
+"""Property tests shared by the two distributed-protocol engines.
 
-Every protocol engine — the message-passing loop
-:class:`DistributedLearningProtocol`, the array-ops
-:class:`VectorizedProtocol`, and the replicate-axis
-:class:`BatchedProtocol` — simulates the same lossy round law, so the same
-invariants must hold for each:
+Both protocol engines — the message-passing loop
+:class:`DistributedLearningProtocol` and the replicate-axis
+:class:`BatchedProtocol` (at ``R = 1`` and above) — simulate the same lossy
+round law, so the same invariants must hold for each:
 
 * the alive mask is monotone: crash-stop failures only ever shrink it;
 * messages are conserved under loss: every sent message is delivered,
-  dropped, or (loop engine with delay) still pending — and the vectorised
-  engines never queue across rounds;
+  dropped, or (loop engine with delay) still pending — and the batched
+  engine never queues across rounds;
 * the expected regret (popularity against the true qualities) is
   non-negative, because the pre-round popularity lies on the simplex;
 * per-round committed counts never exceed the alive count, and choices stay
@@ -24,13 +23,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.adoption import SymmetricAdoptionRule
-from repro.core.regret import expected_regret
 from repro.distributed import (
     BatchedProtocol,
-    CrashFailureModel,
     DistributedLearningProtocol,
     LossyTransport,
-    VectorizedProtocol,
 )
 from repro.environments import BernoulliEnvironment
 from repro.experiments import (
@@ -41,85 +37,6 @@ from repro.experiments import (
 )
 
 QUALITIES = (0.8, 0.5)
-
-
-def _failure_model(crash, mass_round, mass_fraction, seed):
-    return CrashFailureModel(
-        per_round_crash_probability=crash,
-        mass_failure_round=mass_round,
-        mass_failure_fraction=mass_fraction,
-        rng=seed,
-    )
-
-
-class TestVectorizedInvariants:
-    @given(
-        num_nodes=st.integers(min_value=1, max_value=60),
-        options=st.integers(min_value=1, max_value=4),
-        loss=st.floats(min_value=0.0, max_value=1.0),
-        crash=st.floats(min_value=0.0, max_value=0.3),
-        mu=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_alive_monotone_counts_bounded_messages_conserved(
-        self, num_nodes, options, loss, crash, mu, seed
-    ):
-        protocol = VectorizedProtocol(
-            num_nodes,
-            options,
-            adoption_rule=SymmetricAdoptionRule(0.65),
-            exploration_rate=mu,
-            loss_rate=loss,
-            failure_model=_failure_model(crash, 2, 0.4, seed + 1),
-            max_query_attempts=3,
-            rng=seed,
-        )
-        rewards_rng = np.random.default_rng(seed + 2)
-        previous_alive = protocol.alive()
-        for _ in range(4):
-            protocol.run_round(rewards_rng.integers(0, 2, size=options))
-            alive = protocol.alive()
-            choices = protocol.choices()
-            # Crash-stop: nobody comes back.
-            assert np.all(alive <= previous_alive)
-            previous_alive = alive
-            assert np.all(choices >= -1) and np.all(choices < options)
-            committed = int((alive & (choices >= 0)).sum())
-            assert committed <= protocol.num_alive() <= num_nodes
-            popularity = protocol.popularity()
-            assert np.all(popularity >= 0)
-            assert popularity.sum() == pytest.approx(1.0)
-        stats = protocol.transport_stats()
-        assert stats["sent"] == stats["delivered"] + stats["dropped"]
-        assert stats["delayed"] == 0
-
-    @given(
-        num_nodes=st.integers(min_value=2, max_value=40),
-        loss=st.floats(min_value=0.0, max_value=0.9),
-        seed=st.integers(min_value=0, max_value=2**16),
-    )
-    @settings(max_examples=15, deadline=None)
-    def test_expected_regret_non_negative(self, num_nodes, loss, seed):
-        env = BernoulliEnvironment(QUALITIES, rng=seed)
-        protocol = VectorizedProtocol(
-            num_nodes, 2, exploration_rate=0.05, loss_rate=loss, rng=seed + 1
-        )
-        result = protocol.run(env, 10)
-        assert expected_regret(result.popularity_matrix, QUALITIES) >= 0
-
-    def test_full_loss_forces_fallback_everywhere(self):
-        """With loss_rate=1 no reply ever arrives: every querier falls back."""
-        protocol = VectorizedProtocol(
-            50, 2, exploration_rate=0.0, loss_rate=1.0, max_query_attempts=3, rng=0
-        )
-        protocol.run_round(np.array([1, 0]))
-        assert protocol.fallback_explorations == 50
-        stats = protocol.transport_stats()
-        # Queries are sent (and all dropped); replies are never sent.
-        assert stats["sent"] == 50 * 3
-        assert stats["dropped"] == stats["sent"]
-        assert stats["delivered"] == 0
 
 
 class TestBatchedInvariants:
@@ -193,6 +110,25 @@ class TestBatchedInvariants:
         result = protocol.run(env, 8)
         regrets = result.trajectory.expected_regret(np.asarray(QUALITIES))
         assert np.all(regrets >= 0)
+
+    def test_full_loss_forces_fallback_everywhere(self):
+        """With loss_rate=1 no reply ever arrives: every querier falls back."""
+        protocol = BatchedProtocol(
+            50,
+            2,
+            num_replicates=1,
+            exploration_rate=0.0,
+            loss_rate=1.0,
+            max_query_attempts=3,
+            rng=0,
+        )
+        protocol.run_round(np.array([1, 0]))
+        assert protocol.fallback_explorations == 50
+        stats = protocol.transport_stats()
+        # Queries are sent (and all dropped); replies are never sent.
+        assert stats["sent"] == 50 * 3
+        assert stats["dropped"] == stats["sent"]
+        assert stats["delivered"] == 0
 
     def test_mass_failure_kills_the_scheduled_fraction_per_replicate(self):
         protocol = BatchedProtocol(

@@ -1,10 +1,9 @@
-"""API v1 surface: error envelopes, version routing, legacy aliases, campaigns.
+"""API v1 surface: error envelopes, version routing, campaigns.
 
 Complements ``test_daemon.py`` (which exercises the happy paths through the
 client) with raw-HTTP assertions about the v1 contract: the one error
-envelope, ``Deprecation: true`` on unversioned aliases with byte-identical
-bodies, 404s for unknown version prefixes, and campaign submissions riding
-the same job lifecycle.
+envelope, 404s for unversioned paths and unknown version prefixes, and
+campaign submissions riding the same job lifecycle.
 """
 
 from __future__ import annotations
@@ -135,6 +134,26 @@ class TestErrorEnvelope:
         assert "no_such_metric" in body["error"]["message"]
         assert body["job"]["status"] == "error"
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"engine": "vectorized"}, "expected one of loop, batched"),
+            ({"backend": "numpy"}, "unknown network request fields ['backend']"),
+        ],
+    )
+    def test_removed_engine_and_backend_are_a_400(self, daemon, field, message):
+        payload = {
+            "kind": "network",
+            "options": [0.8, 0.5],
+            "topology": "ring",
+            "size": 20,
+            **field,
+        }
+        status, _, body = raw(daemon, "/v1/jobs", payload)
+        assert status == 400
+        assert body["error"]["code"] == "invalid_request"
+        assert message in body["error"]["message"]
+
     def test_client_surfaces_the_envelope_message(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"kind": "nope"})
@@ -154,6 +173,12 @@ class TestVersionRouting:
         assert status == 404
         assert body["error"]["code"] == "unknown_version"
 
+    def test_unversioned_paths_are_404_not_found(self, daemon):
+        for path, body in (("/healthz", None), ("/jobs", SWEEP_PAYLOAD)):
+            status, _, payload = raw(daemon, path, body)
+            assert status == 404
+            assert payload["error"]["code"] == "not_found"
+
     def test_client_targets_v1(self, client, daemon):
         # The client helper must reach the canonical surface, not an alias.
         gated = daemon  # client fixtures share the daemon
@@ -161,34 +186,6 @@ class TestVersionRouting:
         status, headers, _ = raw(gated, "/v1/healthz")
         assert status == 200
         assert "Deprecation" not in headers
-
-
-class TestLegacyAliases:
-    @pytest.mark.parametrize("path", ["/healthz", "/stats"])
-    def test_get_aliases_answer_identically_plus_deprecation(self, daemon, path):
-        legacy_status, legacy_headers, legacy_body = raw(daemon, path)
-        v1_status, v1_headers, v1_body = raw(daemon, f"/v1{path}")
-        assert legacy_status == v1_status == 200
-        assert legacy_body == v1_body
-        assert legacy_headers.get("Deprecation") == "true"
-        assert "Deprecation" not in v1_headers
-
-    def test_submit_alias_works_and_is_marked_deprecated(self, daemon, client):
-        status, headers, body = raw(daemon, "/jobs", SWEEP_PAYLOAD)
-        assert status == 202
-        assert headers.get("Deprecation") == "true"
-        rows_legacy = client.wait(body["job_id"])["rows"]
-        # Same workload through /v1 (served from the shared store): the
-        # alias and the canonical route produce bit-identical rows.
-        submitted = client.submit(SWEEP_PAYLOAD)
-        rows_v1 = client.wait(submitted["job_id"])["rows"]
-        assert rows_legacy == rows_v1
-
-    def test_error_envelope_on_alias_carries_deprecation(self, daemon):
-        status, headers, body = raw(daemon, "/jobs", {"kind": "nope"})
-        assert status == 400
-        assert body["error"]["code"] == "invalid_request"
-        assert headers.get("Deprecation") == "true"
 
 
 class TestCampaignJobs:

@@ -207,7 +207,7 @@ class TestExecuteRequest:
 
 
 class TestEngineOptionFields:
-    """backend/dtype participate in the spec — and hence the content address."""
+    """dtype participates in the spec — and hence the content address."""
 
     def _sweep(self, **overrides):
         kwargs = dict(
@@ -218,8 +218,7 @@ class TestEngineOptionFields:
 
     def test_explicit_defaults_normalise_out_of_the_spec(self):
         implicit = self._sweep()
-        explicit = self._sweep(backend="numpy", dtype="float64")
-        assert "backend" not in explicit.spec
+        explicit = self._sweep(dtype="float64")
         assert "dtype" not in explicit.spec
         assert explicit.key() == implicit.key()
 
@@ -229,18 +228,27 @@ class TestEngineOptionFields:
         assert narrow.spec["dtype"] == "float32"
         assert narrow.key() != default.key()
 
-    def test_unknown_backend_and_dtype_rejected(self):
-        with pytest.raises(RequestError, match="unknown backend"):
-            self._sweep(backend="metal")
+    def test_unknown_dtype_rejected(self):
         with pytest.raises(RequestError, match="unknown dtype"):
             self._sweep(dtype="float16")
+
+    def test_removed_backend_field_and_vectorized_engine_rejected(self):
+        payload = {"kind": "sweep", "options": [0.8, 0.5], "populations": [60]}
+        with pytest.raises(RequestError, match="unknown sweep request fields"):
+            request_from_dict({**payload, "backend": "numpy"})
+        for builder, fields in (
+            (network_request, dict(topology="ring", size=20)),
+            (protocol_request, dict(nodes=20)),
+        ):
+            with pytest.raises(RequestError, match="expected one of loop, batched"):
+                builder(options=[0.8, 0.5], engine="vectorized", **fields)
 
     def test_overrides_require_the_batched_engine(self):
         with pytest.raises(RequestError, match="batched engine"):
             self._sweep(engine="loop", dtype="float32")
         with pytest.raises(RequestError, match="batched engine"):
             protocol_request(
-                options=[0.8, 0.5], nodes=40, engine="vectorized", dtype="float32"
+                options=[0.8, 0.5], nodes=40, engine="loop", dtype="float32"
             )
 
     def test_round_trip_preserves_the_options_and_key(self):

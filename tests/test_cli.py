@@ -140,6 +140,32 @@ class TestRunCommand:
         assert args.engine == "batched"
         assert args.replications == 100
 
+    @pytest.mark.parametrize("engine", ("batched", "loop"))
+    def test_summary_is_that_of_a_one_point_sweep(self, engine, capsys, tmp_path):
+        """run is a one-point sweep: its means are the sweep row, bit for bit."""
+        from repro.experiments import read_csv
+
+        common = [
+            "--options", "0.85", "0.45", "0.3",
+            "--horizon", "50",
+            "--replications", "20",
+            "--seed", "11",
+            "--engine", engine,
+        ]
+        run_target = tmp_path / "run.csv"
+        sweep_target = tmp_path / "sweep.csv"
+        assert main(
+            ["run", "--population", "2000", "--output", str(run_target), *common]
+        ) == 0
+        assert main(
+            ["sweep", "--populations", "2000", "--output", str(sweep_target), *common]
+        ) == 0
+        capsys.readouterr()
+        means = {row["metric"]: row["mean"] for row in read_csv(run_target).rows}
+        (point,) = read_csv(sweep_target).rows
+        assert set(means) == {"regret", "best_option_share"}
+        assert means == {name: point[name] for name in means}
+
 
 class TestBoundsCommand:
     def test_prints_paper_quantities(self, capsys):
@@ -294,8 +320,7 @@ class TestNetworkCommand:
         assert "diameter" in output
         assert "clustering" in output
 
-    @pytest.mark.parametrize("engine", ("vectorized", "loop"))
-    def test_alternative_engines_run(self, engine, capsys):
+    def test_loop_engine_runs(self, capsys):
         exit_code = main(
             [
                 "network",
@@ -304,12 +329,12 @@ class TestNetworkCommand:
                 "--size", "60",
                 "--horizon", "15",
                 "--replications", "3",
-                "--engine", engine,
+                "--engine", "loop",
             ]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert f"engine={engine}" in output
+        assert "engine=loop" in output
 
     def test_output_writes_csv(self, tmp_path):
         target = tmp_path / "network.csv"
@@ -357,8 +382,7 @@ class TestProtocolCommand:
         assert "regret" in output and "best_option_share" in output
         assert "alive_fraction" in output
 
-    @pytest.mark.parametrize("engine", ("vectorized", "loop"))
-    def test_alternative_engines_run(self, engine, capsys):
+    def test_loop_engine_runs(self, capsys):
         exit_code = main(
             [
                 "protocol",
@@ -366,12 +390,12 @@ class TestProtocolCommand:
                 "--nodes", "60",
                 "--rounds", "15",
                 "--replications", "2",
-                "--engine", engine,
+                "--engine", "loop",
             ]
         )
         output = capsys.readouterr().out
         assert exit_code == 0
-        assert f"engine={engine}" in output
+        assert "engine=loop" in output
 
     def test_mass_crash_defaults_to_midpoint_round(self, capsys):
         exit_code = main(
@@ -712,19 +736,32 @@ class TestServeCommand:
 
 
 class TestEngineOptionFlags:
-    """--backend/--dtype thread from the CLI through the shared request layer."""
+    """--dtype threads from the CLI through the shared request layer."""
 
     def test_parser_defaults_to_no_override(self):
         for command in ("sweep", "network", "protocol"):
             args = build_parser().parse_args([command])
-            assert args.backend is None
             assert args.dtype is None
 
     def test_unknown_dtype_rejected_by_the_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--dtype", "float16"])
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["network", "--backend", "metal"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--backend", "numpy"],
+            ["network", "--backend", "numpy"],
+            ["protocol", "--backend", "numpy"],
+            ["network", "--engine", "vectorized"],
+            ["protocol", "--engine", "vectorized"],
+        ],
+    )
+    def test_removed_flag_values_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        capsys.readouterr()
 
     def test_float32_sweep_rows_match_the_service_request(self, capsys, tmp_path):
         """The CLI and a direct service request produce identical rows."""

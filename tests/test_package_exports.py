@@ -35,13 +35,11 @@ DEFINING_MODULES = {
             "build_network",
             "network_batched_replication",
             "network_point_replication",
-            "network_vectorized_replication",
         ),
         "protocol_sweep": (
             "PROTOCOL_REPLICATIONS",
             "protocol_batched_replication",
             "protocol_point_replication",
-            "protocol_vectorized_replication",
         ),
         "results": ("ResultTable",),
         "io": ("read_csv", "write_csv"),
