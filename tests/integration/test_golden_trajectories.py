@@ -207,6 +207,7 @@ class TestServeSizeDigests:
 # loss-only VectorizedProtocol, environment seed s, engine seed s + 1).  The
 # batched engines at R = 1 must reproduce them, so one replicate can still be
 # re-run from its own seed.
+SINGLE_REPLICATE_NUMPY_RELEASE = "2.4"
 SINGLE_REPLICATE_DIGESTS = {
     "network/watts_strogatz": (
         "db45fa16e9d98043c51e24533b2112b424b752f3a3d49c57f051c5c4e337c1ef"
@@ -246,7 +247,9 @@ class TestSingleReplicateDigests:
 
     @pytest.mark.parametrize("run", sorted(SINGLE_REPLICATE_DIGESTS))
     def test_run_reproduces_pinned_digest(self, run):
-        _skip_unless_same_numpy_release({"numpy_release": "2.4"})
+        _skip_unless_same_numpy_release(
+            {"numpy_release": SINGLE_REPLICATE_NUMPY_RELEASE}
+        )
         generate, config = generate_golden.SINGLE_REPLICATE_RUNS[run]
         assert generate_golden.record_digest(generate(config)) == (
             SINGLE_REPLICATE_DIGESTS[run]
@@ -255,7 +258,9 @@ class TestSingleReplicateDigests:
     @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
     @pytest.mark.parametrize("run", NETWORK_SINGLE_REPLICATE_RUNS)
     def test_fused_kernel_reproduces_pinned_digest(self, run):
-        _skip_unless_same_numpy_release({"numpy_release": "2.4"})
+        _skip_unless_same_numpy_release(
+            {"numpy_release": SINGLE_REPLICATE_NUMPY_RELEASE}
+        )
         _, config = generate_golden.SINGLE_REPLICATE_RUNS[run]
         record = generate_golden.network_single_replicate(config, use_numba=True)
         assert generate_golden.record_digest(record) == SINGLE_REPLICATE_DIGESTS[run]
