@@ -136,3 +136,55 @@ class TestBatchedProtocolBasics:
         result = protocol.run(env, 30)
         assert result.fallback_explorations > 0
         assert result.transport_stats["dropped"] > 0
+
+
+class TestSingleReplicateProtocol:
+    """The batched engine at ``R = 1``: the single-replicate path."""
+
+    def test_initialisation(self):
+        protocol = BatchedProtocol(50, 3, num_replicates=1, rng=0)
+        assert protocol.num_nodes == 50
+        assert protocol.num_options == 3
+        np.testing.assert_array_equal(protocol.alive_counts(), [50])
+        np.testing.assert_allclose(protocol.state().popularity().sum(axis=1), 1.0)
+        # Every node starts committed, like the loop engine's nodes.
+        assert np.all(protocol.choices() >= 0)
+        assert np.all(protocol.alive())
+
+    def test_round_counter_advances(self):
+        protocol = BatchedProtocol(20, 2, num_replicates=1, rng=0)
+        protocol.run_round(np.array([1, 0]))
+        protocol.run_round(np.array([0, 1]))
+        assert protocol.round_number == 2
+
+    def test_rewards_validated(self):
+        protocol = BatchedProtocol(20, 2, num_replicates=1, rng=0)
+        with pytest.raises(ValueError):
+            protocol.run_round(np.array([1, 0, 1]))
+        with pytest.raises(ValueError):
+            protocol.run_round(np.array([1, 0.5]))
+
+    def test_run_result_shapes(self):
+        env = BernoulliEnvironment([0.8, 0.4], rng=1)
+        protocol = BatchedProtocol(100, 2, num_replicates=1, rng=2)
+        result = protocol.run(env, 40)
+        assert result.rounds == 40
+        assert result.num_replicates == 1
+        assert result.trajectory.popularity_tensor().shape == (40, 1, 2)
+        assert result.alive_matrix.shape == (40, 1)
+        assert result.regret().shape == (1,)
+
+    def test_run_rejects_mismatched_environment(self):
+        env = BernoulliEnvironment([0.8, 0.4, 0.2], rng=1)
+        protocol = BatchedProtocol(50, 2, num_replicates=1, rng=2)
+        with pytest.raises(ValueError):
+            protocol.run(env, 5)
+
+    def test_protocol_learns_best_option(self):
+        env = BernoulliEnvironment([0.9, 0.2], rng=5)
+        protocol = BatchedProtocol(
+            400, 2, num_replicates=1, exploration_rate=0.03, rng=6
+        )
+        result = protocol.run(env, 300)
+        assert result.best_option_share()[0] > 0.6
+        assert result.regret()[0] < 0.35

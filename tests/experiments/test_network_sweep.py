@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.core.adoption import SymmetricAdoptionRule
+from repro.core.regret import expected_regret
+from repro.environments import BernoulliEnvironment
 from repro.experiments import (
     NETWORK_ENGINES,
     NETWORK_REPLICATIONS,
@@ -14,6 +17,7 @@ from repro.experiments import (
     run_replications,
     run_sweep,
 )
+from repro.network import BatchedNetworkDynamics, NetworkDynamics
 
 PARAMETERS = {
     "qualities": (0.85, 0.45),
@@ -83,6 +87,32 @@ class TestReplicationFunctions:
         assert len(result.metrics) == 4
         assert result.metric_names() == ["best_option_share", "regret"]
         assert np.all(np.isfinite(result.metric_values("regret")))
+
+    def test_point_engines_share_seeding_convention(self):
+        """The loop engine runs (env=seed, dynamics=seed+1); the batched engine
+        draws everything from one generator seeded by the whole seed list."""
+        qualities = np.asarray(PARAMETERS["qualities"])
+        network = build_network(PARAMETERS)
+        rule = SymmetricAdoptionRule(PARAMETERS["beta"])
+        horizon, mu = PARAMETERS["T"], PARAMETERS["mu"]
+
+        loop = NetworkDynamics(network, 2, rule, exploration_rate=mu, rng=3 + 1)
+        matrix = loop.run(BernoulliEnvironment(qualities, rng=3), horizon)
+        assert network_point_replication(3, dict(PARAMETERS))["regret"] == float(
+            expected_regret(matrix.popularity_matrix(), qualities)
+        )
+
+        generator = np.random.default_rng([3, 4])
+        batched = BatchedNetworkDynamics(
+            network, 2, 2, rule, exploration_rate=mu, rng=generator
+        )
+        trajectory = batched.run(
+            BernoulliEnvironment(qualities, rng=generator), horizon
+        )
+        rows = network_batched_replication([3, 4], dict(PARAMETERS))
+        assert [row["regret"] for row in rows] == (
+            trajectory.expected_regret(qualities).tolist()
+        )
 
     def test_engines_are_deterministic_per_seed(self):
         """Equal seeds give equal rows on the loop and the batched engine."""

@@ -3,6 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.adoption import SymmetricAdoptionRule
+from repro.distributed import (
+    BatchedProtocol,
+    DistributedLearningProtocol,
+    LossyTransport,
+    NoFailures,
+)
+from repro.environments import BernoulliEnvironment
 from repro.experiments import (
     PROTOCOL_ENGINES,
     PROTOCOL_REPLICATIONS,
@@ -52,6 +60,44 @@ class TestReplicationFunctions:
         shares = result.metric_values("best_option_share")
         assert np.all(shares >= 0) and np.all(shares <= 1)
         assert np.all(result.metric_values("alive_fraction") == 1.0)
+
+    def test_engines_follow_their_seeding_conventions(self):
+        """The loop engine runs (env=seed, transport=seed+3, protocol=seed+4);
+        the batched engine draws everything from one generator seeded by the
+        whole seed list."""
+        qualities = np.asarray(BASE["qualities"])
+        rule = SymmetricAdoptionRule(BASE["beta"])
+        parameters = dict(BASE, loss=0.2)
+
+        loop = DistributedLearningProtocol(
+            BASE["N"],
+            2,
+            adoption_rule=rule,
+            exploration_rate=BASE["mu"],
+            transport=LossyTransport(loss_rate=0.2, rng=3 + 3),
+            failure_model=NoFailures(),
+            rng=3 + 4,
+        )
+        result = loop.run(BernoulliEnvironment(qualities, rng=3), BASE["T"])
+        assert protocol_point_replication(3, parameters)["regret"] == float(
+            result.regret
+        )
+
+        generator = np.random.default_rng([3, 4])
+        batched = BatchedProtocol(
+            BASE["N"],
+            2,
+            num_replicates=2,
+            adoption_rule=rule,
+            exploration_rate=BASE["mu"],
+            loss_rate=0.2,
+            rng=generator,
+        )
+        batched_result = batched.run(
+            BernoulliEnvironment(qualities, rng=generator), BASE["T"]
+        )
+        rows = protocol_batched_replication([3, 4], parameters)
+        assert [row["regret"] for row in rows] == batched_result.regret().tolist()
 
     def test_missing_required_parameters_raise(self):
         with pytest.raises(KeyError):

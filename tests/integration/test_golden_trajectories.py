@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.network.kernels import HAS_NUMBA
+from repro.network import kernels, vectorized
+from repro.network.kernels import HAS_NUMBA, _gather_pick_loop
 
 FIXTURES_DIR = Path(__file__).parent.parent / "fixtures"
 GOLDEN_DIR = FIXTURES_DIR / "golden"
@@ -261,6 +262,18 @@ class TestSingleReplicateDigests:
         _skip_unless_same_numpy_release(
             {"numpy_release": SINGLE_REPLICATE_NUMPY_RELEASE}
         )
+        _, config = generate_golden.SINGLE_REPLICATE_RUNS[run]
+        record = generate_golden.network_single_replicate(config, use_numba=True)
+        assert generate_golden.record_digest(record) == SINGLE_REPLICATE_DIGESTS[run]
+
+    @pytest.mark.parametrize("run", NETWORK_SINGLE_REPLICATE_RUNS)
+    def test_fused_kernel_source_reproduces_pinned_digest(self, run, monkeypatch):
+        """The fused path with the kernel's un-jitted source, so no numba is needed."""
+        _skip_unless_same_numpy_release(
+            {"numpy_release": SINGLE_REPLICATE_NUMPY_RELEASE}
+        )
+        monkeypatch.setattr(vectorized, "HAS_NUMBA", True)
+        monkeypatch.setattr(kernels, "_gather_pick_jit", _gather_pick_loop)
         _, config = generate_golden.SINGLE_REPLICATE_RUNS[run]
         record = generate_golden.network_single_replicate(config, use_numba=True)
         assert generate_golden.record_digest(record) == SINGLE_REPLICATE_DIGESTS[run]

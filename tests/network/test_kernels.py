@@ -63,6 +63,19 @@ class TestFusedKernelEquivalence:
         np.testing.assert_array_equal(fused_totals, totals)
         np.testing.assert_array_equal(fused_picks, picks)
 
+    def test_single_replicate_row_matches_two_pass(self, network):
+        rng = np.random.default_rng(7)
+        num_options = 3
+        choices = rng.integers(-1, num_options, size=(1, network.size))
+        uniforms = rng.random((1, network.size))
+        fused_picks, fused_totals = fused_neighbor_pick(
+            network, choices, uniforms, num_options, impl=_gather_pick_loop
+        )
+        assert fused_picks.shape == (1, network.size)
+        picks, totals = _two_pass(network, choices, uniforms, num_options)
+        np.testing.assert_array_equal(fused_totals, totals)
+        np.testing.assert_array_equal(fused_picks, picks)
+
     def test_all_sitting_out_reports_zero_totals_and_clamped_picks(self, network):
         choices = np.full((2, network.size), -1)
         uniforms = np.zeros((2, network.size))

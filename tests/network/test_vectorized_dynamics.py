@@ -264,3 +264,49 @@ class TestBatchedNetworkDynamics:
             min(1.0, rule.delta**2 / 6.0)
         )
         assert dynamics.exploration_rate == pytest.approx(0.05)
+
+
+class TestSingleReplicateNetworkDynamics:
+    """The batched engine at ``R = 1``: the single-replicate path."""
+
+    def test_state_counts_bounded_by_population(self):
+        dynamics = BatchedNetworkDynamics(SocialNetwork.ring(50), 3, 1, rng=0)
+        state = dynamics.step(np.array([1, 0, 1]))
+        assert state.counts.shape == (1, 3)
+        assert state.counts.sum() <= 50
+        assert state.population_size == 50
+
+    def test_rejects_bad_rewards(self):
+        dynamics = BatchedNetworkDynamics(SocialNetwork.complete(10), 2, 1, rng=0)
+        with pytest.raises(ValueError):
+            dynamics.step(np.array([2, 0]))
+        with pytest.raises(ValueError):
+            dynamics.step(np.array([1]))
+
+    def test_all_neighbours_sitting_out_falls_back_to_uniform(self):
+        size = 400
+        dynamics = BatchedNetworkDynamics(
+            SocialNetwork.ring(size, neighbors_each_side=2),
+            2,
+            1,
+            adoption_rule=AlwaysAdoptRule(),
+            exploration_rate=0.0,
+            rng=8,
+        )
+        dynamics.set_choices(np.full((1, size), -1, dtype=np.int64))
+        state = dynamics.step(np.array([1, 1]))
+        assert state.committed[0] == size
+        assert state.counts[0, 0] > size // 4
+        assert state.counts[0, 1] > size // 4
+
+    def test_seeded_runs_are_reproducible(self):
+        """Environment seed and engine seed re-run one replicate exactly."""
+        network = SocialNetwork.watts_strogatz(80, 4, 0.2, rng=0)
+        results = []
+        for _ in range(2):
+            env = BernoulliEnvironment([0.8, 0.4], rng=3)
+            trajectory = simulate_batched_network_dynamics(
+                env, network, 30, 1, beta=0.65, rng=4
+            )
+            results.append(trajectory.popularity_tensor())
+        np.testing.assert_array_equal(results[0], results[1])

@@ -173,11 +173,21 @@ class TestVersionRouting:
         assert status == 404
         assert body["error"]["code"] == "unknown_version"
 
-    def test_unversioned_paths_are_404_not_found(self, daemon):
-        for path, body in (("/healthz", None), ("/jobs", SWEEP_PAYLOAD)):
-            status, _, payload = raw(daemon, path, body)
-            assert status == 404
-            assert payload["error"]["code"] == "not_found"
+    @pytest.mark.parametrize(
+        "path, body",
+        [
+            ("/healthz", None),
+            ("/stats", None),
+            ("/jobs", SWEEP_PAYLOAD),
+            ("/jobs", {"kind": "nope"}),
+        ],
+        ids=["healthz", "stats", "submit", "invalid-submit"],
+    )
+    def test_unversioned_paths_are_404_not_found(self, daemon, path, body):
+        status, headers, payload = raw(daemon, path, body)
+        assert status == 404
+        assert payload["error"]["code"] == "not_found"
+        assert "Deprecation" not in headers
 
     def test_client_targets_v1(self, client, daemon):
         # The client helper must reach the canonical surface, not an alias.

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.batched import BatchedDynamics
+from repro.distributed import BatchedProtocol
+from repro.environments import BernoulliEnvironment
+from repro.network import BatchedNetworkDynamics, SocialNetwork
 from repro.utils.rng import (
     RowBlockGenerator,
     ensure_rng,
@@ -138,3 +142,40 @@ class TestRowBlockGenerator:
     def test_empty_blocks_rejected(self, seed_blocks):
         with pytest.raises(ValueError, match="at least one seed"):
             RowBlockGenerator(seed_blocks)
+
+
+BATCHED_ENGINES = {
+    "dynamics": lambda rng: BatchedDynamics(3, 40, 2, rng=rng),
+    "network": lambda rng: BatchedNetworkDynamics(
+        SocialNetwork.ring(40), 2, 3, rng=rng
+    ),
+    "protocol": lambda rng: BatchedProtocol(40, 2, num_replicates=3, rng=rng),
+}
+
+
+def _popularity(engine) -> np.ndarray:
+    result = engine.run(BernoulliEnvironment([0.8, 0.4], rng=1), 6)
+    trajectory = getattr(result, "trajectory", result)
+    return trajectory.popularity_tensor()
+
+
+class TestBatchedEnginesUseEnsureRng:
+    """Every batched engine turns its ``rng`` argument into a generator with
+    :func:`ensure_rng`, so a seed and a caller's generator behave alike."""
+
+    @pytest.mark.parametrize("engine", sorted(BATCHED_ENGINES))
+    def test_integer_seed_matches_ensure_rng_stream(self, engine):
+        build = BATCHED_ENGINES[engine]
+        np.testing.assert_array_equal(
+            _popularity(build(123)), _popularity(build(ensure_rng(123)))
+        )
+
+    @pytest.mark.parametrize("engine", sorted(BATCHED_ENGINES))
+    def test_generators_are_used_as_is(self, engine):
+        """A caller's generator is advanced in place, not copied."""
+        build = BATCHED_ENGINES[engine]
+        generator = np.random.default_rng(123)
+        np.testing.assert_array_equal(
+            _popularity(build(generator)), _popularity(build(123))
+        )
+        assert generator.random() != np.random.default_rng(123).random()
