@@ -6,7 +6,9 @@ one task per ``(point, seed)`` pair — runs three ways through the same
 
 * ``serial`` — the in-process :class:`SerialExecutor` (the default);
 * ``parallel`` — a 4-worker :class:`ParallelExecutor` (skipped, with the
-  asserted floor untested, on machines with fewer than 4 CPUs); and
+  asserted floor untested, on machines with fewer than 4 CPUs), timed on a
+  warm pool: one small throwaway sweep first starts the pool, and its
+  seconds are reported as their own ``parallel-4-pool-start-up`` row; and
 * ``cache replay`` — the serial executor against a warm
   :class:`ResultStore`, which must serve every task without recompute.
 
@@ -47,7 +49,7 @@ REQUIRED_PARALLEL_SPEEDUP = 2.0
 REQUIRED_REPLAY_SPEEDUP = 50.0
 
 
-def _run(executor=None, store=None):
+def _run(executor=None, store=None, base_parameters=BASE_PARAMETERS):
     """One full sweep through the runtime; returns (seconds, per-point metrics)."""
     start = time.perf_counter()
     results, _ = run_sweep(
@@ -56,7 +58,7 @@ def _run(executor=None, store=None):
         dynamics_point_replication,
         replications=REPLICATES,
         seed=0,
-        base_parameters=BASE_PARAMETERS,
+        base_parameters=base_parameters,
         options=ExecutionOptions(executor=executor, store=store),
     )
     seconds = time.perf_counter() - start
@@ -83,11 +85,23 @@ def test_runtime_sharding_and_replay_throughput(save_results, tmp_path):
 
     can_go_parallel = (os.cpu_count() or 1) >= PARALLEL_WORKERS
     if can_go_parallel:
-        parallel_seconds, parallel_metrics = _run(
-            executor=ParallelExecutor(PARALLEL_WORKERS)
-        )
+        with ParallelExecutor(PARALLEL_WORKERS) as executor:
+            # The pool starts once per executor (forkserver start, worker
+            # imports); a small throwaway sweep pays that before timing.
+            start_up_seconds, _ = _run(
+                executor=executor,
+                base_parameters={**BASE_PARAMETERS, "N": 200, "T": 10},
+            )
+            parallel_seconds, parallel_metrics = _run(executor=executor)
         assert parallel_metrics == serial_metrics, (
             "parallel sweep is not bit-identical to serial"
+        )
+        rows.append(
+            {
+                "execution": f"parallel-{PARALLEL_WORKERS}-pool-start-up",
+                "seconds": start_up_seconds,
+                "tasks": len(GRID) * REPLICATES,
+            }
         )
         rows.append(
             {

@@ -11,9 +11,10 @@ past one machine with nothing but the stdlib.  Topology and handshake:
   introduces itself with a ``hello`` frame carrying its worker count.
 * The coordinator serialises task refs + parameters (:func:`task_to_wire`)
   and streams one ``shard`` frame at a time to each idle broker; the broker
-  executes the shard's tasks — in-process, or fanned across a local
-  ``ProcessPoolExecutor`` when started with ``--workers K`` — and streams a
-  ``result`` frame back.  On ``close()`` the coordinator sends every broker
+  executes the shard's tasks — in-process, or on one local
+  :class:`~repro.runtime.executors.ParallelExecutor` kept for the broker's
+  lifetime when started with ``--workers K`` — and streams a ``result``
+  frame back.  On ``close()`` the coordinator sends every broker
   a ``shutdown`` frame.
 
 Framing is length-prefixed JSON: a 4-byte big-endian payload length followed
@@ -44,20 +45,20 @@ import socket
 import struct
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, get_registry
 from repro.obs.trace import current_context, get_tracer, set_ambient_context
 from repro.runtime.backend import check_resolvable
+from repro.runtime.driver import _shard_count
 from repro.runtime.executors import (
+    ParallelExecutor,
     ShardResults,
     ShardTiming,
     _execute_shard,
-    _repro_import_root,
-    _worker_initializer,
+    resolve_replication,
 )
-from repro.runtime.shard import Task
+from repro.runtime.shard import Task, partition_tasks
 from repro.utils.logging import get_logger
 
 logger = get_logger("campaign.broker")
@@ -537,9 +538,11 @@ def run_broker(
 ) -> int:
     """Dial ``coordinator`` and execute shards until told to shut down.
 
-    This is the ``repro broker`` entry point.  With ``workers > 1`` the
-    shard's tasks fan out across a local ``ProcessPoolExecutor``; otherwise
-    they run in this process.  ``max_shards`` makes the broker drop its
+    This is the ``repro broker`` entry point.  With ``workers > 1`` every
+    shard runs on one :class:`ParallelExecutor` kept until the broker exits,
+    split as the driver splits a plan (a grid shard as one fused launch per
+    worker); otherwise it runs in this process.  Either way the shard's
+    rows come back in task order.  ``max_shards`` makes the broker drop its
     connection after that many shards — the deterministic stand-in for a
     crash that the fault-tolerance tests (and chaos drills) use.  Returns
     the number of shards executed.
@@ -559,13 +562,7 @@ def run_broker(
                     f"{connect_timeout:.0f}s"
                 ) from None
             time.sleep(0.05)
-    pool: Optional[ProcessPoolExecutor] = None
-    if workers > 1:
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_initializer,
-            initargs=((_repro_import_root(),),),
-        )
+    executor = ParallelExecutor(workers) if workers > 1 else None
     executed = 0
     try:
         send_frame(sock, {"type": "hello", "workers": workers})
@@ -588,7 +585,7 @@ def run_broker(
             wall_start = time.perf_counter()
             cpu_start = time.process_time()
             try:
-                rows_per_task = _execute_tasks(tasks, pool)
+                rows_per_task = _execute_tasks(tasks, executor)
             except Exception as error:  # noqa: BLE001 - forwarded to coordinator
                 send_frame(
                     sock,
@@ -620,8 +617,8 @@ def run_broker(
                 # last result was already sent) or at most one shard.
                 return executed
     finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+        if executor is not None:
+            executor.close()
         try:
             sock.close()
         except OSError:
@@ -629,15 +626,15 @@ def run_broker(
 
 
 def _execute_tasks(
-    tasks: List[Task], pool: Optional[ProcessPoolExecutor]
+    tasks: List[Task], executor: Optional[ParallelExecutor]
 ) -> List[List[Dict[str, float]]]:
-    """Run one shard's tasks (in-process or on the local pool), in order.
-
-    In-process, the shard runs as one :func:`_execute_shard` call, so its
-    grid points share a fused launch.  On the pool every task runs alone;
-    the rows are the same either way.
-    """
-    if pool is None:
+    """Run one shard's tasks (in-process or on the local pool), in task order."""
+    if executor is None or not tasks:
         return [rows for _, rows in _execute_shard(tasks)]
-    futures = [pool.submit(_execute_shard, [task]) for task in tasks]
-    return [future.result()[0][1] for future in futures]
+    shards = partition_tasks(tasks, _shard_count(tasks, executor))
+    replication = resolve_replication(tasks[0].function_ref)
+    rows = {}
+    for shard_results in executor.run_shards(shards, replication):
+        for task, metrics in shard_results:
+            rows[task.ordinal] = metrics
+    return [rows[task.ordinal] for task in tasks]

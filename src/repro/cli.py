@@ -254,18 +254,19 @@ def _finish_runtime(options: Optional[ExecutionOptions]) -> None:
 
 
 def _close_runtime(options: Optional[ExecutionOptions]) -> None:
-    """Release the store and tracer unconditionally (error-path counterpart).
+    """Release the pool, store and tracer unconditionally.
 
     Commands call this from ``finally`` so a failure anywhere between
-    :func:`_runtime_options` opening the store and :func:`_finish_runtime`
-    closing it cannot leak the sqlite connection or the trace file handle;
+    :func:`_runtime_options` opening them and the command's end cannot leak
+    the worker pool, the sqlite connection or the trace file handle;
     ``ResultStore.close`` and ``Tracer.close`` are idempotent, so the
     success path (which already closed, after printing stats) is unaffected.
     """
-    if options is not None and options.store is not None:
-        options.store.close()
-    if options is not None and options.tracer is not None:
-        options.tracer.close()
+    if options is None:
+        return
+    for resource in (options.executor, options.store, options.tracer):
+        if resource is not None:
+            resource.close()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -530,8 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help=(
-            "worker *processes* per job, as in the sweep/network/protocol "
-            "--workers flag (default 1 = in-process execution)"
+            "worker *processes* in one pool shared by every job, started "
+            "at the first pooled job (default 1 = in-process execution)"
         ),
     )
     serve.add_argument(
@@ -929,6 +930,8 @@ def _command_protocol(args: argparse.Namespace) -> int:
 
 def _command_serve(args: argparse.Namespace) -> int:
     _check_workers(args.workers)
+    import signal
+
     from repro.service.daemon import SimulationDaemon, SimulationService
 
     try:
@@ -953,6 +956,8 @@ def _command_serve(args: argparse.Namespace) -> int:
             store.close()
         print(f"error: cannot start daemon: {error}", file=sys.stderr)
         return 2
+    # SIGTERM stops the daemon as Ctrl-C does, so the worker pool shuts down too.
+    sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         store_note = (
             f"store {store.path}"
@@ -964,6 +969,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("shutting down", file=sys.stderr)
     finally:
+        signal.signal(signal.SIGTERM, sigterm)
         server.server_close()
         service.close()
         if store is not None:

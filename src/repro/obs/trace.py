@@ -36,9 +36,9 @@ Context propagates three ways:
 
 * in-process via a :mod:`contextvars` current-span variable (``with
   tracer.span(...):`` nests children automatically, per thread);
-* into ``ParallelExecutor`` worker processes via the pool initializer, which
-  calls :func:`set_ambient_context` so worker-side spans join the parent
-  trace; and
+* into ``ParallelExecutor`` worker processes with each shard, which the
+  worker installs with :func:`set_ambient_context` so worker-side spans
+  join the trace of the call that submitted the shard; and
 * across the broker wire protocol as a ``trace`` field on shard frames
   (:mod:`repro.campaign.broker`).
 """
@@ -97,8 +97,8 @@ _CURRENT: "ContextVar[Optional[SpanContext]]" = ContextVar(
 )
 
 # Ambient fallback for execution contexts that cannot inherit the parent's
-# contextvars: ParallelExecutor worker processes (set by the pool
-# initializer) and broker processes (set from the shard frame's trace field).
+# contextvars: ParallelExecutor worker processes (set from each shard's trace
+# context) and broker processes (set from the shard frame's trace field).
 _AMBIENT: Optional[SpanContext] = None
 
 

@@ -10,22 +10,27 @@ depends only on its own ``(function, parameters, seeds)``, the two executors
 (at any worker count) produce bit-identical metrics; only wall-clock
 differs.
 
-:class:`ParallelExecutor` ships tasks to ``ProcessPoolExecutor`` workers as
-plain picklable data.  Workers resolve the replication function from its
-``module:qualname`` reference and construct engines on their side, so the
-parent process never pickles engines, environments or closures.  The
-replication function must therefore live at module level; closures fall back
-to :class:`SerialExecutor` (or raise, with a pointer, under the parallel
-executor).
+:class:`ParallelExecutor` keeps one ``ProcessPoolExecutor`` for its lifetime,
+shared by every ``run_shards`` call and thread.  It starts the pool from a
+``forkserver`` context: a single-threaded server process that preloads the
+runtime and replication modules forks warm workers, so a threaded parent
+never forks itself.  Tasks travel as plain picklable data.  Workers resolve
+the replication function from its ``module:qualname`` reference and
+construct engines on their side, so the parent process never pickles
+engines, environments or closures.  The replication function must therefore
+live at module level; closures fall back to :class:`SerialExecutor` (or
+raise, with a pointer, under the parallel executor).  Workers re-import a
+script's main module, so such a script needs an ``if __name__ ==
+"__main__":`` guard.
 """
 
 from __future__ import annotations
 
 import importlib
 import os
-import sys
+import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, wait
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -38,6 +43,12 @@ ShardResults = List[Tuple[Task, List[Dict[str, float]]]]
 
 ShardTiming = Dict[str, float]
 """Worker-measured timings for one shard: ``wall_s`` and ``cpu_s``."""
+
+#: What the forkserver imports once for all its workers: what
+#: ``python -m repro`` imports, the runtime and the replication modules.
+_PRELOAD = ["repro.cli", "repro.runtime"] + [
+    f"repro.experiments.{kind}_sweep" for kind in ("dynamics", "network", "protocol")
+]
 
 
 @lru_cache(maxsize=64)
@@ -53,22 +64,6 @@ def resolve_replication(reference: str) -> Callable:
     return target
 
 
-def _worker_initializer(
-    extra_sys_path: Sequence[str],
-    trace_context: Optional[Tuple[str, str]] = None,
-) -> None:
-    """Make the parent's package importable in spawn-started workers.
-
-    Also installs the parent's trace context as the worker's ambient span
-    context, so any events the worker emits join the parent trace.
-    """
-    for entry in extra_sys_path:  # pragma: no cover - runs in worker processes
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
-    if trace_context is not None:  # pragma: no cover - runs in worker processes
-        set_ambient_context(trace_context[0], trace_context[1])
-
-
 def _execute_shard(tasks: Sequence[Task]) -> ShardResults:
     """Worker-side entry point: run one shard of one plan's tasks."""
     if not tasks:
@@ -77,14 +72,17 @@ def _execute_shard(tasks: Sequence[Task]) -> ShardResults:
 
 
 def _execute_shard_timed(
-    tasks: Sequence[Task],
+    tasks: Sequence[Task], trace_context: Optional[Tuple[str, str]] = None
 ) -> Tuple[ShardResults, ShardTiming]:
     """Run one shard and report worker-measured wall and CPU seconds.
 
     The timings are measured where the work happens, so the parent can
     attribute the remainder of a shard's parent-side latency to dispatch
     (pickling, queueing, result transfer) rather than compute.
+    ``trace_context`` becomes the worker's ambient span context for this
+    shard, so worker-side events join the trace of the call that sent it.
     """
+    set_ambient_context(*(trace_context or (None, None)))
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
     results = _execute_shard(tasks)
@@ -129,7 +127,7 @@ class SerialExecutor:
 
 
 class ParallelExecutor:
-    """``ProcessPoolExecutor``-backed executor with chunked shard dispatch.
+    """Executor over one warm ``ProcessPoolExecutor``, shared by every caller.
 
     Parameters
     ----------
@@ -141,10 +139,12 @@ class ParallelExecutor:
         slow tasks cannot starve the pool and store flushes happen
         throughout the run.  A grid plan runs as ``max_workers`` shards, one
         fused launch per worker (see :func:`~repro.runtime.driver.run_plan`).
-    mp_context:
-        Optional :mod:`multiprocessing` context; the platform default
-        (``fork`` on Linux) keeps worker start-up cheap, while ``spawn``
-        workers re-import the library via the recorded ``sys.path``.
+
+    The pool starts at the first pooled shard and lives until :meth:`close`.
+    Each :meth:`run_shards` call waits only on its own shards; one that
+    fails or is abandoned cancels only its own queued shards.  A pool that
+    broke (a worker died) or refused a submit is discarded: the calls it
+    affected raise, and the next call starts a fresh pool.
     """
 
     def __init__(
@@ -152,7 +152,6 @@ class ParallelExecutor:
         max_workers: int | None = None,
         *,
         shards_per_worker: int = 4,
-        mp_context=None,
     ) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
@@ -164,9 +163,10 @@ class ParallelExecutor:
             )
         self.max_workers = max_workers
         self.shards_per_worker = shards_per_worker
-        self.mp_context = mp_context
-        #: Worker-measured timing of the most recently yielded shard.
-        self.last_shard_timing: Optional[ShardTiming] = None
+        self._pool = None
+        self._closed = False
+        self._lock = threading.Lock()
+        self._local = threading.local()
 
     @property
     def num_shards(self) -> int:
@@ -178,16 +178,61 @@ class ParallelExecutor:
         """Shards this executor runs at once: one per worker process."""
         return self.max_workers
 
+    @property
+    def last_shard_timing(self) -> Optional[ShardTiming]:
+        """Worker-measured timing of the shard last yielded to this thread."""
+        return getattr(self._local, "timing", None)
+
     def _check_resolvable(self, replication: Callable) -> None:
         # Imported lazily: repro.runtime.backend imports this module.
         from repro.runtime.backend import check_resolvable
 
         check_resolvable(replication, "ParallelExecutor")
 
+    def _started_pool(self):
+        """The shared pool, started on first use."""
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("ParallelExecutor is closed")
+            if self._pool is None:
+                # Imported here: only a pooled run needs multiprocessing.
+                import multiprocessing
+                from concurrent.futures import ProcessPoolExecutor
+
+                context = multiprocessing.get_context("forkserver")
+                context.set_forkserver_preload(_PRELOAD)
+                self._pool = ProcessPoolExecutor(self.max_workers, mp_context=context)
+                get_registry().counter(
+                    "repro_worker_pools_started_total",
+                    "Worker process pools started by parallel executors.",
+                ).inc()
+            return self._pool
+
+    def _discard(self, pool) -> None:
+        """Forget ``pool``; it exits once the shards already queued on it end."""
+        with self._lock:
+            if self._pool is pool:
+                self._pool = None
+        pool.shutdown(wait=False)
+
+    def close(self) -> None:
+        """Shut the pool down: cancel queued shards and join the workers."""
+        with self._lock:
+            self._closed = True
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self) -> "ParallelExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def run_shards(
         self, shards: Sequence[Sequence[Task]], replication: Callable
     ) -> Iterator[ShardResults]:
-        """Run shards across the pool, yielding each as it completes.
+        """Run shards on the shared pool, yielding each as it completes.
 
         Completion order is arbitrary; the driver reassembles results by
         task ordinal, so ordering here is irrelevant to correctness.
@@ -195,11 +240,8 @@ class ParallelExecutor:
         if not shards:
             return
         self._check_resolvable(replication)
-        # Workers started with "spawn" know nothing of the parent's
-        # sys.path; record the library location so they can re-import it.
-        # The parent's span context rides along so worker-side events join
-        # the parent trace.
-        package_root = _repro_import_root()
+        # The caller's span context rides with each shard, so worker-side
+        # events join this call's trace whichever traces the pool served.
         context = current_context()
         trace_context = (context.trace_id, context.span_id) if context else None
         registry = get_registry()
@@ -217,21 +259,17 @@ class ParallelExecutor:
             "repro_shards_completed_total",
             "Shards completed, by execution backend.",
         )
-        # Imported here: only a pooled run needs multiprocessing (~15 ms).
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(
-            max_workers=self.max_workers,
-            mp_context=self.mp_context,
-            initializer=_worker_initializer,
-            initargs=((package_root,), trace_context),
-        )
+        pool = self._started_pool()
         pending = set()
+        submitting = True
         try:
             submitted = time.perf_counter()
             for shard in shards:
-                pending.add(pool.submit(_execute_shard_timed, list(shard)))
+                pending.add(
+                    pool.submit(_execute_shard_timed, list(shard), trace_context)
+                )
                 in_flight.inc(backend="parallel")
+            submitting = False
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 # Done futures leave the gauge now, before a failed one raises.
@@ -243,24 +281,18 @@ class ParallelExecutor:
                     dispatch.observe(
                         max(0.0, elapsed - timing["wall_s"]), backend="parallel"
                     )
-                    self.last_shard_timing = timing
+                    self._local.timing = timing
                     yield results
-        except BaseException:
-            # Abort path (failed submit, worker crash, KeyboardInterrupt,
-            # abandoned generator): drop every not-yet-started shard and return
-            # *without* joining the pool — a `with pool:` exit would block
-            # until in-flight shards finish, hanging a Ctrl-C for as long as
-            # the slowest running shard.  Workers still running their
-            # current shard exit on their own once it completes.
+        except BaseException as error:
+            # Abort path (failed submit, task error, broken pool,
+            # KeyboardInterrupt, abandoned generator): cancel this call's
+            # not-yet-started shards and return without waiting for its
+            # running ones, which would hang a Ctrl-C for as long as the
+            # slowest of them.  Other callers' shards are left alone; only a
+            # pool that broke or refused a submit is discarded.
             in_flight.dec(len(pending), backend="parallel")
-            pool.shutdown(wait=False, cancel_futures=True)
+            for future in pending:
+                future.cancel()
+            if submitting or isinstance(error, BrokenExecutor):
+                self._discard(pool)
             raise
-        else:
-            pool.shutdown(wait=True)
-
-
-def _repro_import_root() -> str:
-    """Directory that must be on ``sys.path`` for ``import repro`` to work."""
-    import repro
-
-    return os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))

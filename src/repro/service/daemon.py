@@ -11,8 +11,9 @@ to :class:`SimulationDaemon`, which owns
   execute jobs through the same
   :func:`~repro.service.requests.execute_request` path the CLI uses, so an
   HTTP job and the equivalent CLI command return bit-identical rows; and
-* an optional per-job :class:`~repro.runtime.executors.ParallelExecutor`
-  when the daemon is started with ``process_workers > 1``.
+* one :class:`~repro.runtime.executors.ParallelExecutor` shared by every
+  job when the daemon is started with ``process_workers > 1``: its worker
+  pool starts at the first pooled shard and stops at shutdown.
 
 Endpoints (API v1 — every route lives under ``/v1/``)::
 
@@ -99,7 +100,6 @@ class SimulationService:
         if process_workers < 1:
             raise ValueError(f"process_workers must be >= 1, got {process_workers}")
         self.store = store
-        self.process_workers = process_workers
         # Per-service registry, so parallel daemons (tests) never share
         # series.  The store counters come in through a collector that reads
         # the same counters() snapshot /stats serves, so /v1/metrics and
@@ -117,6 +117,9 @@ class SimulationService:
             else self.trace_sink
         )
         self.tracer = Tracer(sink)
+        self.executor = (
+            ParallelExecutor(process_workers) if process_workers > 1 else None
+        )
         self.queue = JobQueue(
             self._execute,
             workers=job_workers,
@@ -144,9 +147,6 @@ class SimulationService:
         )
 
     def _execute(self, request: Any) -> Tuple[List[Dict[str, Any]], str, int, int]:
-        executor = (
-            ParallelExecutor(self.process_workers) if self.process_workers > 1 else None
-        )
         before = self.store.counters() if self.store is not None else None
         # The job span is the trace root; its id derives from the request's
         # content address, which is exactly the trace_id a job snapshot
@@ -161,7 +161,7 @@ class SimulationService:
                 # Campaigns schedule their own nodes; the daemon's executor
                 # policy becomes the campaign backend (serial when unset, so
                 # results match any other backend bit for bit).
-                backend = executor if executor is not None else SerialExecutor()
+                backend = self.executor or SerialExecutor()
                 campaign_result = run_campaign(
                     request, backend=backend, store=self.store, tracer=self.tracer
                 )
@@ -177,7 +177,7 @@ class SimulationService:
                 result = execute_request(
                     request,
                     options=ExecutionOptions(
-                        executor=executor, store=self.store, tracer=self.tracer
+                        executor=self.executor, store=self.store, tracer=self.tracer
                     ),
                 )
                 rows, description = result.rows, result.description
@@ -246,8 +246,10 @@ class SimulationService:
         }
 
     def close(self) -> None:
-        """Stop the workers; the store is owned by the caller and stays open."""
+        """Stop the job workers, then the pool; the caller owns the store."""
         self.queue.close()
+        if self.executor is not None:
+            self.executor.close()
         self.tracer.close()
 
 

@@ -401,8 +401,7 @@ def prepare_request(request: SimulationRequest) -> PreparedRequest:
             base_parameters=base_parameters,
         )
     # A kind's engines load only when that kind runs (networkx, the protocol
-    # stack).  The daemon resolves them here, in its own process, so the
-    # per-job pool workers it forks inherit them.
+    # stack); pool workers get them from the forkserver's preload.
     if request.kind == NETWORK:
         from repro.experiments.network_sweep import NETWORK_REPLICATIONS
 

@@ -239,6 +239,28 @@ class TestCampaignOnBrokers:
             list(serial[n].rows) for n in serial.order
         ]
 
+    def test_a_pooled_broker_matches_serial(self):
+        # A --workers 2 broker runs every shard on one pool, split as the
+        # driver splits a plan: the one-shard grid node fuses two points into
+        # one launch, and the rows still come back in task order.
+        spec = campaign_spec()
+        spec["nodes"].append(
+            {"id": "grid", "kind": "simulate", "request": {
+                "kind": "sweep", "options": [0.8, 0.5],
+                "populations": [40, 50, 60], "horizon": 6, "replications": 3}}
+        )
+        campaign = campaign_from_spec(spec)
+        serial = run_campaign(campaign, backend=SerialExecutor())
+        with BrokerBackend(num_shards=1, timeout=30.0) as backend:
+            thread, holder = start_broker(backend.address, workers=2)
+            brokered = run_campaign(campaign, backend=backend)
+        thread.join(timeout=30.0)
+        assert "error" not in holder
+        assert holder["executed"] == 2
+        assert [list(brokered[n].rows) for n in brokered.order] == [
+            list(serial[n].rows) for n in serial.order
+        ]
+
     def test_killing_a_broker_mid_campaign_loses_at_most_one_shard(self):
         # One broker vanishes after a single shard (the deterministic crash
         # stand-in); the survivor absorbs the requeued work and the campaign

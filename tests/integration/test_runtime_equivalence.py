@@ -146,14 +146,18 @@ def start_broker_thread(address):
 
 @pytest.fixture(scope="module")
 def service_csvs(tmp_path_factory):
-    """Per request, the CSV of its rows from a daemon job and from campaigns."""
+    """Per request, the CSV of its rows from daemon jobs and from campaigns."""
     root = tmp_path_factory.mktemp("matrix")
     rows = {name: {} for name in MATRIX}
     with ResultStore(root / "daemon.sqlite") as store:
-        with start_daemon(store=store) as daemon:
-            client = ServiceClient(daemon.url)
-            for name, (payload, _) in MATRIX.items():
-                rows[name]["daemon"] = client.run(request_from_dict(payload))
+        # A serial daemon with a store, and a daemon whose jobs share one
+        # worker pool (without a store, so every job runs on the pool).
+        daemons = {"daemon": {"store": store}, "daemon-pool": {"process_workers": 2}}
+        for label, settings in daemons.items():
+            with start_daemon(**settings) as daemon:
+                client = ServiceClient(daemon.url)
+                for name, (payload, _) in MATRIX.items():
+                    rows[name][label] = client.run(request_from_dict(payload))
     campaign = campaign_from_spec({
         "name": "flag-matrix",
         "nodes": [

@@ -1,8 +1,12 @@
 """Tests for the serial and multi-process executors and the plan driver."""
 
 import multiprocessing
+import os
+import sys
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -14,7 +18,9 @@ from repro.experiments import (
 )
 from repro.experiments.dynamics_sweep import dynamics_point_replication
 from repro.obs.metrics import get_registry
+from repro.obs.trace import MemorySink, Tracer, current_context
 from repro.runtime import (
+    ExecutionOptions,
     ParallelExecutor,
     ResultStore,
     SerialExecutor,
@@ -22,6 +28,7 @@ from repro.runtime import (
     execute_task,
     run_plan,
 )
+from repro.service import execute_request, request_from_dict
 
 BASE = {"qualities": (0.8, 0.5), "T": 8}
 GRID = ParameterGrid({"N": [40, 80]})
@@ -82,6 +89,12 @@ class TestParallelExecutor:
             ParallelExecutor(0)
         with pytest.raises(ValueError):
             ParallelExecutor(2, shards_per_worker=0)
+
+    def test_a_closed_executor_starts_no_new_pool(self):
+        executor = ParallelExecutor(2)
+        executor.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            run_plan(small_plan(), dynamics_point_replication, executor=executor)
 
     def test_default_shard_count_scales_with_workers(self):
         executor = ParallelExecutor(3, shards_per_worker=4)
@@ -239,5 +252,164 @@ class TestAbortPathCleansUp:
         executor = ParallelExecutor(2, shards_per_worker=2)
         with pytest.raises(ValueError, match="replication failed for seed"):
             list(executor.run_shards(self._shards(fail_index=1), failing_replication))
+        assert _in_flight() == gauge
+        # A task that raises leaves the shared pool healthy for the next run.
+        rows = list(executor.run_shards(self._shards(), failing_replication))
+        assert sorted(task.ordinal for shard in rows for task, _ in shard) == [
+            0, 1, 2, 3
+        ]
+        executor.close()
         _assert_no_child_survives(before)
         assert _in_flight() == gauge
+
+
+def context_replication(seed, parameters):
+    """Module-level replication reporting its worker's ambient span context.
+
+    The metric is the integer value of the span id's first 12 hex digits
+    (exact in a float64), or -1 when the worker has no context.
+    """
+    context = current_context()
+    return {"span": float(int(context.span_id[:12], 16)) if context else -1.0}
+
+
+def killing_replication(seed, parameters):
+    """Module-level replication that kills the worker process running it."""
+    os._exit(1)
+
+
+def _pools_started() -> float:
+    return get_registry().counter("repro_worker_pools_started_total").value()
+
+
+class TestOneExecutorSharedByThreads:
+    """Threads share one executor; each call sees only its own shards."""
+
+    ROUNDS = 3
+    REQUESTS = {
+        "loop": {"kind": "sweep", "options": [0.8, 0.5], "populations": [40, 60],
+                 "horizon": 8, "replications": 3, "seed": 2, "engine": "loop"},
+        "grid": {"kind": "sweep", "options": [0.8, 0.5],
+                 "populations": [40, 60, 80], "horizon": 8, "replications": 3,
+                 "seed": 3},
+        "batched": {"kind": "network", "options": [0.8, 0.5], "topology": "ring",
+                    "size": 60, "horizon": 8, "replications": 3, "seed": 4},
+    }
+    # On ParallelExecutor(2): 6 loop tasks in 6 of the 8 chunks, 3 grid points
+    # in one fused launch per worker, one replicate-batched task.
+    SHARDS = {"loop": 6, "grid": 2, "batched": 1}
+    TASKS = {"loop": 6, "grid": 3, "batched": 1}
+
+    def _shard_spans(self, sink):
+        [trace_id] = list(sink._traces)
+        ends = [r for r in sink.records(trace_id) if r["event"] == "span_end"]
+        [plan_span] = [r["span"] for r in ends if r["name"] == "run_plan"]
+        return plan_span, [r for r in ends if r["name"] == "shard"]
+
+    def test_threads_get_their_own_rows_spans_and_errors(self):
+        serial = {
+            name: execute_request(request_from_dict(payload)).rows
+            for name, payload in self.REQUESTS.items()
+        }
+        failing = ShardPlan.from_configs(
+            sweep_configs("fail", ParameterGrid({"fail": [False, True]}), seed=1),
+            failing_replication,
+        )
+        outcomes = {name: [] for name in [*self.REQUESTS, "failing"]}
+        errors = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ParallelExecutor(2) as executor:
+
+                def drive(name):
+                    try:
+                        for _ in range(self.ROUNDS):
+                            sink = MemorySink()
+                            options = ExecutionOptions(
+                                executor=executor, tracer=Tracer(sink)
+                            )
+                            request = request_from_dict(self.REQUESTS[name])
+                            rows = execute_request(request, options=options).rows
+                            outcomes[name].append((rows, self._shard_spans(sink)))
+                    except BaseException as error:  # noqa: BLE001 - asserted below
+                        errors.append((name, error))
+
+                def fail():
+                    for _ in range(self.ROUNDS):
+                        with pytest.raises(ValueError) as excinfo:
+                            run_plan(failing, failing_replication, executor=executor)
+                        outcomes["failing"].append(excinfo.value)
+
+                threads = [
+                    threading.Thread(target=drive, args=(name,), daemon=True)
+                    for name in self.REQUESTS
+                ]
+                threads.append(threading.Thread(target=fail, daemon=True))
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for name in self.REQUESTS:
+            assert len(outcomes[name]) == self.ROUNDS
+            for rows, (plan_span, shards) in outcomes[name]:
+                assert rows == serial[name]
+                assert len(shards) == self.SHARDS[name]
+                assert {shard["parent"] for shard in shards} == {plan_span}
+                tasks = sum(shard["attributes"]["tasks"] for shard in shards)
+                assert tasks == self.TASKS[name]
+        assert len(outcomes["failing"]) == self.ROUNDS
+        assert all("seed" in str(error) for error in outcomes["failing"])
+
+    def test_each_shard_carries_its_callers_trace_context(self):
+        configs = sweep_configs(
+            "context", GRID, replications=3, seed=1, base_parameters=BASE
+        )
+        plan = ShardPlan.from_configs(configs, context_replication)
+        tracer = Tracer(MemorySink())
+        with ParallelExecutor(2) as executor:
+            for name in ("first", "second"):
+                with tracer.span("root", name):
+                    span_id = current_context().span_id
+                    rows = run_plan(plan, context_replication, executor=executor)
+                values = {row["span"] for point in rows for row in point}
+                assert values == {float(int(span_id[:12], 16))}, name
+            untraced = run_plan(plan, context_replication, executor=executor)
+        assert {row["span"] for point in untraced for row in point} == {-1.0}
+
+
+class TestKilledWorker:
+    """A worker that dies raises a typed error and never poisons the pool."""
+
+    def test_broken_pool_raises_then_the_next_run_starts_fresh(self):
+        before = set(multiprocessing.active_children())
+        pools = _pools_started()
+        configs = sweep_configs(
+            "kill", GRID, replications=2, seed=0, base_parameters=BASE
+        )
+        doomed = ShardPlan.from_configs(configs, killing_replication)
+        executor = ParallelExecutor(2, shards_per_worker=1)
+        outcome = {}
+
+        def run():
+            try:
+                run_plan(doomed, killing_replication, executor=executor)
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                outcome["error"] = error
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60.0)
+        assert not thread.is_alive(), "a killed worker hung the run"
+        assert isinstance(outcome.get("error"), BrokenProcessPool)
+        plan = small_plan()
+        assert run_plan(
+            plan, dynamics_point_replication, executor=executor
+        ) == run_plan(plan, dynamics_point_replication, executor=SerialExecutor())
+        assert _pools_started() == pools + 2
+        executor.close()
+        _assert_no_child_survives(before)

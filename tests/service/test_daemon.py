@@ -12,18 +12,29 @@ The acceptance contract from the service issue:
 
 from __future__ import annotations
 
+import json
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import __version__
 from repro.cli import main as cli_main
 from repro.experiments import read_csv
+from repro.obs.metrics import get_registry
 from repro.runtime import ResultStore
 from repro.service import (
     JobFailed,
     ServiceClient,
     ServiceError,
+    execute_request,
+    request_from_dict,
     start_daemon,
     sweep_request,
 )
@@ -232,3 +243,130 @@ class TestErrorSurface:
         with pytest.raises(ServiceError) as excinfo:
             client.result(submitted["job_id"])
         assert excinfo.value.status == 500
+
+
+# -- one worker pool per daemon ----------------------------------------------
+
+POOLED_JOBS = {
+    "batched-sweep": {"kind": "sweep", "options": [0.8, 0.5],
+                      "populations": [40, 60, 80], "horizon": 8,
+                      "replications": 3, "seed": 7},
+    "loop-sweep": {"kind": "sweep", "options": [0.8, 0.5], "populations": [60],
+                   "horizon": 8, "replications": 4, "seed": 8, "engine": "loop"},
+    "protocol": {"kind": "protocol", "options": [0.8, 0.5], "nodes": 60,
+                 "rounds": 8, "loss": 0.2, "replications": 3, "seed": 9},
+}
+
+
+def killing_replication(seed, parameters):
+    """Module-level replication that kills the pool worker running it."""
+    os._exit(1)
+
+
+def _pools_started() -> float:
+    return get_registry().counter("repro_worker_pools_started_total").value()
+
+
+def _serial_rows(name):
+    """The job's in-process serial rows, as JSON delivers them."""
+    rows = execute_request(request_from_dict(POOLED_JOBS[name])).rows
+    return json.loads(json.dumps(rows))
+
+
+class TestPooledDaemon:
+    """``process_workers > 1``: one forkserver-started pool serves every job."""
+
+    def test_jobs_share_one_pool_with_serial_rows(self):
+        pools = _pools_started()
+        with start_daemon(process_workers=2) as handle:
+            client = ServiceClient(handle.url)
+            for name, payload in POOLED_JOBS.items():
+                assert client.run(request_from_dict(payload)) == _serial_rows(name)
+            assert _pools_started() == pools + 1
+            assert "repro_worker_pools_started_total" in client.metrics()
+
+    def test_killed_worker_fails_its_job_and_the_next_job_recovers(
+        self, monkeypatch
+    ):
+        from repro.service import requests as requests_module
+
+        request = request_from_dict(POOLED_JOBS["loop-sweep"])
+        with start_daemon(process_workers=2) as handle:
+            client = ServiceClient(handle.url)
+            monkeypatch.setattr(
+                requests_module, "dynamics_point_replication", killing_replication
+            )
+            with pytest.raises(JobFailed, match="BrokenProcessPool"):
+                client.run(request, timeout=60.0)
+            monkeypatch.undo()
+            assert client.run(request, timeout=60.0) == _serial_rows("loop-sweep")
+
+    def test_a_pooled_job_never_forks_the_daemon_process(self, monkeypatch):
+        expected = _serial_rows("batched-sweep")
+
+        def no_fork():
+            raise AssertionError("os.fork called in the daemon process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        stop = threading.Event()
+        bystander = threading.Thread(target=stop.wait, daemon=True)
+        bystander.start()
+        try:
+            with start_daemon(process_workers=2) as handle:
+                request = request_from_dict(POOLED_JOBS["batched-sweep"])
+                assert ServiceClient(handle.url).run(request) == expected
+        finally:
+            stop.set()
+
+
+def _session_processes(session_id):
+    """Live (non-zombie) processes of a session, read from ``/proc``."""
+    members = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/stat", encoding="ascii") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        # fields: state, ppid, pgrp, session, ...
+        if fields[0] != "Z" and int(fields[3]) == session_id:
+            members.append(int(entry))
+    return members
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+@pytest.mark.parametrize(
+    "stop, job_in_flight",
+    [(signal.SIGINT, False), (signal.SIGINT, True), (signal.SIGTERM, True)],
+    ids=["sigint", "sigint-job-in-flight", "sigterm-job-in-flight"],
+)
+def test_serve_stops_promptly_and_leaves_no_worker(stop, job_in_flight, tmp_path):
+    source = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [source, os.environ.get("PYTHONPATH")])
+    ))
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--workers", "2",
+         "--store", str(tmp_path / "serve.sqlite")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        start_new_session=True, text=True,
+    )
+    try:
+        banner = process.stdout.readline()
+        url = banner.split("listening on ", 1)[1].split()[0]
+        client = ServiceClient(url)
+        for name in ("batched-sweep", "protocol"):
+            client.run(request_from_dict(POOLED_JOBS[name]), timeout=60.0)
+        if job_in_flight:
+            client.submit(request_from_dict(POOLED_JOBS["loop-sweep"]))
+        process.send_signal(stop)
+        assert process.wait(timeout=10.0) == 0
+        deadline = time.monotonic() + 5.0
+        while _session_processes(process.pid):
+            assert time.monotonic() < deadline, "a pool process outlived serve"
+            time.sleep(0.05)
+    finally:
+        if process.poll() is None:
+            os.killpg(process.pid, signal.SIGKILL)
+            process.wait()
+        process.stdout.close()

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -578,6 +579,47 @@ class TestRuntimeFlags:
         )
         assert exit_code == 0
         assert "indivisible task" in capsys.readouterr().err
+
+
+class TestPoolLifetimes:
+    """A command that starts a worker pool shuts it down before it returns."""
+
+    @pytest.mark.parametrize("command", ["sweep", "network", "protocol", "campaign"])
+    def test_no_worker_outlives_the_command(self, command, capsys, tmp_path):
+        spec = tmp_path / "campaign.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "name": "pool-lifetime",
+                    "nodes": [
+                        {
+                            "id": "sim",
+                            "kind": "simulate",
+                            "request": {
+                                "kind": "sweep",
+                                "options": [0.8, 0.5],
+                                "populations": [50, 60],
+                                "horizon": 4,
+                                "replications": 2,
+                                "engine": "loop",
+                            },
+                        }
+                    ],
+                }
+            )
+        )
+        arguments = {
+            "sweep": TestRuntimeFlags.SWEEP,
+            "network": ["network", "--topology", "ring", "--size", "40",
+                        "--horizon", "5", "--replications", "2",
+                        "--engine", "loop"],
+            "protocol": ["protocol", "--nodes", "40", "--rounds", "5",
+                         "--replications", "2", "--engine", "loop"],
+            "campaign": ["campaign", "--spec", str(spec), "--backend", "pool"],
+        }[command]
+        before = set(multiprocessing.active_children())
+        assert main(arguments + ["--workers", "2"]) == 0
+        assert set(multiprocessing.active_children()) == before
 
 
 class TestStoreClosedOnErrorPaths:
