@@ -16,7 +16,8 @@ Floors asserted (ISSUE 5): the 4-worker sweep is at least 2x faster than
 serial, bit-identical per-(point, seed); warm replay is at least 50x faster
 than the cold compute, with zero store misses.  The store-bound replay
 benchmark also derives the keys of one replay request's plan in one pass
-and floors that at 2x over a task-by-task pass with the same keys.
+and floors that at 2x over a task-by-task pass with the same keys, and
+records how long that plan takes to build.
 """
 
 from __future__ import annotations
@@ -176,16 +177,20 @@ def _synthetic_task(index: int) -> Task:
     )
 
 
-def _replay_request_plan() -> ShardPlan:
-    """The loop-engine sweep plan of one serve-replay request: 5 points x 175 seeds."""
-    configs = sweep_configs(
+def _replay_request_configs():
+    """The configs of one serve-replay request: 5 loop-engine points x 175 seeds."""
+    return sweep_configs(
         "sweep-loop",
         ParameterGrid({"N": (12, 19, 27, 33, 40)}),
         replications=REPLAY_REQUEST_KEYS // 5,
         seed=1234,
         base_parameters={"qualities": (0.71, 0.42), "T": 8, "beta": 0.6},
     )
-    plan = ShardPlan.from_configs(configs, dynamics_point_replication)
+
+
+def _replay_request_plan() -> ShardPlan:
+    """The per-seed task plan of one serve-replay request."""
+    plan = ShardPlan.from_configs(_replay_request_configs(), dynamics_point_replication)
     assert len(plan) == REPLAY_REQUEST_KEYS
     return plan
 
@@ -218,8 +223,13 @@ def test_store_bound_replay_at_scale(save_results, tmp_path):
     trip; throughput is recorded but not floored.  It also derives the keys
     of one replay request's plan task by task (``key_for``) and in one pass
     (``keys_for``), asserts they are equal and floors the one-pass speedup
-    at 2x (best of ``KEY_PASSES`` each).
+    at 2x (best of ``KEY_PASSES`` each), and records the time to build that
+    plan from its configs (``plan-build``, not floored).
     """
+    configs = _replay_request_configs()
+    plan_seconds = _best_seconds(
+        lambda: ShardPlan.from_configs(configs, dynamics_point_replication)
+    )
     plan = _replay_request_plan()
     with ResultStore() as key_store:
         one_pass = key_store.keys_for(plan.tasks)
@@ -283,6 +293,7 @@ def test_store_bound_replay_at_scale(save_results, tmp_path):
                     ("cold-replay", cold_seconds, STORE_ENTRIES),
                     ("keys-per-task", per_task_seconds, REPLAY_REQUEST_KEYS),
                     ("keys-one-pass", one_pass_seconds, REPLAY_REQUEST_KEYS),
+                    ("plan-build", plan_seconds, REPLAY_REQUEST_KEYS),
                 )
             ]
         ),

@@ -147,10 +147,12 @@ class FinitePopulationDynamics:
             raise ValueError(
                 f"rewards must have shape ({self._num_options},), got {rewards.shape}"
             )
-        if np.any((rewards != 0) & (rewards != 1)):
+        if ((rewards != 0) & (rewards != 1)).any():
             raise ValueError("rewards must be binary")
+        return self._advance(self._state.popularity(), rewards)
 
-        popularity = self._state.popularity()
+    def _advance(self, popularity: np.ndarray, rewards: np.ndarray) -> PopulationState:
+        """The two stages of :meth:`step` from the current ``popularity``."""
         consideration = self._sampling_rule.consideration_probabilities(popularity)
         selected = self._rng.multinomial(self._population_size, consideration)
         adopt_probabilities = self._adoption_rule.adopt_probabilities(rewards)
@@ -175,9 +177,10 @@ class FinitePopulationDynamics:
             )
         trajectory = Trajectory(initial_state=self._state)
         for _ in range(horizon):
+            # sample() checked the rewards; the step reuses this popularity.
             pre_step_popularity = self._state.popularity()
             rewards = environment.sample()
-            new_state = self.step(rewards)
+            new_state = self._advance(pre_step_popularity, rewards)
             trajectory.record(pre_step_popularity, rewards, new_state)
         return trajectory
 
@@ -273,7 +276,7 @@ class AgentBasedDynamics:
             raise ValueError(
                 f"rewards must have shape ({num_options},), got {rewards.shape}"
             )
-        if np.any((rewards != 0) & (rewards != 1)):
+        if ((rewards != 0) & (rewards != 1)).any():
             raise ValueError("rewards must be binary")
 
         # Stage 1 for everyone is based on the *previous* step's choices, so

@@ -40,13 +40,14 @@ class PopulationState:
         counts = np.asarray(self.counts, dtype=np.int64)
         if counts.ndim != 1 or counts.size == 0:
             raise ValueError("counts must be a non-empty 1-D array")
-        if np.any(counts < 0):
+        if (counts < 0).any():
             raise ValueError("counts must be non-negative")
         object.__setattr__(self, "counts", counts)
         check_positive_int(self.population_size, "population_size")
-        if counts.sum() > self.population_size:
+        committed = counts.sum()
+        if committed > self.population_size:
             raise ValueError(
-                f"committed count {counts.sum()} exceeds population size "
+                f"committed count {committed} exceeds population size "
                 f"{self.population_size}"
             )
 

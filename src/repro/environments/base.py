@@ -84,7 +84,7 @@ class RewardEnvironment(abc.ABC):
             )
         # Validate before the int8 cast so non-binary values (0.7, 256, ...)
         # raise instead of being silently truncated to something that passes.
-        if np.any((rewards != 0) & (rewards != 1)):
+        if ((rewards != 0) & (rewards != 1)).any():
             raise RuntimeError("environment produced non-binary rewards")
         self._time += 1
         return rewards.astype(np.int8)
@@ -127,7 +127,7 @@ class RewardEnvironment(abc.ABC):
                 f"environment produced batch rewards of shape {rewards.shape}, "
                 f"expected ({num_replicates}, {self._num_options})"
             )
-        if np.any((rewards != 0) & (rewards != 1)):
+        if ((rewards != 0) & (rewards != 1)).any():
             raise RuntimeError("environment produced non-binary rewards")
         self._time += 1
         return rewards.astype(np.int8)

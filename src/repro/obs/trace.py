@@ -180,9 +180,11 @@ class MemorySink:
     """Bounded in-memory record buffer, grouped by trace id.
 
     The daemon keeps one of these so ``GET /v1/jobs/<id>/trace`` can return a
-    job's span tree without any file configured.  Oldest traces are evicted
-    once ``max_traces`` accumulate; each trace keeps at most ``max_records``
-    records (a ``truncated`` marker is set past that).
+    job's span tree without any file configured; every run of a request
+    shares its trace id, so the daemon calls :meth:`discard` as a job starts.
+    Oldest traces are evicted once ``max_traces`` accumulate; each trace
+    keeps at most ``max_records`` records (a ``truncated`` marker is set
+    past that).
     """
 
     def __init__(self, max_traces: int = 256, max_records: int = 4096) -> None:
@@ -208,6 +210,11 @@ class MemorySink:
                 entry["truncated"] = True
                 return
             entry["records"].append(record)
+
+    def discard(self, trace_id: str) -> None:
+        """Drop every buffered record of ``trace_id`` (and its truncation)."""
+        with self._lock:
+            self._traces.pop(trace_id, None)
 
     def records(self, trace_id: str) -> List[Dict[str, Any]]:
         with self._lock:

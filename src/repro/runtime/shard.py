@@ -35,7 +35,7 @@ Task granularity follows the replication function's execution mode:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import _validated_metrics
@@ -60,15 +60,15 @@ def replication_mode(function: Callable) -> str:
     return MODE_LOOP
 
 
-@dataclass(frozen=True)
-class Task:
+class Task(NamedTuple):
     """One schedulable unit of work: some seeds of one grid point.
 
     Tasks are plain picklable data — the replication function travels as its
     importable ``module:qualname`` reference, and workers rebuild engines
     from ``parameters`` on their side.  ``ordinal`` is the task's position in
     the plan (the merge order); ``replicate_offset`` is the index of
-    ``seeds[0]`` within the point's full seed list.
+    ``seeds[0]`` within the point's full seed list.  A named tuple, because a
+    warm replay builds one per ``(point, seed)`` and a tuple builds fastest.
     """
 
     ordinal: int
@@ -124,16 +124,17 @@ class ShardPlan:
             else:
                 blocks = [(0, tuple(seeds))]
             for offset, block in blocks:
+                # Fields in order, not by keyword: half the cost per task.
                 tasks.append(
                     Task(
-                        ordinal=len(tasks),
-                        point_index=point_index,
-                        name=config.name,
-                        function_ref=reference,
-                        mode=mode,
-                        parameters=parameters,
-                        seeds=block,
-                        replicate_offset=offset,
+                        len(tasks),
+                        point_index,
+                        config.name,
+                        reference,
+                        mode,
+                        parameters,
+                        block,
+                        offset,
                     )
                 )
         return cls(configs=tuple(configs), tasks=tuple(tasks))

@@ -148,18 +148,20 @@ def task_keys(tasks: Sequence[Task], code_version: str = __version__) -> List[st
 
     Each key hashes the canonical JSON of the task's payload, whose sorted
     members are ``code_version``, ``function``, ``parameters`` and
-    ``seeds``.  Everything before the seed list is encoded once per
-    ``(function, parameters object)``, so a point's tasks share one encoding
-    of its parameters.  Keying the memo on ``id`` is sound: ``tasks`` keeps
-    every parameters dict alive for the call, and nothing mutates a task's
-    parameters.
+    ``seeds``.  Everything before the seed list is encoded and hashed once
+    per ``(function, parameters object)``; each task copies that hash state
+    and feeds it only its seed list and the closing brace.  Plain ``int``
+    seeds (``bool`` is not one) are joined directly, byte for byte what
+    ``json`` writes; other seed types go through :func:`canonical_json`.
+    Keying the memo on ``id`` is sound: ``tasks`` keeps every parameters
+    dict alive for the call, and nothing mutates a task's parameters.
     """
-    prefixes: Dict[Tuple[str, int], str] = {}
+    states: Dict[Tuple[str, int], Any] = {}
     keys = []
     for task in tasks:
         memo = (task.function_ref, id(task.parameters))
-        prefix = prefixes.get(memo)
-        if prefix is None:
+        state = states.get(memo)
+        if state is None:
             head = canonical_json(
                 {
                     "code_version": code_version,
@@ -168,9 +170,17 @@ def task_keys(tasks: Sequence[Task], code_version: str = __version__) -> List[st
                     "seeds": [],
                 }
             )
-            prefix = prefixes[memo] = head[: -len("[]}")]
-        payload = prefix + canonical_json(list(task.seeds)) + "}"
-        keys.append(hashlib.sha256(payload.encode("utf-8")).hexdigest())
+            state = states[memo] = hashlib.sha256(head[: -len("[]}")].encode("utf-8"))
+        seeds = task.seeds
+        if len(seeds) == 1 and type(seeds[0]) is int:
+            tail = "[%d]}" % seeds  # a loop task: one seed, the common case
+        elif all(type(seed) is int for seed in seeds):
+            tail = "[" + ",".join(map(str, seeds)) + "]}"
+        else:
+            tail = canonical_json(list(seeds)) + "}"
+        digest = state.copy()
+        digest.update(tail.encode("utf-8"))
+        keys.append(digest.hexdigest())
     return keys
 
 

@@ -26,8 +26,10 @@ Endpoints (API v1 — every route lives under ``/v1/``)::
     GET  /v1/jobs/<id>         job status (state, timings, cache hits/misses)
     GET  /v1/jobs/<id>/result  result rows once done (202 while pending,
                                500 envelope when the job failed)
-    GET  /v1/jobs/<id>/trace   the job's buffered span records (trace id,
-                               span start/end events, shard timings)
+    GET  /v1/jobs/<id>/trace   the buffered span records of the latest run
+                               of the job's request (trace id, span
+                               start/end events, shard timings); a replayed
+                               request's earlier runs are dropped
     GET  /v1/healthz           liveness + version
     GET  /v1/stats             store path, rows, hits and misses + queue
                                depth + job counts + queue-wait percentiles
@@ -150,9 +152,12 @@ class SimulationService:
         before = self.store.counters() if self.store is not None else None
         # The job span is the trace root; its id derives from the request's
         # content address, which is exactly the trace_id a job snapshot
-        # reports — GET /v1/jobs/<id>/trace joins the two.
+        # reports — GET /v1/jobs/<id>/trace joins the two.  Each run restarts
+        # its buffer (identical requests in flight share one job).
+        key = request.key()
+        self.trace_sink.discard(trace_id_for_key(key))
         with self.tracer.span(
-            "job", request.key(), attributes={"kind": getattr(request, "kind", None)}
+            "job", key, attributes={"kind": getattr(request, "kind", None)}
         ):
             if getattr(request, "kind", None) == "campaign":
                 # Imported lazily: repro.campaign builds on this package.

@@ -67,12 +67,13 @@ def check_probability_vector(values: Sequence[float], name: str) -> np.ndarray:
     array = np.asarray(values, dtype=float)
     if array.ndim != 1 or array.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ValueError(f"{name} must contain only finite values")
-    if np.any(array < 0):
+    if (array < 0).any():
         raise ValueError(f"{name} must be non-negative")
     total = float(array.sum())
-    if not np.isclose(total, 1.0, atol=1e-8):
+    # np.isclose(total, 1.0, atol=1e-8) at rtol=1e-5, without array dispatch.
+    if not abs(total - 1.0) <= 1e-8 + 1e-5:
         raise ValueError(f"{name} must sum to 1, got sum={total}")
     return array
 
@@ -82,8 +83,8 @@ def check_quality_vector(values: Sequence[float], name: str) -> np.ndarray:
     array = np.asarray(values, dtype=float)
     if array.ndim != 1 or array.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ValueError(f"{name} must contain only finite values")
-    if np.any(array < 0) or np.any(array > 1):
+    if (array < 0).any() or (array > 1).any():
         raise ValueError(f"{name} entries must lie in [0, 1]")
     return array

@@ -544,6 +544,48 @@ SINGLE_REPLICATE_RUNS = {
 """Digest-pinned single-replicate runs: name -> (generator, config)."""
 
 
+# Per-seed loop-engine rows at the sizes the daemon replays (N <= 40,
+# T <= 10): 30 grid points x 100 seeds of ``dynamics_point_replication``,
+# each point seeded as a sweep seeds it.  The digest pins the engine's
+# per-step bookkeeping draw for draw.
+LOOP_ROWS_CONFIG = {
+    "points": [
+        {"qualities": list(qualities), "N": population, "T": horizon, "beta": beta}
+        | ({} if mu is None else {"mu": mu})
+        for qualities in ((0.71, 0.42), (0.8, 0.5, 0.45))
+        for population in (5, 15, 40)
+        for horizon, beta, mu in (
+            (5, 0.6, None),
+            (8, 0.7, 0.05),
+            (10, 0.65, None),
+            (6, 0.55, 0.1),
+            (7, 0.75, None),
+        )
+    ],
+    "replications": 100,
+    "seed": 2024,
+}
+
+
+def loop_engine_rows(config: dict) -> dict:
+    """Metric rows of ``dynamics_point_replication`` over every point and seed."""
+    from repro.experiments.dynamics_sweep import dynamics_point_replication
+    from repro.utils.rng import seeds_for_replications
+
+    rows = [
+        dynamics_point_replication(seed, dict(parameters))
+        for index, parameters in enumerate(config["points"])
+        for seed in seeds_for_replications(
+            config["seed"] + index, config["replications"]
+        )
+    ]
+    return {"engine": "loop_rows", "numpy_release": _numpy_release(), "rows": rows}
+
+
+LOOP_ROWS_RUNS = {"sweep/loop": (loop_engine_rows, LOOP_ROWS_CONFIG)}
+"""Digest-pinned loop-engine rows: name -> (generator, config)."""
+
+
 def record_digest(record: dict) -> str:
     """SHA-256 of a record's canonical JSON (sorted keys, compact separators)."""
     encoded = json.dumps(record, sort_keys=True, separators=(",", ":"))
@@ -571,7 +613,7 @@ def generate_all(directory: Path = GOLDEN_DIR) -> None:
 
 if __name__ == "__main__":
     if sys.argv[1:] == ["--digests"]:
-        for runs in (SERVE_SIZE_RUNS, SINGLE_REPLICATE_RUNS):
+        for runs in (SERVE_SIZE_RUNS, SINGLE_REPLICATE_RUNS, LOOP_ROWS_RUNS):
             for name, digest in run_digests(runs).items():
                 print(f"{name} {digest}")
     else:

@@ -277,3 +277,33 @@ class TestSingleReplicateDigests:
         _, config = generate_golden.SINGLE_REPLICATE_RUNS[run]
         record = generate_golden.network_single_replicate(config, use_numba=True)
         assert generate_golden.record_digest(record) == SINGLE_REPLICATE_DIGESTS[run]
+
+
+# Digest of generate_golden.LOOP_ROWS_RUNS, recorded under numpy 2.4 before
+# the loop engine's per-step checks were made cheaper: 3,000 seeded rows of
+# dynamics_point_replication at the sizes the daemon replays.
+LOOP_ROWS_NUMPY_RELEASE = "2.4"
+LOOP_ROWS_DIGESTS = {
+    "sweep/loop": (
+        "fa99000b23dbbbffb58edfbd9c69a2aaa2c0e918b3bf54f898ca745997ebaa31"
+    ),
+}
+
+
+class TestLoopRowsDigest:
+    """The per-seed loop engine, row for row, over 30 points x 100 seeds."""
+
+    def test_every_run_is_pinned(self):
+        assert set(LOOP_ROWS_DIGESTS) == set(generate_golden.LOOP_ROWS_RUNS)
+
+    @pytest.mark.parametrize("run", sorted(LOOP_ROWS_DIGESTS))
+    def test_run_reproduces_pinned_digest(self, run):
+        _skip_unless_same_numpy_release({"numpy_release": LOOP_ROWS_NUMPY_RELEASE})
+        generate, config = generate_golden.LOOP_ROWS_RUNS[run]
+        record = generate(config)
+        assert len(record["rows"]) == 3000
+        assert generate_golden.record_digest(record) == LOOP_ROWS_DIGESTS[run], (
+            f"{run} drifted from its pinned digest; if the change is "
+            "intentional, print new digests with `PYTHONPATH=src python "
+            "tests/fixtures/generate_golden.py --digests`"
+        )

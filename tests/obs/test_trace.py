@@ -202,6 +202,17 @@ class TestSinks:
         assert sink.truncated("t")
         assert not sink.truncated("missing")
 
+    def test_memory_sink_discard_restarts_one_trace(self):
+        sink = MemorySink(max_records=2)
+        for trace in ("t", "t", "t", "other"):
+            sink.emit({"event": "event", "trace": trace, "span": ""})
+        sink.discard("t")
+        sink.discard("missing")  # must not raise
+        assert sink.records("t") == [] and not sink.truncated("t")
+        sink.emit({"event": "event", "trace": "t", "span": "new"})
+        assert [record["span"] for record in sink.records("t")] == ["new"]
+        assert len(sink.records("other")) == 1
+
     def test_memory_sink_bounds_validated(self):
         with pytest.raises(ValueError):
             MemorySink(max_traces=0)

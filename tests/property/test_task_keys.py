@@ -1,10 +1,12 @@
 """Property tests for one-pass cache-key derivation (``task_keys``).
 
-``task_keys`` encodes the part of a key payload that precedes the seed list
-once per ``(function, parameters object)`` and reuses it for every task that
-shares the object.  Whichever tasks share a dict, every key must still be
-the SHA-256 of the whole payload's canonical JSON, and a payload that cannot
-be encoded must fail exactly as the whole-payload encoding fails.
+``task_keys`` encodes and hashes the part of a key payload that precedes the
+seed list once per ``(function, parameters object)``, and each task feeds a
+copy of that hash state its own seed list, joined directly when every seed
+is a plain ``int``.  Whichever tasks share a dict and whatever the seed
+types, every key must still be the SHA-256 of the whole payload's canonical
+JSON, and a payload that cannot be encoded must fail exactly as the
+whole-payload encoding fails.
 """
 
 import hashlib
@@ -124,6 +126,55 @@ def test_put_many_stores_every_entry_of_a_one_shot_generator(tasks):
         assert found == {
             key: [{"metric": float(ordinal)}] for key, ordinal in last.items()
         }
+
+
+def canonical_tail_key(task, code_version):
+    """The key as the prefix plus ``canonical_json`` of the seed list."""
+    head = canonical_json(
+        {
+            "code_version": code_version,
+            "function": task.function_ref,
+            "parameters": task.parameters,
+            "seeds": [],
+        }
+    )
+    payload = head[: -len("[]}")] + canonical_json(list(task.seeds)) + "}"
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+int_seeds = st.integers(min_value=0, max_value=2**63 - 1)
+seed_tuples = st.one_of(
+    st.lists(int_seeds, min_size=1, max_size=8),
+    st.lists(int_seeds.map(np.int64), min_size=1, max_size=8),
+    st.lists(st.booleans(), min_size=1, max_size=8),
+    st.lists(
+        st.one_of(int_seeds, int_seeds.map(np.int64), st.booleans()),
+        min_size=1,
+        max_size=8,
+    ),
+).map(tuple)
+
+
+@given(
+    st.lists(seed_tuples, min_size=1, max_size=6),
+    parameter_dicts,
+    st.sampled_from(CODE_VERSIONS),
+)
+@settings(max_examples=150, deadline=None)
+def test_seed_tails_equal_the_canonical_json_encoding(seeds, parameters, version):
+    """Plain-int seed lists are joined directly; every other type is encoded."""
+    tasks = [make_task(index, parameters, block) for index, block in enumerate(seeds)]
+    expected = [canonical_tail_key(task, version) for task in tasks]
+    assert expected == [reference_key(task, version) for task in tasks]
+    assert task_keys(tasks, version) == expected
+
+
+def test_bool_and_int_seeds_key_apart():
+    tasks = [make_task(0, {"N": 10}, seeds) for seeds in ((1,), (True,), (1, 0))]
+    tasks.append(make_task(0, {"N": 10}, (True, False)))
+    keys = task_keys(tasks)
+    assert len(set(keys)) == len(keys)
+    assert task_keys([make_task(0, {"N": 10}, (np.int64(1),))]) == keys[:1]
 
 
 BAD_TASKS = {

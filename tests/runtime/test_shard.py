@@ -1,6 +1,11 @@
 """Tests for the deterministic work decomposition (ShardPlan / Task)."""
 
+import json
+import pickle
+
 import pytest
+
+from repro.campaign.broker import task_from_wire, task_to_wire
 
 from repro.experiments import ExperimentConfig, ParameterGrid, sweep_configs
 from repro.experiments.dynamics_sweep import (
@@ -10,12 +15,14 @@ from repro.experiments.dynamics_sweep import (
 from repro.experiments.network_sweep import network_batched_replication
 from repro.runtime import (
     ShardPlan,
+    Task,
     execute_shard,
     execute_task,
     function_reference,
     partition_tasks,
     replication_mode,
     resolve_replication,
+    task_keys,
 )
 from repro.utils.rng import seeds_for_replications
 
@@ -92,6 +99,59 @@ class TestShardPlan:
         plan = ShardPlan.from_configs([config], dynamics_point_replication)
         assert plan.num_points == 1
         assert len(plan) == 3
+
+
+class TestTask:
+    FIELDS = (
+        "ordinal",
+        "point_index",
+        "name",
+        "function_ref",
+        "mode",
+        "parameters",
+        "seeds",
+        "replicate_offset",
+    )
+
+    @pytest.mark.parametrize(
+        "replication", [dynamics_point_replication, network_batched_replication]
+    )
+    def test_plan_tasks_survive_pickling_and_the_broker_wire(self, replication):
+        plan = ShardPlan.from_configs(small_configs(points=2), replication)
+        for task in plan.tasks:
+            fields = [getattr(task, name) for name in self.FIELDS]
+            pickled = pickle.loads(pickle.dumps(task))
+            wired = task_from_wire(task_to_wire(task))
+            for copy in (pickled, wired):
+                assert type(copy) is type(task)
+                assert [getattr(copy, name) for name in self.FIELDS] == fields
+                assert copy == task
+                assert copy.num_replicates == task.num_replicates
+        # A broker reads the frame as JSON text (tuples arrive as lists) and
+        # still derives every task's key.
+        framed = [
+            task_from_wire(json.loads(json.dumps(task_to_wire(task))))
+            for task in plan.tasks
+        ]
+        assert task_keys(framed) == task_keys(plan.tasks)
+
+    def test_fields_keep_their_order_and_keywords(self):
+        task = Task(
+            ordinal=3,
+            point_index=1,
+            name="unit",
+            function_ref="module:function",
+            mode="loop",
+            parameters={"N": 10},
+            seeds=(5, 6),
+            replicate_offset=2,
+        )
+        assert Task._fields == self.FIELDS
+        positional = Task(3, 1, "unit", "module:function", "loop", {"N": 10}, (5, 6), 2)
+        assert task == positional
+        assert task.num_replicates == 2
+        with pytest.raises(AttributeError):
+            task.seeds = (7,)
 
 
 class TestPartitionTasks:

@@ -133,6 +133,29 @@ class TestJobTraceEndpoint:
             == client.status(second["job_id"])["trace_id"]
         )
 
+    def test_replayed_request_trace_holds_the_latest_run_alone(self, client):
+        job_ids = []
+        for _ in range(3):
+            submitted = client.submit(sweep_request(**SWEEP_KWARGS))
+            client.wait(submitted["job_id"])
+            job_ids.append(submitted["job_id"])
+        trace = client.trace(job_ids[-1])
+        job_ends = [
+            record
+            for record in trace["records"]
+            if record["event"] == "span_end" and record["name"] == "job"
+        ]
+        assert len(job_ends) == 1, trace["records"]
+        # The last run was a warm replay: its run_plan span saw only hits.
+        (plan_end,) = [
+            record
+            for record in trace["records"]
+            if record["event"] == "span_end" and record["name"] == "run_plan"
+        ]
+        assert plan_end["attributes"]["cache_misses"] == 0
+        # Every job of the request reads the same, latest run.
+        assert client.trace(job_ids[0])["records"] == trace["records"]
+
     def test_campaign_jobs_record_node_spans(self, client):
         spec = {
             "name": "traced-api",
@@ -172,3 +195,20 @@ class TestTraceOut:
         for record in records:
             assert validate_record(record) == []
         assert {r["span"] for r in records} == {r["span"] for r in buffered}
+
+    def test_trace_out_keeps_every_run_of_a_replayed_request(self, tmp_path):
+        path = tmp_path / "daemon-trace.jsonl"
+        with start_daemon(trace_out=str(path)) as handle:
+            client = ServiceClient(handle.url)
+            for _ in range(2):
+                client.wait(client.submit(sweep_request(**SWEEP_KWARGS))["job_id"])
+        records = [
+            json.loads(line) for line in path.read_text().splitlines() if line
+        ]
+        job_ends = [
+            record
+            for record in records
+            if record["event"] == "span_end" and record["name"] == "job"
+        ]
+        assert len(job_ends) == 2
+        assert job_ends[0]["trace"] == job_ends[1]["trace"]
