@@ -36,7 +36,9 @@ from repro.core.dynamics import FinitePopulationDynamics
 from repro.core.sampling import MixtureSampling
 from repro.distributed import BatchedProtocol
 from repro.environments import BernoulliEnvironment, RowwiseBernoulliEnvironment
+from repro.experiments.dynamics_sweep import dynamics_point_replication
 from repro.network import BatchedNetworkDynamics, NetworkDynamics, SocialNetwork
+from repro.utils.rng import seeds_for_replications
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -569,9 +571,6 @@ LOOP_ROWS_CONFIG = {
 
 def loop_engine_rows(config: dict) -> dict:
     """Metric rows of ``dynamics_point_replication`` over every point and seed."""
-    from repro.experiments.dynamics_sweep import dynamics_point_replication
-    from repro.utils.rng import seeds_for_replications
-
     rows = [
         dynamics_point_replication(seed, dict(parameters))
         for index, parameters in enumerate(config["points"])
