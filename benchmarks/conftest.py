@@ -1,8 +1,8 @@
 """Shared fixtures for the benchmark harness.
 
-Each benchmark regenerates one experiment from DESIGN.md's experiment index
-(E1-E12), asserts the paper's qualitative/quantitative claim, and writes its
-result table to CSV so the numbers quoted in EXPERIMENTS.md can be re-derived
+Each benchmark regenerates one of the paper's experiments (E1-E14), asserts
+the paper's qualitative/quantitative claim, and writes its result table to
+CSV, so the committed tables in ``benchmarks/results/`` can be re-derived
 from a single run of::
 
     pytest benchmarks/ --benchmark-only

@@ -18,8 +18,9 @@ Quickstart
 ...                                          beta=0.6, rng=1)
 >>> regret = expected_regret(trajectory.popularity_matrix(), env.qualities)
 
-See ``examples/quickstart.py`` for a narrated version and ``EXPERIMENTS.md``
-for the experiment-by-experiment reproduction of the paper's results.
+See ``examples/quickstart.py`` for a narrated version and
+``benchmarks/results/`` for the experiment-by-experiment reproduction of the
+paper's results (one CSV per E1–E14 benchmark).
 """
 
 from repro.core import (
@@ -46,7 +47,6 @@ from repro.core import (
     TheoryBounds,
     Trajectory,
     UniformSampling,
-    average_regret,
     best_option_share,
     empirical_regret,
     optimal_beta,
@@ -58,10 +58,7 @@ from repro.core import (
 from repro.core.regret import expected_regret, expected_step_rewards, step_rewards
 from repro.environments import (
     BernoulliEnvironment,
-    ContinuousRewardEnvironment,
-    CorrelatedOptionsEnvironment,
     EllisonFudenbergEnvironment,
-    ExactlyOneGoodEnvironment,
     PiecewiseConstantDriftEnvironment,
     RandomWalkDriftEnvironment,
     RecordedRewardSequence,
@@ -102,7 +99,6 @@ __all__ = [
     "EpochSchedule",
     # regret and theory
     "RegretAccumulator",
-    "average_regret",
     "best_option_share",
     "empirical_regret",
     "expected_regret",
@@ -113,12 +109,9 @@ __all__ = [
     # environments
     "RewardEnvironment",
     "BernoulliEnvironment",
-    "ContinuousRewardEnvironment",
     "EllisonFudenbergEnvironment",
     "PiecewiseConstantDriftEnvironment",
     "RandomWalkDriftEnvironment",
-    "CorrelatedOptionsEnvironment",
-    "ExactlyOneGoodEnvironment",
     "RecordedRewardSequence",
     "record_rewards",
     # agents

@@ -1,49 +1,26 @@
-"""Analysis toolkit: concentration bounds, convergence detection and statistics.
+"""Analysis toolkit: closeness, dominance times and replication statistics.
 
 These helpers connect raw simulation output to the quantities the paper's
-proofs reason about: Chernoff–Hoeffding concentration (Theorem 4.1), the
-``c``-closeness relation ``A ~c B`` (Definition 4.1), convergence/dominance
-times, and replication statistics (means and confidence intervals) used by
-every benchmark table.
+proofs reason about: the ``c``-closeness relation ``A ~c B`` (Definition
+4.1), dominance times, and replication statistics (means and confidence
+intervals) used by every benchmark table.
 """
 
-from repro.analysis.concentration import (
-    chernoff_hoeffding_probability,
-    is_multiplicatively_close,
-    multiplicative_deviation,
-)
-from repro.analysis.convergence import (
-    dominance_time,
-    regret_crossing_time,
-    time_above_threshold,
-)
+from repro.analysis.concentration import multiplicative_deviation
+from repro.analysis.convergence import dominance_time
 from repro.analysis.statistics import (
     ReplicationSummary,
-    bootstrap_confidence_interval,
     normal_confidence_interval,
     summarize_replications,
-)
-from repro.analysis.trajectories import (
-    aggregate_popularity,
-    aggregate_regret_series,
-    stack_best_option_series,
 )
 from repro.analysis.proof_trace import ProofTrace, trace_theorem_43
 
 __all__ = [
-    "chernoff_hoeffding_probability",
-    "is_multiplicatively_close",
     "multiplicative_deviation",
     "dominance_time",
-    "regret_crossing_time",
-    "time_above_threshold",
     "ReplicationSummary",
-    "bootstrap_confidence_interval",
     "normal_confidence_interval",
     "summarize_replications",
-    "aggregate_popularity",
-    "aggregate_regret_series",
-    "stack_best_option_series",
     "ProofTrace",
     "trace_theorem_43",
 ]

@@ -1,34 +1,8 @@
-"""Concentration utilities matching Theorem 4.1 and Definition 4.1."""
+"""Multiplicative closeness, the ``A ~c B`` relation of Definition 4.1."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from repro.utils.validation import check_in_range, check_positive_int
-
-
-def chernoff_hoeffding_probability(n: int, mean: float, deviation: float) -> float:
-    """Theorem 4.1's failure-probability bound ``2 exp(-n * gamma * delta^2 / 3)``.
-
-    Bounds ``P[|sample_mean - gamma| > gamma * delta]`` for ``n`` independent
-    Bernoulli variables with average mean ``gamma`` and relative deviation
-    ``delta`` in ``(0, 1]``.
-
-    Parameters
-    ----------
-    n:
-        Number of independent Bernoulli variables.
-    mean:
-        The average mean ``gamma``.
-    deviation:
-        The relative deviation ``delta``.
-    """
-    n = check_positive_int(n, "n")
-    mean = check_in_range(mean, "mean", 0.0, 1.0)
-    deviation = check_in_range(deviation, "deviation", 0.0, 1.0, inclusive_low=False)
-    return min(1.0, 2.0 * math.exp(-n * mean * deviation**2 / 3.0))
 
 
 def multiplicative_deviation(a: np.ndarray | float, b: np.ndarray | float) -> float:
@@ -52,12 +26,3 @@ def multiplicative_deviation(a: np.ndarray | float, b: np.ndarray | float) -> fl
             return float("inf")
         worst = max(worst, x / y, y / x)
     return float(worst)
-
-
-def is_multiplicatively_close(
-    a: np.ndarray | float, b: np.ndarray | float, c: float
-) -> bool:
-    """Whether ``A ~c B`` holds (Definition 4.1) for every entry."""
-    if c < 1.0:
-        raise ValueError(f"closeness constant c must be at least 1, got {c}")
-    return multiplicative_deviation(a, b) <= c

@@ -1,4 +1,4 @@
-"""Convergence detection on popularity and regret time series."""
+"""Convergence detection on the best option's popularity series."""
 
 from __future__ import annotations
 
@@ -34,34 +34,3 @@ def dominance_time(
         if run >= sustain:
             return index - sustain + 1
     return None
-
-
-def time_above_threshold(
-    best_option_series: np.ndarray, threshold: float = 0.5
-) -> float:
-    """Fraction of steps in which the best option's share is at least ``threshold``."""
-    series = np.asarray(best_option_series, dtype=float)
-    if series.ndim != 1 or series.size == 0:
-        raise ValueError("best_option_series must be a non-empty 1-D array")
-    threshold = check_in_range(threshold, "threshold", 0.0, 1.0)
-    return float((series >= threshold).mean())
-
-
-def regret_crossing_time(regret_series: np.ndarray, bound: float) -> Optional[int]:
-    """First step at which the running average regret drops below ``bound`` for good.
-
-    ``regret_series[t]`` is the average regret of the first ``t + 1`` steps
-    (as produced by :meth:`repro.core.regret.RegretAccumulator.regret_series`).
-    Returns the first index after which the series never exceeds ``bound``
-    again, or ``None`` if it ends above the bound.
-    """
-    series = np.asarray(regret_series, dtype=float)
-    if series.ndim != 1 or series.size == 0:
-        raise ValueError("regret_series must be a non-empty 1-D array")
-    above = series > bound
-    if above[-1]:
-        return None
-    last_above = np.where(above)[0]
-    if last_above.size == 0:
-        return 0
-    return int(last_above[-1] + 1)

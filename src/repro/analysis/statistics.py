@@ -7,8 +7,7 @@ from typing import Iterable, Tuple
 
 import numpy as np
 
-from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_in_range, check_positive_int
+from repro.utils.validation import check_in_range
 
 
 def normal_confidence_interval(
@@ -37,30 +36,6 @@ def normal_confidence_interval(
 
     margin = float(stdtrit(array.size - 1, 0.5 + confidence / 2.0) * sem)
     return mean - margin, mean + margin
-
-
-def bootstrap_confidence_interval(
-    values: Iterable[float],
-    confidence: float = 0.95,
-    resamples: int = 2000,
-    rng: RngLike = None,
-) -> Tuple[float, float]:
-    """Percentile bootstrap confidence interval for the mean of ``values``."""
-    array = np.asarray(list(values), dtype=float)
-    if array.size == 0:
-        raise ValueError("values must be non-empty")
-    confidence = check_in_range(
-        confidence, "confidence", 0.0, 1.0, inclusive_low=False, inclusive_high=False
-    )
-    resamples = check_positive_int(resamples, "resamples")
-    if array.size == 1:
-        return float(array[0]), float(array[0])
-    generator = ensure_rng(rng)
-    indices = generator.integers(array.size, size=(resamples, array.size))
-    means = array[indices].mean(axis=1)
-    lower = float(np.quantile(means, (1.0 - confidence) / 2.0))
-    upper = float(np.quantile(means, 0.5 + confidence / 2.0))
-    return lower, upper
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, get_registry
-from repro.obs.trace import current_context, get_tracer, set_ambient_context
+from repro.obs.trace import current_span
 from repro.runtime.backend import check_resolvable
 from repro.runtime.driver import _shard_count
 from repro.runtime.executors import (
@@ -431,9 +431,11 @@ class BrokerBackend:
             shard_id,
             in_flight,
         )
-        tracer = get_tracer()
-        if getattr(tracer, "enabled", False):
-            tracer.event(
+        # run_shards is iterated inside the caller's open span (run_plan's),
+        # so the event lands in the trace of the run being served.
+        span = current_span()
+        if span is not None:
+            span.event(
                 "broker_requeue",
                 {"broker": broker.peer, "shard": shard_id, "in_flight": in_flight},
             )
@@ -441,9 +443,6 @@ class BrokerBackend:
     def _dispatch(
         self, pending: Deque[int], shard_tasks: Dict[int, List[Task]]
     ) -> None:
-        # The coordinator's span context rides in every shard frame so
-        # broker-side events join the campaign trace.
-        context = current_context()
         for broker in self._ready_brokers():
             if not pending:
                 return
@@ -453,11 +452,6 @@ class BrokerBackend:
                 "shard": shard_id,
                 "tasks": [task_to_wire(task) for task in shard_tasks[shard_id]],
             }
-            if context is not None:
-                message["trace"] = {
-                    "trace_id": context.trace_id,
-                    "span_id": context.span_id,
-                }
             try:
                 send_frame(broker.sock, message)
             except OSError:
@@ -576,11 +570,6 @@ def run_broker(
                 return executed
             if kind != "shard":
                 raise BrokerProtocolError(f"unexpected {kind!r} frame from coordinator")
-            trace = message.get("trace")
-            if isinstance(trace, dict):
-                # Adopt the coordinator's span context so events emitted on
-                # this side of the wire join the campaign trace.
-                set_ambient_context(trace.get("trace_id"), trace.get("span_id"))
             tasks = [task_from_wire(payload) for payload in message["tasks"]]
             wall_start = time.perf_counter()
             cpu_start = time.process_time()

@@ -155,12 +155,13 @@ class CampaignScheduler:
         Optional ``callback(node, result)`` invoked after each node merges
         (progress reporting).
     tracer:
-        Optional :class:`~repro.obs.trace.Tracer` (defaults to the process
-        tracer, a no-op unless installed).  With tracing on, each run opens
-        one ``campaign`` root span keyed by the campaign's content address
-        and one ``campaign_node`` span per node — carrying its kind and
-        input edges, with shard spans nesting under the simulate nodes —
-        so a trace reconstructs the full DAG with per-node latency.
+        Optional :class:`~repro.obs.trace.Tracer` (defaults to
+        :data:`~repro.obs.trace.NULL_TRACER`, a no-op).  With tracing on,
+        each run opens one ``campaign`` root span keyed by the campaign's
+        content address and one ``campaign_node`` span per node — carrying
+        its kind and input edges, with shard spans nesting under the
+        simulate nodes — so a trace reconstructs the full DAG with per-node
+        latency.
     """
 
     def __init__(
@@ -174,7 +175,7 @@ class CampaignScheduler:
         self._backend = backend if backend is not None else SerialExecutor()
         self._store = store
         self._on_node = on_node
-        self._tracer = tracer  # resolved per run, so set_tracer() applies
+        self._tracer = resolve_tracer(tracer)
 
     def run(self, campaign: Campaign) -> CampaignResult:
         """Run every node of ``campaign``; returns the merged results.
@@ -184,7 +185,7 @@ class CampaignScheduler:
         topological index — deterministic, and never blocked on an
         unrelated "phase".
         """
-        tracer = resolve_tracer(self._tracer)
+        tracer = self._tracer
         traced = bool(getattr(tracer, "enabled", False))
         campaign_key = campaign.key() if traced else ""
         topo_index = {node.id: index for index, node in enumerate(campaign.nodes)}

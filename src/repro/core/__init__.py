@@ -62,7 +62,6 @@ from repro.core.infinite import InfinitePopulationDynamics, simulate_infinite_po
 from repro.core.coupling import CoupledRun, run_coupled_dynamics
 from repro.core.regret import (
     RegretAccumulator,
-    average_regret,
     best_option_share,
     empirical_regret,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "CoupledRun",
     "run_coupled_dynamics",
     "RegretAccumulator",
-    "average_regret",
     "best_option_share",
     "empirical_regret",
     "TheoryBounds",

@@ -14,14 +14,14 @@ estimators are provided:
   independent of ``Q^{t-1}`` (the signal at step ``t`` is drawn after the
   popularity was formed).
 
-Averaging either estimator over independent replications (``average_regret``)
-estimates the expectation in the definition.
+Averaging either estimator over independent replications estimates the
+expectation in the definition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,14 +95,6 @@ def best_option_share(popularities: np.ndarray, best_option: int) -> float:
             f"best_option {best_option} out of range for m={popularities.shape[1]}"
         )
     return float(popularities[:, best_option].mean())
-
-
-def average_regret(per_replication_regrets: Iterable[float]) -> float:
-    """Mean regret across independent replications (estimates the expectation)."""
-    regrets = np.asarray(list(per_replication_regrets), dtype=float)
-    if regrets.size == 0:
-        raise ValueError("need at least one replication")
-    return float(regrets.mean())
 
 
 @dataclass

@@ -55,11 +55,6 @@ def beta_from_delta(delta: float) -> float:
     return math.exp(delta) / (1.0 + math.exp(delta))
 
 
-def max_exploration_rate(beta: float) -> float:
-    """Largest ``mu`` satisfying the theorem constraint ``6*mu <= delta^2``."""
-    return delta_from_beta(beta) ** 2 / 6.0
-
-
 def optimal_beta(horizon: int, num_options: int) -> float:
     """The ``beta`` minimising the Theorem 4.3 bound ``ln(m)/(delta T) + 2 delta``.
 

@@ -8,14 +8,11 @@ per batch row, which the sweep-axis batched engine uses to advance a whole
 parameter grid in one pass.
 
 The paper also shows (second worked example in Section 2.1, after Ellison &
-Fudenberg 1995) how richer reward models — continuous-valued rewards with
-player-specific shocks — reduce to the binary model.  Those richer models are
-implemented here as well (:class:`ContinuousRewardEnvironment`,
-:class:`EllisonFudenbergEnvironment`), together with the future-work
-extensions named in Section 6: drifting qualities
-(:class:`PiecewiseConstantDriftEnvironment`, :class:`RandomWalkDriftEnvironment`)
-and correlated options (:class:`CorrelatedOptionsEnvironment`,
-:class:`ExactlyOneGoodEnvironment`).
+Fudenberg 1995) how a richer reward model — continuous-valued rewards with
+player-specific shocks — reduces to the binary model.  That model is
+implemented here as well (:class:`EllisonFudenbergEnvironment`), together
+with the drifting qualities named as future work in Section 6
+(:class:`PiecewiseConstantDriftEnvironment`, :class:`RandomWalkDriftEnvironment`).
 
 All environments share the :class:`RewardEnvironment` interface: call
 :meth:`~RewardEnvironment.sample` once per time step to obtain the vector
@@ -26,17 +23,10 @@ baseline comparisons are implemented.
 
 from repro.environments.base import RewardEnvironment
 from repro.environments.bernoulli import BernoulliEnvironment, RowwiseBernoulliEnvironment
-from repro.environments.continuous import (
-    ContinuousRewardEnvironment,
-    EllisonFudenbergEnvironment,
-)
+from repro.environments.continuous import EllisonFudenbergEnvironment
 from repro.environments.drift import (
     PiecewiseConstantDriftEnvironment,
     RandomWalkDriftEnvironment,
-)
-from repro.environments.correlated import (
-    CorrelatedOptionsEnvironment,
-    ExactlyOneGoodEnvironment,
 )
 from repro.environments.replay import RecordedRewardSequence, record_rewards
 
@@ -44,12 +34,9 @@ __all__ = [
     "RewardEnvironment",
     "BernoulliEnvironment",
     "RowwiseBernoulliEnvironment",
-    "ContinuousRewardEnvironment",
     "EllisonFudenbergEnvironment",
     "PiecewiseConstantDriftEnvironment",
     "RandomWalkDriftEnvironment",
-    "CorrelatedOptionsEnvironment",
-    "ExactlyOneGoodEnvironment",
     "RecordedRewardSequence",
     "record_rewards",
 ]

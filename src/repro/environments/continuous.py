@@ -1,4 +1,4 @@
-"""Continuous-reward environments and their reduction to the binary model.
+"""The Ellison–Fudenberg continuous-reward model and its binary reduction.
 
 Section 2.1's second worked example (after Ellison & Fudenberg, 1995) shows a
 two-option learning model with continuous rewards ``r^t_j ~ F_j`` and
@@ -12,123 +12,20 @@ binary framework is:
   ``beta = P[xi > r^t_2 - r^t_1 | r^t_1 > r^t_2]`` and
   ``alpha = P[xi > r^t_2 - r^t_1 | r^t_2 > r^t_1]`` with ``alpha < beta``.
 
-:class:`ContinuousRewardEnvironment` is the general m-option continuous model
-(binary signal = "reward above a threshold", the standard conversion the paper
-cites for threshold-adoption models); :class:`EllisonFudenbergEnvironment` is
-the faithful two-option comparison model, exposing the implied ``eta`` and
-``(alpha, beta)`` so experiments can run the binary dynamics with exactly the
-parameters the reduction prescribes.
+:class:`EllisonFudenbergEnvironment` is the faithful two-option comparison
+model, exposing the implied ``eta`` and ``(alpha, beta)`` so experiments can
+run the binary dynamics with exactly the parameters the reduction prescribes.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.environments.base import RewardEnvironment
 from repro.utils.rng import RngLike
 from repro.utils.validation import check_positive_int
-
-
-class ContinuousRewardEnvironment(RewardEnvironment):
-    """Options with continuous reward distributions, binarised by a threshold.
-
-    Each step draws ``r^t_j`` from the given per-option distribution; the
-    binary quality signal is ``R^t_j = 1{r^t_j > threshold}``.  This is the
-    "standard way" (Section 3) of converting threshold-adoption models with
-    continuous rewards into the paper's binary reward structure.
-
-    Parameters
-    ----------
-    reward_distributions:
-        One frozen ``scipy.stats`` distribution (anything with an ``rvs`` and
-        ``sf`` method) per option.
-    threshold:
-        The adoption threshold applied to raw rewards.
-    rng:
-        Seed or generator.
-    """
-
-    def __init__(
-        self,
-        reward_distributions: Sequence,
-        threshold: float = 0.0,
-        rng: RngLike = None,
-    ) -> None:
-        if len(reward_distributions) == 0:
-            raise ValueError("reward_distributions must be non-empty")
-        for index, dist in enumerate(reward_distributions):
-            if not hasattr(dist, "rvs") or not hasattr(dist, "sf"):
-                raise TypeError(
-                    f"reward_distributions[{index}] must be a frozen scipy.stats "
-                    "distribution (needs .rvs and .sf)"
-                )
-        super().__init__(num_options=len(reward_distributions), rng=rng)
-        self._distributions = list(reward_distributions)
-        self._threshold = float(threshold)
-        self._last_raw_rewards: Optional[np.ndarray] = None
-
-    @property
-    def threshold(self) -> float:
-        """Threshold above which a raw reward counts as a good signal."""
-        return self._threshold
-
-    @property
-    def qualities(self) -> np.ndarray:
-        """Implied Bernoulli qualities ``eta_j = P[r_j > threshold]``."""
-        return np.array(
-            [float(dist.sf(self._threshold)) for dist in self._distributions]
-        )
-
-    @property
-    def last_raw_rewards(self) -> Optional[np.ndarray]:
-        """Raw continuous rewards from the most recent sampling call.
-
-        Shape ``(m,)`` after :meth:`sample`, ``(R, m)`` after
-        :meth:`sample_batch` (one row of raw rewards per replicate).
-        """
-        if self._last_raw_rewards is None:
-            return None
-        return self._last_raw_rewards.copy()
-
-    def _draw(self) -> np.ndarray:
-        raw = np.array(
-            [float(dist.rvs(random_state=self._rng)) for dist in self._distributions]
-        )
-        self._last_raw_rewards = raw
-        return (raw > self._threshold).astype(np.int8)
-
-    def _draw_batch(self, num_replicates: int) -> np.ndarray:
-        raw = np.column_stack(
-            [
-                np.asarray(
-                    dist.rvs(size=num_replicates, random_state=self._rng), dtype=float
-                )
-                for dist in self._distributions
-            ]
-        )
-        self._last_raw_rewards = raw
-        return (raw > self._threshold).astype(np.int8)
-
-    @classmethod
-    def gaussian(
-        cls,
-        means: Sequence[float],
-        scale: float = 1.0,
-        threshold: float = 0.0,
-        rng: RngLike = None,
-    ) -> "ContinuousRewardEnvironment":
-        """Convenience constructor with Normal(mean_j, scale) rewards per option."""
-        means = np.asarray(means, dtype=float)
-        if means.ndim != 1 or means.size == 0:
-            raise ValueError("means must be a non-empty 1-D sequence")
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
-        from scipy import stats  # not at module level: slow to import
-
-        distributions = [stats.norm(loc=mean, scale=scale) for mean in means]
-        return cls(distributions, threshold=threshold, rng=rng)
 
 
 class EllisonFudenbergEnvironment(RewardEnvironment):

@@ -1,7 +1,7 @@
 """Experiment harness: configs, replicated runs, parameter sweeps and result tables.
 
 Benchmarks and examples are written against this small harness rather than
-ad-hoc loops so that every experiment (E1–E12 in DESIGN.md) shares the same
+ad-hoc loops so that every experiment (E1–E14 under ``benchmarks/``) shares the same
 seeding discipline, replication statistics, and output formats (text tables
 via :func:`repro.utils.format_table` and CSV files via
 :func:`repro.experiments.io.write_csv`).
@@ -29,7 +29,6 @@ from repro.experiments.dynamics_sweep import (
 from repro.experiments.engine_options import NETWORK_ENGINES, PROTOCOL_ENGINES
 from repro.experiments.results import ResultTable
 from repro.experiments.io import read_csv, write_csv
-from repro.experiments.report import generate_report, table_to_markdown
 
 _LAZY_MODULES = {
     "NETWORK_REPLICATIONS": "network_sweep",
@@ -67,7 +66,5 @@ __all__ = [
     "ResultTable",
     "read_csv",
     "write_csv",
-    "generate_report",
-    "table_to_markdown",
     *_LAZY_MODULES,
 ]

@@ -6,7 +6,7 @@ histograms, Prometheus text exposition); :mod:`repro.obs.trace` holds the
 content-address-derived :class:`~repro.obs.trace.Tracer` with its JSONL and
 in-memory sinks; :mod:`repro.obs.summary` turns a JSONL trace into a
 per-phase latency table.  The defaults — a process-wide registry and a
-null tracer — make instrumentation zero-cost until explicitly enabled.
+null tracer — make instrumentation zero-cost until a run is given a tracer.
 """
 
 from repro.obs.metrics import (
@@ -40,13 +40,10 @@ from repro.obs.trace import (
     TeeSink,
     Tracer,
     current_context,
-    get_tracer,
+    current_span,
     resolve_tracer,
-    set_ambient_context,
-    set_tracer,
     span_id_for,
     trace_id_for_key,
-    tracer_from_env,
     validate_record,
 )
 
@@ -77,12 +74,9 @@ __all__ = [
     "TeeSink",
     "Tracer",
     "current_context",
-    "get_tracer",
+    "current_span",
     "resolve_tracer",
-    "set_ambient_context",
-    "set_tracer",
     "span_id_for",
     "trace_id_for_key",
-    "tracer_from_env",
     "validate_record",
 ]

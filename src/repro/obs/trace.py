@@ -24,23 +24,20 @@ Records are flat JSON objects (one per line in the JSONL sink)::
     {"event": "event", "ts": ..., "trace": ..., "span": ..., "name": ...,
      "attributes": {...}}
 
-The **null tracer** (:data:`NULL_TRACER`, the process default) makes
+The **null tracer** (:data:`NULL_TRACER`, the default) makes
 instrumentation zero-cost-when-off: ``span()`` hands back one shared no-op
 context manager and ``event()``/``record_span()`` return immediately — no
-ids are computed, nothing is allocated per call.  Enable tracing by
-installing a real :class:`Tracer` (:func:`set_tracer`), passing one through
-:class:`~repro.runtime.options.ExecutionOptions`, or exporting
-``REPRO_TRACE_OUT=trace.jsonl`` (the CLI's ``--trace-out`` flag).
+ids are computed, nothing is allocated per call.  A run is traced only by
+the :class:`Tracer` it is given: through
+:class:`~repro.runtime.options.ExecutionOptions`, the ``tracer`` argument of
+``run_plan``/``run_campaign``, or the daemon's own tracer.  The CLI builds
+one from ``--trace-out`` (or ``REPRO_TRACE_OUT=trace.jsonl``).
 
-Context propagates three ways:
-
-* in-process via a :mod:`contextvars` current-span variable (``with
-  tracer.span(...):`` nests children automatically, per thread);
-* into ``ParallelExecutor`` worker processes with each shard, which the
-  worker installs with :func:`set_ambient_context` so worker-side spans
-  join the trace of the call that submitted the shard; and
-* across the broker wire protocol as a ``trace`` field on shard frames
-  (:mod:`repro.campaign.broker`).
+Context propagates in-process only, through a :mod:`contextvars`
+current-span variable: ``with tracer.span(...):`` nests children
+automatically, per thread.  Pool workers and brokers hold no tracer; the
+coordinator records each of their shards as a ``shard`` span from the
+timing the worker measured (:func:`~repro.runtime.driver.run_plan`).
 """
 
 from __future__ import annotations
@@ -92,31 +89,18 @@ class SpanContext(Tuple[str, str]):
         return self[1]
 
 
-_CURRENT: "ContextVar[Optional[SpanContext]]" = ContextVar(
-    "repro_current_span", default=None
-)
-
-# Ambient fallback for execution contexts that cannot inherit the parent's
-# contextvars: ParallelExecutor worker processes (set from each shard's trace
-# context) and broker processes (set from the shard frame's trace field).
-_AMBIENT: Optional[SpanContext] = None
+_CURRENT: "ContextVar[Optional[Span]]" = ContextVar("repro_current_span", default=None)
 
 
-def set_ambient_context(
-    trace_id: Optional[str], span_id: Optional[str]
-) -> None:
-    """Install (or clear, with ``None``) the process-level fallback context."""
-    global _AMBIENT
-    if trace_id is None or span_id is None:
-        _AMBIENT = None
-    else:
-        _AMBIENT = SpanContext(str(trace_id), str(span_id))
+def current_span() -> Optional["Span"]:
+    """The innermost open span of this thread's context, if any."""
+    return _CURRENT.get()
 
 
 def current_context() -> Optional[SpanContext]:
-    """The active span context: the contextvar, else the ambient fallback."""
-    context = _CURRENT.get()
-    return context if context is not None else _AMBIENT
+    """The active span's context (``None`` outside every span)."""
+    span = _CURRENT.get()
+    return span.context if span is not None else None
 
 
 def validate_record(record: Any) -> List[str]:
@@ -297,7 +281,7 @@ class Span:
         self.tracer._emit_event(name, attributes, self.context)
 
     def __enter__(self) -> "Span":
-        self._token = _CURRENT.set(self.context)
+        self._token = _CURRENT.set(self)
         self._wall_start = time.perf_counter()
         self._cpu_start = time.process_time()
         self.tracer._emit(
@@ -390,9 +374,8 @@ class Tracer:
 
     ``sink`` is anything with ``emit(record)`` (:class:`JsonlSink`,
     :class:`MemorySink`, :class:`TeeSink`).  Spans opened without an explicit
-    parent attach to the current context (contextvar, then ambient); a span
-    with no context anywhere becomes a trace root whose trace id derives
-    from its own content key.
+    parent attach to the current span; a span opened outside every span
+    becomes a trace root whose trace id derives from its own content key.
     """
 
     enabled = True
@@ -507,35 +490,6 @@ class Tracer:
             close()
 
 
-_TRACER_LOCK = threading.Lock()
-_TRACER: Any = NULL_TRACER
-
-
-def get_tracer() -> Any:
-    """The process-wide tracer (:data:`NULL_TRACER` unless one was installed)."""
-    return _TRACER
-
-
-def set_tracer(tracer: Optional[Any]) -> Any:
-    """Install ``tracer`` process-wide (``None`` restores the null tracer).
-
-    Returns the previous tracer so callers can restore it.
-    """
-    global _TRACER
-    with _TRACER_LOCK:
-        previous = _TRACER
-        _TRACER = tracer if tracer is not None else NULL_TRACER
-        return previous
-
-
-def tracer_from_env() -> Any:
-    """A JSONL tracer for ``$REPRO_TRACE_OUT``, else the null tracer."""
-    path = os.environ.get(TRACE_OUT_ENV)
-    if path:
-        return Tracer(JsonlSink(path))
-    return NULL_TRACER
-
-
 def resolve_tracer(tracer: Optional[Any]) -> Any:
-    """``tracer`` if given, else the installed process tracer."""
-    return tracer if tracer is not None else _TRACER
+    """``tracer`` if given, else :data:`NULL_TRACER`."""
+    return tracer if tracer is not None else NULL_TRACER

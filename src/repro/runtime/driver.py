@@ -16,15 +16,17 @@ Because tasks are execution-invariant (see :mod:`repro.runtime.shard`), the
 merged output is bit-identical whichever executor ran the misses and however
 many of the tasks came from the cache.
 
-With a :class:`~repro.obs.trace.Tracer` attached (explicitly or via
-:func:`~repro.obs.trace.set_tracer`), the driver opens one ``run_plan`` span
-keyed by the plan's content (the hash of its task keys) and records one
+Given a :class:`~repro.obs.trace.Tracer`, the driver opens one ``run_plan``
+span keyed by the plan's content (the hash of its task keys) and records one
 ``shard`` span per completed shard — worker-measured wall/CPU time, row
 count and rows/s — plus a ``cache_lookup`` event attributing hits vs
-misses.  All span ids derive from task content addresses, so the same plan
-traces identically on every backend.  Task keys are derived once, and only
-when a store or an enabled tracer needs them; with the default null tracer
-and no store none are computed.
+misses.  Pool workers and brokers hold no tracer, so this is where every
+backend's shard spans are recorded: from the executor's
+``last_shard_timing``, which a broker fills from its result frame.  All
+span ids derive from task content addresses, so the same plan traces
+identically on every backend.  Task keys are derived once, and only when a
+store or an enabled tracer needs them; with the default null tracer and no
+store none are computed.
 """
 
 from __future__ import annotations
@@ -62,8 +64,7 @@ def run_plan(
     raises (worker crash, ``KeyboardInterrupt``), every shard that completed
     before the failure has already been flushed to the store, so re-running
     the same plan against the same store picks up where the run died.
-    ``tracer`` defaults to the process tracer
-    (:func:`~repro.obs.trace.get_tracer`), a no-op unless one was installed.
+    ``tracer`` defaults to :data:`~repro.obs.trace.NULL_TRACER`, a no-op.
     """
     if executor is None:
         executor = SerialExecutor() if store is not None else SerialExecutor(1)

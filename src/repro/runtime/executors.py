@@ -35,7 +35,6 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, get_registry
-from repro.obs.trace import current_context, set_ambient_context
 from repro.runtime.shard import Task, execute_shard
 
 ShardResults = List[Tuple[Task, List[Dict[str, float]]]]
@@ -71,18 +70,13 @@ def _execute_shard(tasks: Sequence[Task]) -> ShardResults:
     return execute_shard(tasks, resolve_replication(tasks[0].function_ref))
 
 
-def _execute_shard_timed(
-    tasks: Sequence[Task], trace_context: Optional[Tuple[str, str]] = None
-) -> Tuple[ShardResults, ShardTiming]:
+def _execute_shard_timed(tasks: Sequence[Task]) -> Tuple[ShardResults, ShardTiming]:
     """Run one shard and report worker-measured wall and CPU seconds.
 
     The timings are measured where the work happens, so the parent can
     attribute the remainder of a shard's parent-side latency to dispatch
     (pickling, queueing, result transfer) rather than compute.
-    ``trace_context`` becomes the worker's ambient span context for this
-    shard, so worker-side events join the trace of the call that sent it.
     """
-    set_ambient_context(*(trace_context or (None, None)))
     wall_start = time.perf_counter()
     cpu_start = time.process_time()
     results = _execute_shard(tasks)
@@ -240,10 +234,6 @@ class ParallelExecutor:
         if not shards:
             return
         self._check_resolvable(replication)
-        # The caller's span context rides with each shard, so worker-side
-        # events join this call's trace whichever traces the pool served.
-        context = current_context()
-        trace_context = (context.trace_id, context.span_id) if context else None
         registry = get_registry()
         in_flight = registry.gauge(
             "repro_shards_in_flight",
@@ -265,9 +255,7 @@ class ParallelExecutor:
         try:
             submitted = time.perf_counter()
             for shard in shards:
-                pending.add(
-                    pool.submit(_execute_shard_timed, list(shard), trace_context)
-                )
+                pending.add(pool.submit(_execute_shard_timed, list(shard)))
                 in_flight.inc(backend="parallel")
             submitting = False
             while pending:

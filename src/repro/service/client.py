@@ -8,8 +8,8 @@ does.
 
 The client speaks **API v1**: every request it makes is prefixed with
 ``/v1``, and it decodes the v1 error envelope ``{"error": {"code": ...,
-"message": ...}}`` (falling back gracefully on pre-v1 daemons whose errors
-were plain strings).
+"message": ...}}``; any other error payload gets a generic message naming
+the HTTP status.
 
 Error contract: non-2xx responses raise :class:`ServiceError` carrying the
 HTTP status and the decoded JSON payload — ``status == 429`` is the daemon's
@@ -31,15 +31,13 @@ API_PREFIX = "/v1"
 
 
 def _error_message(payload: Any) -> Optional[str]:
-    """The human-readable message of an error payload (envelope or bare string)."""
+    """The human-readable message of a v1 error envelope, if ``payload`` is one."""
     if not isinstance(payload, dict):
         return None
     envelope = payload.get("error")
     if isinstance(envelope, dict):
         message = envelope.get("message")
         return str(message) if message is not None else None
-    if isinstance(envelope, str):
-        return envelope  # pre-v1 daemons sent a bare string
     return None
 
 

@@ -263,6 +263,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro-serve/{__version__}"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; with Nagle's algorithm on, a
+    # kept-alive connection waits out the client's delayed ACK (~40 ms) on
+    # every response.
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; keep the daemon
     # quiet unless the server was built with verbose logging.

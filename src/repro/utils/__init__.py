@@ -14,7 +14,7 @@ from repro.utils.validation import (
     check_probability_vector,
 )
 from repro.utils.logging import get_logger
-from repro.utils.ascii_plot import ascii_histogram, ascii_line_plot, format_table
+from repro.utils.ascii_plot import ascii_line_plot, format_table
 
 __all__ = [
     "RngLike",
@@ -25,7 +25,6 @@ __all__ = [
     "check_probability",
     "check_probability_vector",
     "get_logger",
-    "ascii_histogram",
     "ascii_line_plot",
     "format_table",
 ]

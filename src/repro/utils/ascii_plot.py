@@ -9,7 +9,7 @@ plotting.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -106,24 +106,4 @@ def ascii_line_plot(
     lines.append("+" + "-" * width)
     lines.append(f"min = {global_min:.4g}")
     lines.append("   ".join(legend))
-    return "\n".join(lines)
-
-
-def ascii_histogram(
-    values: Iterable[float],
-    *,
-    bins: int = 10,
-    width: int = 50,
-    title: str = "",
-) -> str:
-    """Render a histogram of ``values`` as horizontal ASCII bars."""
-    array = np.asarray(list(values), dtype=float)
-    if array.size == 0:
-        return "(no data)"
-    counts, edges = np.histogram(array, bins=bins)
-    peak = counts.max() if counts.max() > 0 else 1
-    lines = [title] if title else []
-    for count, low, high in zip(counts, edges[:-1], edges[1:]):
-        bar = "#" * int(round(width * count / peak))
-        lines.append(f"[{low:9.4f}, {high:9.4f}) {count:6d} {bar}")
     return "\n".join(lines)

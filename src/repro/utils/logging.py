@@ -36,20 +36,3 @@ def get_logger(name: str, *, level: Optional[int] = None) -> logging.Logger:
     if level is not None:
         logger.setLevel(level)
     return logger
-
-
-def enable_console_logging(level: int = logging.INFO) -> None:
-    """Attach a simple console handler to the ``repro`` logger (for scripts)."""
-    root = logging.getLogger("repro")
-    for handler in root.handlers:
-        if isinstance(handler, logging.StreamHandler) and not isinstance(
-            handler, logging.NullHandler
-        ):
-            root.setLevel(level)
-            return
-    handler = logging.StreamHandler()
-    handler.setFormatter(
-        logging.Formatter("%(asctime)s %(name)s %(levelname)s %(message)s")
-    )
-    root.addHandler(handler)
-    root.setLevel(level)

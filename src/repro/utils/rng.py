@@ -28,7 +28,7 @@ seed; the contract is pinned by a property test in
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Sequence, Union
 
 import numpy as np
 
@@ -159,14 +159,3 @@ class RowBlockGenerator:
         return np.concatenate(
             [generator.binomial(n[rows], p[rows]) for generator, rows in self._blocks]
         )
-
-
-def interleave_choice(
-    rng: RngLike, options: Iterable[int], size: Optional[int] = None
-) -> np.ndarray:
-    """Uniformly choose from ``options`` — tiny convenience wrapper used in tests."""
-    generator = ensure_rng(rng)
-    options = np.asarray(list(options))
-    if options.size == 0:
-        raise ValueError("options must be non-empty")
-    return generator.choice(options, size=size)

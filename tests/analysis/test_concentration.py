@@ -3,42 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    chernoff_hoeffding_probability,
-    is_multiplicatively_close,
-    multiplicative_deviation,
-)
-
-
-class TestChernoffHoeffding:
-    def test_formula(self):
-        value = chernoff_hoeffding_probability(100, 0.5, 0.2)
-        assert value == pytest.approx(min(1.0, 2 * np.exp(-100 * 0.5 * 0.04 / 3)))
-
-    def test_capped_at_one(self):
-        assert chernoff_hoeffding_probability(1, 0.01, 0.01) == 1.0
-
-    def test_decreasing_in_n(self):
-        small = chernoff_hoeffding_probability(100, 0.5, 0.1)
-        large = chernoff_hoeffding_probability(10_000, 0.5, 0.1)
-        assert large < small
-
-    def test_empirically_valid_bound(self):
-        """The bound really does dominate the empirical tail probability."""
-        rng = np.random.default_rng(0)
-        n, gamma, deviation = 200, 0.3, 0.25
-        trials = 2000
-        samples = rng.binomial(n, gamma, size=trials) / n
-        empirical = np.mean(np.abs(samples - gamma) > gamma * deviation)
-        assert empirical <= chernoff_hoeffding_probability(n, gamma, deviation) + 0.02
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            chernoff_hoeffding_probability(0, 0.5, 0.1)
-        with pytest.raises(ValueError):
-            chernoff_hoeffding_probability(10, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            chernoff_hoeffding_probability(10, 1.5, 0.1)
+from repro.analysis import multiplicative_deviation
 
 
 class TestMultiplicativeCloseness:
@@ -57,14 +22,6 @@ class TestMultiplicativeCloseness:
     def test_zero_handling(self):
         assert multiplicative_deviation([0.0, 1.0], [0.0, 1.0]) == pytest.approx(1.0)
         assert np.isinf(multiplicative_deviation([0.0, 1.0], [0.5, 0.5]))
-
-    def test_is_close_definition(self):
-        assert is_multiplicatively_close(0.5, 0.3, c=2.0)
-        assert not is_multiplicatively_close(0.5, 0.1, c=2.0)
-
-    def test_rejects_c_below_one(self):
-        with pytest.raises(ValueError):
-            is_multiplicatively_close(0.5, 0.5, c=0.5)
 
     def test_rejects_negative_values(self):
         with pytest.raises(ValueError):

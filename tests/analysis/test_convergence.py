@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import dominance_time, regret_crossing_time, time_above_threshold
+from repro.analysis import dominance_time
 
 
 class TestDominanceTime:
@@ -29,33 +29,3 @@ class TestDominanceTime:
             dominance_time(np.array([0.5]), threshold=1.5)
         with pytest.raises(ValueError):
             dominance_time(np.array([0.5]), sustain=0)
-
-
-class TestTimeAboveThreshold:
-    def test_fraction(self):
-        series = np.array([0.1, 0.6, 0.7, 0.4])
-        assert time_above_threshold(series, threshold=0.5) == pytest.approx(0.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            time_above_threshold(np.array([]), threshold=0.5)
-
-
-class TestRegretCrossingTime:
-    def test_simple_crossing(self):
-        series = np.array([0.5, 0.4, 0.2, 0.1])
-        assert regret_crossing_time(series, bound=0.3) == 2
-
-    def test_never_below(self):
-        assert regret_crossing_time(np.array([0.5, 0.6]), bound=0.3) is None
-
-    def test_dips_below_then_recovers_above(self):
-        series = np.array([0.2, 0.5, 0.2, 0.1])
-        assert regret_crossing_time(series, bound=0.3) == 2
-
-    def test_always_below(self):
-        assert regret_crossing_time(np.array([0.1, 0.05]), bound=0.3) == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            regret_crossing_time(np.array([]), bound=0.3)

@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.analysis import (
-    bootstrap_confidence_interval,
-    normal_confidence_interval,
-    summarize_replications,
-)
+from repro.analysis import normal_confidence_interval, summarize_replications
 
 
 class TestNormalConfidenceInterval:
@@ -75,27 +71,6 @@ class TestMatchesScipyStats:
         assert np.sqrt(n) != n**0.5
         assert std / np.sqrt(n) != std / n**0.5
         assert float(stats.sem(self._sample(n))) == std / n**0.5
-
-
-class TestBootstrapConfidenceInterval:
-    def test_contains_mean_for_symmetric_data(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(3.0, 1.0, size=50)
-        low, high = bootstrap_confidence_interval(values, rng=2)
-        assert low <= values.mean() <= high
-
-    def test_single_value_degenerate(self):
-        assert bootstrap_confidence_interval([4.0]) == (4.0, 4.0)
-
-    def test_deterministic_given_rng(self):
-        values = [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert bootstrap_confidence_interval(values, rng=0) == bootstrap_confidence_interval(values, rng=0)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            bootstrap_confidence_interval([])
-        with pytest.raises(ValueError):
-            bootstrap_confidence_interval([1.0], resamples=0)
 
 
 class TestSummarizeReplications:

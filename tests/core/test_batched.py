@@ -15,8 +15,6 @@ from repro.core.sampling import MixtureSampling, UniformSampling
 from repro.core.state import PopulationState
 from repro.environments import (
     BernoulliEnvironment,
-    CorrelatedOptionsEnvironment,
-    ExactlyOneGoodEnvironment,
     PiecewiseConstantDriftEnvironment,
     RandomWalkDriftEnvironment,
     RecordedRewardSequence,
@@ -330,29 +328,6 @@ class TestEnvironmentSampleBatch:
         after = env.qualities
         assert not np.allclose(before, after)
         assert env.time == 1
-
-    def test_exactly_one_good_batch_rows_one_hot(self):
-        env = ExactlyOneGoodEnvironment([0.5, 0.3, 0.2], rng=0)
-        rewards = env.sample_batch(500)
-        np.testing.assert_array_equal(rewards.sum(axis=1), 1)
-        assert rewards[:, 0].mean() == pytest.approx(0.5, abs=0.08)
-
-    def test_correlated_batch_respects_marginals(self):
-        env = CorrelatedOptionsEnvironment([0.7, 0.3], correlation=0.6, rng=0)
-        rewards = env.sample_batch(4000)
-        assert rewards[:, 0].mean() == pytest.approx(0.7, abs=0.04)
-        assert rewards[:, 1].mean() == pytest.approx(0.3, abs=0.04)
-
-    def test_continuous_batch_records_per_replicate_raw_rewards(self):
-        from repro.environments import ContinuousRewardEnvironment
-
-        env = ContinuousRewardEnvironment.gaussian([1.0, -1.0], rng=0)
-        rewards = env.sample_batch(30)
-        assert rewards.shape == (30, 2)
-        assert env.last_raw_rewards.shape == (30, 2)
-        np.testing.assert_array_equal(
-            rewards, (env.last_raw_rewards > env.threshold).astype(np.int8)
-        )
 
     def test_recorded_sequence_batch_broadcasts_row(self):
         matrix = np.array([[1, 0], [0, 1], [1, 1]], dtype=np.int8)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.regret import (
     RegretAccumulator,
-    average_regret,
     best_option_share,
     empirical_regret,
     expected_regret,
@@ -83,15 +82,6 @@ class TestBestOptionShare:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             best_option_share(np.zeros((0, 2)), 0)
-
-
-class TestAverageRegret:
-    def test_mean(self):
-        assert average_regret([0.1, 0.2, 0.3]) == pytest.approx(0.2)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            average_regret([])
 
 
 class TestRegretAccumulator:

@@ -9,7 +9,6 @@ from repro.core.theory import (
     TheoryBounds,
     beta_from_delta,
     delta_from_beta,
-    max_exploration_rate,
     optimal_beta,
 )
 
@@ -32,10 +31,6 @@ class TestDeltaConversions:
     def test_rejects_beta_one(self):
         with pytest.raises(ValueError):
             delta_from_beta(1.0)
-
-    def test_max_exploration_rate(self):
-        delta = delta_from_beta(0.6)
-        assert max_exploration_rate(0.6) == pytest.approx(delta**2 / 6.0)
 
     def test_beta_from_delta_rejects_non_positive(self):
         with pytest.raises(ValueError):

@@ -1,46 +1,10 @@
-"""Tests for the continuous-reward environments and the Ellison-Fudenberg reduction."""
+"""Tests for the Ellison-Fudenberg continuous-reward environment and its reduction."""
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from repro.environments import ContinuousRewardEnvironment, EllisonFudenbergEnvironment
-
-
-class TestContinuousRewardEnvironment:
-    def test_implied_qualities_match_survival_function(self):
-        env = ContinuousRewardEnvironment.gaussian([1.0, -1.0], scale=1.0, threshold=0.0)
-        expected = [stats.norm(1.0, 1.0).sf(0.0), stats.norm(-1.0, 1.0).sf(0.0)]
-        np.testing.assert_allclose(env.qualities, expected)
-
-    def test_sample_is_binary(self):
-        env = ContinuousRewardEnvironment.gaussian([0.5, -0.5], rng=0)
-        rewards = env.sample_many(20)
-        assert set(np.unique(rewards)).issubset({0, 1})
-
-    def test_last_raw_rewards_exposed(self):
-        env = ContinuousRewardEnvironment.gaussian([0.0], rng=0)
-        assert env.last_raw_rewards is None
-        env.sample()
-        assert env.last_raw_rewards is not None
-        assert env.last_raw_rewards.shape == (1,)
-
-    def test_empirical_quality_matches_implied(self):
-        env = ContinuousRewardEnvironment.gaussian([0.8], scale=1.0, rng=1)
-        rewards = env.sample_many(4000)
-        assert rewards.mean() == pytest.approx(env.qualities[0], abs=0.03)
-
-    def test_rejects_non_distribution(self):
-        with pytest.raises(TypeError):
-            ContinuousRewardEnvironment([object()])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            ContinuousRewardEnvironment([])
-
-    def test_gaussian_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            ContinuousRewardEnvironment.gaussian([0.0], scale=0.0)
+from repro.environments import EllisonFudenbergEnvironment
 
 
 class TestEllisonFudenbergEnvironment:

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import importlib.util
 import sys
+import threading
 from pathlib import Path
+
+import repro.service.daemon as daemon
 
 EXAMPLES_DIR = Path(__file__).parent.parent.parent / "examples"
 
@@ -88,6 +91,29 @@ class TestServiceDemoExample:
         monkeypatch.setattr(module, "NODES", 60)
         monkeypatch.setattr(module, "ROUNDS", 10)
         monkeypatch.setattr(module, "REPLICATIONS", 2)
+        # At this scale the first loss=0.35 job can finish before its twin
+        # is submitted, and then nothing attaches to it.  Hold that job in
+        # the daemon until the second identical submission is answered.
+        twin_answered = threading.Event()
+        twins = []
+        submit = daemon.SimulationService.submit
+        execute_request = daemon.execute_request
+
+        def counting_submit(service, payload):
+            outcome = submit(service, payload)
+            if payload.get("loss") == 0.35:
+                twins.append(outcome)
+                if len(twins) == 2:
+                    twin_answered.set()
+            return outcome
+
+        def held_execute_request(request, *args, **kwargs):
+            if request.to_dict().get("loss") == 0.35:
+                assert twin_answered.wait(timeout=30.0), "no second submission"
+            return execute_request(request, *args, **kwargs)
+
+        monkeypatch.setattr(daemon.SimulationService, "submit", counting_submit)
+        monkeypatch.setattr(daemon, "execute_request", held_execute_request)
         module.main()
         output = capsys.readouterr().out
         assert "daemon up at http://" in output

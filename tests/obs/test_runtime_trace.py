@@ -23,22 +23,17 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.broker import recv_frame, send_frame
+from repro.experiments import ParameterGrid, sweep_configs
 from repro.experiments.dynamics_sweep import dynamics_point_replication
-from repro.obs import (
-    MemorySink,
-    Tracer,
-    get_registry,
-    set_ambient_context,
-    set_tracer,
-    validate_record,
-)
+from repro.obs import MemorySink, Tracer, get_registry, validate_record
 from repro.runtime import (
     ExecutionOptions,
     ParallelExecutor,
     ResultStore,
     SerialExecutor,
 )
-from repro.runtime.shard import Task
+from repro.runtime.driver import run_plan
+from repro.runtime.shard import ShardPlan, Task
 from repro.service.requests import execute_request, sweep_request
 
 REPLICATION_REF = "repro.experiments.dynamics_sweep:dynamics_point_replication"
@@ -46,15 +41,9 @@ REPLICATION_REF = "repro.experiments.dynamics_sweep:dynamics_point_replication"
 
 @pytest.fixture
 def tracing():
-    """Install a MemorySink tracer process-wide; restore and clean up after."""
+    """A MemorySink tracer, which each test passes to the run it traces."""
     sink = MemorySink()
-    tracer = Tracer(sink)
-    previous = set_tracer(tracer)
-    try:
-        yield tracer, sink
-    finally:
-        set_tracer(previous)
-        set_ambient_context(None, None)
+    return Tracer(sink), sink
 
 
 def sweep(populations=(40, 50), replications=2):
@@ -265,6 +254,36 @@ class TestBrokerTracing:
         events = records_by_name(sink, "broker_requeue", event="event")
         assert events
         assert set(events[0]["attributes"]) == {"broker", "shard", "in_flight"}
+
+    def test_requeue_event_joins_the_run_plan_span_of_the_given_tracer(
+        self, tracing
+    ):
+        # As the CLI runs it: the tracer is handed to run_plan, and no span
+        # is open around the call.
+        tracer, sink = tracing
+        configs = sweep_configs(
+            "requeue",
+            ParameterGrid({"N": [40, 50]}),
+            replications=4,
+            seed=0,
+            base_parameters={"qualities": (0.8, 0.5), "T": 6},
+        )
+        plan = ShardPlan.from_configs(configs, dynamics_point_replication)
+        with BrokerBackend(min_brokers=2, timeout=15.0) as backend:
+            crashy_thread, crashy = start_vanishing_broker(backend.address)
+            survivor_thread, _ = start_broker(backend.address)
+            rows = run_plan(
+                plan, dynamics_point_replication, executor=backend, tracer=tracer
+            )
+        crashy_thread.join(timeout=10.0)
+        survivor_thread.join(timeout=10.0)
+        assert not crashy_thread.is_alive() and not survivor_thread.is_alive()
+        assert [len(point) for point in rows] == [4, 4]
+        assert crashy["frame"]["type"] == "shard"  # it vanished holding one
+        [run_plan_span] = records_by_name(sink, "run_plan")
+        [event] = records_by_name(sink, "broker_requeue", event="event")
+        assert event["span"] == run_plan_span["span"]
+        assert event["trace"] == run_plan_span["trace"]
 
     def test_broker_shard_timing_reaches_the_driver(self, tracing):
         # The result frame's worker-measured timing must become the shard

@@ -12,14 +12,10 @@ from repro.obs import (
     JsonlSink,
     MemorySink,
     NullTracer,
-    SpanContext,
     TeeSink,
     Tracer,
     current_context,
-    get_tracer,
     resolve_tracer,
-    set_ambient_context,
-    set_tracer,
     span_id_for,
     trace_id_for_key,
     validate_record,
@@ -74,33 +70,6 @@ class TestContextPropagation:
             r for r in records if r["name"] == "inner" and r["event"] == "span_start"
         )
         assert inner_start["parent"] == outer.span_id
-
-    def test_ambient_context_is_the_fallback(self):
-        # Worker processes cannot inherit a contextvar across fork/spawn;
-        # they get the parent context via set_ambient_context instead.
-        assert current_context() is None
-        set_ambient_context("t" * 32, "s" * 16)
-        try:
-            context = current_context()
-            assert context == SpanContext("t" * 32, "s" * 16)
-            sink = MemorySink()
-            tracer = Tracer(sink)
-            with tracer.span("child", "k") as child:
-                assert child.trace_id == "t" * 32
-            [start, _] = sink.records("t" * 32)
-            assert start["parent"] == "s" * 16
-        finally:
-            set_ambient_context(None, None)
-        assert current_context() is None
-
-    def test_contextvar_wins_over_ambient(self):
-        set_ambient_context("a" * 32, "b" * 16)
-        try:
-            tracer = Tracer(MemorySink())
-            with tracer.span("outer", "key") as outer:
-                assert current_context().span_id == outer.span_id
-        finally:
-            set_ambient_context(None, None)
 
     def test_exceptions_mark_the_span_and_restore_context(self):
         sink = MemorySink()
@@ -246,7 +215,7 @@ class TestSinks:
 
 class TestProcessTracer:
     def test_null_tracer_is_the_default_and_emits_nothing(self):
-        assert get_tracer() is NULL_TRACER
+        assert resolve_tracer(None) is NULL_TRACER
         assert not NULL_TRACER.enabled
         span = NULL_TRACER.span("anything", "key")
         with span as active:
@@ -258,20 +227,3 @@ class TestProcessTracer:
     def test_null_spans_are_shared(self):
         # Zero allocation on the hot path: every call returns the singleton.
         assert NULL_TRACER.span("a") is NULL_TRACER.span("b")
-
-    def test_set_tracer_installs_and_restores(self):
-        tracer = Tracer(MemorySink())
-        previous = set_tracer(tracer)
-        try:
-            assert get_tracer() is tracer
-            assert resolve_tracer(None) is tracer
-            other = NullTracer()
-            assert resolve_tracer(other) is other
-        finally:
-            set_tracer(previous)
-        assert get_tracer() is NULL_TRACER
-
-    def test_set_tracer_none_restores_the_null_tracer(self):
-        set_tracer(Tracer(MemorySink()))
-        set_tracer(None)
-        assert get_tracer() is NULL_TRACER

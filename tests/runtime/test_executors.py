@@ -18,7 +18,7 @@ from repro.experiments import (
 )
 from repro.experiments.dynamics_sweep import dynamics_point_replication
 from repro.obs.metrics import get_registry
-from repro.obs.trace import MemorySink, Tracer, current_context
+from repro.obs.trace import MemorySink, Tracer
 from repro.runtime import (
     ExecutionOptions,
     ParallelExecutor,
@@ -263,16 +263,6 @@ class TestAbortPathCleansUp:
         assert _in_flight() == gauge
 
 
-def context_replication(seed, parameters):
-    """Module-level replication reporting its worker's ambient span context.
-
-    The metric is the integer value of the span id's first 12 hex digits
-    (exact in a float64), or -1 when the worker has no context.
-    """
-    context = current_context()
-    return {"span": float(int(context.span_id[:12], 16)) if context else -1.0}
-
-
 def killing_replication(seed, parameters):
     """Module-level replication that kills the worker process running it."""
     os._exit(1)
@@ -364,22 +354,6 @@ class TestOneExecutorSharedByThreads:
                 assert tasks == self.TASKS[name]
         assert len(outcomes["failing"]) == self.ROUNDS
         assert all("seed" in str(error) for error in outcomes["failing"])
-
-    def test_each_shard_carries_its_callers_trace_context(self):
-        configs = sweep_configs(
-            "context", GRID, replications=3, seed=1, base_parameters=BASE
-        )
-        plan = ShardPlan.from_configs(configs, context_replication)
-        tracer = Tracer(MemorySink())
-        with ParallelExecutor(2) as executor:
-            for name in ("first", "second"):
-                with tracer.span("root", name):
-                    span_id = current_context().span_id
-                    rows = run_plan(plan, context_replication, executor=executor)
-                values = {row["span"] for point in rows for row in point}
-                assert values == {float(int(span_id[:12], 16))}, name
-            untraced = run_plan(plan, context_replication, executor=executor)
-        assert {row["span"] for point in untraced for row in point} == {-1.0}
 
 
 class TestKilledWorker:

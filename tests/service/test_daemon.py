@@ -12,14 +12,17 @@ The acceptance contract from the service issue:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import threading
 import time
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -95,6 +98,25 @@ def _gate(handle):
 class TestHealthAndStats:
     def test_healthz(self, client):
         assert client.healthz() == {"status": "ok", "version": __version__}
+
+    def test_kept_connection_answers_without_a_delayed_ack_stall(self, daemon):
+        # With Nagle's algorithm on, each response on a reused connection
+        # waited out the client's delayed ACK: ~44 ms a call on loopback.
+        address = urlsplit(daemon.url)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=10.0
+        )
+        durations = []
+        try:
+            for _ in range(20):
+                start = time.perf_counter()
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                assert json.loads(response.read())["status"] == "ok"
+                durations.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert statistics.median(durations) < 0.020
 
     def test_stats_expose_store_and_queue(self, client):
         stats = client.stats()

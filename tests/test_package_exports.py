@@ -43,7 +43,6 @@ DEFINING_MODULES = {
         ),
         "results": ("ResultTable",),
         "io": ("read_csv", "write_csv"),
-        "report": ("generate_report", "table_to_markdown"),
     },
     "repro.service": {
         "client": ("JobFailed", "ServiceClient", "ServiceError"),

@@ -2,8 +2,8 @@
 
 import logging
 
-from repro.utils.ascii_plot import ascii_histogram, ascii_line_plot, format_table
-from repro.utils.logging import enable_console_logging, get_logger
+from repro.utils.ascii_plot import ascii_line_plot, format_table
+from repro.utils.logging import get_logger
 
 
 class TestFormatTable:
@@ -43,15 +43,6 @@ class TestAsciiLinePlot:
         assert "flat" in text
 
 
-class TestAsciiHistogram:
-    def test_contains_bars(self):
-        text = ascii_histogram([1, 1, 2, 3, 3, 3], bins=3)
-        assert "#" in text
-
-    def test_empty_values(self):
-        assert ascii_histogram([]) == "(no data)"
-
-
 class TestLogging:
     def test_get_logger_namespaced(self):
         logger = get_logger("core.dynamics")
@@ -65,14 +56,3 @@ class TestLogging:
     def test_level_override(self):
         logger = get_logger("leveled", level=logging.DEBUG)
         assert logger.level == logging.DEBUG
-
-    def test_enable_console_logging_adds_single_handler(self):
-        enable_console_logging()
-        enable_console_logging()
-        root = logging.getLogger("repro")
-        stream_handlers = [
-            handler
-            for handler in root.handlers
-            if type(handler) is logging.StreamHandler
-        ]
-        assert len(stream_handlers) == 1

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 
-from repro.utils.logging import enable_console_logging, get_logger
+from repro.utils.logging import get_logger
 
 
 class TestGetLogger:
@@ -49,27 +49,3 @@ class TestGetLogger:
             assert logging.NullHandler in kinds
         finally:
             logger.handlers.clear()
-
-
-class TestEnableConsoleLogging:
-    def test_installs_one_stream_handler_idempotently(self):
-        # Start from a bare root: any earlier test (or CLI entry point) may
-        # already have enabled console logging on "repro".
-        root = logging.getLogger("repro")
-        before = list(root.handlers)
-        before_level = root.level
-        try:
-            root.handlers[:] = []
-            enable_console_logging(logging.INFO)
-            enable_console_logging(logging.DEBUG)
-            streams = [
-                h
-                for h in root.handlers
-                if isinstance(h, logging.StreamHandler)
-                and not isinstance(h, logging.NullHandler)
-            ]
-            assert len(streams) == 1
-            assert root.level == logging.DEBUG
-        finally:
-            root.handlers[:] = before
-            root.setLevel(before_level)

@@ -10,7 +10,6 @@ from repro.network import BatchedNetworkDynamics, SocialNetwork
 from repro.utils.rng import (
     RowBlockGenerator,
     ensure_rng,
-    interleave_choice,
     seeds_for_replications,
     spawn_rngs,
 )
@@ -83,16 +82,6 @@ class TestSeedsForReplications:
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError):
             seeds_for_replications(3, 0)
-
-
-class TestInterleaveChoice:
-    def test_choice_from_options(self):
-        value = interleave_choice(0, [1, 2, 3])
-        assert value in (1, 2, 3)
-
-    def test_empty_options_rejected(self):
-        with pytest.raises(ValueError):
-            interleave_choice(0, [])
 
 
 class TestRowBlockGenerator:
