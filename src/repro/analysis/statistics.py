@@ -15,7 +15,12 @@ def normal_confidence_interval(
 ) -> Tuple[float, float]:
     """Student-t confidence interval for the mean of ``values``.
 
-    With a single value the interval degenerates to ``(value, value)``.
+    With a single value, or values that are all equal, the interval
+    degenerates to ``(mean, mean)``.  A 95% interval over at most 129 values
+    reads its quantile from :data:`repro.analysis.student_t.T_975`, a table
+    written from ``scipy.special.stdtrit``; any other size or confidence
+    imports ``scipy.special`` and calls ``stdtrit`` itself.  Either way the
+    interval is bit-identical to ``stats.t.ppf(q, df) * stats.sem(values)``.
     """
     array = np.asarray(list(values), dtype=float)
     if array.size == 0:
@@ -32,9 +37,16 @@ def normal_confidence_interval(
     sem = float(array.std(ddof=1) / array.size**0.5)
     if sem == 0.0:
         return mean, mean
-    from scipy.special import stdtrit
+    from repro.analysis.student_t import T_975
 
-    margin = float(stdtrit(array.size - 1, 0.5 + confidence / 2.0) * sem)
+    df = array.size - 1
+    if confidence == 0.95 and df <= len(T_975):
+        quantile = T_975[df - 1]
+    else:
+        from scipy.special import stdtrit
+
+        quantile = stdtrit(df, 0.5 + confidence / 2.0)
+    margin = float(quantile * sem)
     return mean - margin, mean + margin
 
 

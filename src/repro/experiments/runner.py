@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.analysis.statistics import ReplicationSummary, summarize_replications
 from repro.experiments.config import ExperimentConfig
-from repro.utils.rng import seeds_for_replications
 
 ReplicationFunction = Callable[[int, Dict[str, Any]], Dict[str, float]]
 """A replication takes (seed, parameters) and returns a dict of scalar metrics."""
@@ -151,19 +150,27 @@ def _validated_metrics(metrics: Any) -> Dict[str, float]:
 
 def _run_planned(
     configs: Sequence[ExperimentConfig], replication: Callable, options: Any
-) -> List[List[Dict[str, float]]]:
-    """Per-config metric rows of ``configs``, run by :func:`repro.runtime.run_plan`."""
+) -> List[ReplicatedResult]:
+    """The results of ``configs``, run by :func:`repro.runtime.run_plan`.
+
+    Each result records the seed list its plan derived for the point.
+    """
     # Imported lazily: repro.runtime depends on this module.
     from repro.runtime import ExecutionOptions, ShardPlan, run_plan
 
     options = options if options is not None else ExecutionOptions()
-    return run_plan(
-        ShardPlan.from_configs(configs, replication),
+    plan = ShardPlan.from_configs(configs, replication)
+    rows = run_plan(
+        plan,
         replication,
         executor=options.executor,
         store=options.store,
         tracer=options.tracer,
     )
+    return [
+        ReplicatedResult(config=config, seeds=seeds, metrics=metrics)
+        for config, seeds, metrics in zip(configs, plan.point_seeds(), rows)
+    ]
 
 
 def run_replications(
@@ -196,9 +203,4 @@ def run_replications(
             "grid-batched replications run over a whole ParameterGrid; call "
             "run_sweep instead of run_replications"
         )
-    result = ReplicatedResult(
-        config=config,
-        seeds=seeds_for_replications(config.seed, config.replications),
-    )
-    result.metrics.extend(_run_planned([config], replication, options)[0])
-    return result
+    return _run_planned([config], replication, options)[0]

@@ -13,7 +13,6 @@ from repro.experiments.runner import (
     ReplicationFunction,
     _run_planned,
 )
-from repro.utils.rng import seeds_for_replications
 
 
 @dataclass(frozen=True)
@@ -124,14 +123,8 @@ def run_sweep(
         seed=seed,
         base_parameters=base_parameters,
     )
-    results: List[ReplicatedResult] = []
+    results = _run_planned(configs, replication, options)
     table = ResultTable()
-    for config, rows in zip(configs, _run_planned(configs, replication, options)):
-        result = ReplicatedResult(
-            config=config,
-            seeds=seeds_for_replications(config.seed, config.replications),
-        )
-        result.metrics.extend(rows)
-        results.append(result)
+    for result in results:
         table.add_row(result.summary_row())
     return results, table

@@ -106,8 +106,9 @@ class ShardPlan:
     ) -> "ShardPlan":
         """Decompose ``configs`` into tasks for ``replication``.
 
-        Seed lists are derived per config exactly as the
-        :class:`~repro.experiments.runner.ReplicatedResult` records them.
+        Each config's seed list is derived here, once; :meth:`point_seeds`
+        hands it back as the provenance record
+        :class:`~repro.experiments.runner.ReplicatedResult` keeps.
         """
         if not configs:
             raise ValueError("a shard plan needs at least one config")
@@ -146,6 +147,13 @@ class ShardPlan:
 
     def __len__(self) -> int:
         return len(self.tasks)
+
+    def point_seeds(self) -> List[List[int]]:
+        """Each point's full seed list, gathered from its tasks in replicate order."""
+        seeds: List[List[int]] = [[] for _ in self.configs]
+        for task in self.tasks:
+            seeds[task.point_index].extend(task.seeds)
+        return seeds
 
     def shards(self, num_shards: int) -> List[List[Task]]:
         """Split the plan's tasks into at most ``num_shards`` contiguous chunks."""

@@ -225,9 +225,10 @@ class ResultStore:
     Thread safety: every operation runs behind one internal lock (a single
     sqlite connection, ``check_same_thread=False``), so a store instance may
     be shared freely between threads (the API daemon shares one store across
-    its whole worker pool).  Sharing one *file* between processes is safe
-    for reads and writes — WAL mode plus a 30-second busy timeout — though
-    counters are per-instance.
+    its whole worker pool).  The hit/miss counters sit behind a second,
+    small lock, so :meth:`counters` never waits for another thread's query.
+    Sharing one *file* between processes is safe for reads and writes — WAL
+    mode plus a 30-second busy timeout — though counters are per-instance.
     """
 
     def __init__(
@@ -238,6 +239,7 @@ class ResultStore:
         self.hits = 0
         self.misses = 0
         self._lock = threading.RLock()
+        self._counter_lock = threading.Lock()
         self._connection: Optional[sqlite3.Connection] = None
         try:
             if isinstance(self.path, Path):
@@ -303,7 +305,7 @@ class ResultStore:
                     objects.append(members)
         found = json.loads("{" + ",".join(objects) + "}")
         hits = sum(1 for key in keys if key in found)
-        with self._lock:
+        with self._counter_lock:
             self.hits += hits
             self.misses += len(keys) - hits
         return found
@@ -338,7 +340,7 @@ class ResultStore:
 
     def counters(self) -> StoreCounters:
         """Atomic snapshot of this instance's hit/miss counters."""
-        with self._lock:
+        with self._counter_lock:
             return StoreCounters(hits=self.hits, misses=self.misses)
 
     def __contains__(self, key: str) -> bool:

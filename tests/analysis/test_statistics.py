@@ -1,10 +1,13 @@
 """Tests for replication statistics."""
 
+import sys
+
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from repro.analysis import normal_confidence_interval, summarize_replications
+from repro.analysis.student_t import SCIPY_RELEASE, T_975
 
 
 class TestNormalConfidenceInterval:
@@ -46,7 +49,8 @@ class TestNormalConfidenceInterval:
 class TestMatchesScipyStats:
     """Computed without ``scipy.stats``, yet equal to it bit for bit."""
 
-    SIZES = [*range(2, 65), 100, 1000, 2921]
+    # 129 and 130: the last 95% table entry (df 128) and the first size past it.
+    SIZES = [*range(2, 65), 100, 129, 130, 1000, 2921]
 
     @staticmethod
     def _sample(n):
@@ -71,6 +75,31 @@ class TestMatchesScipyStats:
         assert np.sqrt(n) != n**0.5
         assert std / np.sqrt(n) != std / n**0.5
         assert float(stats.sem(self._sample(n))) == std / n**0.5
+
+
+class TestStudentTTable:
+    def test_every_entry_equals_stdtrit(self):
+        assert len(T_975) == 128
+        for df, quantile in enumerate(T_975, start=1):
+            expected = float(special.stdtrit(df, 0.975))
+            assert quantile == expected, (
+                f"T_975 at df {df} reads {quantile!r}, stdtrit gives {expected!r}; "
+                f"the table was written from scipy {SCIPY_RELEASE}"
+            )
+
+    def test_interval_reads_the_table_without_scipy(self, monkeypatch):
+        # The table is the only quantile source for these sizes: a scipy
+        # import would raise.
+        monkeypatch.setitem(sys.modules, "scipy.special", None)
+        for n in (2, 12, 129):
+            sample = np.random.default_rng(n).random(n)
+            margin = T_975[n - 2] * float(sample.std(ddof=1) / n**0.5)
+            mean = float(sample.mean())
+            assert normal_confidence_interval(sample) == (mean - margin, mean + margin)
+        with pytest.raises(ImportError):
+            normal_confidence_interval(np.arange(130.0))
+        with pytest.raises(ImportError):
+            normal_confidence_interval([1.0, 2.0, 4.0], confidence=0.9)
 
 
 class TestSummarizeReplications:

@@ -1,8 +1,17 @@
 """Tests for parameter sweeps."""
 
+import sys
+
 import pytest
 
-from repro.experiments import ParameterGrid, run_sweep
+import repro.utils.rng as rng
+from repro.experiments import (
+    ExperimentConfig,
+    ParameterGrid,
+    batched_replication,
+    run_replications,
+    run_sweep,
+)
 
 
 class TestParameterGrid:
@@ -86,6 +95,55 @@ class TestRunSweep:
             seed=0,
         )
         assert results[0].seeds != results[1].seeds
+
+
+@pytest.fixture()
+def derivations(monkeypatch):
+    """The master seed of every seed-list derivation, whichever module makes it."""
+    masters = []
+    derive = rng.seeds_for_replications
+
+    def counting(master, replications):
+        masters.append(master)
+        return derive(master, replications)
+
+    for name, module in list(sys.modules.items()):
+        holds = getattr(module, "seeds_for_replications", None) is derive
+        if name.startswith("repro") and holds:
+            monkeypatch.setattr(module, "seeds_for_replications", counting)
+    return masters
+
+
+@batched_replication
+def seed_batch(seeds, parameters):
+    return [{"seed": float(seed)} for seed in seeds]
+
+
+class TestSeedDerivation:
+    """Each point's seed list is derived once, by its shard plan."""
+
+    @pytest.mark.parametrize("replication", ["loop", "batched"])
+    def test_a_sweep_derives_each_point_once(self, derivations, replication):
+        function = {
+            "loop": lambda seed, parameters: {"seed": float(seed)},
+            "batched": seed_batch,
+        }[replication]
+        results, _ = run_sweep(
+            "demo", ParameterGrid({"x": [1, 2, 3]}), function, replications=4, seed=7
+        )
+        assert derivations == [7, 8, 9]
+        expected = [rng.seeds_for_replications(7 + index, 4) for index in range(3)]
+        assert [result.seeds for result in results] == expected
+        assert all(type(result.seeds) is list for result in results)
+        assert [result.metric_values("seed").tolist() for result in results] == [
+            [float(seed) for seed in seeds] for seeds in expected
+        ]
+
+    def test_a_replicated_run_derives_its_seeds_once(self, derivations):
+        config = ExperimentConfig(name="demo", replications=5, seed=3)
+        result = run_replications(config, seed_batch)
+        assert derivations == [3]
+        assert result.seeds == rng.seeds_for_replications(3, 5)
 
 
 class TestGridBatchedSweep:

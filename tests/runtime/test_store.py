@@ -517,6 +517,41 @@ class TestThreadSafety:
         assert store.counters() == (readers * rounds * len(warm), 0)
         store.close()
 
+    def test_counters_answer_while_another_thread_queries(self):
+        # The daemon snapshots the counters around every job and for
+        # /v1/stats; with two job workers one job's bookkeeping must not
+        # wait for the other job's lookup.  A progress handler holds a
+        # get_many query open until released.
+        with ResultStore() as store:
+            key = store.put(make_task(), [{"metric": 0.5}])
+            in_query, release = threading.Event(), threading.Event()
+
+            def hold():
+                in_query.set()
+                release.wait(timeout=30)
+                return 0
+
+            store._connection.set_progress_handler(hold, 1)
+            lookup = threading.Thread(target=store.get_many, args=([key],))
+            snapshots = []
+            snapshot = threading.Thread(
+                target=lambda: snapshots.append(store.counters())
+            )
+            lookup.start()
+            try:
+                assert in_query.wait(timeout=10)
+                snapshot.start()
+                snapshot.join(timeout=1)
+                answered = not snapshot.is_alive()
+            finally:
+                release.set()
+                lookup.join(timeout=30)
+                snapshot.join(timeout=30)
+            store._connection.set_progress_handler(None, 1)
+            assert answered
+            assert snapshots == [(0, 0)]
+            assert store.counters() == (1, 0)
+
     def test_close_is_idempotent_and_marks_closed(self):
         store = ResultStore()
         assert not store.closed

@@ -4,9 +4,10 @@ On a 2-core VM ``scipy.stats`` takes about a second to import and
 ``scipy.special`` about a third of one, which would dominate every small
 ``python -m repro`` call.  No
 module under ``src/repro`` imports scipy at module level; the few functions
-that need it import it themselves.  Likewise networkx (~0.15 s), the HTTP
-daemon, the campaign stack and the process pool load only in the commands
-that use them.
+that need it import it themselves, and replication summaries read their 95%
+quantiles from a table up to 129 replicates.  Likewise networkx (~0.15 s),
+the HTTP daemon, the campaign stack and the process pool load only in the
+commands that use them.
 Pytest's own process may already hold all of these, so every runtime check
 runs in a fresh interpreter.
 """
@@ -45,6 +46,29 @@ NETWORK = ["network", "--options", "0.8", "0.5", "--topology", "watts_strogatz"]
 NETWORK += ["--size", "200", "--horizon", "20", "--replications", "4"]
 PROTOCOL = ["protocol", "--options", "0.8", "0.5", "--nodes", "200"]
 PROTOCOL += ["--rounds", "20", "--replications", "4"]
+RUN = ["run", "--options", "0.8", "0.5", "--population", "200", "--horizon", "20"]
+RUN += ["--replications", "4"]
+# A simulate -> analyse -> report campaign whose analyse node summarises
+# three rows of each metric.
+CAMPAIGN_SPEC = {
+    "name": "startup",
+    "nodes": [
+        {
+            "id": "sim",
+            "kind": "simulate",
+            "request": {
+                "kind": "sweep",
+                "options": [0.8, 0.5],
+                "populations": [50, 80, 120],
+                "horizon": 6,
+                "replications": 2,
+                "engine": "loop",
+            },
+        },
+        {"id": "stats", "kind": "analyse", "inputs": ["sim"]},
+        {"id": "summary", "kind": "report", "inputs": ["sim", "stats"]},
+    ],
+}
 
 
 # What a bare `import repro.cli` must leave to the commands that use them.
@@ -134,8 +158,22 @@ def test_network_loads_networkx():
     assert "networkx" in _loaded_modules(NETWORK, "networkx")
 
 
-@pytest.mark.parametrize("argv", [NETWORK, PROTOCOL], ids=["network", "protocol"])
-def test_summary_tables_load_scipy_special_not_stats(argv):
+@pytest.mark.parametrize("command", ["network", "protocol", "run", "campaign"])
+def test_summary_tables_load_no_scipy(command, tmp_path):
+    spec = tmp_path / "campaign.json"
+    spec.write_text(json.dumps(CAMPAIGN_SPEC))
+    argv = {
+        "network": NETWORK,
+        "protocol": PROTOCOL,
+        "run": RUN,
+        "campaign": ["campaign", "--spec", str(spec)],
+    }[command]
+    assert _loaded_modules(argv, "scipy") == set()
+
+
+def test_summaries_past_the_table_load_scipy_special_not_stats():
+    # The positive control: 130 replicates are one past the quantile table.
+    argv = [*PROTOCOL[:-1], "130"]
     modules = _loaded_modules(argv, "scipy")
     assert "scipy.special" in modules
     assert "scipy.stats" not in modules

@@ -1,9 +1,6 @@
-"""Tests for repro.utils.ascii_plot and logging."""
-
-import logging
+"""Tests for repro.utils.ascii_plot."""
 
 from repro.utils.ascii_plot import ascii_line_plot, format_table
-from repro.utils.logging import get_logger
 
 
 class TestFormatTable:
@@ -41,18 +38,3 @@ class TestAsciiLinePlot:
     def test_constant_series_does_not_crash(self):
         text = ascii_line_plot({"flat": [1.0, 1.0, 1.0]}, width=10, height=4)
         assert "flat" in text
-
-
-class TestLogging:
-    def test_get_logger_namespaced(self):
-        logger = get_logger("core.dynamics")
-        assert logger.name == "repro.core.dynamics"
-
-    def test_get_logger_idempotent_handlers(self):
-        first = get_logger("some.module")
-        second = get_logger("some.module")
-        assert first is second
-
-    def test_level_override(self):
-        logger = get_logger("leveled", level=logging.DEBUG)
-        assert logger.level == logging.DEBUG

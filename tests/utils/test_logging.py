@@ -14,7 +14,7 @@ class TestGetLogger:
 
     def test_adds_exactly_one_null_handler(self):
         logger = get_logger("utils.test_once")
-        get_logger("utils.test_once")
+        assert get_logger("utils.test_once") is logger
         get_logger("utils.test_once")
         null_handlers = [
             h for h in logger.handlers if isinstance(h, logging.NullHandler)
