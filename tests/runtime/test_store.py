@@ -3,6 +3,7 @@
 import json
 import re
 import sqlite3
+import sys
 import threading
 from datetime import datetime
 
@@ -549,8 +550,46 @@ class TestThreadSafety:
                 snapshot.join(timeout=30)
             store._connection.set_progress_handler(None, 1)
             assert answered
+            assert not lookup.is_alive()
             assert snapshots == [(0, 0)]
             assert store.counters() == (1, 0)
+
+    def test_counter_snapshots_stay_whole_under_contention(self):
+        # Each lookup counts one hit and one miss, so every atomic snapshot
+        # reads hits == misses; a torn snapshot or a lost update breaks it.
+        with ResultStore() as store:
+            keys = [store.put(make_task(), [{"metric": 0.5}]), "absent"]
+            lookers, rounds = 8, 200
+            torn = []
+            done = threading.Event()
+
+            def look():
+                for _ in range(rounds):
+                    store.get_many(keys)
+
+            def watch():
+                while not done.is_set():
+                    hits, misses = store.counters()
+                    if hits != misses:
+                        torn.append((hits, misses))
+
+            threads = [threading.Thread(target=look) for _ in range(lookers)]
+            watcher = threading.Thread(target=watch)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                watcher.start()
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                done.set()
+                watcher.join(timeout=60)
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in [*threads, watcher])
+            assert torn == []
+            assert store.counters() == (lookers * rounds, lookers * rounds)
 
     def test_close_is_idempotent_and_marks_closed(self):
         store = ResultStore()
