@@ -21,101 +21,65 @@ Quickstart
 See ``examples/quickstart.py`` for a narrated version and
 ``benchmarks/results/`` for the experiment-by-experiment reproduction of the
 paper's results (one CSV per E1–E14 benchmark).
+
+This package and its subpackages load each export's module on first access
+(PEP 562, :func:`repro._lazy.lazy_exports`), so ``import repro`` loads no
+numpy and a command loads only the modules it runs.
 """
 
-from repro.core import (
-    AdoptionRule,
-    AgentBasedDynamics,
-    AgentType,
-    AlwaysAdoptRule,
-    BatchedDynamics,
-    BatchedPopulationState,
-    BatchedTrajectory,
-    CoupledRun,
-    EpochSchedule,
-    HeterogeneousPopulationDynamics,
-    FinitePopulationDynamics,
-    GeneralAdoptionRule,
-    InfinitePopulationDynamics,
-    MixtureSampling,
-    PopularityOnlySampling,
-    PopulationState,
-    RegretAccumulator,
-    RowwiseAdoptionRule,
-    SamplingRule,
-    SymmetricAdoptionRule,
-    TheoryBounds,
-    Trajectory,
-    UniformSampling,
-    best_option_share,
-    empirical_regret,
-    optimal_beta,
-    run_coupled_dynamics,
-    simulate_batched_population,
-    simulate_finite_population,
-    simulate_infinite_population,
-)
-from repro.core.regret import expected_regret, expected_step_rewards, step_rewards
-from repro.environments import (
-    BernoulliEnvironment,
-    EllisonFudenbergEnvironment,
-    PiecewiseConstantDriftEnvironment,
-    RandomWalkDriftEnvironment,
-    RecordedRewardSequence,
-    RewardEnvironment,
-    record_rewards,
-)
-from repro.agents import Agent, Population
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    # core dynamics
-    "FinitePopulationDynamics",
-    "AgentBasedDynamics",
-    "BatchedDynamics",
-    "BatchedPopulationState",
-    "BatchedTrajectory",
-    "simulate_batched_population",
-    "AgentType",
-    "HeterogeneousPopulationDynamics",
-    "InfinitePopulationDynamics",
-    "simulate_finite_population",
-    "simulate_infinite_population",
-    "run_coupled_dynamics",
-    "CoupledRun",
-    # rules and state
-    "AdoptionRule",
-    "SymmetricAdoptionRule",
-    "GeneralAdoptionRule",
-    "RowwiseAdoptionRule",
-    "AlwaysAdoptRule",
-    "SamplingRule",
-    "MixtureSampling",
-    "UniformSampling",
-    "PopularityOnlySampling",
-    "PopulationState",
-    "Trajectory",
-    "EpochSchedule",
-    # regret and theory
-    "RegretAccumulator",
-    "best_option_share",
-    "empirical_regret",
-    "expected_regret",
-    "expected_step_rewards",
-    "step_rewards",
-    "TheoryBounds",
-    "optimal_beta",
-    # environments
-    "RewardEnvironment",
-    "BernoulliEnvironment",
-    "EllisonFudenbergEnvironment",
-    "PiecewiseConstantDriftEnvironment",
-    "RandomWalkDriftEnvironment",
-    "RecordedRewardSequence",
-    "record_rewards",
-    # agents
-    "Agent",
-    "Population",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            # core dynamics
+            "FinitePopulationDynamics",
+            "AgentBasedDynamics",
+            "BatchedDynamics",
+            "BatchedPopulationState",
+            "BatchedTrajectory",
+            "simulate_batched_population",
+            "AgentType",
+            "HeterogeneousPopulationDynamics",
+            "InfinitePopulationDynamics",
+            "simulate_finite_population",
+            "simulate_infinite_population",
+            "run_coupled_dynamics",
+            "CoupledRun",
+            # rules and state
+            "AdoptionRule",
+            "SymmetricAdoptionRule",
+            "GeneralAdoptionRule",
+            "RowwiseAdoptionRule",
+            "AlwaysAdoptRule",
+            "SamplingRule",
+            "MixtureSampling",
+            "UniformSampling",
+            "PopularityOnlySampling",
+            "PopulationState",
+            "Trajectory",
+            "EpochSchedule",
+            # regret and theory
+            "RegretAccumulator",
+            "best_option_share",
+            "empirical_regret",
+            "TheoryBounds",
+            "optimal_beta",
+        ),
+        "core.regret": ("expected_regret", "expected_step_rewards", "step_rewards"),
+        "environments": (
+            "RewardEnvironment",
+            "BernoulliEnvironment",
+            "EllisonFudenbergEnvironment",
+            "PiecewiseConstantDriftEnvironment",
+            "RandomWalkDriftEnvironment",
+            "RecordedRewardSequence",
+            "record_rewards",
+        ),
+        "agents": ("Agent", "Population"),
+    },
+)
+__all__.append("__version__")

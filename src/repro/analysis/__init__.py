@@ -6,21 +6,18 @@ proofs reason about: the ``c``-closeness relation ``A ~c B`` (Definition
 intervals) used by every benchmark table.
 """
 
-from repro.analysis.concentration import multiplicative_deviation
-from repro.analysis.convergence import dominance_time
-from repro.analysis.statistics import (
-    ReplicationSummary,
-    normal_confidence_interval,
-    summarize_replications,
-)
-from repro.analysis.proof_trace import ProofTrace, trace_theorem_43
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "multiplicative_deviation",
-    "dominance_time",
-    "ReplicationSummary",
-    "normal_confidence_interval",
-    "summarize_replications",
-    "ProofTrace",
-    "trace_theorem_43",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "concentration": ("multiplicative_deviation",),
+        "convergence": ("dominance_time",),
+        "statistics": (
+            "ReplicationSummary",
+            "normal_confidence_interval",
+            "summarize_replications",
+        ),
+        "proof_trace": ("ProofTrace", "trace_theorem_43"),
+    },
+)

@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.campaign.broker import DEFAULT_ADDRESS, BrokerBackend
-from repro.runtime.backend import BACKEND_NAMES
 from repro.runtime.executors import ParallelExecutor, SerialExecutor
+from repro.runtime.options import BACKEND_NAMES
 
 
 def make_backend(

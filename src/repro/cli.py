@@ -71,16 +71,8 @@ import sys
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-import numpy as np
-
 from repro import __version__
 from repro.backends import PRECISIONS
-from repro.core.coupling import run_coupled_dynamics
-from repro.core.dynamics import simulate_finite_population
-from repro.core.infinite import simulate_infinite_population
-from repro.core.regret import best_option_share, expected_regret
-from repro.core.theory import TheoryBounds
-from repro.environments import BernoulliEnvironment
 from repro.experiments import (
     NETWORK_ENGINES,
     PROTOCOL_ENGINES,
@@ -88,9 +80,9 @@ from repro.experiments import (
     run_sweep,
     write_csv,
 )
-from repro.obs import TRACE_OUT_ENV, JsonlSink, Tracer, summarize_trace_file
+from repro.obs import TRACE_OUT_ENV, JsonlSink, Tracer
 from repro.runtime import ExecutionOptions, ParallelExecutor, ResultStore, StoreError
-from repro.runtime.backend import BACKEND_NAMES as CAMPAIGN_BACKENDS
+from repro.runtime.options import BACKEND_NAMES as CAMPAIGN_BACKENDS
 from repro.service.requests import (
     RequestError,
     execute_request,
@@ -100,7 +92,6 @@ from repro.service.requests import (
     summary_table,
     sweep_request,
 )
-from repro.utils.ascii_plot import ascii_line_plot
 
 
 def _add_dtype_argument(subparser: argparse.ArgumentParser) -> None:
@@ -682,6 +673,14 @@ def _finish(table: ResultTable, output: Optional[str]) -> None:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from repro.core.dynamics import simulate_finite_population
+    from repro.core.infinite import simulate_infinite_population
+    from repro.core.regret import best_option_share, expected_regret
+    from repro.environments import BernoulliEnvironment
+    from repro.utils.ascii_plot import ascii_line_plot
+
     qualities = list(args.options)
     table = ResultTable()
     best_series = None
@@ -766,6 +765,8 @@ def _command_run(args: argparse.Namespace) -> int:
 
 
 def _command_bounds(args: argparse.Namespace) -> int:
+    from repro.core.theory import TheoryBounds
+
     delta = TheoryBounds(
         num_options=args.num_options, beta=args.beta, mu=0.0, strict=False
     ).delta
@@ -788,6 +789,9 @@ def _command_bounds(args: argparse.Namespace) -> int:
 
 
 def _command_coupling(args: argparse.Namespace) -> int:
+    from repro.core.coupling import run_coupled_dynamics
+    from repro.environments import BernoulliEnvironment
+
     env = BernoulliEnvironment(list(args.options), rng=args.seed)
     run = run_coupled_dynamics(
         env,
@@ -1100,6 +1104,8 @@ def _command_broker(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
+    from repro.obs.summary import summarize_trace_file
+
     try:
         print(summarize_trace_file(args.path))
     except OSError as error:

@@ -33,71 +33,41 @@ Modules
     The epoch decomposition used in the large-``T`` part of Theorem 4.4.
 """
 
-from repro.core.adoption import (
-    AdoptionRule,
-    AlwaysAdoptRule,
-    GeneralAdoptionRule,
-    RowwiseAdoptionRule,
-    SymmetricAdoptionRule,
-)
-from repro.core.sampling import (
-    MixtureSampling,
-    PopularityOnlySampling,
-    SamplingRule,
-    UniformSampling,
-)
-from repro.core.state import PopulationState, Trajectory
-from repro.core.dynamics import (
-    AgentBasedDynamics,
-    FinitePopulationDynamics,
-    simulate_finite_population,
-)
-from repro.core.batched import (
-    BatchedDynamics,
-    BatchedPopulationState,
-    BatchedTrajectory,
-    simulate_batched_population,
-)
-from repro.core.infinite import InfinitePopulationDynamics, simulate_infinite_population
-from repro.core.coupling import CoupledRun, run_coupled_dynamics
-from repro.core.regret import (
-    RegretAccumulator,
-    best_option_share,
-    empirical_regret,
-)
-from repro.core.theory import TheoryBounds, optimal_beta
-from repro.core.epochs import EpochSchedule
-from repro.core.heterogeneous import AgentType, HeterogeneousPopulationDynamics
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdoptionRule",
-    "AlwaysAdoptRule",
-    "GeneralAdoptionRule",
-    "RowwiseAdoptionRule",
-    "SymmetricAdoptionRule",
-    "SamplingRule",
-    "MixtureSampling",
-    "PopularityOnlySampling",
-    "UniformSampling",
-    "PopulationState",
-    "Trajectory",
-    "FinitePopulationDynamics",
-    "AgentBasedDynamics",
-    "simulate_finite_population",
-    "BatchedDynamics",
-    "BatchedPopulationState",
-    "BatchedTrajectory",
-    "simulate_batched_population",
-    "InfinitePopulationDynamics",
-    "simulate_infinite_population",
-    "CoupledRun",
-    "run_coupled_dynamics",
-    "RegretAccumulator",
-    "best_option_share",
-    "empirical_regret",
-    "TheoryBounds",
-    "optimal_beta",
-    "EpochSchedule",
-    "AgentType",
-    "HeterogeneousPopulationDynamics",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "adoption": (
+            "AdoptionRule",
+            "AlwaysAdoptRule",
+            "GeneralAdoptionRule",
+            "RowwiseAdoptionRule",
+            "SymmetricAdoptionRule",
+        ),
+        "sampling": (
+            "SamplingRule",
+            "MixtureSampling",
+            "PopularityOnlySampling",
+            "UniformSampling",
+        ),
+        "state": ("PopulationState", "Trajectory"),
+        "dynamics": (
+            "FinitePopulationDynamics",
+            "AgentBasedDynamics",
+            "simulate_finite_population",
+        ),
+        "batched": (
+            "BatchedDynamics",
+            "BatchedPopulationState",
+            "BatchedTrajectory",
+            "simulate_batched_population",
+        ),
+        "infinite": ("InfinitePopulationDynamics", "simulate_infinite_population"),
+        "coupling": ("CoupledRun", "run_coupled_dynamics"),
+        "regret": ("RegretAccumulator", "best_option_share", "empirical_regret"),
+        "theory": ("TheoryBounds", "optimal_beta"),
+        "epochs": ("EpochSchedule",),
+        "heterogeneous": ("AgentType", "HeterogeneousPopulationDynamics"),
+    },
+)

@@ -21,22 +21,18 @@ reward stream, which is how the coupling of Lemma 4.5 and the like-for-like
 baseline comparisons are implemented.
 """
 
-from repro.environments.base import RewardEnvironment
-from repro.environments.bernoulli import BernoulliEnvironment, RowwiseBernoulliEnvironment
-from repro.environments.continuous import EllisonFudenbergEnvironment
-from repro.environments.drift import (
-    PiecewiseConstantDriftEnvironment,
-    RandomWalkDriftEnvironment,
-)
-from repro.environments.replay import RecordedRewardSequence, record_rewards
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RewardEnvironment",
-    "BernoulliEnvironment",
-    "RowwiseBernoulliEnvironment",
-    "EllisonFudenbergEnvironment",
-    "PiecewiseConstantDriftEnvironment",
-    "RandomWalkDriftEnvironment",
-    "RecordedRewardSequence",
-    "record_rewards",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "base": ("RewardEnvironment",),
+        "bernoulli": ("BernoulliEnvironment", "RowwiseBernoulliEnvironment"),
+        "continuous": ("EllisonFudenbergEnvironment",),
+        "drift": (
+            "PiecewiseConstantDriftEnvironment",
+            "RandomWalkDriftEnvironment",
+        ),
+        "replay": ("RecordedRewardSequence", "record_rewards"),
+    },
+)

@@ -9,74 +9,47 @@ per-phase latency table.  The defaults — a process-wide registry and a
 null tracer — make instrumentation zero-cost until a run is given a tracer.
 """
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    format_sample,
-    freeze_labels,
-    get_registry,
-)
-from repro.obs.summary import (
-    PhaseSummary,
-    load_records,
-    render_summary,
-    summarize_records,
-    summarize_trace_file,
-)
-from repro.obs.trace import (
-    EVENT,
-    NULL_TRACER,
-    SPAN_END,
-    SPAN_START,
-    TRACE_OUT_ENV,
-    JsonlSink,
-    MemorySink,
-    NullTracer,
-    Span,
-    SpanContext,
-    TeeSink,
-    Tracer,
-    current_context,
-    current_span,
-    resolve_tracer,
-    span_id_for,
-    trace_id_for_key,
-    validate_record,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_LATENCY_BUCKETS",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "format_sample",
-    "freeze_labels",
-    "get_registry",
-    "PhaseSummary",
-    "load_records",
-    "render_summary",
-    "summarize_records",
-    "summarize_trace_file",
-    "EVENT",
-    "NULL_TRACER",
-    "SPAN_END",
-    "SPAN_START",
-    "TRACE_OUT_ENV",
-    "JsonlSink",
-    "MemorySink",
-    "NullTracer",
-    "Span",
-    "SpanContext",
-    "TeeSink",
-    "Tracer",
-    "current_context",
-    "current_span",
-    "resolve_tracer",
-    "span_id_for",
-    "trace_id_for_key",
-    "validate_record",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "metrics": (
+            "DEFAULT_LATENCY_BUCKETS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "format_sample",
+            "freeze_labels",
+            "get_registry",
+        ),
+        "summary": (
+            "PhaseSummary",
+            "load_records",
+            "render_summary",
+            "summarize_records",
+            "summarize_trace_file",
+        ),
+        "trace": (
+            "EVENT",
+            "NULL_TRACER",
+            "SPAN_END",
+            "SPAN_START",
+            "TRACE_OUT_ENV",
+            "JsonlSink",
+            "MemorySink",
+            "NullTracer",
+            "Span",
+            "SpanContext",
+            "TeeSink",
+            "Tracer",
+            "current_context",
+            "current_span",
+            "resolve_tracer",
+            "span_id_for",
+            "trace_id_for_key",
+            "validate_record",
+        ),
+    },
+)

@@ -27,53 +27,32 @@ traced.  See the README's "Scaling out" section for the
 executor/caching/resume guide.
 """
 
-from repro.runtime.backend import Backend, check_resolvable
-from repro.runtime.driver import run_plan
-from repro.runtime.executors import (
-    ParallelExecutor,
-    SerialExecutor,
-    resolve_replication,
-)
-from repro.runtime.options import ExecutionOptions
-from repro.runtime.shard import (
-    ShardPlan,
-    Task,
-    execute_shard,
-    execute_task,
-    function_reference,
-    partition_tasks,
-    replication_mode,
-)
-from repro.runtime.store import (
-    ResultStore,
-    StoreCounters,
-    StoreError,
-    canonical_json,
-    canonical_value,
-    task_key,
-    task_keys,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Backend",
-    "ExecutionOptions",
-    "ParallelExecutor",
-    "ResultStore",
-    "SerialExecutor",
-    "StoreCounters",
-    "StoreError",
-    "ShardPlan",
-    "Task",
-    "canonical_json",
-    "canonical_value",
-    "check_resolvable",
-    "execute_shard",
-    "execute_task",
-    "function_reference",
-    "partition_tasks",
-    "replication_mode",
-    "resolve_replication",
-    "run_plan",
-    "task_key",
-    "task_keys",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "backend": ("Backend", "check_resolvable"),
+        "driver": ("run_plan",),
+        "executors": ("ParallelExecutor", "SerialExecutor", "resolve_replication"),
+        "options": ("ExecutionOptions",),
+        "shard": (
+            "ShardPlan",
+            "Task",
+            "execute_shard",
+            "execute_task",
+            "function_reference",
+            "partition_tasks",
+            "replication_mode",
+        ),
+        "store": (
+            "ResultStore",
+            "StoreCounters",
+            "StoreError",
+            "canonical_json",
+            "canonical_value",
+            "task_key",
+            "task_keys",
+        ),
+    },
+)

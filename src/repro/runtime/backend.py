@@ -36,9 +36,6 @@ from typing import Callable, Iterator, Protocol, Sequence, runtime_checkable
 from repro.runtime.executors import ShardResults, resolve_replication
 from repro.runtime.shard import Task, function_reference
 
-BACKEND_NAMES = ("inproc", "pool", "broker")
-"""``repro campaign --backend`` names, here so the CLI need not import the broker."""
-
 
 @runtime_checkable
 class Backend(Protocol):

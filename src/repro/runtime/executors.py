@@ -44,8 +44,9 @@ ShardTiming = Dict[str, float]
 """Worker-measured timings for one shard: ``wall_s`` and ``cpu_s``."""
 
 #: What the forkserver imports once for all its workers: what
-#: ``python -m repro`` imports, the runtime and the replication modules.
-_PRELOAD = ["repro.cli", "repro.runtime"] + [
+#: ``python -m repro`` imports, the runtime modules a worker runs and the
+#: replication modules.  ``repro.runtime`` itself loads its modules lazily.
+_PRELOAD = ["repro.cli", "repro.runtime.executors", "repro.runtime.shard"] + [
     f"repro.experiments.{kind}_sweep" for kind in ("dynamics", "network", "protocol")
 ]
 

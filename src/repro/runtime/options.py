@@ -27,6 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
+BACKEND_NAMES = ("inproc", "pool", "broker")
+"""``repro campaign --backend`` names, here so the CLI loads no backend module."""
+
 
 @dataclass(frozen=True)
 class ExecutionOptions:

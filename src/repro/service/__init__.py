@@ -19,55 +19,34 @@ cache-first API daemon on top of the parallel runtime (:mod:`repro.runtime`):
   ``urllib``-based client (submit/status/result/wait/run).
 
 Entry point: ``repro serve --port 8080 --store results.sqlite``; see the
-README's "Serving" section.  Only the request layer loads with the package;
-the client, job queue and daemon (with the HTTP stack) load on first access
-(PEP 562), so a one-shot CLI command never imports them.
+README's "Serving" section.  Every export loads its module on first access
+(PEP 562), so a one-shot CLI command never imports the client, the job queue
+or the daemon (with the HTTP stack).
 """
 
-import importlib
+from repro._lazy import lazy_exports
 
-from repro.service.requests import (
-    RequestError,
-    RequestResult,
-    SimulationRequest,
-    execute_request,
-    network_request,
-    prepare_request,
-    protocol_request,
-    request_from_dict,
-    sweep_request,
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "requests": (
+            "RequestError",
+            "RequestResult",
+            "SimulationRequest",
+            "execute_request",
+            "network_request",
+            "prepare_request",
+            "protocol_request",
+            "request_from_dict",
+            "sweep_request",
+        ),
+        "client": ("JobFailed", "ServiceClient", "ServiceError"),
+        "daemon": (
+            "DaemonHandle",
+            "SimulationDaemon",
+            "SimulationService",
+            "start_daemon",
+        ),
+        "jobs": ("Job", "JobQueue", "QueueFull"),
+    },
 )
-
-_LAZY_MODULES = {
-    "JobFailed": "client",
-    "ServiceClient": "client",
-    "ServiceError": "client",
-    "DaemonHandle": "daemon",
-    "SimulationDaemon": "daemon",
-    "SimulationService": "daemon",
-    "start_daemon": "daemon",
-    "Job": "jobs",
-    "JobQueue": "jobs",
-    "QueueFull": "jobs",
-}
-
-
-def __getattr__(name):
-    module = _LAZY_MODULES.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
-
-
-__all__ = [
-    "RequestError",
-    "RequestResult",
-    "SimulationRequest",
-    "execute_request",
-    "network_request",
-    "prepare_request",
-    "protocol_request",
-    "request_from_dict",
-    "sweep_request",
-    *_LAZY_MODULES,
-]

@@ -14,14 +14,17 @@ the HTTP status.
 Error contract: non-2xx responses raise :class:`ServiceError` carrying the
 HTTP status and the decoded JSON payload — ``status == 429`` is the daemon's
 back-pressure signal (full queue; retry later), ``400`` a malformed request,
-``404`` an unknown job or path.
+``404`` an unknown job or path.  No answer (refused, closed or timed out)
+raises it with ``status=None``, and a 2xx body that is not JSON with the
+status that came with it.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 from urllib import error as urllib_error
 from urllib import request as urllib_request
 
@@ -66,9 +69,10 @@ class ServiceClient:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
-    def _call(
+    def _fetch(
         self, path: str, *, body: Optional[Dict[str, Any]] = None
-    ) -> Dict[str, Any]:
+    ) -> Tuple[int, bytes]:
+        """One HTTP exchange: the 2xx status and body, or :class:`ServiceError`."""
         data = None if body is None else json.dumps(body).encode("utf-8")
         request = urllib_request.Request(
             f"{self.base_url}{API_PREFIX}{path}",
@@ -78,7 +82,7 @@ class ServiceClient:
         )
         try:
             with urllib_request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read().decode("utf-8"))
+                return response.status, response.read()
         except urllib_error.HTTPError as error:
             try:
                 payload = json.loads(error.read().decode("utf-8"))
@@ -94,6 +98,24 @@ class ServiceClient:
             raise ServiceError(
                 f"cannot reach daemon at {self.base_url}: {error.reason}"
             ) from None
+        except (http.client.HTTPException, OSError) as error:
+            # urllib wraps only connection errors; a daemon that closes
+            # without answering or answers too late fails while reading.
+            raise ServiceError(
+                f"no answer from daemon at {self.base_url} for {path}: {error!r}"
+            ) from None
+
+    def _call(
+        self, path: str, *, body: Optional[Dict[str, Any]] = None
+    ) -> Dict[str, Any]:
+        status, data = self._fetch(path, body=body)
+        try:
+            return json.loads(data.decode("utf-8"))
+        except ValueError as error:
+            raise ServiceError(
+                f"daemon returned a body that is not JSON for {path}: {error}",
+                status=status,
+            ) from None
 
     # -- endpoint methods ----------------------------------------------------
 
@@ -107,21 +129,7 @@ class ServiceClient:
 
     def metrics(self) -> str:
         """``GET /v1/metrics``: the Prometheus text exposition, verbatim."""
-        request = urllib_request.Request(
-            f"{self.base_url}{API_PREFIX}/metrics", method="GET"
-        )
-        try:
-            with urllib_request.urlopen(request, timeout=self.timeout) as response:
-                return response.read().decode("utf-8")
-        except urllib_error.HTTPError as error:
-            raise ServiceError(
-                f"daemon returned HTTP {error.code} for /metrics",
-                status=error.code,
-            ) from None
-        except urllib_error.URLError as error:
-            raise ServiceError(
-                f"cannot reach daemon at {self.base_url}: {error.reason}"
-            ) from None
+        return self._fetch("/metrics")[1].decode("utf-8", errors="replace")
 
     def trace(self, job_id: str) -> Dict[str, Any]:
         """``GET /v1/jobs/<id>/trace``: the job's buffered span records."""

@@ -78,6 +78,10 @@ from repro.service.requests import (
 )
 
 MAX_REQUEST_BYTES = 1 << 20  # 1 MiB of JSON is far beyond any real request
+# A POST answered before its body was read drops a body up to this size, so
+# its client reads the answer instead of a broken pipe; a larger one ends
+# the connection.
+MAX_DRAIN_BYTES = 16 * MAX_REQUEST_BYTES
 
 API_PREFIX = "/v1"
 _VERSION_SEGMENT = re.compile(r"v\d+")
@@ -279,12 +283,32 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         return self.server.service  # type: ignore[attr-defined]
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        keep_alive = self.command != "POST" or self._body_read or self._drain_body()
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if not keep_alive:
+            # The unread body would be parsed as the connection's next
+            # request; this header also sets close_connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _drain_body(self) -> bool:
+        """Read and drop a POST body nothing read; ``False`` if it stays unread."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            return False
+        if length > MAX_DRAIN_BYTES:
+            return False
+        while length > 0:
+            chunk = self.rfile.read(min(length, 1 << 16))
+            if not chunk:
+                return False
+            length -= len(chunk)
+        return True
 
     def _send_text(self, status: int, body: str) -> None:
         """Plain-text response (the Prometheus exposition endpoint)."""
@@ -340,8 +364,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds the "
                 f"{MAX_REQUEST_BYTES}-byte limit"
             )
+        data = self.rfile.read(length)
+        self._body_read = True
         try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            payload = json.loads(data.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as error:
             raise RequestError(f"request body is not valid JSON: {error}") from None
         if not isinstance(payload, dict):
@@ -351,6 +377,7 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     # -- routes --------------------------------------------------------------
 
     def do_POST(self) -> None:  # noqa: N802 - http.server naming
+        self._body_read = False
         parts = self._route()
         if parts is None:
             return

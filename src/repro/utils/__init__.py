@@ -6,25 +6,19 @@ integer seed or ``None`` and funnels it through :func:`ensure_rng`, so a whole
 experiment can be made reproducible from a single seed.
 """
 
-from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
-from repro.utils.validation import (
-    check_in_range,
-    check_positive_int,
-    check_probability,
-    check_probability_vector,
-)
-from repro.utils.logging import get_logger
-from repro.utils.ascii_plot import ascii_line_plot, format_table
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RngLike",
-    "ensure_rng",
-    "spawn_rngs",
-    "check_in_range",
-    "check_positive_int",
-    "check_probability",
-    "check_probability_vector",
-    "get_logger",
-    "ascii_line_plot",
-    "format_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(
+    __name__,
+    {
+        "rng": ("RngLike", "ensure_rng", "spawn_rngs"),
+        "validation": (
+            "check_in_range",
+            "check_positive_int",
+            "check_probability",
+            "check_probability_vector",
+        ),
+        "logging": ("get_logger",),
+        "ascii_plot": ("ascii_line_plot", "format_table"),
+    },
+)

@@ -41,6 +41,7 @@ from repro.service import (
     start_daemon,
     sweep_request,
 )
+from repro.service.daemon import MAX_REQUEST_BYTES
 
 SWEEP_KWARGS = dict(
     options=[0.8, 0.5],
@@ -117,6 +118,34 @@ class TestHealthAndStats:
         finally:
             connection.close()
         assert statistics.median(durations) < 0.020
+
+    def test_kept_connection_survives_a_post_rejected_before_its_body(self, daemon):
+        # Each of these replies comes before the daemon reads the body; left
+        # on the connection, the body was parsed as the next request, which
+        # got http.server's HTML 400 or 414 instead of JSON.
+        address = urlsplit(daemon.url)
+        connection = http.client.HTTPConnection(
+            address.hostname, address.port, timeout=10.0
+        )
+        oversized = b"{}" + b" " * MAX_REQUEST_BYTES
+        try:
+            for path, body, status in (
+                ("/v1/nope", b'{"kind": "sweep"}', 404),
+                ("/v2/jobs", b'{"kind": "sweep"}', 404),
+                ("/v1/jobs", oversized, 400),
+            ):
+                connection.request(
+                    "POST", path, body, {"Content-Type": "application/json"}
+                )
+                response = connection.getresponse()
+                assert response.status == status, path
+                assert "error" in json.loads(response.read())
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                assert response.status == 200, path
+                assert json.loads(response.read())["status"] == "ok"
+        finally:
+            connection.close()
 
     def test_stats_expose_store_and_queue(self, client):
         stats = client.stats()

@@ -7,7 +7,8 @@ module under ``src/repro`` imports scipy at module level; the few functions
 that need it import it themselves, and replication summaries read their 95%
 quantiles from a table up to 129 replicates.  Likewise networkx (~0.15 s),
 the HTTP daemon, the campaign stack and the process pool load only in the
-commands that use them.
+commands that use them, and the package ``__init__`` modules resolve their
+exports on first access, so a command loads no module it does not run.
 Pytest's own process may already hold all of these, so every runtime check
 runs in a fresh interpreter.
 """
@@ -27,15 +28,16 @@ import repro
 
 PACKAGE = Path(repro.__file__).resolve().parent
 
-# Imports repro.cli, optionally runs repro.cli.main(argv), then prints the
-# names of the modules the interpreter holds.
+# Imports a module (repro.cli, or repro alone), optionally runs
+# repro.cli.main(argv), then prints the names of the modules the interpreter
+# holds.
 _PROBE = """
-import contextlib, io, json, sys
-import repro, repro.cli
-argv = json.loads(sys.argv[1])
+import contextlib, importlib, io, json, sys
+module = importlib.import_module(sys.argv[1])
+argv = json.loads(sys.argv[2])
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = repro.cli.main(argv)
+        code = module.main(argv)
     assert code == 0, code
 print(json.dumps(sorted(sys.modules)))
 """
@@ -83,13 +85,35 @@ COMMAND_SUBSYSTEMS = (
 )
 
 
-def _loaded_modules(argv, *packages):
-    """The loaded modules in ``packages`` (or below them) after ``argv``."""
+# The modules that only simulate, bounds, coupling, campaign and trace use.
+COMMAND_ONLY_MODULES = (
+    "repro.analysis.concentration",
+    "repro.analysis.convergence",
+    "repro.analysis.proof_trace",
+    "repro.core.coupling",
+    "repro.core.epochs",
+    "repro.core.heterogeneous",
+    "repro.core.infinite",
+    "repro.core.theory",
+    "repro.environments.continuous",
+    "repro.environments.drift",
+    "repro.environments.replay",
+    "repro.obs.summary",
+    "repro.runtime.backend",
+    "repro.utils.logging",
+)
+
+
+def _env():
     path = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def _loaded_modules(argv, *packages, module="repro.cli"):
+    """The loaded modules in ``packages`` (or below them) after ``argv``."""
     result = subprocess.run(
-        [sys.executable, "-c", _PROBE, json.dumps(argv)],
-        env=env,
+        [sys.executable, "-c", _PROBE, module, json.dumps(argv)],
+        env=_env(),
         capture_output=True,
         text=True,
         timeout=120,
@@ -139,6 +163,26 @@ def test_importing_the_cli_loads_no_command_subsystem():
     assert _loaded_modules([], *COMMAND_SUBSYSTEMS) == set()
 
 
+def test_importing_the_package_loads_no_numpy():
+    assert _loaded_modules([], "numpy", module="repro") == set()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        [*SWEEP, "--engine", "batched"],
+        [*SWEEP, "--engine", "loop"],
+        NETWORK,
+        PROTOCOL,
+        RUN,
+    ],
+    ids=["import", "sweep-batched", "sweep-loop", "network", "protocol", "run"],
+)
+def test_commands_load_no_module_they_do_not_run(argv):
+    assert _loaded_modules(argv, *COMMAND_ONLY_MODULES) == set()
+
+
 @pytest.mark.parametrize("engine", ["batched", "loop"])
 def test_sweep_loads_no_scipy(engine):
     assert _loaded_modules([*SWEEP, "--engine", engine], "scipy") == set()
@@ -177,3 +221,34 @@ def test_summaries_past_the_table_load_scipy_special_not_stats():
     modules = _loaded_modules(argv, "scipy")
     assert "scipy.special" in modules
     assert "scipy.stats" not in modules
+
+
+def test_python_m_repro_leaves_what_main_leaves(tmp_path, capsys):
+    # `python -m repro` runs main() between two gc.freeze() calls and exits
+    # through interpreter shutdown; its CSV, store and trace must be what an
+    # in-process main() writes, flushed and complete.
+    from repro.cli import main
+    from repro.obs import validate_record
+
+    argv = [*SWEEP, "--engine", "loop"]
+    store = tmp_path / "store.sqlite"
+    trace = tmp_path / "trace.jsonl"
+    outputs = ["--output", str(tmp_path / "process.csv")]
+    runtime = ["--store", str(store), "--trace-out", str(trace)]
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *argv, *outputs, *runtime],
+        env=_env(),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert main([*argv, "--output", str(tmp_path / "main.csv")]) == 0
+    process_csv = (tmp_path / "process.csv").read_bytes()
+    assert process_csv == (tmp_path / "main.csv").read_bytes()
+    capsys.readouterr()
+    assert main([*argv, "--store", str(store), "--resume"]) == 0
+    assert ", 0 misses," in capsys.readouterr().out
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert records
+    assert [problem for record in records for problem in validate_record(record)] == []
