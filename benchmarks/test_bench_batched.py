@@ -24,7 +24,7 @@ from repro.environments import BernoulliEnvironment
 from repro.experiments import (
     ExperimentConfig,
     ResultTable,
-    batched_replication,
+    grid_batched_replication,
     run_replications,
 )
 
@@ -46,14 +46,19 @@ def _loop_replication(seed, parameters):
     return {"regret": expected_regret(trajectory.popularity_matrix(), QUALITIES)}
 
 
-@batched_replication
-def _batched_replication(seeds, parameters):
+def _batched_rows(seeds, population):
+    """One ``(R, m)`` launch of ``len(seeds)`` replicates, seeded by ``seeds``."""
     generator = np.random.default_rng(seeds)
     env = BernoulliEnvironment(QUALITIES, rng=generator)
     trajectory = simulate_batched_population(
-        env, POPULATION, HORIZON, len(seeds), beta=BETA, mu=MU, rng=generator
+        env, population, HORIZON, len(seeds), beta=BETA, mu=MU, rng=generator
     )
     return [{"regret": float(value)} for value in trajectory.expected_regret(QUALITIES)]
+
+
+@grid_batched_replication
+def _batched_replication(seed_blocks, points):
+    return [_batched_rows(seeds, POPULATION) for seeds in seed_blocks]
 
 
 def _time(replication, rounds: int) -> float:
@@ -127,16 +132,9 @@ def test_batched_and_loop_agree_on_mean_regret():
         )
         return {"regret": expected_regret(trajectory.popularity_matrix(), QUALITIES)}
 
-    @batched_replication
-    def small_batched(seeds, parameters):
-        generator = np.random.default_rng(seeds)
-        env = BernoulliEnvironment(QUALITIES, rng=generator)
-        trajectory = simulate_batched_population(
-            env, 2000, HORIZON, len(seeds), beta=BETA, mu=MU, rng=generator
-        )
-        return [
-            {"regret": float(value)} for value in trajectory.expected_regret(QUALITIES)
-        ]
+    @grid_batched_replication
+    def small_batched(seed_blocks, points):
+        return [_batched_rows(seeds, 2000) for seeds in seed_blocks]
 
     loop_mean = run_replications(config, small_loop).metric_values("regret").mean()
     batched_mean = run_replications(config, small_batched).metric_values("regret").mean()

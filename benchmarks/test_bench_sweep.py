@@ -7,8 +7,8 @@ point:
 
 * ``loop`` — the per-point per-seed loop (one
   :class:`FinitePopulationDynamics` launch per replicate, ``G * R`` launches);
-* ``point-batched`` — PR 1's per-point batched path (one ``(R, m)``
-  :class:`BatchedDynamics` launch per grid point, ``G`` launches);
+* ``point-batched`` — a grid function that runs each point alone (one
+  ``(R, m)`` :class:`BatchedDynamics` launch per grid point, ``G`` launches);
 * ``grid-batched`` — the sweep-axis path (a single ``(G*R, m)`` launch with
   per-row parameters, each grid point drawing from its own generator).
 
@@ -30,9 +30,9 @@ from repro.environments import BernoulliEnvironment
 from repro.experiments import (
     ParameterGrid,
     ResultTable,
-    batched_replication,
     dynamics_grid_replication,
     dynamics_point_replication,
+    grid_batched_replication,
     run_sweep,
 )
 
@@ -51,23 +51,25 @@ BASE_PARAMETERS = {"qualities": QUALITIES, "N": POPULATION, "T": HORIZON}
 REQUIRED_SPEEDUP = 5.0
 
 
-@batched_replication
-def _point_batched_replication(seeds, parameters):
-    generator = np.random.default_rng(seeds)
-    env = BernoulliEnvironment(list(parameters["qualities"]), rng=generator)
-    trajectory = simulate_batched_population(
-        env,
-        parameters["N"],
-        parameters["T"],
-        len(seeds),
-        beta=parameters["beta"],
-        mu=parameters["mu"],
-        rng=generator,
-    )
-    return [
-        {"regret": float(value)}
-        for value in trajectory.expected_regret(list(parameters["qualities"]))
-    ]
+@grid_batched_replication
+def _point_batched_replication(seed_blocks, points):
+    """One ``(R, m)`` launch per grid point, each from its own seed list."""
+    rows = []
+    for seeds, parameters in zip(seed_blocks, points):
+        generator = np.random.default_rng(seeds)
+        env = BernoulliEnvironment(list(parameters["qualities"]), rng=generator)
+        trajectory = simulate_batched_population(
+            env,
+            parameters["N"],
+            parameters["T"],
+            len(seeds),
+            beta=parameters["beta"],
+            mu=parameters["mu"],
+            rng=generator,
+        )
+        regrets = trajectory.expected_regret(list(parameters["qualities"]))
+        rows.append([{"regret": float(value)} for value in regrets])
+    return rows
 
 
 def _time_sweep(replication, rounds: int):

@@ -144,18 +144,41 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
+def _take_frame(
+    buffer: bytes, origin: str = ""
+) -> Tuple[Optional[Dict[str, Any]], int]:
+    """Decode the frame at the head of ``buffer`` (both ends of the wire).
+
+    Returns ``(message, frame size)``, or ``(None, bytes needed)`` while the
+    frame is incomplete.  The length cap is checked as soon as the header is
+    in; ``origin`` (``" from host:port"``) names the peer in errors.
+    """
+    if len(buffer) < _LENGTH.size:
+        return None, _LENGTH.size
+    length = _LENGTH.unpack_from(buffer)[0]
+    if length > MAX_FRAME_BYTES:
+        raise BrokerProtocolError(
+            f"frame of {length} bytes{origin} exceeds the protocol cap"
+        )
+    size = _LENGTH.size + length
+    if len(buffer) < size:
+        return None, size
+    try:
+        message = json.loads(buffer[_LENGTH.size : size].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise BrokerProtocolError(f"frame{origin} is not valid JSON: {error}") from None
+    if not isinstance(message, dict) or "type" not in message:
+        raise BrokerProtocolError(f"frame{origin} is not a typed message: {message!r}")
+    return message, size
+
+
 def recv_frame(sock: socket.socket) -> Dict[str, Any]:
     """Read one length-prefixed JSON frame (blocking)."""
-    length = _LENGTH.unpack(_recv_exact(sock, _LENGTH.size))[0]
-    if length > MAX_FRAME_BYTES:
-        raise BrokerProtocolError(f"frame of {length} bytes exceeds the protocol cap")
-    payload = _recv_exact(sock, length)
-    try:
-        message = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise BrokerProtocolError(f"frame is not valid JSON: {error}") from None
-    if not isinstance(message, dict) or "type" not in message:
-        raise BrokerProtocolError(f"frame is not a typed message: {message!r}")
+    buffer = b""
+    message, needed = None, _LENGTH.size
+    while message is None:
+        buffer += _recv_exact(sock, needed - len(buffer))
+        message, needed = _take_frame(buffer)
     return message
 
 
@@ -167,7 +190,6 @@ class _BrokerConnection:
         self.peer = peer
         self.buffer = b""
         self.ready = False  # hello received
-        self.workers = 1
         self.in_flight: Optional[int] = None  # shard id being executed
         self.dispatched_at: float = 0.0  # perf_counter at shard send
 
@@ -184,29 +206,12 @@ class _BrokerConnection:
             if len(chunk) < 65536:
                 break
         frames: List[Dict[str, Any]] = []
-        while len(self.buffer) >= _LENGTH.size:
-            length = _LENGTH.unpack(self.buffer[: _LENGTH.size])[0]
-            if length > MAX_FRAME_BYTES:
-                raise BrokerProtocolError(
-                    f"frame of {length} bytes from {self.peer} exceeds the "
-                    "protocol cap"
-                )
-            if len(self.buffer) < _LENGTH.size + length:
-                break
-            payload = self.buffer[_LENGTH.size : _LENGTH.size + length]
-            self.buffer = self.buffer[_LENGTH.size + length :]
-            try:
-                message = json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError) as error:
-                raise BrokerProtocolError(
-                    f"frame from {self.peer} is not valid JSON: {error}"
-                ) from None
-            if not isinstance(message, dict) or "type" not in message:
-                raise BrokerProtocolError(
-                    f"frame from {self.peer} is not a typed message: {message!r}"
-                )
+        while True:
+            message, size = _take_frame(self.buffer, f" from {self.peer}")
+            if message is None:
+                return frames
+            self.buffer = self.buffer[size:]
             frames.append(message)
-        return frames
 
 
 class BrokerBackend:
@@ -261,6 +266,7 @@ class BrokerBackend:
         self._selector.register(self._listener, selectors.EVENT_READ, None)
         self._brokers: List[_BrokerConnection] = []
         self._closed = False
+        self._gate_open = False  # min_brokers reached once
         #: Broker-measured timing of the most recently yielded shard (read
         #: by the driver right after each ``run_shards`` yield).
         self.last_shard_timing: Optional[ShardTiming] = None
@@ -371,16 +377,15 @@ class BrokerBackend:
         }
         pending: Deque[int] = deque(shard_tasks)
         outstanding = len(shard_tasks)
-        # The min_brokers gate only delays the *first* dispatch; once enough
-        # brokers have shown up it stays open for the rest of the run even
-        # if some of them later die.
-        gate_open = self._ready_count() >= self.min_brokers
+        # The min_brokers gate only delays the backend's *first* dispatch;
+        # once enough brokers have shown up it stays open for this and every
+        # later run (a campaign's next simulate node) even if some die.
         last_progress = time.monotonic()
         while outstanding > 0:
-            if not gate_open and self._ready_count() >= self.min_brokers:
-                gate_open = True
+            if not self._gate_open and self._ready_count() >= self.min_brokers:
+                self._gate_open = True
                 last_progress = time.monotonic()
-            if gate_open:
+            if self._gate_open:
                 self._dispatch(pending, shard_tasks)
             in_flight = sum(
                 1 for broker in self._brokers if broker.in_flight is not None
@@ -472,7 +477,6 @@ class BrokerBackend:
         kind = frame.get("type")
         if kind == "hello":
             broker.ready = True
-            broker.workers = max(1, int(frame.get("workers", 1)))
             return None
         if kind == "error":
             raise BrokerError(

@@ -19,7 +19,6 @@ __getattr__, __dir__, __all__ = lazy_exports(
         "config": ("ExperimentConfig",),
         "runner": (
             "ReplicatedResult",
-            "batched_replication",
             "grid_batched_replication",
             "run_replications",
         ),

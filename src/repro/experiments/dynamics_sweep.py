@@ -2,14 +2,12 @@
 
 These are the workloads behind benchmark tables and the ``repro sweep`` CLI:
 the finite-population dynamics on Bernoulli qualities, swept over any subset
-of ``(qualities, N, T, alpha, beta, mu)``.  Three interchangeable execution
+of ``(qualities, N, T, alpha, beta, mu)``.  Two interchangeable execution
 engines share one parameter convention:
 
 * :func:`dynamics_point_replication` — the per-seed loop
   (:class:`~repro.core.dynamics.FinitePopulationDynamics`, one run per
   replicate);
-* ``@batched_replication`` at each grid point (what PR 1 added) — not defined
-  here because :func:`dynamics_grid_replication` strictly dominates it;
 * :func:`dynamics_grid_replication` — the sweep-axis batched engine: the
   ``G x R`` grid-times-replicates workload flattens into one ``(G·R, m)``
   :class:`~repro.core.batched.BatchedDynamics` launch with per-row

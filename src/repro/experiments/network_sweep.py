@@ -9,9 +9,9 @@ share one parameter convention:
 * :func:`network_point_replication` — the per-agent reference loop
   (:class:`~repro.network.dynamics.NetworkDynamics`, one run per seed); and
 * :func:`network_batched_replication` — the replicate-axis engine
-  (:class:`~repro.network.vectorized.BatchedNetworkDynamics`): all ``R``
-  replicates advance as one ``(R, N)`` choices matrix on a single shared
-  graph (the ``@batched_replication`` fast path of ``run_replications``).
+  (:class:`~repro.network.vectorized.BatchedNetworkDynamics`), a
+  ``@grid_batched_replication`` function: each point's ``R`` replicates
+  advance as one ``(R, N)`` choices matrix on a single shared graph.
 
 Parameter convention (per grid point, merged with ``base_parameters``):
 
@@ -47,8 +47,9 @@ All engines report the same per-replicate metrics — ``regret`` and
 harness hands them, so results are reproducible from the config alone on any
 engine.  Seeding conventions: the loop engine uses the repository's
 ``(env=seed, dynamics=seed+1)`` convention; the batched engine derives one
-generator from the full seed list (shared by environment and dynamics),
-matching :func:`~repro.experiments.dynamics_sweep.dynamics_grid_replication`.
+generator per point from that point's full seed list (shared by environment
+and dynamics), matching
+:func:`~repro.experiments.dynamics_sweep.dynamics_grid_replication`.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from repro.core.regret import best_option_share, expected_regret
 from repro.core.sampling import default_exploration_rate
 from repro.environments import BernoulliEnvironment
 from repro.experiments.engine_options import engine_dtype, require_default_dtype
-from repro.experiments.runner import batched_replication
+from repro.experiments.runner import grid_batched_replication
 from repro.network.dynamics import NetworkDynamics
 from repro.network.topology import SocialNetwork
 from repro.network.vectorized import BatchedNetworkDynamics
@@ -171,37 +172,41 @@ def network_point_replication(
     }
 
 
-@batched_replication
+@grid_batched_replication
 def network_batched_replication(
-    seeds: Sequence[int], parameters: Dict[str, Any]
-) -> List[Dict[str, float]]:
-    """All replicates as one ``(R, N)`` launch on a single shared graph.
+    seed_blocks: Sequence[Sequence[int]], points: Sequence[Dict[str, Any]]
+) -> List[List[Dict[str, float]]]:
+    """Each point's replicates as one ``(R, N)`` launch on its shared graph.
 
-    One generator, seeded by the full seed list, drives both the reward
-    draws and the batched dynamics — the batch is reproducible from the
-    config alone, while individual replicates inside it share the stream
-    (the standard batched-engine trade-off).
+    One generator per point, seeded by the point's full seed list, drives
+    both the reward draws and the batched dynamics — a point's rows depend
+    only on its own seeds and parameters, while individual replicates
+    inside it share the stream (the standard batched-engine trade-off).
     """
-    qualities, horizon, beta, mu = _point_parameters(parameters)
-    network = build_network(parameters)
-    generator = np.random.default_rng(list(seeds))
-    environment = BernoulliEnvironment(qualities, rng=generator)
-    dynamics = BatchedNetworkDynamics(
-        network=network,
-        num_options=int(qualities.size),
-        num_replicates=len(seeds),
-        adoption_rule=SymmetricAdoptionRule(beta),
-        exploration_rate=mu,
-        rng=generator,
-        precision=engine_dtype(parameters),
-    )
-    trajectory = dynamics.run(environment, horizon)
-    regrets = trajectory.expected_regret(qualities)
-    shares = trajectory.best_option_share(int(qualities.argmax()))
-    return [
-        {"regret": float(regret), "best_option_share": float(share)}
-        for regret, share in zip(regrets, shares)
-    ]
+    rows = []
+    for seeds, parameters in zip(seed_blocks, points, strict=True):
+        qualities, horizon, beta, mu = _point_parameters(parameters)
+        generator = np.random.default_rng(list(seeds))
+        environment = BernoulliEnvironment(qualities, rng=generator)
+        dynamics = BatchedNetworkDynamics(
+            network=build_network(parameters),
+            num_options=int(qualities.size),
+            num_replicates=len(seeds),
+            adoption_rule=SymmetricAdoptionRule(beta),
+            exploration_rate=mu,
+            rng=generator,
+            precision=engine_dtype(parameters),
+        )
+        trajectory = dynamics.run(environment, horizon)
+        regrets = trajectory.expected_regret(qualities)
+        shares = trajectory.best_option_share(int(qualities.argmax()))
+        rows.append(
+            [
+                {"regret": float(regret), "best_option_share": float(share)}
+                for regret, share in zip(regrets, shares)
+            ]
+        )
+    return rows
 
 
 NETWORK_REPLICATIONS = {

@@ -10,9 +10,9 @@ Two interchangeable execution engines share one parameter convention:
   (:class:`~repro.distributed.protocol.DistributedLearningProtocol`, one run
   per seed); the only engine that models per-message *delay*; and
 * :func:`protocol_batched_replication` — the replicate-axis engine
-  (:class:`~repro.distributed.vectorized.BatchedProtocol`): all ``R``
-  replicates advance as one ``(R, N)`` launch (the ``@batched_replication``
-  fast path of ``run_replications``).
+  (:class:`~repro.distributed.vectorized.BatchedProtocol`), a
+  ``@grid_batched_replication`` function: each point's ``R`` replicates
+  advance as one ``(R, N)`` launch.
 
 Parameter convention (per grid point, merged with ``base_parameters``):
 
@@ -49,8 +49,8 @@ the protocol's streaming definition), ``best_option_share`` and
 randomness from the seed lists the harness hands them.  Seeding conventions:
 the loop engine uses ``(env=seed, failures=seed+2, transport=seed+3,
 protocol=seed+4)`` — matching the E10 benchmark convention — and the batched
-engine derives one generator from the full seed list, shared by the
-environment and the dynamics.
+engine derives one generator per point from that point's full seed list,
+shared by the environment and the dynamics.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from repro.distributed import (
 )
 from repro.environments import BernoulliEnvironment
 from repro.experiments.engine_options import engine_dtype, require_default_dtype
-from repro.experiments.runner import batched_replication
+from repro.experiments.runner import grid_batched_replication
 
 
 def _point_parameters(parameters: Dict[str, Any]) -> Dict[str, Any]:
@@ -144,52 +144,58 @@ def protocol_point_replication(
     }
 
 
-@batched_replication
+@grid_batched_replication
 def protocol_batched_replication(
-    seeds: Sequence[int], parameters: Dict[str, Any]
-) -> List[Dict[str, float]]:
-    """All replicates as one ``(R, N)`` launch.
+    seed_blocks: Sequence[Sequence[int]], points: Sequence[Dict[str, Any]]
+) -> List[List[Dict[str, float]]]:
+    """Each point's replicates as one ``(R, N)`` launch.
 
-    One generator, seeded by the full seed list, drives the reward draws,
-    the loss masks and the crash coins — the batch is reproducible from the
-    config alone, while individual replicates inside it share the stream
-    (the standard batched-engine trade-off).
+    One generator per point, seeded by the point's full seed list, drives
+    the reward draws, the loss masks and the crash coins — a point's rows
+    depend only on its own seeds and parameters, while individual
+    replicates inside it share the stream (the standard batched-engine
+    trade-off).
     """
-    point = _point_parameters(parameters)
-    if point["delay"] > 0:
-        raise ValueError(
-            "the batched engine does not model per-message delay "
-            f"(delay={point['delay']}); use the loop engine for delayed "
-            "transports"
+    rows = []
+    for seeds, parameters in zip(seed_blocks, points, strict=True):
+        point = _point_parameters(parameters)
+        if point["delay"] > 0:
+            raise ValueError(
+                "the batched engine does not model per-message delay "
+                f"(delay={point['delay']}); use the loop engine for delayed "
+                "transports"
+            )
+        generator = np.random.default_rng(list(seeds))
+        environment = BernoulliEnvironment(point["qualities"], rng=generator)
+        protocol = BatchedProtocol(
+            point["N"],
+            int(point["qualities"].size),
+            num_replicates=len(seeds),
+            adoption_rule=SymmetricAdoptionRule(point["beta"]),
+            exploration_rate=point["mu"],
+            loss_rate=point["loss"],
+            per_round_crash_probability=point["crash"],
+            mass_failure_round=point["mass_crash_round"],
+            mass_failure_fraction=point["mass_crash_fraction"],
+            max_query_attempts=point["max_query_attempts"],
+            rng=generator,
+            precision=engine_dtype(parameters),
         )
-    generator = np.random.default_rng(list(seeds))
-    environment = BernoulliEnvironment(point["qualities"], rng=generator)
-    protocol = BatchedProtocol(
-        point["N"],
-        int(point["qualities"].size),
-        num_replicates=len(seeds),
-        adoption_rule=SymmetricAdoptionRule(point["beta"]),
-        exploration_rate=point["mu"],
-        loss_rate=point["loss"],
-        per_round_crash_probability=point["crash"],
-        mass_failure_round=point["mass_crash_round"],
-        mass_failure_fraction=point["mass_crash_fraction"],
-        max_query_attempts=point["max_query_attempts"],
-        rng=generator,
-        precision=engine_dtype(parameters),
-    )
-    result = protocol.run(environment, point["T"])
-    regrets = result.regret()
-    shares = result.best_option_share()
-    alive = result.alive_matrix[-1] / point["N"]
-    return [
-        {
-            "regret": float(regret),
-            "best_option_share": float(share),
-            "alive_fraction": float(alive_fraction),
-        }
-        for regret, share, alive_fraction in zip(regrets, shares, alive)
-    ]
+        result = protocol.run(environment, point["T"])
+        alive = result.alive_matrix[-1] / point["N"]
+        rows.append(
+            [
+                {
+                    "regret": float(regret),
+                    "best_option_share": float(share),
+                    "alive_fraction": float(alive_fraction),
+                }
+                for regret, share, alive_fraction in zip(
+                    result.regret(), result.best_option_share(), alive
+                )
+            ]
+        )
+    return rows
 
 
 PROTOCOL_REPLICATIONS = {

@@ -1,19 +1,18 @@
 """Replicated experiment execution.
 
-A replication function takes one of three forms, and the runtime
+A replication function takes one of two forms, and the runtime
 (:func:`repro.runtime.run_plan`, the one execution path) calls each its own
 way:
 
 * a **per-seed** function is called once per seed, each call simulating one
   replicate;
-* a function decorated with :func:`batched_replication` receives the
-  *whole* seed list at once and returns one metrics dict per replicate.
-  Such functions typically drive :class:`repro.core.batched.BatchedDynamics`,
-  which advances all replicates as one ``(R, m)`` count matrix per step and
-  is more than an order of magnitude faster at large ``N`` (see
-  ``benchmarks/test_bench_batched.py``);
 * a function decorated with :func:`grid_batched_replication` receives the
-  seed lists and parameters of several grid points at once.
+  seed lists and parameters of one or more grid points at once and returns
+  one metrics dict per (point, seed).  Such functions drive the batched
+  engines (e.g. :class:`repro.core.batched.BatchedDynamics`), which advance
+  all replicates as one ``(R, m)`` count matrix per step and are more than
+  an order of magnitude faster at large ``N`` (see
+  ``benchmarks/test_bench_batched.py``).
 
 Every form derives the seed list identically from ``config.seed``, so
 results stay reproducible from the config alone.
@@ -32,11 +31,6 @@ from repro.experiments.config import ExperimentConfig
 ReplicationFunction = Callable[[int, Dict[str, Any]], Dict[str, float]]
 """A replication takes (seed, parameters) and returns a dict of scalar metrics."""
 
-BatchedReplicationFunction = Callable[
-    [Sequence[int], Dict[str, Any]], Sequence[Dict[str, float]]
-]
-"""A batched replication takes (seeds, parameters) and returns one metrics dict per seed."""
-
 GridReplicationFunction = Callable[
     [Sequence[Sequence[int]], Sequence[Dict[str, Any]]],
     Sequence[Sequence[Dict[str, float]]],
@@ -48,15 +42,14 @@ returns, for each grid point, one metrics dict per seed."""
 def grid_batched_replication(
     function: GridReplicationFunction,
 ) -> GridReplicationFunction:
-    """Mark ``function`` as a whole-grid batched replication for :func:`run_sweep`.
+    """Mark ``function`` as a batched replication over grid points.
 
-    Where :func:`batched_replication` collapses the replicate axis of *one*
-    experiment configuration, a grid replication collapses the sweep axis as
-    well: the runtime calls it with the seed lists and parameter dicts of
-    all the grid points in one shard (every point, for a plain
-    :func:`~repro.experiments.sweep.run_sweep`), and the function returns one
-    metrics dict per (point, seed) pair — typically by flattening the
-    ``G x R`` rows into a single
+    The runtime calls it with the seed lists and parameter dicts of all the
+    grid points in one shard (every point, for a plain
+    :func:`~repro.experiments.sweep.run_sweep`; the one point, for
+    :func:`run_replications`), and the function returns one metrics dict per
+    (point, seed) pair.  It may run each point as its own ``(R, N)`` launch
+    or flatten the ``G x R`` rows into a single
     :class:`~repro.core.batched.BatchedDynamics` launch with per-row
     parameters.
 
@@ -74,30 +67,6 @@ def grid_batched_replication(
             return [[{"regret": ...} for seed in block] for block in seed_blocks]
     """
     function.grid_replications = True  # type: ignore[attr-defined]
-    return function
-
-
-def batched_replication(
-    function: BatchedReplicationFunction,
-) -> BatchedReplicationFunction:
-    """Mark ``function`` as a batched replication for :func:`run_replications`.
-
-    A batched replication is called once with ``(seeds, parameters)`` — the
-    full list of per-replicate seeds — and must return a sequence of exactly
-    ``len(seeds)`` metric dicts, one per replicate, in seed order.  The seeds
-    identify the batch deterministically (e.g. via
-    ``np.random.default_rng(seeds)``); individual replicates inside a batch
-    share one generator and are not independently re-runnable.
-
-    Usage::
-
-        @batched_replication
-        def replication(seeds, parameters):
-            rng = np.random.default_rng(seeds)
-            trajectory = simulate_batched_population(..., num_replicates=len(seeds), rng=rng)
-            return [{"regret": r} for r in trajectory.expected_regret(qualities)]
-    """
-    function.batched_replications = True  # type: ignore[attr-defined]
     return function
 
 
@@ -184,23 +153,19 @@ def run_replications(
     Each replication receives its own integer seed derived from
     ``config.seed``, so the whole experiment is reproducible from the config
     alone and individual replications can be re-run in isolation.  A
-    function marked with :func:`batched_replication` is called once with
-    the full seed list instead of once per seed; the derived seeds, and
-    therefore the result's provenance record, are identical in both modes.
+    function marked with :func:`grid_batched_replication` is called once
+    with the one point's full seed list instead of once per seed; the
+    derived seeds, and therefore the result's provenance record, are
+    identical in both modes.
 
     Execution goes through the runtime (:func:`repro.runtime.run_plan`).
     ``options`` — an :class:`~repro.runtime.options.ExecutionOptions` —
     chooses its executor (e.g. a
     :class:`~repro.runtime.executors.ParallelExecutor`, or any
     :class:`~repro.runtime.backend.Backend`; per-seed functions parallelise
-    seed by seed, batched functions stay one indivisible task), a
+    seed by seed, grid functions run the point as one task), a
     :class:`~repro.runtime.store.ResultStore` serving cache hits and
     recording results for resume, and a tracer.  None of these changes a
     result.
     """
-    if getattr(replication, "grid_replications", False):
-        raise TypeError(
-            "grid-batched replications run over a whole ParameterGrid; call "
-            "run_sweep instead of run_replications"
-        )
     return _run_planned([config], replication, options)[0]

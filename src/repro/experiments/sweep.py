@@ -98,14 +98,12 @@ def run_sweep(
     replication-mean of every metric (the form benchmark tables print).
 
     The sweep executes through the runtime (:func:`repro.runtime.run_plan`),
-    which calls ``replication`` the way its marker asks: per seed, once per
-    point with the whole seed list
-    (:func:`~repro.experiments.runner.batched_replication`), or with several
-    points at once (:func:`~repro.experiments.runner.grid_batched_replication`
-    — a plain in-process sweep hands it every point, typically one
-    ``(G·R, m)`` engine launch).  Every point derives its seed list from
-    ``seed`` alone, and every form's rows depend only on a point's own seeds
-    and parameters.
+    which calls ``replication`` the way its marker asks: per seed, or with
+    several points at once and each point's whole seed list
+    (:func:`~repro.experiments.runner.grid_batched_replication` — a plain
+    in-process sweep hands it every point, typically one ``(G·R, m)``
+    engine launch).  Every point derives its seed list from ``seed`` alone,
+    and both forms' rows depend only on a point's own seeds and parameters.
 
     ``options`` — an :class:`~repro.runtime.options.ExecutionOptions` —
     chooses the executor (e.g. a multi-process

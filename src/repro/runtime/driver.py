@@ -6,8 +6,8 @@
 1. looks every task up in the :class:`~repro.runtime.store.ResultStore`
    (when one is attached) and keeps the cache hits,
 2. partitions only the *misses* into shards and hands them to the executor
-   (a grid plan into one fused launch per shard the executor runs at once,
-   any other plan into the executor's ``num_shards`` chunks),
+   (a grid plan into one shard per launch the executor runs at once, a
+   per-seed plan into the executor's ``num_shards`` chunks),
 3. flushes each completed shard back to the store the moment it arrives —
    so a killed run resumes shard-by-shard — and
 4. merges everything back into per-point metric lists in replicate order.

@@ -21,15 +21,14 @@ Task granularity follows the replication function's execution mode:
 ``loop``
     Plain per-seed functions split into one task per ``(point, seed)`` pair —
     maximal parallelism and per-seed cache/resume granularity.
-``batched``
-    ``@batched_replication`` functions derive one generator from the *whole*
-    seed list, so a point's batch is indivisible: one task per point.
 ``grid``
-    ``@grid_batched_replication`` functions get one task per point too, but
-    :func:`execute_shard` hands all of a shard's grid tasks to the function
-    in one call, which fuses them into one engine launch.  Each point draws
-    from its own generator inside that launch, so a point's rows are the
-    same whichever shard it lands in and whichever points share it.
+    ``@grid_batched_replication`` functions get one task per point, holding
+    the point's whole seed list, and :func:`execute_shard` hands all of a
+    shard's grid tasks to the function in one call.  The dynamics grid fuses
+    them into one engine launch; the network and protocol engines run one
+    ``(R, N)`` launch per point, seeded by its whole seed list.  Each point
+    draws from its own generator, so a point's rows are the same whichever
+    shard it lands in and whichever points share it.
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from repro.experiments.runner import _validated_metrics
 from repro.utils.rng import seeds_for_replications
 
 MODE_LOOP = "loop"
-MODE_BATCHED = "batched"
 MODE_GRID = "grid"
 
 
@@ -52,12 +50,8 @@ def function_reference(function: Callable) -> str:
 
 
 def replication_mode(function: Callable) -> str:
-    """Execution mode of a replication function (``loop``/``batched``/``grid``)."""
-    if getattr(function, "grid_replications", False):
-        return MODE_GRID
-    if getattr(function, "batched_replications", False):
-        return MODE_BATCHED
-    return MODE_LOOP
+    """Execution mode of a replication function (``loop`` or ``grid``)."""
+    return MODE_GRID if getattr(function, "grid_replications", False) else MODE_LOOP
 
 
 class Task(NamedTuple):
@@ -215,13 +209,10 @@ def _grid_rows(
 
 def execute_task(task: Task, function: Callable) -> List[Dict[str, float]]:
     """Run one task, returning one validated metrics dict per seed."""
-    parameters = dict(task.parameters)
     if task.mode == MODE_LOOP:
         return _checked_rows(
-            task, [function(seed, dict(parameters)) for seed in task.seeds]
+            task, [function(seed, dict(task.parameters)) for seed in task.seeds]
         )
-    if task.mode == MODE_BATCHED:
-        return _checked_rows(task, list(function(list(task.seeds), parameters)))
     if task.mode == MODE_GRID:
         return _grid_rows([task], function)[0]
     raise ValueError(f"unknown task mode {task.mode!r}")
@@ -234,7 +225,7 @@ def execute_shard(
 
     This is the single compute path of every executor and broker.  Grid
     tasks go to ``function`` in one call, so a shard of grid points runs as
-    one fused launch; loop and batched tasks run one by one through
+    one fused launch; loop tasks run one by one through
     :func:`execute_task`.  Every task's rows depend only on the task, so
     results are the same on any executor, at any shard size.
     """

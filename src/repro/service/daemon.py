@@ -271,6 +271,10 @@ class _ServiceHandler(BaseHTTPRequestHandler):
     # kept-alive connection waits out the client's delayed ACK (~40 ms) on
     # every response.
     disable_nagle_algorithm = True
+    # Seconds a socket read or write may block.  A client that declares a
+    # longer body than it sends would otherwise hold its handler thread
+    # until it closes; http.server closes a connection that times out.
+    timeout = 30.0
 
     # The default handler logs every request to stderr; keep the daemon
     # quiet unless the server was built with verbose logging.

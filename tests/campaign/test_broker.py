@@ -23,6 +23,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.campaign.broker import (
+    MAX_FRAME_BYTES,
     recv_frame,
     send_frame,
     task_from_wire,
@@ -136,6 +137,56 @@ class TestWireFormat:
         finally:
             left.close()
             right.close()
+
+
+def framed(payload):
+    return struct.pack(">I", len(payload)) + payload
+
+
+PEER = r"from 127\.0\.0\.1:\d+"
+# Raw bytes a lying broker sends, and the error the coordinator raises.
+BAD_FRAMES = {
+    "oversized": (
+        struct.pack(">I", MAX_FRAME_BYTES + 1),
+        rf"frame of \d+ bytes {PEER} exceeds the protocol cap",
+    ),
+    "not-json": (framed(b"not json"), rf"frame {PEER} is not valid JSON"),
+    "not-utf8": (framed(b"\xff\xfe"), rf"frame {PEER} is not valid JSON"),
+    "untyped": (framed(b'{"rows": []}'), rf"frame {PEER} is not a typed message"),
+}
+
+
+class TestCoordinatorFraming:
+    """A broker's bad frame fails the run with the error naming the broker."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_FRAMES))
+    def test_bad_result_frame_raises_protocol_error(self, bad):
+        raw, pattern = BAD_FRAMES[bad]
+        connected = []
+
+        def lying_broker(address):
+            sock = socket.create_connection(parse_address(address), timeout=10.0)
+            connected.append(sock)
+            send_frame(sock, {"type": "hello", "workers": 1})
+            assert recv_frame(sock)["type"] == "shard"
+            sock.sendall(raw)
+
+        with BrokerBackend(timeout=10.0) as backend:
+            thread = threading.Thread(
+                target=lying_broker, args=(backend.address,), daemon=True
+            )
+            thread.start()
+            try:
+                with pytest.raises(BrokerProtocolError, match=pattern):
+                    list(
+                        backend.run_shards(
+                            [[sample_task()]], dynamics_point_replication
+                        )
+                    )
+            finally:
+                thread.join(timeout=10.0)
+                for sock in connected:
+                    sock.close()
 
 
 class TestBrokerValidation:
@@ -336,3 +387,23 @@ class TestLateAndPersistentBrokers:
         thread.join(timeout=10.0)
         assert holder["executed"] == 2
         assert len(first) == len(second) == 1
+
+    def test_a_fleet_below_min_brokers_still_serves_the_next_run(self):
+        # min_brokers gates the backend's first dispatch only: a campaign's
+        # next simulate node runs on the survivors of a broker that died.
+        with BrokerBackend(min_brokers=2, timeout=3.0) as backend:
+            crashy_thread, crashy = start_broker(backend.address, max_shards=1)
+            survivor_thread, survivor = start_broker(backend.address)
+            first = list(
+                backend.run_shards(
+                    [[sample_task(i)] for i in range(3)], dynamics_point_replication
+                )
+            )
+            crashy_thread.join(timeout=10.0)
+            second = list(
+                backend.run_shards([[sample_task(3)]], dynamics_point_replication)
+            )
+        survivor_thread.join(timeout=10.0)
+        assert crashy["executed"] == 1
+        assert survivor["executed"] == 3
+        assert len(first) == 3 and len(second) == 1

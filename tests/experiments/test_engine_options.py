@@ -93,7 +93,7 @@ class TestNetworkBatchedOptions:
             "T": 4,
             "dtype": "float32",
         }
-        rows = network_batched_replication([0, 1, 2], parameters)
+        (rows,) = network_batched_replication([[0, 1, 2]], [parameters])
         assert len(rows) == 3
         for row in rows:
             assert np.isfinite(row["regret"])

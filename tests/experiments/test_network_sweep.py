@@ -75,8 +75,8 @@ class TestReplicationFunctions:
         assert NETWORK_REPLICATIONS["batched"] is network_batched_replication
 
     def test_batched_function_is_marked_for_fast_path(self):
-        assert getattr(network_batched_replication, "batched_replications", False)
-        assert not getattr(network_point_replication, "batched_replications", False)
+        assert getattr(network_batched_replication, "grid_replications", False)
+        assert not getattr(network_point_replication, "grid_replications", False)
 
     @pytest.mark.parametrize("engine", NETWORK_ENGINES)
     def test_run_replications_produces_metrics(self, engine):
@@ -90,7 +90,8 @@ class TestReplicationFunctions:
 
     def test_point_engines_share_seeding_convention(self):
         """The loop engine runs (env=seed, dynamics=seed+1); the batched engine
-        draws everything from one generator seeded by the whole seed list."""
+        draws all of a point's randomness from one generator seeded by its
+        seed list."""
         qualities = np.asarray(PARAMETERS["qualities"])
         network = build_network(PARAMETERS)
         rule = SymmetricAdoptionRule(PARAMETERS["beta"])
@@ -109,7 +110,7 @@ class TestReplicationFunctions:
         trajectory = batched.run(
             BernoulliEnvironment(qualities, rng=generator), horizon
         )
-        rows = network_batched_replication([3, 4], dict(PARAMETERS))
+        (rows,) = network_batched_replication([[3, 4]], [dict(PARAMETERS)])
         assert [row["regret"] for row in rows] == (
             trajectory.expected_regret(qualities).tolist()
         )
@@ -117,9 +118,21 @@ class TestReplicationFunctions:
     def test_engines_are_deterministic_per_seed(self):
         """Equal seeds give equal rows on the loop and the batched engine."""
         loop = network_point_replication(3, dict(PARAMETERS))
-        batched = network_batched_replication([3], dict(PARAMETERS))
+        batched = network_batched_replication([[3]], [dict(PARAMETERS)])
         assert loop == network_point_replication(3, dict(PARAMETERS))
-        assert batched == network_batched_replication([3], dict(PARAMETERS))
+        assert batched == network_batched_replication([[3]], [dict(PARAMETERS)])
+
+    def test_a_two_point_call_gives_each_point_its_one_point_rows(self):
+        other = dict(PARAMETERS, topology="star", N=40, T=12)
+        alone = [
+            network_batched_replication([[3, 4]], [dict(PARAMETERS)])[0],
+            network_batched_replication([[5, 6, 7]], [dict(other)])[0],
+        ]
+        pair = network_batched_replication(
+            [[3, 4], [5, 6, 7]], [dict(PARAMETERS), dict(other)]
+        )
+        assert pair == alone
+        assert [len(rows) for rows in pair] == [2, 3]
 
     def test_engines_agree_on_mean_share(self):
         """Both engines estimate the same mean best-option share."""
@@ -139,14 +152,16 @@ class TestReplicationFunctions:
     def test_default_mu_is_derived_from_beta(self):
         parameters = dict(PARAMETERS)
         del parameters["mu"]
-        (metrics,) = network_batched_replication([0], parameters)
+        ((metrics,),) = network_batched_replication([[0]], [parameters])
         assert 0.0 <= metrics["best_option_share"] <= 1.0
 
     def test_missing_required_keys_raise(self):
         with pytest.raises(KeyError):
             network_point_replication(0, {"topology": "ring", "N": 10, "T": 5})
         with pytest.raises(KeyError):
-            network_batched_replication([0, 1], {"qualities": (0.8, 0.4), "topology": "ring", "N": 10})
+            network_batched_replication(
+                [[0, 1]], [{"qualities": (0.8, 0.4), "topology": "ring", "N": 10}]
+            )
 
 
 class TestTopologySweep:

@@ -38,8 +38,8 @@ class TestRegistry:
         assert PROTOCOL_REPLICATIONS["batched"] is protocol_batched_replication
 
     def test_batched_is_marked_for_the_fast_path(self):
-        assert getattr(protocol_batched_replication, "batched_replications", False)
-        assert not getattr(protocol_point_replication, "batched_replications", False)
+        assert getattr(protocol_batched_replication, "grid_replications", False)
+        assert not getattr(protocol_point_replication, "grid_replications", False)
 
 
 class TestReplicationFunctions:
@@ -63,8 +63,8 @@ class TestReplicationFunctions:
 
     def test_engines_follow_their_seeding_conventions(self):
         """The loop engine runs (env=seed, transport=seed+3, protocol=seed+4);
-        the batched engine draws everything from one generator seeded by the
-        whole seed list."""
+        the batched engine draws all of a point's randomness from one
+        generator seeded by its seed list."""
         qualities = np.asarray(BASE["qualities"])
         rule = SymmetricAdoptionRule(BASE["beta"])
         parameters = dict(BASE, loss=0.2)
@@ -96,25 +96,38 @@ class TestReplicationFunctions:
         batched_result = batched.run(
             BernoulliEnvironment(qualities, rng=generator), BASE["T"]
         )
-        rows = protocol_batched_replication([3, 4], parameters)
+        (rows,) = protocol_batched_replication([[3, 4]], [parameters])
         assert [row["regret"] for row in rows] == batched_result.regret().tolist()
+
+    def test_a_two_point_call_gives_each_point_its_one_point_rows(self):
+        lossy = dict(BASE, loss=0.2)
+        crashing = dict(BASE, crash=0.05, mass_crash_round=5, mass_crash_fraction=0.3)
+        alone = [
+            protocol_batched_replication([[3, 4]], [dict(lossy)])[0],
+            protocol_batched_replication([[5, 6, 7]], [dict(crashing)])[0],
+        ]
+        pair = protocol_batched_replication(
+            [[3, 4], [5, 6, 7]], [dict(lossy), dict(crashing)]
+        )
+        assert pair == alone
+        assert [len(rows) for rows in pair] == [2, 3]
 
     def test_missing_required_parameters_raise(self):
         with pytest.raises(KeyError):
             protocol_point_replication(0, {"qualities": (0.8, 0.4), "N": 10})
         with pytest.raises(KeyError):
-            protocol_batched_replication([0], {"N": 10, "T": 5})
+            protocol_batched_replication([[0]], [{"N": 10, "T": 5}])
 
     def test_mu_defaults_to_the_theorem_maximum(self):
         # No mu given: both engines derive the same default, so the point is
         # well-defined on every engine.
         parameters = {"qualities": (0.8, 0.4), "N": 30, "T": 5, "beta": 0.65}
-        (row,) = protocol_batched_replication([0], parameters)
+        ((row,),) = protocol_batched_replication([[0]], [parameters])
         assert set(row) == {"regret", "best_option_share", "alive_fraction"}
 
     def test_batched_engine_rejects_delay(self):
         with pytest.raises(ValueError, match="delay"):
-            protocol_batched_replication([0, 1], dict(BASE, delay=0.1))
+            protocol_batched_replication([[0, 1]], [dict(BASE, delay=0.1)])
 
     def test_loop_engine_accepts_delay(self):
         row = protocol_point_replication(0, dict(BASE, delay=0.2))

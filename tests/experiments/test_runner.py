@@ -1,17 +1,24 @@
-"""Tests for the replication runner (per-seed loop and batched fast path)."""
+"""Tests for the replication runner (per-seed loop and grid fast path)."""
 
 import pytest
 
-from repro.experiments import ExperimentConfig, batched_replication, run_replications
+from repro.experiments import (
+    ExperimentConfig,
+    grid_batched_replication,
+    run_replications,
+)
 
 
 def simple_replication(seed, parameters):
     return {"value": float(seed % 10), "doubled": 2.0 * (seed % 10)}
 
 
-@batched_replication
-def simple_batched_replication(seeds, parameters):
-    return [{"value": float(seed % 10), "doubled": 2.0 * (seed % 10)} for seed in seeds]
+@grid_batched_replication
+def simple_batched_replication(seed_blocks, points):
+    return [
+        [{"value": float(seed % 10), "doubled": 2.0 * (seed % 10)} for seed in seeds]
+        for seeds in seed_blocks
+    ]
 
 
 class TestRunReplications:
@@ -78,15 +85,14 @@ class TestBatchedFastPath:
     def test_batched_function_called_once_with_all_seeds(self):
         calls = []
 
-        @batched_replication
-        def replication(seeds, parameters):
-            calls.append(list(seeds))
-            return [{"ok": 1.0} for _ in seeds]
+        @grid_batched_replication
+        def replication(seed_blocks, points):
+            calls.append([list(seeds) for seeds in seed_blocks])
+            return [[{"ok": 1.0} for _ in seeds] for seeds in seed_blocks]
 
         config = ExperimentConfig(name="demo", replications=5, seed=3)
         result = run_replications(config, replication)
-        assert len(calls) == 1
-        assert calls[0] == result.seeds
+        assert calls == [[result.seeds]]
         assert len(result.metrics) == 5
 
     def test_batched_matches_loop_for_seed_pure_functions(self):
@@ -98,18 +104,18 @@ class TestBatchedFastPath:
         assert loop.metrics == batched.metrics
 
     def test_batched_row_count_mismatch_rejected(self):
-        @batched_replication
-        def replication(seeds, parameters):
-            return [{"ok": 1.0}]
+        @grid_batched_replication
+        def replication(seed_blocks, points):
+            return [[{"ok": 1.0}] for _ in seed_blocks]
 
         config = ExperimentConfig(name="demo", replications=3, seed=0)
         with pytest.raises(ValueError, match="metric rows"):
             run_replications(config, replication)
 
     def test_batched_rows_validated(self):
-        @batched_replication
-        def replication(seeds, parameters):
-            return [{} for _ in seeds]
+        @grid_batched_replication
+        def replication(seed_blocks, points):
+            return [[{} for _ in seeds] for seeds in seed_blocks]
 
         config = ExperimentConfig(name="demo", replications=2, seed=0)
         with pytest.raises(ValueError):
@@ -118,10 +124,10 @@ class TestBatchedFastPath:
     def test_batched_receives_parameters(self):
         seen = []
 
-        @batched_replication
-        def replication(seeds, parameters):
-            seen.append(parameters)
-            return [{"ok": 1.0} for _ in seeds]
+        @grid_batched_replication
+        def replication(seed_blocks, points):
+            seen.extend(points)
+            return [[{"ok": 1.0} for _ in seeds] for seeds in seed_blocks]
 
         config = ExperimentConfig(name="demo", parameters={"x": 3}, replications=2, seed=0)
         run_replications(config, replication)

@@ -8,7 +8,7 @@ import repro.utils.rng as rng
 from repro.experiments import (
     ExperimentConfig,
     ParameterGrid,
-    batched_replication,
+    grid_batched_replication,
     run_replications,
     run_sweep,
 )
@@ -114,9 +114,9 @@ def derivations(monkeypatch):
     return masters
 
 
-@batched_replication
-def seed_batch(seeds, parameters):
-    return [{"seed": float(seed)} for seed in seeds]
+@grid_batched_replication
+def seed_batch(seed_blocks, points):
+    return [[{"seed": float(seed)} for seed in seeds] for seeds in seed_blocks]
 
 
 class TestSeedDerivation:

@@ -2,8 +2,9 @@
 
 Three guarantees the runtime advertises:
 
-* **Execution invariance** — for every replication mode (per-seed loop,
-  replicate-batched, grid-batched), a sweep produces bit-identical
+* **Execution invariance** — for both replication modes (per-seed loop and
+  grid, the latter both as the fused dynamics grid and as the protocol
+  engine's launch per point), a sweep produces bit-identical
   per-(point, seed) metrics whether it runs on the in-process serial
   executor, a 2-worker process pool, or entirely from a warm result store.
 * **No flag changes a number** — the same request gives the same rows from
@@ -46,7 +47,7 @@ BASE = {"qualities": (0.8, 0.5), "T": 10}
 
 REPLICATIONS = {
     "loop": dynamics_point_replication,
-    "batched": protocol_batched_replication,
+    "batched": protocol_batched_replication,  # grid form, one launch per point
     "grid": dynamics_grid_replication,
 }
 

@@ -11,10 +11,10 @@ invariants must hold for each:
 * scalar parameters and all-equal per-row parameter arrays are the *same*
   dynamics, bit for bit;
 * :func:`run_replications` / :func:`run_sweep` outputs are a pure function of
-  the config seed, on the per-seed loop, the per-point batched path, and the
-  whole-grid batched path — and a grid point's rows are those of a
-  standalone one-point :class:`BatchedDynamics` launch from its own seeds,
-  however the grid's points are split into launches.
+  the config seed, on the per-seed loop, a grid function that launches each
+  point alone, and the fused whole-grid path — and a grid point's rows are
+  those of a standalone one-point :class:`BatchedDynamics` launch from its
+  own seeds, however the grid's points are split into launches.
 """
 
 import numpy as np
@@ -36,9 +36,9 @@ from repro.environments import BernoulliEnvironment, RowwiseBernoulliEnvironment
 from repro.experiments import (
     ExperimentConfig,
     ParameterGrid,
-    batched_replication,
     dynamics_grid_replication,
     dynamics_point_replication,
+    grid_batched_replication,
     run_replications,
     run_sweep,
 )
@@ -236,20 +236,25 @@ def _loop_replication(seed, parameters):
     return {"regret": expected_regret(trajectory.popularity_matrix(), QUALITIES)}
 
 
-@batched_replication
-def _batched_replication_fn(seeds, parameters):
-    generator = np.random.default_rng(seeds)
-    env = BernoulliEnvironment(QUALITIES, rng=generator)
-    trajectory = simulate_batched_population(
-        env,
-        parameters["N"],
-        parameters["T"],
-        len(seeds),
-        beta=0.65,
-        mu=0.05,
-        rng=generator,
-    )
-    return [{"regret": float(value)} for value in trajectory.expected_regret(QUALITIES)]
+@grid_batched_replication
+def _batched_replication_fn(seed_blocks, points):
+    """One ``(R, m)`` launch per point, seeded by the point's seed list."""
+    rows = []
+    for seeds, parameters in zip(seed_blocks, points):
+        generator = np.random.default_rng(seeds)
+        env = BernoulliEnvironment(QUALITIES, rng=generator)
+        trajectory = simulate_batched_population(
+            env,
+            parameters["N"],
+            parameters["T"],
+            len(seeds),
+            beta=0.65,
+            mu=0.05,
+            rng=generator,
+        )
+        regrets = trajectory.expected_regret(QUALITIES)
+        rows.append([{"regret": float(value)} for value in regrets])
+    return rows
 
 
 class TestSeededDeterminism:
@@ -381,10 +386,20 @@ class TestSweepAxisBatching:
                 assert result.metrics[row]["regret"] == float(regrets[row])
                 assert result.metrics[row]["best_option_share"] == float(shares[row])
 
-    def test_grid_function_rejected_by_run_replications(self):
-        config = ExperimentConfig(name="grid", parameters={}, replications=2, seed=0)
-        with pytest.raises(TypeError):
-            run_replications(config, dynamics_grid_replication)
+    def test_run_replications_runs_a_grid_function_as_one_point(self):
+        """``run_replications`` of a grid function is the one-point sweep."""
+        parameters = dict(SWEEP_BASE, N=60, beta=0.7)
+        config = ExperimentConfig(
+            name="grid", parameters=parameters, replications=3, seed=4
+        )
+        result = run_replications(config, dynamics_grid_replication)
+        (swept,), _ = run_sweep(
+            "grid", ParameterGrid({"N": (60,)}), dynamics_grid_replication,
+            replications=3, seed=4, base_parameters=dict(SWEEP_BASE, beta=0.7),
+        )
+        assert result.seeds == swept.seeds
+        assert result.metrics == swept.metrics
+        assert len(result.metrics) == 3
 
     def test_mixed_horizons_match_their_separate_runs(self):
         """Points of different horizons launch separately inside one sweep."""

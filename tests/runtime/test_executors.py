@@ -286,7 +286,7 @@ class TestOneExecutorSharedByThreads:
                     "size": 60, "horizon": 8, "replications": 3, "seed": 4},
     }
     # On ParallelExecutor(2): 6 loop tasks in 6 of the 8 chunks, 3 grid points
-    # in one fused launch per worker, one replicate-batched task.
+    # in one fused launch per worker, one network point as one grid task.
     SHARDS = {"loop": 6, "grid": 2, "batched": 1}
     TASKS = {"loop": 6, "grid": 3, "batched": 1}
 

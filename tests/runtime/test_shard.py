@@ -13,6 +13,7 @@ from repro.experiments.dynamics_sweep import (
     dynamics_point_replication,
 )
 from repro.experiments.network_sweep import network_batched_replication
+from repro.experiments.protocol_sweep import protocol_batched_replication
 from repro.runtime import (
     ShardPlan,
     Task,
@@ -40,11 +41,17 @@ class TestReplicationMode:
     def test_loop_function(self):
         assert replication_mode(dynamics_point_replication) == "loop"
 
-    def test_batched_function(self):
-        assert replication_mode(network_batched_replication) == "batched"
-
-    def test_grid_function(self):
-        assert replication_mode(dynamics_grid_replication) == "grid"
+    @pytest.mark.parametrize(
+        "function",
+        [
+            dynamics_grid_replication,
+            network_batched_replication,
+            protocol_batched_replication,
+        ],
+        ids=["dynamics", "network", "protocol"],
+    )
+    def test_grid_function(self, function):
+        assert replication_mode(function) == "grid"
 
 
 class TestFunctionReference:
@@ -65,7 +72,7 @@ class TestShardPlan:
         assert len(plan) == 12
         assert all(task.num_replicates == 1 for task in plan.tasks)
 
-    def test_batched_mode_keeps_points_whole(self):
+    def test_grid_mode_keeps_points_whole(self):
         configs = small_configs(points=3, replications=4)
         plan = ShardPlan.from_configs(configs, network_batched_replication)
         assert len(plan) == 3
@@ -201,16 +208,23 @@ class TestExecuteTask:
         assert execute_task(task, dynamics_grid_replication) == list(direct)
 
     def test_row_count_mismatch_rejected(self):
-        def bad_batched(seeds, parameters):
-            return [{"metric": 1.0}]
+        def bad_grid(seed_blocks, points):
+            return [[{"metric": 1.0}] for _ in points]
 
-        bad_batched.batched_replications = True
+        bad_grid.grid_replications = True
         config = ExperimentConfig(
             name="bad", parameters=dict(BASE, N=50), replications=3, seed=0
         )
-        plan = ShardPlan.from_configs([config], bad_batched)
+        plan = ShardPlan.from_configs([config], bad_grid)
         with pytest.raises(ValueError, match="metric rows"):
-            execute_task(plan.tasks[0], bad_batched)
+            execute_task(plan.tasks[0], bad_grid)
+
+    def test_unknown_mode_rejected(self):
+        task = ShardPlan.from_configs(
+            small_configs(points=1), network_batched_replication
+        ).tasks[0]._replace(mode="batched")
+        with pytest.raises(ValueError, match="unknown task mode 'batched'"):
+            execute_task(task, network_batched_replication)
 
 
 class TestExecuteShard:

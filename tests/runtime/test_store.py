@@ -236,7 +236,7 @@ class TestPinnedKeys:
 
     def test_pinned_tasks_are_the_intended_ones(self):
         assert pinned_loop_sweep_task().mode == "loop"
-        assert pinned_batched_network_task().mode == "batched"
+        assert pinned_batched_network_task().mode == "grid"
         assert pinned_float32_grid_task().mode == "grid"
         assert pinned_float32_grid_task().parameters["dtype"] == "float32"
 

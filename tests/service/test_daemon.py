@@ -16,6 +16,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import statistics
 import subprocess
 import sys
@@ -41,7 +42,7 @@ from repro.service import (
     start_daemon,
     sweep_request,
 )
-from repro.service.daemon import MAX_REQUEST_BYTES
+from repro.service.daemon import MAX_REQUEST_BYTES, _ServiceHandler
 
 SWEEP_KWARGS = dict(
     options=[0.8, 0.5],
@@ -146,6 +147,29 @@ class TestHealthAndStats:
                 assert json.loads(response.read())["status"] == "ok"
         finally:
             connection.close()
+
+    def test_a_stalled_body_times_out_and_frees_its_thread(
+        self, daemon, monkeypatch, capfd
+    ):
+        # A POST that declares more body than it sends held its handler
+        # thread until the client hung up.  The shipped timeout is seconds
+        # long; a fraction of one keeps the test fast.
+        timeout = _ServiceHandler.timeout
+        assert timeout is not None and 0 < timeout <= 60, timeout
+        monkeypatch.setattr(_ServiceHandler, "timeout", 0.3)
+        address = urlsplit(daemon.url)
+        with socket.create_connection((address.hostname, address.port)) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(
+                b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+                b'{"kind":'
+            )
+            start = time.perf_counter()
+            assert sock.recv(1024) == b""  # closed without an answer
+            assert time.perf_counter() - start < 3.0
+        assert ServiceClient(daemon.url).healthz()["status"] == "ok"
+        assert "Traceback" not in capfd.readouterr().err
 
     def test_stats_expose_store_and_queue(self, client):
         stats = client.stats()

@@ -189,7 +189,6 @@ DEFINING_MODULES = {
         "config": ("ExperimentConfig",),
         "runner": (
             "ReplicatedResult",
-            "batched_replication",
             "grid_batched_replication",
             "run_replications",
         ),
