@@ -210,17 +210,6 @@ def _runtime_options(args: argparse.Namespace) -> Optional[ExecutionOptions]:
     return ExecutionOptions(executor=executor, store=store, tracer=tracer)
 
 
-def _warn_single_task(args: argparse.Namespace) -> None:
-    """Note when --workers cannot help because the engine is replicate-batched."""
-    if args.workers > 1 and args.engine == "batched":
-        print(
-            "note: the batched engine advances all replicates as one "
-            "indivisible task, so --workers adds no parallelism here; use "
-            "--engine loop to shard across seeds",
-            file=sys.stderr,
-        )
-
-
 def _print_store_stats(store: Optional[ResultStore]) -> None:
     """Report cache statistics and release the store, if one was opened."""
     if store is not None:
@@ -884,7 +873,6 @@ def _command_network(args: argparse.Namespace) -> int:
     print(header)
     options = _runtime_options(args)
     try:
-        _warn_single_task(args)
         result = execute_request(request, prepared=prepared, options=options)
         print(result.description)
         _finish(result.table, args.output)
@@ -922,7 +910,6 @@ def _command_protocol(args: argparse.Namespace) -> int:
     )
     options = _runtime_options(args)
     try:
-        _warn_single_task(args)
         result = execute_request(request, options=options)
         print(result.description)
         _finish(result.table, args.output)

@@ -284,7 +284,7 @@ class BatchedTrajectory:
     @property
     def horizon(self) -> int:
         """Number of recorded steps ``T``."""
-        return len(self.states)
+        return len(self.pre_step_popularities)
 
     @property
     def num_replicates(self) -> int:
@@ -311,6 +311,31 @@ class BatchedTrajectory:
     def final_state(self) -> BatchedPopulationState:
         """The last recorded batched state (the initial state if no steps recorded)."""
         return self.states[-1] if self.states else self.initial_state
+
+    def rows(self, start: int, stop: int) -> "BatchedTrajectory":
+        """Rows ``start:stop`` laid out as a launch holding those rows alone.
+
+        The initial state, pre-step popularities and rewards are cut, so
+        every metric reduces over the same arrays, down to the summation
+        order, as in that launch.  The per-step states are not cut (no
+        metric reads them), so ``states`` is empty.
+        """
+        rows = slice(start, stop)
+        initial = self.initial_state
+        population = initial.population_size
+        if np.ndim(population):
+            population = population[rows]
+        return BatchedTrajectory(
+            initial_state=BatchedPopulationState(
+                counts=initial.counts[rows],
+                population_size=population,
+                time=initial.time,
+            ),
+            rewards=[rewards[rows] for rewards in self.rewards],
+            pre_step_popularities=[
+                popularity[rows] for popularity in self.pre_step_popularities
+            ],
+        )
 
     def replicate(self, index: int) -> Trajectory:
         """Per-replicate :class:`Trajectory` view of replicate ``index``."""

@@ -13,7 +13,9 @@ adopt step is one broadcast thinning — recording
 :class:`~repro.core.batched.BatchedPopulationState` snapshots into a
 :class:`~repro.core.batched.BatchedTrajectory`, so a loss-rate x
 crash-fraction grid collapses into a few launches.  ``R = 1`` runs a single
-replicate from its own seed.
+replicate from its own seed, and a one-seed-per-row
+:class:`~repro.utils.rng.RowBlockGenerator` makes every row of a larger
+launch that run of its seed.
 
 Per round (identical to the loop's law):
 
@@ -58,7 +60,7 @@ from repro.core.batched import (
 )
 from repro.distributed.transport import TransportStats
 from repro.environments.base import RewardEnvironment
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, RowBlockGenerator
 from repro.utils.validation import (
     check_non_negative_int,
     check_positive_int,
@@ -127,11 +129,13 @@ class BatchedProtocol:
     ``(R, N)`` choice and alive matrices: per round, one ``(R, N)`` explore
     draw, then — over the compressed set of still-waiting alive cells, as
     flat indices — a rank-shifted uniform peer draw and two Bernoulli loss masks
-    per retry sub-round, and finally one broadcast adoption thinning.  All
-    replicates share one generator, so a batch is reproducible from a single
-    seed but individual replicates are not independently re-runnable (same
-    contract as :class:`~repro.core.batched.BatchedDynamics`).  When that is
-    required, run one replicate per seed with ``num_replicates=1``.
+    per retry sub-round, and finally one broadcast adoption thinning.  A plain
+    generator (or seed) drives every replicate, so a batch is reproducible
+    from a single seed but its replicates are not independently re-runnable.
+    A :class:`~repro.utils.rng.RowBlockGenerator` of one-seed blocks gives
+    each replicate its own generator instead, and then row ``r`` is the
+    ``num_replicates=1`` run of its seed: every draw, the flat ones too,
+    takes each row's cells from that row's generator, in row order.
 
     Crash-stop failures mirror
     :class:`~repro.distributed.failures.CrashFailureModel` with the
@@ -162,7 +166,7 @@ class BatchedProtocol:
     max_query_attempts:
         Re-query attempts before falling back to uniform exploration.
     rng:
-        Seed or generator.
+        Seed, generator or :class:`~repro.utils.rng.RowBlockGenerator`.
     precision:
         Storage precision (default float64/int64).  Random draws always run
         in float64, so the stored-state dtype does not perturb the stream.
@@ -205,7 +209,7 @@ class BatchedProtocol:
         )
         self._precision = resolve_precision(precision)
         self._precision.check_count_value(int(num_nodes), "num_nodes")
-        self._rng = ensure_rng(rng)
+        self._rng = RowBlockGenerator.of(rng, num_replicates)
         self._round = 0
         self._fallback_explorations = 0
         self._stats = TransportStats()
@@ -335,29 +339,33 @@ class BatchedProtocol:
             (self._rng.random(shape) < self._mu) | (alive_counts[:, None] <= 1)
         )
         considered = np.full(shape, -1, dtype=np.int64)
-        considered[explore] = self._rng.integers(
-            self._num_options, size=int(explore.sum())
+        considered[explore] = self._rng.run_integers(
+            self._num_options, np.cumsum(explore.sum(axis=1)).tolist()
         )
 
         # The retry sub-rounds work on flat cell indices.  `alive_cells`
         # lists every alive cell in row-major order, so row r's alive nodes
-        # are its slice from `row_start[r]`, and a node's position in it,
+        # are its slice up to `alive_ends[r]`, and a node's position in it,
         # less its row's start, is its rank among the row's alive nodes.
         # Each waiting node is tracked by that position; the waiting set
         # shrinks geometrically, so later attempts touch a few percent of
-        # the grid, not all of it.
+        # the grid, not all of it.  It stays sorted, so each row's waiting
+        # nodes are one run of it, and every draw over them is drawn row by
+        # row from that row's generator.
         alive_cells = np.flatnonzero(self._alive)
-        row_start = np.repeat(np.cumsum(alive_counts) - alive_counts, alive_counts)
-        peer_high = np.repeat(np.maximum(alive_counts - 1, 1), alive_counts)
+        alive_ends = np.cumsum(alive_counts)
+        row_start = np.repeat(alive_ends - alive_counts, alive_counts)
+        peer_high = np.maximum(alive_counts - 1, 1).tolist()
         waiting = np.flatnonzero(~explore.ravel()[alive_cells])
         flat_choices = self._choices.ravel()
         flat_considered = considered.ravel()
         for _ in range(self._max_query_attempts):
             if waiting.size == 0:
                 break
+            ends = np.searchsorted(waiting, alive_ends).tolist()
             # 3a. One uniform integer draw per query; rank-shift excludes
             #     self (waiting cells always have >= 2 alive in their row).
-            peer = row_start[waiting] + self._rng.integers(peer_high[waiting])
+            peer = row_start[waiting] + self._rng.run_integers(peer_high, ends)
             peer += peer >= waiting
             # 3b/3c. Independent loss masks for the queries and the replies.
             #        Every delivered query is answered, so replies sent equal
@@ -366,8 +374,7 @@ class BatchedProtocol:
             #        satisfies the node; everyone else retries.
             peer_choice = flat_choices[alive_cells[peer]]
             num_waiting = waiting.size
-            query_arrives = self._rng.random(num_waiting) >= self._loss_rate
-            satisfied = self._rng.random(num_waiting) >= self._loss_rate
+            query_arrives, satisfied = self._rng.run_random(ends, 2) >= self._loss_rate
             replies_sent = int(np.count_nonzero(query_arrives))
             satisfied &= query_arrives
             replies_delivered = int(np.count_nonzero(satisfied))
@@ -383,8 +390,8 @@ class BatchedProtocol:
 
         # 4. Fallback exploration for nodes that never heard back.
         if waiting.size:
-            flat_considered[alive_cells[waiting]] = self._rng.integers(
-                self._num_options, size=waiting.size
+            flat_considered[alive_cells[waiting]] = self._rng.run_integers(
+                self._num_options, np.searchsorted(waiting, alive_ends).tolist()
             )
             self._fallback_explorations += int(waiting.size)
 

@@ -57,11 +57,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.adoption import GeneralAdoptionRule, RowwiseAdoptionRule
-from repro.core.batched import (
-    BatchedDynamics,
-    BatchedPopulationState,
-    BatchedTrajectory,
-)
+from repro.core.batched import BatchedDynamics, BatchedTrajectory
 from repro.core.dynamics import FinitePopulationDynamics
 from repro.core.regret import best_option_share, expected_regret
 from repro.core.sampling import MixtureSampling, default_exploration_rate
@@ -224,18 +220,9 @@ def _point_rows(
     metrics reduce over time, so the arithmetic, down to the summation
     order, is that of a launch holding this point alone.
     """
-    rows = slice(point * flat.replications, (point + 1) * flat.replications)
-    initial = trajectory.initial_state
-    block = BatchedTrajectory(
-        initial_state=BatchedPopulationState(
-            counts=initial.counts[rows],
-            population_size=initial.population_sizes[rows],
-        ),
-        pre_step_popularities=[
-            popularity[rows] for popularity in trajectory.pre_step_popularities
-        ],
-    )
-    qualities = flat.qualities[rows]
+    start = point * flat.replications
+    block = trajectory.rows(start, start + flat.replications)
+    qualities = flat.qualities[start : start + flat.replications]
     regrets = block.expected_regret(qualities)
     shares = block.best_option_share(qualities.argmax(axis=1))
     return [_metric_row(regret, share) for regret, share in zip(regrets, shares)]

@@ -10,8 +10,8 @@ share one parameter convention:
   (:class:`~repro.network.dynamics.NetworkDynamics`, one run per seed); and
 * :func:`network_batched_replication` — the replicate-axis engine
   (:class:`~repro.network.vectorized.BatchedNetworkDynamics`), a
-  ``@grid_batched_replication`` function: each point's ``R`` replicates
-  advance as one ``(R, N)`` choices matrix on a single shared graph.
+  ``@grid_batched_replication`` function: the replicates a call holds of a
+  point advance as one ``(R, N)`` choices matrix on a single shared graph.
 
 Parameter convention (per grid point, merged with ``base_parameters``):
 
@@ -46,10 +46,12 @@ All engines report the same per-replicate metrics — ``regret`` and
 ``best_option_share`` — and derive their randomness from the seed lists the
 harness hands them, so results are reproducible from the config alone on any
 engine.  Seeding conventions: the loop engine uses the repository's
-``(env=seed, dynamics=seed+1)`` convention; the batched engine derives one
-generator per point from that point's full seed list (shared by environment
-and dynamics), matching
-:func:`~repro.experiments.dynamics_sweep.dynamics_grid_replication`.
+``(env=seed, dynamics=seed+1)`` convention; the batched engine gives each
+replicate its own generator, ``np.random.default_rng([seed])``, shared by
+its environment draws and its dynamics, so every row is a function of its
+point and its seed alone and equals the ``R = 1`` run of that seed.  The
+runtime therefore plans one task per ``(point, seed)`` for it
+(``per_seed_rows``), as it does for the loop engine.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from repro.experiments.runner import grid_batched_replication
 from repro.network.dynamics import NetworkDynamics
 from repro.network.topology import SocialNetwork
 from repro.network.vectorized import BatchedNetworkDynamics
+from repro.utils.rng import RowBlockGenerator
 
 
 @lru_cache(maxsize=8)
@@ -172,21 +175,22 @@ def network_point_replication(
     }
 
 
-@grid_batched_replication
+@grid_batched_replication(per_seed_rows=True)
 def network_batched_replication(
     seed_blocks: Sequence[Sequence[int]], points: Sequence[Dict[str, Any]]
 ) -> List[List[Dict[str, float]]]:
     """Each point's replicates as one ``(R, N)`` launch on its shared graph.
 
-    One generator per point, seeded by the point's full seed list, drives
-    both the reward draws and the batched dynamics — a point's rows depend
-    only on its own seeds and parameters, while individual replicates
-    inside it share the stream (the standard batched-engine trade-off).
+    Replicate ``r`` draws its rewards and its dynamics from
+    ``np.random.default_rng([seeds[r]])`` alone (a
+    :class:`~repro.utils.rng.RowBlockGenerator` of one-seed blocks) and
+    reduces over its own rows, so each row equals the ``R = 1`` run of its
+    seed, whichever seeds share its launch.
     """
     rows = []
     for seeds, parameters in zip(seed_blocks, points, strict=True):
         qualities, horizon, beta, mu = _point_parameters(parameters)
-        generator = np.random.default_rng(list(seeds))
+        generator = RowBlockGenerator([[seed] for seed in seeds])
         environment = BernoulliEnvironment(qualities, rng=generator)
         dynamics = BatchedNetworkDynamics(
             network=build_network(parameters),
@@ -198,14 +202,16 @@ def network_batched_replication(
             precision=engine_dtype(parameters),
         )
         trajectory = dynamics.run(environment, horizon)
-        regrets = trajectory.expected_regret(qualities)
-        shares = trajectory.best_option_share(int(qualities.argmax()))
-        rows.append(
-            [
+        best = int(qualities.argmax())
+        point_rows = []
+        for row in range(len(seeds)):
+            replicate = trajectory.rows(row, row + 1)
+            (regret,) = replicate.expected_regret(qualities)
+            (share,) = replicate.best_option_share(best)
+            point_rows.append(
                 {"regret": float(regret), "best_option_share": float(share)}
-                for regret, share in zip(regrets, shares)
-            ]
-        )
+            )
+        rows.append(point_rows)
     return rows
 
 

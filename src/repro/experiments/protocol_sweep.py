@@ -11,8 +11,8 @@ Two interchangeable execution engines share one parameter convention:
   per seed); the only engine that models per-message *delay*; and
 * :func:`protocol_batched_replication` — the replicate-axis engine
   (:class:`~repro.distributed.vectorized.BatchedProtocol`), a
-  ``@grid_batched_replication`` function: each point's ``R`` replicates
-  advance as one ``(R, N)`` launch.
+  ``@grid_batched_replication`` function: the replicates a call holds of a
+  point advance as one ``(R, N)`` launch.
 
 Parameter convention (per grid point, merged with ``base_parameters``):
 
@@ -49,8 +49,11 @@ the protocol's streaming definition), ``best_option_share`` and
 randomness from the seed lists the harness hands them.  Seeding conventions:
 the loop engine uses ``(env=seed, failures=seed+2, transport=seed+3,
 protocol=seed+4)`` — matching the E10 benchmark convention — and the batched
-engine derives one generator per point from that point's full seed list,
-shared by the environment and the dynamics.
+engine gives each replicate its own generator, ``np.random.default_rng([seed])``,
+shared by its environment draws, loss masks and crash coins, so every row
+is a function of its point and its seed alone and equals the ``R = 1`` run
+of that seed.  The runtime therefore plans one task per ``(point, seed)``
+for it (``per_seed_rows``).
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from repro.distributed import (
 from repro.environments import BernoulliEnvironment
 from repro.experiments.engine_options import engine_dtype, require_default_dtype
 from repro.experiments.runner import grid_batched_replication
+from repro.utils.rng import RowBlockGenerator
 
 
 def _point_parameters(parameters: Dict[str, Any]) -> Dict[str, Any]:
@@ -144,17 +148,17 @@ def protocol_point_replication(
     }
 
 
-@grid_batched_replication
+@grid_batched_replication(per_seed_rows=True)
 def protocol_batched_replication(
     seed_blocks: Sequence[Sequence[int]], points: Sequence[Dict[str, Any]]
 ) -> List[List[Dict[str, float]]]:
     """Each point's replicates as one ``(R, N)`` launch.
 
-    One generator per point, seeded by the point's full seed list, drives
-    the reward draws, the loss masks and the crash coins — a point's rows
-    depend only on its own seeds and parameters, while individual
-    replicates inside it share the stream (the standard batched-engine
-    trade-off).
+    Replicate ``r`` draws its rewards, loss masks and crash coins from
+    ``np.random.default_rng([seeds[r]])`` alone (a
+    :class:`~repro.utils.rng.RowBlockGenerator` of one-seed blocks) and
+    reduces over its own rows, so each row equals the ``R = 1`` run of its
+    seed, whichever seeds share its launch.
     """
     rows = []
     for seeds, parameters in zip(seed_blocks, points, strict=True):
@@ -165,7 +169,7 @@ def protocol_batched_replication(
                 f"(delay={point['delay']}); use the loop engine for delayed "
                 "transports"
             )
-        generator = np.random.default_rng(list(seeds))
+        generator = RowBlockGenerator([[seed] for seed in seeds])
         environment = BernoulliEnvironment(point["qualities"], rng=generator)
         protocol = BatchedProtocol(
             point["N"],
@@ -182,19 +186,20 @@ def protocol_batched_replication(
             precision=engine_dtype(parameters),
         )
         result = protocol.run(environment, point["T"])
-        alive = result.alive_matrix[-1] / point["N"]
-        rows.append(
-            [
+        alive = (result.alive_matrix[-1] / point["N"]).tolist()
+        point_rows = []
+        for row, alive_fraction in enumerate(alive):
+            replicate = result.trajectory.rows(row, row + 1)
+            (regret,) = replicate.empirical_regret(result.best_quality)
+            (share,) = replicate.best_option_share(result.best_option)
+            point_rows.append(
                 {
                     "regret": float(regret),
                     "best_option_share": float(share),
-                    "alive_fraction": float(alive_fraction),
+                    "alive_fraction": alive_fraction,
                 }
-                for regret, share, alive_fraction in zip(
-                    result.regret(), result.best_option_share(), alive
-                )
-            ]
-        )
+            )
+        rows.append(point_rows)
     return rows
 
 

@@ -21,7 +21,7 @@ results stay reproducible from the config alone.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -40,8 +40,8 @@ returns, for each grid point, one metrics dict per seed."""
 
 
 def grid_batched_replication(
-    function: GridReplicationFunction,
-) -> GridReplicationFunction:
+    function: Optional[GridReplicationFunction] = None, *, per_seed_rows: bool = False
+):
     """Mark ``function`` as a batched replication over grid points.
 
     The runtime calls it with the seed lists and parameter dicts of all the
@@ -56,7 +56,15 @@ def grid_batched_replication(
     Which points share a call depends on how the runtime shards the sweep,
     so a point's rows must depend only on its own seeds and parameters:
     draw point ``g``'s rows from a generator seeded by ``seed_blocks[g]``
-    alone, e.g. with :class:`~repro.utils.rng.RowBlockGenerator`.
+    alone, e.g. with :class:`~repro.utils.rng.RowBlockGenerator`.  The
+    runtime then plans one task per point, holding its whole seed list.
+
+    With ``per_seed_rows=True`` the function promises more: each row is a
+    function of its point and its own seed alone, as when every row draws
+    from a one-seed block (``RowBlockGenerator([[seed] for seed in
+    seeds])``).  The runtime then plans one task per ``(point, seed)``, so
+    a point's seeds spread over workers and cache entries, and a shard
+    hands the function each point's seeds as one block.
 
     Usage::
 
@@ -66,8 +74,13 @@ def grid_batched_replication(
             ...  # one (G*R, m) BatchedDynamics launch
             return [[{"regret": ...} for seed in block] for block in seed_blocks]
     """
-    function.grid_replications = True  # type: ignore[attr-defined]
-    return function
+
+    def mark(function: GridReplicationFunction) -> GridReplicationFunction:
+        function.grid_replications = True  # type: ignore[attr-defined]
+        function.per_seed_rows = per_seed_rows  # type: ignore[attr-defined]
+        return function
+
+    return mark if function is None else mark(function)
 
 
 @dataclass
@@ -153,19 +166,20 @@ def run_replications(
     Each replication receives its own integer seed derived from
     ``config.seed``, so the whole experiment is reproducible from the config
     alone and individual replications can be re-run in isolation.  A
-    function marked with :func:`grid_batched_replication` is called once
-    with the one point's full seed list instead of once per seed; the
+    function marked with :func:`grid_batched_replication` is called with
+    seed blocks instead of once per seed: the one point's full seed list,
+    or, for a ``per_seed_rows`` function, the seeds of each shard; the
     derived seeds, and therefore the result's provenance record, are
-    identical in both modes.
+    identical in every mode.
 
     Execution goes through the runtime (:func:`repro.runtime.run_plan`).
     ``options`` — an :class:`~repro.runtime.options.ExecutionOptions` —
     chooses its executor (e.g. a
     :class:`~repro.runtime.executors.ParallelExecutor`, or any
-    :class:`~repro.runtime.backend.Backend`; per-seed functions parallelise
-    seed by seed, grid functions run the point as one task), a
-    :class:`~repro.runtime.store.ResultStore` serving cache hits and
-    recording results for resume, and a tracer.  None of these changes a
-    result.
+    :class:`~repro.runtime.backend.Backend`; per-seed and ``per_seed_rows``
+    functions parallelise seed by seed, other grid functions run the point
+    as one task), a :class:`~repro.runtime.store.ResultStore` serving cache
+    hits (seed by seed where the tasks are per seed) and recording results
+    for resume, and a tracer.  None of these changes a result.
     """
     return _run_planned([config], replication, options)[0]

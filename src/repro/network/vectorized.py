@@ -21,7 +21,8 @@ stream differently from the loop, so equal seeds give different trajectories;
 the equivalence is *distributional* and is enforced by KS / chi-squared
 cross-validation in ``tests/integration/test_cross_validation.py``, with
 bit-exact golden fixtures pinning the engine.  To re-run one replicate from
-its own seed, run the engine with ``num_replicates=1`` seeded from that seed.
+its own seed, run the engine with ``num_replicates=1`` seeded from that seed;
+a launch on one-seed row blocks gives every row that run.
 
 Memory model: per step the engine materialises one replicate's ``(E,)``
 neighbour-key gather at a time (``E`` = number of directed edge slots), so
@@ -168,10 +169,12 @@ class BatchedNetworkDynamics:
     shared read-only across replicates — memory is ``O(E + R·N·m)`` for the
     dynamic state, not ``O(R·E)``.
 
-    All replicates share one generator, so a batch is reproducible from a
-    single seed but individual replicates are not independently re-runnable
-    (same contract as :class:`~repro.core.batched.BatchedDynamics`).  When
-    that is required, run one replicate per seed with ``num_replicates=1``.
+    A plain generator (or seed) drives every replicate, so a batch is
+    reproducible from a single seed but its replicates are not
+    independently re-runnable.  A :class:`~repro.utils.rng.RowBlockGenerator`
+    of one-seed blocks gives each replicate its own generator instead, and
+    then row ``r`` is the ``num_replicates=1`` run of its seed: every draw
+    has whole-row shape, so each row's part comes from its own generator.
 
     Parameters
     ----------
@@ -187,7 +190,7 @@ class BatchedNetworkDynamics:
     exploration_rate:
         The probability ``mu`` of uniform exploration in stage (1).
     rng:
-        Seed or generator.
+        Seed, generator or :class:`~repro.utils.rng.RowBlockGenerator`.
     precision:
         Storage precision (default float64/int64).  Random draws always run
         in float64, so the stored-state dtype does not perturb the stream —

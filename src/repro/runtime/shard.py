@@ -25,10 +25,14 @@ Task granularity follows the replication function's execution mode:
     ``@grid_batched_replication`` functions get one task per point, holding
     the point's whole seed list, and :func:`execute_shard` hands all of a
     shard's grid tasks to the function in one call.  The dynamics grid fuses
-    them into one engine launch; the network and protocol engines run one
-    ``(R, N)`` launch per point, seeded by its whole seed list.  Each point
-    draws from its own generator, so a point's rows are the same whichever
-    shard it lands in and whichever points share it.
+    them into one engine launch.  Each point draws from its own generator,
+    so a point's rows are the same whichever shard it lands in and whichever
+    points share it.  A function marked ``per_seed_rows`` (the network and
+    protocol engines, whose every row draws from its own seed's generator)
+    gets one task per ``(point, seed)`` instead, still in ``grid`` mode:
+    a shard passes each run of consecutive tasks of one point to the
+    function as one seed block, so the seeds a shard holds of a point run
+    as one ``(R, N)`` launch.
 """
 
 from __future__ import annotations
@@ -107,6 +111,7 @@ class ShardPlan:
         if not configs:
             raise ValueError("a shard plan needs at least one config")
         mode = replication_mode(replication)
+        per_seed = mode == MODE_LOOP or getattr(replication, "per_seed_rows", False)
         reference = function_reference(replication)
         tasks: List[Task] = []
         for point_index, config in enumerate(configs):
@@ -114,7 +119,7 @@ class ShardPlan:
             # use, and the shared object lets task_keys encode it once.
             parameters = dict(config.parameters)
             seeds = seeds_for_replications(config.seed, config.replications)
-            if mode == MODE_LOOP:
+            if per_seed:
                 blocks = [(offset, (seed,)) for offset, seed in enumerate(seeds)]
             else:
                 blocks = [(0, tuple(seeds))]
@@ -178,11 +183,13 @@ def partition_tasks(tasks: Sequence[Task], num_shards: int) -> List[List[Task]]:
     return shards
 
 
-def _checked_rows(task: Task, rows: Sequence[Any]) -> List[Dict[str, float]]:
-    if len(rows) != len(task.seeds):
+def _checked_rows(tasks: Sequence[Task], rows: Sequence[Any]) -> List[Dict[str, float]]:
+    """Validated ``rows`` of ``tasks``, one per seed, in task order."""
+    seeds = sum(task.num_replicates for task in tasks)
+    if len(rows) != seeds:
         raise ValueError(
             f"replication returned {len(rows)} metric rows for "
-            f"{len(task.seeds)} seeds of {task.name}"
+            f"{seeds} seeds of {tasks[0].name}"
         )
     return [_validated_metrics(row) for row in rows]
 
@@ -190,28 +197,44 @@ def _checked_rows(task: Task, rows: Sequence[Any]) -> List[Dict[str, float]]:
 def _grid_rows(
     tasks: Sequence[Task], function: Callable
 ) -> List[List[Dict[str, float]]]:
-    """Rows of grid tasks, all passed to ``function`` in one call."""
-    if not tasks:
+    """Rows of grid tasks, all passed to ``function`` in one call.
+
+    Consecutive tasks of one point (the per-seed tasks of a
+    ``per_seed_rows`` function) reach it as one seed block.
+    """
+    groups: List[List[Task]] = []
+    for task in tasks:
+        if groups and groups[-1][-1].point_index == task.point_index:
+            groups[-1].append(task)
+        else:
+            groups.append([task])
+    if not groups:
         return []
     blocks = list(
         function(
-            [list(task.seeds) for task in tasks],
-            [dict(task.parameters) for task in tasks],
+            [[seed for task in group for seed in task.seeds] for group in groups],
+            [dict(group[0].parameters) for group in groups],
         )
     )
-    if len(blocks) != len(tasks):
+    if len(blocks) != len(groups):
         raise ValueError(
             f"grid replication returned {len(blocks)} metric blocks for "
-            f"{len(tasks)} grid points"
+            f"{len(groups)} grid points"
         )
-    return [_checked_rows(task, list(rows)) for task, rows in zip(tasks, blocks)]
+    rows = []
+    for group, block in zip(groups, blocks):
+        block = _checked_rows(group, list(block))
+        for task in group:
+            rows.append(block[: task.num_replicates])
+            block = block[task.num_replicates :]
+    return rows
 
 
 def execute_task(task: Task, function: Callable) -> List[Dict[str, float]]:
     """Run one task, returning one validated metrics dict per seed."""
     if task.mode == MODE_LOOP:
         return _checked_rows(
-            task, [function(seed, dict(task.parameters)) for seed in task.seeds]
+            [task], [function(seed, dict(task.parameters)) for seed in task.seeds]
         )
     if task.mode == MODE_GRID:
         return _grid_rows([task], function)[0]

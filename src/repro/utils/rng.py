@@ -28,7 +28,7 @@ seed; the contract is pinned by a property test in
 
 from __future__ import annotations
 
-from typing import List, Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -108,21 +108,50 @@ class RowBlockGenerator:
 
     Block ``b`` covers ``len(seed_blocks[b])`` consecutive rows and takes
     every draw from ``np.random.default_rng(seed_blocks[b])``.  ``random``,
-    ``multinomial`` and ``binomial`` split their arguments along the leading
-    (row) axis, draw each block from its own generator and concatenate the
-    parts, so a block's rows are exactly those of a launch holding that
+    ``integers``, ``multinomial`` and ``binomial`` split their arguments
+    along the leading (row) axis and draw each block's rows from its own
+    generator, so a block's rows are exactly those of a launch holding that
     block alone.  :class:`~repro.core.batched.BatchedDynamics` and
     :class:`~repro.environments.RowwiseBernoulliEnvironment` built on one
-    instance thus run several independent launches in one array pass.
+    instance thus run several independent launches in one array pass.  With
+    one-seed blocks every row is the ``R = 1`` run of its seed.
+
+    :meth:`run_random` and :meth:`run_integers` draw over a flat set of
+    cells that lists each row's cells as one run, in row order, as
+    :class:`~repro.distributed.vectorized.BatchedProtocol` tracks its
+    waiting nodes.  :meth:`of` wraps a plain generator as one block over
+    all rows, whose draws are those of the generator's own calls.
     """
 
     def __init__(self, seed_blocks: Sequence[Sequence[int]]) -> None:
         if not seed_blocks or not all(seed_blocks):
             raise ValueError("every block needs at least one seed")
-        bounds = np.cumsum([0, *map(len, seed_blocks)]).tolist()
+        self._set_blocks(
+            [(np.random.default_rng(list(block)), len(block)) for block in seed_blocks]
+        )
+
+    @classmethod
+    def of(cls, rng: RngLike, num_rows: int) -> "RowBlockGenerator":
+        """``rng`` as row blocks over ``num_rows`` rows.
+
+        A :class:`RowBlockGenerator` is returned as it is; anything
+        :func:`ensure_rng` accepts becomes one block over every row.
+        """
+        if isinstance(rng, cls):
+            rng._check_rows(num_rows)
+            return rng
+        blocks = cls.__new__(cls)
+        blocks._set_blocks([(ensure_rng(rng), num_rows)])
+        return blocks
+
+    def _set_blocks(self, blocks: Sequence[Tuple[np.random.Generator, int]]) -> None:
+        bounds = np.cumsum([0, *(rows for _, rows in blocks)]).tolist()
         self._blocks = [
-            (np.random.default_rng(list(block)), slice(start, stop))
-            for block, start, stop in zip(seed_blocks, bounds, bounds[1:])
+            (generator, slice(start, stop))
+            for (generator, _), start, stop in zip(blocks, bounds, bounds[1:])
+        ]
+        self._row_generators = [
+            generator for generator, rows in blocks for _ in range(rows)
         ]
         self.num_rows = bounds[-1]
 
@@ -133,14 +162,22 @@ class RowBlockGenerator:
 
     def random(self, size: Sequence[int]) -> np.ndarray:
         """Uniforms on ``[0, 1)`` of shape ``size``; ``size[0]`` is the row count."""
+        self._check_rows(size[0])
+        out = np.empty(size)
+        for generator, rows in self._blocks:
+            generator.random(out=out[rows])
+        return out
+
+    def integers(self, high: int, size: Sequence[int]) -> np.ndarray:
+        """Integers on ``[0, high)`` of shape ``size``; ``size[0]`` is the row count."""
         rows, *rest = size
         self._check_rows(rows)
-        return np.concatenate(
-            [
-                generator.random((block.stop - block.start, *rest))
-                for generator, block in self._blocks
-            ]
-        )
+        out = np.empty(size, dtype=np.int64)
+        for generator, block in self._blocks:
+            out[block] = generator.integers(
+                high, size=(block.stop - block.start, *rest)
+            )
+        return out
 
     def multinomial(self, n, pvals: np.ndarray) -> np.ndarray:
         """Row-wise multinomial counts; ``n`` is one count or one per row."""
@@ -159,3 +196,47 @@ class RowBlockGenerator:
         return np.concatenate(
             [generator.binomial(n[rows], p[rows]) for generator, rows in self._blocks]
         )
+
+    def _block_runs(self, ends: Sequence[int]):
+        """Each block's generator with the size of its non-empty run."""
+        self._check_rows(len(ends))
+        for generator, rows in self._blocks:
+            size = ends[rows.stop - 1] - (ends[rows.start - 1] if rows.start else 0)
+            if size:
+                yield generator, size
+
+    def run_random(self, ends: Sequence[int], count: int = 1) -> np.ndarray:
+        """``count`` uniforms per flat cell, shape ``(count, ends[-1])``.
+
+        Row ``r``'s cells are positions ``ends[r - 1]:ends[r]`` (from 0 for
+        row 0).  Each block draws its cells' uniforms in one call, the first
+        of the ``count`` arrays first, so the stream is that of ``count``
+        consecutive draws over the block's cells.
+        """
+        parts = [
+            generator.random(count * size).reshape(count, size)
+            for generator, size in self._block_runs(ends)
+        ]
+        return np.concatenate(parts, axis=1) if parts else np.empty((count, 0))
+
+    def run_integers(self, high, ends: Sequence[int]) -> np.ndarray:
+        """Integers on ``[0, high)`` per flat cell, laid out as in :meth:`run_random`.
+
+        ``high`` is one bound, drawn in one call per block, or a sequence
+        of one bound per row, drawn in one call per row.
+        """
+        # A tuple size skips part of numpy's per-call cost for an int one.
+        if np.ndim(high) == 0:
+            parts = [
+                generator.integers(high, size=(size,))
+                for generator, size in self._block_runs(ends)
+            ]
+        else:
+            self._check_rows(len(ends))
+            parts = []
+            start = 0
+            for generator, row_high, stop in zip(self._row_generators, high, ends):
+                if stop > start:
+                    parts.append(generator.integers(row_high, size=(stop - start,)))
+                start = stop
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)

@@ -89,9 +89,9 @@ class TestReplicationFunctions:
         assert np.all(np.isfinite(result.metric_values("regret")))
 
     def test_point_engines_share_seeding_convention(self):
-        """The loop engine runs (env=seed, dynamics=seed+1); the batched engine
-        draws all of a point's randomness from one generator seeded by its
-        seed list."""
+        """The loop engine runs (env=seed, dynamics=seed+1); batched row r
+        is the R = 1 run of seed r, one generator seeded by [seed] driving
+        its environment and its dynamics."""
         qualities = np.asarray(PARAMETERS["qualities"])
         network = build_network(PARAMETERS)
         rule = SymmetricAdoptionRule(PARAMETERS["beta"])
@@ -103,17 +103,18 @@ class TestReplicationFunctions:
             expected_regret(matrix.popularity_matrix(), qualities)
         )
 
-        generator = np.random.default_rng([3, 4])
-        batched = BatchedNetworkDynamics(
-            network, 2, 2, rule, exploration_rate=mu, rng=generator
-        )
-        trajectory = batched.run(
-            BernoulliEnvironment(qualities, rng=generator), horizon
-        )
+        regrets = []
+        for seed in (3, 4):
+            generator = np.random.default_rng([seed])
+            batched = BatchedNetworkDynamics(
+                network, 2, 1, rule, exploration_rate=mu, rng=generator
+            )
+            trajectory = batched.run(
+                BernoulliEnvironment(qualities, rng=generator), horizon
+            )
+            regrets.extend(trajectory.expected_regret(qualities).tolist())
         (rows,) = network_batched_replication([[3, 4]], [dict(PARAMETERS)])
-        assert [row["regret"] for row in rows] == (
-            trajectory.expected_regret(qualities).tolist()
-        )
+        assert [row["regret"] for row in rows] == regrets
 
     def test_engines_are_deterministic_per_seed(self):
         """Equal seeds give equal rows on the loop and the batched engine."""

@@ -63,8 +63,8 @@ class TestReplicationFunctions:
 
     def test_engines_follow_their_seeding_conventions(self):
         """The loop engine runs (env=seed, transport=seed+3, protocol=seed+4);
-        the batched engine draws all of a point's randomness from one
-        generator seeded by its seed list."""
+        batched row r is the R = 1 run of seed r, one generator seeded by
+        [seed] driving its environment, loss masks and crash coins."""
         qualities = np.asarray(BASE["qualities"])
         rule = SymmetricAdoptionRule(BASE["beta"])
         parameters = dict(BASE, loss=0.2)
@@ -83,21 +83,24 @@ class TestReplicationFunctions:
             result.regret
         )
 
-        generator = np.random.default_rng([3, 4])
-        batched = BatchedProtocol(
-            BASE["N"],
-            2,
-            num_replicates=2,
-            adoption_rule=rule,
-            exploration_rate=BASE["mu"],
-            loss_rate=0.2,
-            rng=generator,
-        )
-        batched_result = batched.run(
-            BernoulliEnvironment(qualities, rng=generator), BASE["T"]
-        )
+        regrets = []
+        for seed in (3, 4):
+            generator = np.random.default_rng([seed])
+            batched = BatchedProtocol(
+                BASE["N"],
+                2,
+                num_replicates=1,
+                adoption_rule=rule,
+                exploration_rate=BASE["mu"],
+                loss_rate=0.2,
+                rng=generator,
+            )
+            batched_result = batched.run(
+                BernoulliEnvironment(qualities, rng=generator), BASE["T"]
+            )
+            regrets.extend(batched_result.regret().tolist())
         (rows,) = protocol_batched_replication([[3, 4]], [parameters])
-        assert [row["regret"] for row in rows] == batched_result.regret().tolist()
+        assert [row["regret"] for row in rows] == regrets
 
     def test_a_two_point_call_gives_each_point_its_one_point_rows(self):
         lossy = dict(BASE, loss=0.2)

@@ -286,9 +286,10 @@ class TestOneExecutorSharedByThreads:
                     "size": 60, "horizon": 8, "replications": 3, "seed": 4},
     }
     # On ParallelExecutor(2): 6 loop tasks in 6 of the 8 chunks, 3 grid points
-    # in one fused launch per worker, one network point as one grid task.
-    SHARDS = {"loop": 6, "grid": 2, "batched": 1}
-    TASKS = {"loop": 6, "grid": 3, "batched": 1}
+    # in one fused launch per worker, the network point's 3 per-seed tasks in
+    # one launch per worker.
+    SHARDS = {"loop": 6, "grid": 2, "batched": 2}
+    TASKS = {"loop": 6, "grid": 3, "batched": 3}
 
     def _shard_spans(self, sink):
         [trace_id] = list(sink._traces)

@@ -74,9 +74,25 @@ class TestShardPlan:
 
     def test_grid_mode_keeps_points_whole(self):
         configs = small_configs(points=3, replications=4)
-        plan = ShardPlan.from_configs(configs, network_batched_replication)
+        plan = ShardPlan.from_configs(configs, dynamics_grid_replication)
         assert len(plan) == 3
         assert all(task.num_replicates == 4 for task in plan.tasks)
+
+    @pytest.mark.parametrize(
+        "function",
+        [network_batched_replication, protocol_batched_replication],
+        ids=["network", "protocol"],
+    )
+    def test_per_seed_rows_functions_plan_per_seed_grid_tasks(self, function):
+        configs = small_configs(points=3, replications=4)
+        plan = ShardPlan.from_configs(configs, function)
+        assert len(plan) == 12
+        assert all(task.num_replicates == 1 for task in plan.tasks)
+        assert {task.mode for task in plan.tasks} == {"grid"}
+        assert [task.replicate_offset for task in plan.tasks] == [0, 1, 2, 3] * 3
+        assert plan.point_seeds() == [
+            seeds_for_replications(config.seed, 4) for config in configs
+        ]
 
     def test_seed_blocks_match_the_serial_derivation(self):
         configs = small_configs(points=2, replications=5, seed=11)

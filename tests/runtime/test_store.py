@@ -200,7 +200,10 @@ def pinned_awkward_task():
 # encoder that preceded ``task_keys``.  Every store on disk is addressed by
 # these bytes: a changed digest turns each stored entry into a miss.
 # Bumping ``repro.__version__`` changes the default-version keys by design;
-# re-pin them in the same change.
+# re-pin them in the same change.  The network task is the first per-seed
+# task of its point: its digest is the key the point had at
+# ``replications=1`` when network points were one task holding every seed,
+# so an R = 1 row stored then still serves it.
 PINNED_KEYS = [
     (
         pinned_loop_sweep_task,
@@ -210,7 +213,7 @@ PINNED_KEYS = [
     (
         pinned_batched_network_task,
         __version__,
-        "b0d2ef0b7474e2f04a474b2341c4ab0d5867d18c4b241b3ce501959bff0fca27",
+        "16cbc246992a42b23d9368bc5e61576e55743f6c8c7baf73e2da97edcbef1ace",
     ),
     (
         pinned_float32_grid_task,

@@ -566,19 +566,22 @@ class TestRuntimeFlags:
         err = capsys.readouterr().err
         assert f"error: cannot open result store {store}:" in err
 
-    def test_network_batched_workers_notes_single_task(self, capsys):
-        exit_code = main(
-            [
-                "network",
-                "--topology", "ring",
-                "--size", "100",
-                "--horizon", "5",
-                "--replications", "2",
-                "--workers", "2",
-            ]
-        )
-        assert exit_code == 0
-        assert "indivisible task" in capsys.readouterr().err
+    def test_network_batched_workers_split_the_seeds_silently(self, capsys, tmp_path):
+        """--workers 2 splits a batched network run's seeds over both
+        workers: no note, and the rows of the plain run."""
+        command = [
+            "network",
+            "--topology", "ring",
+            "--size", "100",
+            "--horizon", "5",
+            "--replications", "2",
+        ]
+        plain, pooled = tmp_path / "plain.csv", tmp_path / "pooled.csv"
+        assert main(command + ["--output", str(plain)]) == 0
+        capsys.readouterr()
+        assert main(command + ["--workers", "2", "--output", str(pooled)]) == 0
+        assert "note:" not in capsys.readouterr().err
+        assert pooled.read_bytes() == plain.read_bytes()
 
 
 class TestPoolLifetimes:

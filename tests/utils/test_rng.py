@@ -133,6 +133,74 @@ class TestRowBlockGenerator:
             RowBlockGenerator(seed_blocks)
 
 
+class TestRunDraws:
+    """Whole-row and flat-cell draws of one-seed blocks and of one wrapped
+    generator.  Flat cells list each row's cells as one run, in row order;
+    ``ends[r]`` is where row r's run ends."""
+
+    SEEDS = [21, 22, 23, 24]
+    COUNTS = [3, 0, 5, 2]
+    HIGHS = [4, 1, 7, 2]
+
+    def _draws(self, generator):
+        ends = np.cumsum(self.COUNTS).tolist()
+        return [
+            generator.random((4, 6)),
+            generator.integers(5, size=(4, 6)),
+            generator.run_integers(3, ends),
+            generator.run_integers(self.HIGHS, ends),
+            generator.run_random(ends, 2),
+            generator.random((4, 2)),
+        ]
+
+    def test_one_seed_blocks_draw_each_row_from_its_seed(self):
+        draws = self._draws(RowBlockGenerator([[seed] for seed in self.SEEDS]))
+        ends = np.cumsum(self.COUNTS)
+        for row, (seed, count, high) in enumerate(
+            zip(self.SEEDS, self.COUNTS, self.HIGHS)
+        ):
+            alone = np.random.default_rng([seed])
+            cells = slice(ends[row] - count, ends[row])
+            np.testing.assert_array_equal(draws[0][row], alone.random(6))
+            np.testing.assert_array_equal(draws[1][row], alone.integers(5, size=6))
+            np.testing.assert_array_equal(
+                draws[2][cells], alone.integers(3, size=count)
+            )
+            np.testing.assert_array_equal(
+                draws[3][cells], alone.integers(high, size=count)
+            )
+            np.testing.assert_array_equal(draws[4][0, cells], alone.random(count))
+            np.testing.assert_array_equal(draws[4][1, cells], alone.random(count))
+            np.testing.assert_array_equal(draws[5][row], alone.random(2))
+
+    def test_a_wrapped_generator_draws_as_its_own_calls(self):
+        generator = np.random.default_rng(7)
+        draws = self._draws(RowBlockGenerator.of(generator, 4))
+        alone = np.random.default_rng(7)
+        cells = sum(self.COUNTS)
+        np.testing.assert_array_equal(draws[0], alone.random((4, 6)))
+        np.testing.assert_array_equal(draws[1], alone.integers(5, size=(4, 6)))
+        np.testing.assert_array_equal(draws[2], alone.integers(3, size=cells))
+        # One call per row over its run draws what one call with a
+        # per-element bound draws.
+        np.testing.assert_array_equal(
+            draws[3], alone.integers(np.repeat(self.HIGHS, self.COUNTS))
+        )
+        np.testing.assert_array_equal(draws[4][0], alone.random(cells))
+        np.testing.assert_array_equal(draws[4][1], alone.random(cells))
+        np.testing.assert_array_equal(draws[5], alone.random((4, 2)))
+        assert generator.random() == alone.random()
+
+    def test_of_passes_row_blocks_through_and_checks_their_rows(self):
+        blocks = RowBlockGenerator([[1], [2, 3]])
+        assert RowBlockGenerator.of(blocks, 3) is blocks
+        with pytest.raises(ValueError, match="3 rows"):
+            RowBlockGenerator.of(blocks, 2)
+        with pytest.raises(ValueError, match="3 rows"):
+            blocks.run_random([1, 2])
+        assert RowBlockGenerator.of(5, 2).num_rows == 2
+
+
 BATCHED_ENGINES = {
     "dynamics": lambda rng: BatchedDynamics(3, 40, 2, rng=rng),
     "network": lambda rng: BatchedNetworkDynamics(
