@@ -28,7 +28,7 @@ seed; the contract is pinned by a property test in
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -197,7 +197,9 @@ class RowBlockGenerator:
             [generator.binomial(n[rows], p[rows]) for generator, rows in self._blocks]
         )
 
-    def _block_runs(self, ends: Sequence[int]):
+    def _block_runs(
+        self, ends: Sequence[int]
+    ) -> Iterator[Tuple[np.random.Generator, int]]:
         """Each block's generator with the size of its non-empty run."""
         self._check_rows(len(ends))
         for generator, rows in self._blocks:
@@ -205,7 +207,7 @@ class RowBlockGenerator:
             if size:
                 yield generator, size
 
-    def run_random(self, ends: Sequence[int], count: int = 1) -> np.ndarray:
+    def run_random(self, ends: Sequence[int], count: int) -> np.ndarray:
         """``count`` uniforms per flat cell, shape ``(count, ends[-1])``.
 
         Row ``r``'s cells are positions ``ends[r - 1]:ends[r]`` (from 0 for

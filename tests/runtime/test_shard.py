@@ -7,7 +7,12 @@ import pytest
 
 from repro.campaign.broker import task_from_wire, task_to_wire
 
-from repro.experiments import ExperimentConfig, ParameterGrid, sweep_configs
+from repro.experiments import (
+    ExperimentConfig,
+    ParameterGrid,
+    grid_batched_replication,
+    sweep_configs,
+)
 from repro.experiments.dynamics_sweep import (
     dynamics_grid_replication,
     dynamics_point_replication,
@@ -258,6 +263,27 @@ class TestExecuteShard:
         assert [task for task, _ in results] == list(plan.tasks)
         for task, rows in results:
             assert rows == execute_task(task, dynamics_grid_replication)
+
+    def test_per_seed_tasks_of_one_point_reach_the_function_as_one_block(self):
+        calls = []
+
+        @grid_batched_replication(per_seed_rows=True)
+        def recording(seed_blocks, points):
+            calls.append([list(block) for block in seed_blocks])
+            return [[{"seed": float(seed)} for seed in block] for block in seed_blocks]
+
+        plan = ShardPlan.from_configs(
+            small_configs(points=2, replications=3), recording
+        )
+        # A shard holding the last seed of point 0 and every seed of point 1,
+        # as a store that already holds the first two seeds leaves it.
+        shard = list(plan.tasks[2:])
+        results = execute_shard(shard, recording)
+        seeds = plan.point_seeds()
+        assert calls == [[seeds[0][2:], seeds[1]]]
+        assert [task for task, _ in results] == shard
+        for task, rows in results:
+            assert rows == [{"seed": float(task.seeds[0])}]
 
     def test_loop_tasks_run_one_by_one(self):
         plan = ShardPlan.from_configs(

@@ -197,7 +197,7 @@ class TestRunDraws:
         with pytest.raises(ValueError, match="3 rows"):
             RowBlockGenerator.of(blocks, 2)
         with pytest.raises(ValueError, match="3 rows"):
-            blocks.run_random([1, 2])
+            blocks.run_random([1, 2], 2)
         assert RowBlockGenerator.of(5, 2).num_rows == 2
 
 
