@@ -47,6 +47,7 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.experiments.runner import _validated_metrics
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, get_registry
 from repro.obs.trace import current_span
 from repro.runtime.backend import check_resolvable
@@ -68,6 +69,9 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 """Upper bound on one frame; a length beyond this means a corrupt stream."""
 
 DEFAULT_ADDRESS = "tcp://127.0.0.1:0"
+
+SHARDS_PER_BROKER = 4
+"""Dispatch chunks per broker, the split :class:`ParallelExecutor` uses per worker."""
 
 
 class BrokerError(RuntimeError):
@@ -223,11 +227,6 @@ class BrokerBackend:
         ``tcp://host:port`` endpoint to bind; port ``0`` picks an ephemeral
         port (read the resolved endpoint back from :attr:`address` — tests
         and the CLI print it for brokers to dial).
-    num_shards:
-        Dispatch granularity — how many shards a plan's pending tasks are
-        chunked into.  Finer shards balance better across brokers and bound
-        the loss from a broker crash to a smaller slice; it never changes
-        results.
     min_brokers:
         Wait for this many connected brokers before dispatching the first
         shard, so a campaign doesn't funnel everything through whichever
@@ -240,6 +239,7 @@ class BrokerBackend:
     The backend accepts brokers at any moment — late brokers join the
     current run mid-stream — and connections persist across ``run_shards``
     calls, so one fleet of brokers serves every simulate node of a campaign.
+    It cuts each plan into :attr:`num_shards` chunks, four per broker.
     Call :meth:`close` (or use the backend as a context manager) to send
     brokers a ``shutdown`` frame and release the listening socket.
     """
@@ -248,16 +248,12 @@ class BrokerBackend:
         self,
         address: str = DEFAULT_ADDRESS,
         *,
-        num_shards: int = 16,
         min_brokers: int = 1,
         timeout: float = 30.0,
     ) -> None:
-        if num_shards <= 0:
-            raise ValueError(f"num_shards must be positive, got {num_shards}")
         if min_brokers <= 0:
             raise ValueError(f"min_brokers must be positive, got {min_brokers}")
         host, port = parse_address(address)
-        self.num_shards = num_shards
         self.min_brokers = min_brokers
         self.timeout = timeout
         self._listener = socket.create_server((host, port))
@@ -289,6 +285,16 @@ class BrokerBackend:
             "(pickling, pool queueing, result transfer).",
             buckets=DEFAULT_LATENCY_BUCKETS,
         )
+
+    @property
+    def num_shards(self) -> int:
+        """Dispatch chunks for a plan: four per broker, at least ``min_brokers`` of them.
+
+        Brokers that connected and have not dropped count, so a plan is cut
+        for the fleet that serves it; before the first broker dials in, the
+        fleet ``min_brokers`` promises.  Granularity never changes results.
+        """
+        return SHARDS_PER_BROKER * max(self.min_brokers, len(self._brokers))
 
     @property
     def address(self) -> str:
@@ -493,6 +499,21 @@ class BrokerBackend:
                 f"broker {broker.peer} answered shard {shard_id!r} but was "
                 f"running {broker.in_flight!r}"
             )
+        tasks = shard_tasks[shard_id]
+        rows_per_task = frame.get("rows")
+        if not isinstance(rows_per_task, list) or len(rows_per_task) != len(tasks):
+            raise BrokerProtocolError(
+                f"broker {broker.peer} returned "
+                f"{len(rows_per_task) if isinstance(rows_per_task, list) else '?'} "
+                f"row blocks for the {len(tasks)} tasks of shard {shard_id}"
+            )
+        for task, rows in zip(tasks, rows_per_task):
+            problem = _row_block_problem(task, rows)
+            if problem is not None:
+                raise BrokerProtocolError(
+                    f"broker {broker.peer} returned {problem} for task "
+                    f"{task.name} of shard {shard_id}"
+                )
         broker.in_flight = None
         self._in_flight_gauge.dec(backend="broker")
         self._completed_counter.inc(backend="broker")
@@ -512,18 +533,30 @@ class BrokerBackend:
         else:
             self.last_shard_timing = {"wall_s": elapsed, "cpu_s": 0.0}
             self._dispatch_histogram.observe(0.0, backend="broker")
-        tasks = shard_tasks[shard_id]
-        rows_per_task = frame.get("rows")
-        if not isinstance(rows_per_task, list) or len(rows_per_task) != len(tasks):
-            raise BrokerProtocolError(
-                f"broker {broker.peer} returned "
-                f"{len(rows_per_task) if isinstance(rows_per_task, list) else '?'} "
-                f"row blocks for the {len(tasks)} tasks of shard {shard_id}"
-            )
         return [
-            (task, [dict(row) for row in rows])
+            (task, [_validated_metrics(row) for row in rows])
             for task, rows in zip(tasks, rows_per_task)
         ]
+
+
+def _row_block_problem(task: Task, rows: Any) -> Optional[str]:
+    """What is wrong with a broker's row block for ``task``, or ``None``.
+
+    A block passes what a local shard's rows pass: one row per seed of the
+    task, each a non-empty dict of metrics.  The wire also has to carry
+    numbers: a metric is an int or a float (NaN included), never a bool or
+    a string, so nothing a local run could not produce reaches the store.
+    """
+    if not isinstance(rows, list) or len(rows) != task.num_replicates:
+        count = len(rows) if isinstance(rows, list) else "no list of"
+        return f"{count} rows for {task.num_replicates} seeds"
+    for row in rows:
+        if not isinstance(row, dict) or not row:
+            return f"a row that is not a non-empty dict of metrics: {row!r}"
+        for name, value in row.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return f"metric {name!r} = {value!r}, not a number"
+    return None
 
 
 def run_broker(

@@ -39,7 +39,12 @@ from repro.core.adoption import (
     RowwiseAdoptionRule,
     SymmetricAdoptionRule,
 )
-from repro.core.sampling import MixtureSampling, SamplingRule, default_exploration_rate
+from repro.core.sampling import (
+    MixtureSampling,
+    SamplingRule,
+    check_popularity_rows,
+    default_exploration_rate,
+)
 from repro.core.state import PopulationState, Trajectory
 from repro.environments.base import RewardEnvironment
 from repro.utils.rng import RngLike, ensure_rng
@@ -86,6 +91,22 @@ class BatchedPopulationState:
     counts: np.ndarray
     population_size: Union[int, np.ndarray]
     time: int = 0
+
+    @classmethod
+    def _of_checked(
+        cls, counts: np.ndarray, population_size: Union[int, np.ndarray], time: int
+    ) -> "BatchedPopulationState":
+        """A state from integer counts and a normalised population size.
+
+        The caller checks the counts itself (:meth:`BatchedDynamics.run`
+        checks a run's record once); ``population_size`` is an int or a
+        read-only int64 ``(R,)`` array, as ``__post_init__`` leaves it.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "counts", counts)
+        object.__setattr__(state, "population_size", population_size)
+        object.__setattr__(state, "time", time)
+        return state
 
     def __post_init__(self) -> None:
         # Integer dtypes are preserved (the Precision discipline stores int32
@@ -690,14 +711,51 @@ class BatchedDynamics:
             raise ValueError(
                 "environment and dynamics disagree on the number of options"
             )
+        shape = (horizon, self._num_replicates, self._num_options)
+        popularities = np.empty(shape, dtype=self._precision.float_dtype)
+        counts = np.empty(shape, dtype=self._precision.int_dtype)
         trajectory = BatchedTrajectory(initial_state=self._state)
-        float_dtype = self._precision.float_dtype
-        for _ in range(horizon):
-            pre_step_popularity = self._state.popularity(dtype=float_dtype)
-            rewards = environment.sample_batch(self._num_replicates)
-            new_state = self.step(rewards)
-            trajectory.record(pre_step_popularity, rewards, new_state)
+        population_size = self._population_size
+        consider = self._sampling_rule._consider_batch
+        adopt_probabilities = self._adoption_rule.adopt_probabilities
+        multinomial = self._rng.multinomial
+        binomial = self._rng.binomial
+        state = self._state
+        try:
+            for step in range(horizon):
+                # What step() does, on rewards sample_batch has checked; the
+                # math and both draws run in float64 at every precision.
+                popularity = state.popularity()
+                popularities[step] = popularity
+                rewards = environment.sample_batch(self._num_replicates)
+                selected = multinomial(population_size, consider(popularity))
+                counts[step] = binomial(selected, adopt_probabilities(rewards))
+                state = BatchedPopulationState._of_checked(
+                    counts[step], population_size, state.time + 1
+                )
+                trajectory.record(popularities[step], rewards, state)
+        except Exception:
+            # A bad count drawn earlier is the first fault, as it was when
+            # every step checked its own state.
+            self._check_record(counts[:step], popularities[:step])
+            raise
+        self._check_record(counts, popularities)
+        self._state = state
         return trajectory
+
+    def _check_record(self, counts: np.ndarray, popularities: np.ndarray) -> None:
+        """The per-step checks of :meth:`step`, over a run's record at once.
+
+        ``popularities`` are the recorded ones, at the storage precision.
+        """
+        if len(counts) == 0:
+            return
+        if counts.min() < 0 or np.any(counts.sum(axis=2) > self._population_size):
+            for step_counts in counts:
+                BatchedPopulationState(
+                    counts=step_counts, population_size=self._population_size
+                )
+        check_popularity_rows(popularities)
 
 
 def simulate_batched_population(

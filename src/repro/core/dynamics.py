@@ -29,7 +29,17 @@ from repro.core.sampling import MixtureSampling, SamplingRule, default_explorati
 from repro.core.state import PopulationState, Trajectory
 from repro.environments.base import RewardEnvironment
 from repro.utils.rng import RngLike, ensure_rng
-from repro.utils.validation import check_positive_int
+from repro.utils.validation import check_positive_int, check_probability_rows
+
+_PER_OPTION_BINOMIALS = 8
+"""Up to this many options, :meth:`FinitePopulationDynamics.run` draws stage 2
+as one scalar binomial per option.
+
+``Generator.binomial`` checks array arguments with about nine numpy calls of
+its own, which cost more than a scalar call per option up to about eight
+options.  Both forms make the same per-element draws, so the counts are the
+same either way.
+"""
 
 CompanionSelector = Callable[[int, Population, np.random.Generator], Optional[int]]
 """Given (agent_id, population, rng), return the option observed from a companion.
@@ -169,19 +179,66 @@ class FinitePopulationDynamics:
         environment: RewardEnvironment,
         horizon: int,
     ) -> Trajectory:
-        """Simulate ``horizon`` steps against ``environment`` and record the trajectory."""
+        """Simulate ``horizon`` steps against ``environment`` and record the trajectory.
+
+        The run draws exactly what ``horizon`` :meth:`step` calls draw and
+        records into ``(T, m)`` arrays.  Each reward vector is checked as it
+        is sampled (environments are pluggable).  The counts the run draws,
+        and the popularities it derives from them, are checked once over the
+        whole record: when the run ends, or as soon as a step raises, so a
+        bad draw fails with the error a per-step check gave.
+        """
         horizon = check_positive_int(horizon, "horizon")
         if environment.num_options != self._num_options:
             raise ValueError(
                 "environment and dynamics disagree on the number of options"
             )
-        trajectory = Trajectory(initial_state=self._state)
-        for _ in range(horizon):
-            # sample() checked the rewards; the step reuses this popularity.
-            pre_step_popularity = self._state.popularity()
-            rewards = environment.sample()
-            new_state = self._advance(pre_step_popularity, rewards)
-            trajectory.record(pre_step_popularity, rewards, new_state)
+        num_options = self._num_options
+        popularities = np.empty((horizon, num_options))
+        rewards = np.empty((horizon, num_options), dtype=np.int8)
+        counts = np.empty((horizon, num_options), dtype=np.int64)
+        population_size = self._population_size
+        consider = self._sampling_rule._consider
+        adopt_probabilities = self._adoption_rule.adopt_probabilities
+        # The rule maps each signal on its own, so the adoption probability
+        # of either signal is looked up once per run.
+        per_signal = adopt_probabilities(np.array([0, 1])).tolist()
+        per_option = num_options <= _PER_OPTION_BINOMIALS
+        multinomial = self._rng.multinomial
+        binomial = self._rng.binomial
+        current = self._state.counts
+        committed = int(current.sum())
+        try:
+            for step in range(horizon):
+                # Q^t as PopulationState.popularity computes it, in place.
+                popularity = popularities[step]
+                if committed:
+                    np.divide(current, committed, out=popularity)
+                else:
+                    popularity.fill(1.0 / num_options)
+                rewards[step] = environment.sample()
+                signals = rewards[step]
+                selected = multinomial(population_size, consider(popularity))
+                if per_option:
+                    counts[step] = [
+                        binomial(considered, per_signal[signal])
+                        for considered, signal in zip(
+                            selected.tolist(), signals.tolist()
+                        )
+                    ]
+                else:
+                    counts[step] = binomial(selected, adopt_probabilities(signals))
+                current = counts[step]
+                committed = sum(current.tolist())
+        except Exception:
+            # A bad count drawn earlier is the first fault, as it was when
+            # every step checked its own state.
+            PopulationState.check_counts(counts[:step], population_size)
+            check_probability_rows(popularities[:step], "popularity")
+            raise
+        trajectory = Trajectory.from_arrays(self._state, popularities, rewards, counts)
+        check_probability_rows(popularities, "popularity")
+        self._state = trajectory.final_state()
         return trajectory
 
 

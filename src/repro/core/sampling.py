@@ -17,6 +17,7 @@ discussed in Section 3.
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -35,7 +36,13 @@ def default_exploration_rate(adoption_rule):
     whose ``delta`` is a shape-``(R,)`` array) the same formula is applied
     elementwise and an array of per-row rates is returned.
     """
-    delta = np.asarray(adoption_rule.delta, dtype=float)
+    delta = adoption_rule.delta
+    if isinstance(delta, float):
+        # The same arithmetic on one float, without the array round trip.
+        if math.isfinite(delta) and delta > 0:
+            return float(min(1.0, delta * delta / 6.0))
+        return 0.01
+    delta = np.asarray(delta, dtype=float)
     with np.errstate(invalid="ignore"):
         rates = np.where(
             np.isfinite(delta) & (delta > 0),
@@ -45,6 +52,14 @@ def default_exploration_rate(adoption_rule):
     if rates.ndim == 0:
         return float(rates)
     return rates
+
+
+def check_popularity_rows(popularities: np.ndarray) -> None:
+    """Raise unless every row (last axis) of ``popularities`` is a probability vector."""
+    if np.any(popularities < 0) or not np.allclose(
+        popularities.sum(axis=-1), 1.0, atol=1e-8
+    ):
+        raise ValueError("every row of popularities must be a probability vector")
 
 
 def _as_popularity_matrix(popularities: np.ndarray) -> np.ndarray:
@@ -75,6 +90,23 @@ class SamplingRule(abc.ABC):
         numpy.ndarray
             A probability vector of length ``m``.
         """
+
+    def _consider(self, popularity: np.ndarray) -> np.ndarray:
+        """:meth:`consideration_probabilities` of a popularity its caller checks.
+
+        The loop engine checks the popularities it derives from its own
+        counts once per run; a rule whose check is a cost of its own skips it
+        here.
+        """
+        return self.consideration_probabilities(popularity)
+
+    def _consider_batch(self, popularities: np.ndarray) -> np.ndarray:
+        """:meth:`consideration_probabilities_batch` of popularities its caller checks.
+
+        The batched engine checks the popularities it derives from its own
+        counts once per run, as the loop engine does with :meth:`_consider`.
+        """
+        return self.consideration_probabilities_batch(popularities)
 
     def consideration_probabilities_batch(self, popularities: np.ndarray) -> np.ndarray:
         """Row-wise :meth:`consideration_probabilities` over an ``(R, m)`` matrix.
@@ -160,7 +192,7 @@ class MixtureSampling(SamplingRule):
     @property
     def is_rowwise(self) -> bool:
         """Whether this rule carries per-row exploration rates."""
-        return np.ndim(self._mu) == 1
+        return not isinstance(self._mu, float)
 
     @property
     def num_rows(self) -> int:
@@ -173,19 +205,22 @@ class MixtureSampling(SamplingRule):
                 "per-row MixtureSampling has no single-replicate rule; use "
                 "consideration_probabilities_batch with an (R, m) matrix"
             )
-        popularity = check_probability_vector(popularity, "popularity")
-        num_options = popularity.size
-        probabilities = (1.0 - self._mu) * popularity + self._mu / num_options
+        return self._consider(check_probability_vector(popularity, "popularity"))
+
+    def _consider(self, popularity: np.ndarray) -> np.ndarray:
+        if self.is_rowwise:
+            return self.consideration_probabilities(popularity)
+        probabilities = (1.0 - self._mu) * popularity + self._mu / popularity.size
         # Guard against floating-point drift so downstream multinomial draws
         # always receive an exact probability vector.
         return probabilities / probabilities.sum()
 
     def consideration_probabilities_batch(self, popularities: np.ndarray) -> np.ndarray:
         popularities = _as_popularity_matrix(popularities)
-        if np.any(popularities < 0) or not np.allclose(
-            popularities.sum(axis=1), 1.0, atol=1e-8
-        ):
-            raise ValueError("every row of popularities must be a probability vector")
+        check_popularity_rows(popularities)
+        return self._consider_batch(popularities)
+
+    def _consider_batch(self, popularities: np.ndarray) -> np.ndarray:
         num_options = popularities.shape[1]
         if self.is_rowwise:
             if popularities.shape[0] != self._mu.size:

@@ -9,6 +9,7 @@ them and offers the aggregate views the regret and coupling analyses need.
 
 from __future__ import annotations
 
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -35,6 +36,31 @@ class PopulationState:
     counts: np.ndarray
     population_size: int
     time: int = 0
+
+    @classmethod
+    def check_counts(cls, counts: np.ndarray, population_size: int) -> None:
+        """Check a ``(T, m)`` record of counts at once.
+
+        Raises the error that building the first invalid row's state would
+        raise, so a run that checks its record when it ends reports what a
+        per-step check would have.
+        """
+        if len(counts) and (
+            counts.min() < 0 or counts.sum(axis=1).max() > population_size
+        ):
+            for row in counts:
+                cls(counts=row, population_size=population_size)
+
+    @classmethod
+    def _of_checked(
+        cls, counts: np.ndarray, population_size: int, time: int
+    ) -> "PopulationState":
+        """A state from int64 counts that passed :meth:`check_counts`."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "counts", counts)
+        object.__setattr__(state, "population_size", population_size)
+        object.__setattr__(state, "time", time)
+        return state
 
     def __post_init__(self) -> None:
         counts = np.asarray(self.counts, dtype=np.int64)
@@ -101,7 +127,8 @@ class PopulationState:
         base, remainder = divmod(population_size, num_options)
         counts = np.full(num_options, base, dtype=np.int64)
         counts[:remainder] += 1
-        return cls(counts=counts, population_size=population_size, time=time)
+        # Non-negative and summing to N by construction.
+        return cls._of_checked(counts, population_size, time)
 
     @classmethod
     def from_counts(
@@ -114,6 +141,34 @@ class PopulationState:
         return cls(counts=counts, population_size=population_size, time=time)
 
 
+class _RecordedStates(SequenceABC):
+    """The states of a ``(T, m)`` count record, each built when first read."""
+
+    def __init__(
+        self, counts: np.ndarray, population_size: int, start_time: int
+    ) -> None:
+        self._counts = counts
+        self._population_size = population_size
+        self._start_time = start_time
+        self._states: List[Optional[PopulationState]] = [None] * len(counts)
+
+    def __len__(self) -> int:
+        return len(self._states)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[position] for position in range(len(self))[index]]
+        position = range(len(self))[index]
+        state = self._states[position]
+        if state is None:
+            state = self._states[position] = PopulationState._of_checked(
+                self._counts[position].copy(),
+                self._population_size,
+                self._start_time + position + 1,
+            )
+        return state
+
+
 @dataclass
 class Trajectory:
     """Time series of population states, rewards and the distributions they induce.
@@ -124,12 +179,40 @@ class Trajectory:
       ``E[Q^{t-1}_j R^t_j]``),
     * the reward vector ``R^t`` observed during the step, and
     * the resulting state after the step.
+
+    Engines that advance step by step :meth:`record` each one; a finished
+    record of ``(T, m)`` arrays is wrapped by :meth:`from_arrays` instead.
     """
 
     initial_state: PopulationState
-    states: List[PopulationState] = field(default_factory=list)
-    rewards: List[np.ndarray] = field(default_factory=list)
-    pre_step_popularities: List[np.ndarray] = field(default_factory=list)
+    states: Sequence[PopulationState] = field(default_factory=list)
+    rewards: Sequence[np.ndarray] = field(default_factory=list)
+    pre_step_popularities: Sequence[np.ndarray] = field(default_factory=list)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        initial_state: PopulationState,
+        pre_step_popularities: np.ndarray,
+        rewards: np.ndarray,
+        counts: np.ndarray,
+    ) -> "Trajectory":
+        """A finished trajectory over ``(T, m)`` arrays (no further :meth:`record`).
+
+        Row ``t`` of ``counts`` (int64) is the state after step ``t + 1``.
+        The counts are checked here, all at once
+        (:meth:`PopulationState.check_counts`), and each
+        :class:`PopulationState` is built when first read.
+        """
+        PopulationState.check_counts(counts, initial_state.population_size)
+        return cls(
+            initial_state=initial_state,
+            states=_RecordedStates(
+                counts, initial_state.population_size, initial_state.time
+            ),
+            rewards=rewards,
+            pre_step_popularities=pre_step_popularities,
+        )
 
     def record(
         self,
@@ -154,19 +237,19 @@ class Trajectory:
 
     def popularity_matrix(self) -> np.ndarray:
         """Matrix of pre-step popularities ``Q^{t-1}``, shape ``(T, m)``."""
-        if not self.pre_step_popularities:
+        if len(self.pre_step_popularities) == 0:
             return np.zeros((0, self.num_options))
-        return np.stack(self.pre_step_popularities)
+        return np.array(self.pre_step_popularities, dtype=float)
 
     def reward_matrix(self) -> np.ndarray:
         """Matrix of rewards ``R^t``, shape ``(T, m)``."""
-        if not self.rewards:
+        if len(self.rewards) == 0:
             return np.zeros((0, self.num_options), dtype=np.int8)
-        return np.stack(self.rewards)
+        return np.array(self.rewards, dtype=np.int8)
 
     def final_state(self) -> PopulationState:
         """The last recorded state (the initial state if no steps recorded)."""
-        return self.states[-1] if self.states else self.initial_state
+        return self.states[-1] if len(self.states) else self.initial_state
 
     def best_option_popularity(self, best_option: int) -> np.ndarray:
         """Time series of the best option's pre-step popularity ``Q^{t-1}_1``."""

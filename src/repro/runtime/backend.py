@@ -13,9 +13,10 @@ service job and campaign node) without touching the driver:
     pending tasks into at most this many shards.  An executor that also
     reports ``concurrency`` (how many shards it runs at once) gets a grid
     plan as that many shards instead, one fused launch each; the broker
-    reports none and chunks every plan by ``num_shards``.  Granularity never
-    changes results — tasks are execution-invariant — only flush/recovery
-    chunk size and launch count.
+    reports none and chunks every plan by ``num_shards``, four per broker
+    (counting at least ``min_brokers``), as a process pool cuts four per
+    worker.  Granularity never changes results — tasks are
+    execution-invariant — only flush/recovery chunk size and launch count.
 ``run_shards(shards, replication)``
     A generator yielding one completed shard at a time as ``(task, metrics)``
     pairs, in arbitrary completion order.  The driver flushes each yielded

@@ -7,7 +7,8 @@
    (when one is attached) and keeps the cache hits,
 2. partitions only the *misses* into shards and hands them to the executor
    (a grid plan into one shard per launch the executor runs at once, a
-   per-seed plan into the executor's ``num_shards`` chunks),
+   per-seed plan into the executor's ``num_shards`` chunks; the broker's
+   are four per broker),
 3. flushes each completed shard back to the store the moment it arrives —
    so a killed run resumes shard-by-shard — and
 4. merges everything back into per-point metric lists in replicate order.
@@ -60,10 +61,11 @@ def run_plan(
     flush points.  Grid tasks are split into as many shards as the executor
     reports it runs at once (its ``concurrency``), so a grid sweep is one
     fused launch per worker; backends that report none, like the broker,
-    get ``num_shards`` chunks of every plan.  If the executor
-    raises (worker crash, ``KeyboardInterrupt``), every shard that completed
-    before the failure has already been flushed to the store, so re-running
-    the same plan against the same store picks up where the run died.
+    get ``num_shards`` chunks of every plan (four per broker).  If the
+    executor raises (worker crash, ``KeyboardInterrupt``), every shard that
+    completed before the failure has already been flushed to the store, so
+    re-running the same plan against the same store picks up where the run
+    died.
     ``tracer`` defaults to :data:`~repro.obs.trace.NULL_TRACER`, a no-op.
     """
     if executor is None:

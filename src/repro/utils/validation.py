@@ -78,6 +78,18 @@ def check_probability_vector(values: Sequence[float], name: str) -> np.ndarray:
     return array
 
 
+def check_probability_rows(matrix: np.ndarray, name: str) -> None:
+    """:func:`check_probability_vector` on every row of a 2-D matrix at once.
+
+    Raises the error of the first row that fails.
+    """
+    if len(matrix) and not (
+        matrix.min() >= 0 and np.abs(matrix.sum(axis=1) - 1.0).max() <= 1e-8 + 1e-5
+    ):
+        for row in matrix:
+            check_probability_vector(row, name)
+
+
 def check_quality_vector(values: Sequence[float], name: str) -> np.ndarray:
     """Validate a vector of option qualities: each in [0, 1], non-empty."""
     array = np.asarray(values, dtype=float)

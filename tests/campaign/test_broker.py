@@ -29,8 +29,9 @@ from repro.campaign.broker import (
     task_from_wire,
     task_to_wire,
 )
+from repro.experiments import ParameterGrid, sweep_configs
 from repro.experiments.dynamics_sweep import dynamics_point_replication
-from repro.runtime import ResultStore, SerialExecutor, execute_task
+from repro.runtime import ResultStore, SerialExecutor, ShardPlan, execute_task, run_plan
 from repro.runtime.shard import Task
 
 REPLICATION_REF = "repro.experiments.dynamics_sweep:dynamics_point_replication"
@@ -189,10 +190,128 @@ class TestCoordinatorFraming:
                     sock.close()
 
 
+# Well-framed result blocks that a local shard's check would reject: for each
+# task of the shard, what a lying broker returns.
+BAD_ROW_BLOCKS = {
+    "empty-blocks": lambda seeds: [],
+    "string-metric": lambda seeds: [
+        {"regret": "nan", "best_option_share": 0.5} for _ in seeds
+    ],
+    "empty-rows": lambda seeds: [{} for _ in seeds],
+    "bool-metric": lambda seeds: [
+        {"regret": True, "best_option_share": 0.5} for _ in seeds
+    ],
+}
+
+
+def answering_broker(address, connected, rows_for):
+    """A broker that answers every shard with ``rows_for(seeds)`` per task."""
+    sock = socket.create_connection(parse_address(address), timeout=10.0)
+    connected.append(sock)
+    send_frame(sock, {"type": "hello", "workers": 1})
+    while True:
+        try:
+            message = recv_frame(sock)
+        except (ConnectionError, OSError):
+            return
+        if message["type"] != "shard":
+            return
+        send_frame(
+            sock,
+            {
+                "type": "result",
+                "shard": message["shard"],
+                "rows": [rows_for(task["seeds"]) for task in message["tasks"]],
+            },
+        )
+
+
+def three_task_plan():
+    configs = sweep_configs(
+        "lying-broker",
+        ParameterGrid({"N": [40]}),
+        replications=3,
+        seed=5,
+        base_parameters={"qualities": (0.8, 0.5), "T": 6},
+    )
+    return ShardPlan.from_configs(configs, dynamics_point_replication)
+
+
+class TestBrokerResultChecks:
+    """Rows a local shard would reject fail the run before any is stored."""
+
+    @pytest.mark.parametrize("bad", sorted(BAD_ROW_BLOCKS))
+    def test_bad_row_blocks_never_reach_the_store(self, bad):
+        connected = []
+        with ResultStore() as store, BrokerBackend(timeout=10.0) as backend:
+            thread = threading.Thread(
+                target=answering_broker,
+                args=(backend.address, connected, BAD_ROW_BLOCKS[bad]),
+                daemon=True,
+            )
+            thread.start()
+            try:
+                with pytest.raises(
+                    BrokerProtocolError,
+                    match=r"broker 127\.0\.0\.1:\d+ returned .* of shard \d+",
+                ):
+                    run_plan(
+                        three_task_plan(),
+                        dynamics_point_replication,
+                        executor=backend,
+                        store=store,
+                    )
+                assert len(store) == 0
+            finally:
+                backend.close()
+                thread.join(timeout=10.0)
+                for sock in connected:
+                    sock.close()
+
+    def test_a_nan_metric_is_a_number(self):
+        # NaN crosses the wire as JSON NaN, a float, as a local row may hold.
+        connected = []
+        with ResultStore() as store, BrokerBackend(timeout=10.0) as backend:
+            thread = threading.Thread(
+                target=answering_broker,
+                args=(
+                    backend.address,
+                    connected,
+                    lambda seeds: [
+                        {"regret": float("nan"), "best_option_share": 1} for _ in seeds
+                    ],
+                ),
+                daemon=True,
+            )
+            thread.start()
+            try:
+                rows = run_plan(
+                    three_task_plan(),
+                    dynamics_point_replication,
+                    executor=backend,
+                    store=store,
+                )
+                assert len(store) == 3
+            finally:
+                backend.close()
+                thread.join(timeout=10.0)
+                for sock in connected:
+                    sock.close()
+        assert len(rows[0]) == 3
+        for row in rows[0]:
+            assert row["regret"] != row["regret"]  # NaN
+            assert row["best_option_share"] == 1.0
+            assert isinstance(row["best_option_share"], float)
+
+
 class TestBrokerValidation:
     def test_invalid_num_shards(self):
-        with pytest.raises(ValueError, match="num_shards"):
-            BrokerBackend(num_shards=0)
+        # The shard count follows the fleet (four per broker, counting at
+        # least min_brokers), so no caller can set a wrong one.
+        with pytest.raises(TypeError, match="num_shards"):
+            BrokerBackend(num_shards=16)
+        with BrokerBackend(min_brokers=3) as backend:
+            assert backend.num_shards == 12
 
     def test_invalid_min_brokers(self):
         with pytest.raises(ValueError, match="min_brokers"):
@@ -292,22 +411,26 @@ class TestCampaignOnBrokers:
 
     def test_a_pooled_broker_matches_serial(self):
         # A --workers 2 broker runs every shard on one pool, split as the
-        # driver splits a plan: the one-shard grid node fuses two points into
-        # one launch, and the rows still come back in task order.
+        # driver splits a plan: each of the grid node's four three-point
+        # shards fuses two points into one launch, and the rows still come
+        # back in task order.
         spec = campaign_spec()
         spec["nodes"].append(
             {"id": "grid", "kind": "simulate", "request": {
                 "kind": "sweep", "options": [0.8, 0.5],
-                "populations": [40, 50, 60], "horizon": 6, "replications": 3}}
+                "populations": list(range(40, 100, 5)), "horizon": 6,
+                "replications": 3}}
         )
         campaign = campaign_from_spec(spec)
         serial = run_campaign(campaign, backend=SerialExecutor())
-        with BrokerBackend(num_shards=1, timeout=30.0) as backend:
+        with BrokerBackend(timeout=30.0) as backend:
             thread, holder = start_broker(backend.address, workers=2)
             brokered = run_campaign(campaign, backend=backend)
         thread.join(timeout=30.0)
         assert "error" not in holder
-        assert holder["executed"] == 2
+        # Four shards per broker: the loop node's three tasks, then the
+        # grid node's twelve points in four shards of three.
+        assert holder["executed"] == 3 + 4
         assert [list(brokered[n].rows) for n in brokered.order] == [
             list(serial[n].rows) for n in serial.order
         ]

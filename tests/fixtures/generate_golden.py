@@ -344,10 +344,14 @@ def _batched_network(config: dict) -> SocialNetwork:
 def golden_network_batched(config: dict = NETWORK_BATCHED_CONFIG) -> dict:
     """Seeded :class:`BatchedNetworkDynamics` run: R replicates on one graph.
 
-    One generator drives both the environment batch draws and the dynamics,
-    exactly as ``network_batched_replication`` wires them.  The graph is a
-    ring unless ``config`` names the ``watts_strogatz`` topology; an optional
-    ``dtype`` key selects the storage precision.
+    One plain generator drives both the environment batch draws and the
+    dynamics, which the engine treats as one block over all R rows.
+    ``network_batched_replication`` does not wire a launch this way: each of
+    its rows draws from its own seed's generator (a ``RowBlockGenerator`` of
+    one-seed blocks).  This run pins the engine's plain-generator path, not
+    that function's rows at R > 1.  The graph is a ring unless ``config``
+    names the ``watts_strogatz`` topology; an optional ``dtype`` key selects
+    the storage precision.
     """
     generator = np.random.default_rng(config["seed"])
     environment = BernoulliEnvironment(config["qualities"], rng=generator)
@@ -381,9 +385,13 @@ def golden_network_batched(config: dict = NETWORK_BATCHED_CONFIG) -> dict:
 def golden_protocol_batched(config: dict = PROTOCOL_BATCHED_CONFIG) -> dict:
     """Seeded :class:`BatchedProtocol` run: R lossy fleets in one launch.
 
-    One generator drives both the environment batch draws and the protocol,
-    exactly as ``protocol_batched_replication`` wires them.  An optional
-    ``dtype`` key in ``config`` selects the storage precision.
+    One plain generator drives both the environment batch draws and the
+    protocol, which the engine treats as one block over all R rows.
+    ``protocol_batched_replication`` does not wire a launch this way: each of
+    its rows draws from its own seed's generator (a ``RowBlockGenerator`` of
+    one-seed blocks).  This run pins the engine's plain-generator path, not
+    that function's rows at R > 1.  An optional ``dtype`` key in ``config``
+    selects the storage precision.
     """
     generator = np.random.default_rng(config["seed"])
     environment = BernoulliEnvironment(config["qualities"], rng=generator)

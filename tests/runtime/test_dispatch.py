@@ -3,8 +3,9 @@
 A grid plan runs as one fused launch per shard the executor runs at once:
 ``max_workers`` shards on a :class:`ParallelExecutor`, one on a
 :class:`SerialExecutor` (with or without a store).  Loop and batched plans,
-and every plan on a backend that reports no ``concurrency`` (the broker),
-keep the executor's ``num_shards`` chunks.  No layout changes a row.
+and every plan on a backend that reports no ``concurrency`` (the broker,
+whose ``num_shards`` is four per broker), keep the executor's
+``num_shards`` chunks.  No layout changes a row.
 """
 
 from __future__ import annotations
@@ -100,8 +101,9 @@ class TestGridPlans:
         assert rows == serial_grid_rows
 
     def test_the_broker_keeps_its_num_shards(self, serial_grid_rows):
+        # Four shards per broker, as a ParallelExecutor cuts per worker.
         assert not hasattr(BrokerBackend, "concurrency")
-        with BrokerBackend(num_shards=5, timeout=15.0) as backend:
+        with BrokerBackend(timeout=15.0) as backend:
             sizes = record_shards(backend)
             thread = threading.Thread(
                 target=run_broker,
@@ -117,7 +119,7 @@ class TestGridPlans:
             )
         thread.join(timeout=10.0)
         assert not thread.is_alive()
-        assert sizes == [5, 5, 5, 5, 4]
+        assert sizes == [6, 6, 6, 6]
         assert rows == serial_grid_rows
 
 
