@@ -78,7 +78,8 @@ def expected_regret(popularities: np.ndarray, qualities: Sequence[float]) -> flo
     """Average regret with rewards replaced by their expectations (lower variance)."""
     qualities = check_quality_vector(qualities, "qualities")
     per_step = expected_step_rewards(popularities, qualities)
-    return float(qualities.max() - per_step.mean())
+    # sum / size is what ndarray.mean computes, without its Python wrapper.
+    return float(qualities.max() - per_step.sum() / per_step.size)
 
 
 def best_option_share(popularities: np.ndarray, best_option: int) -> float:
@@ -94,7 +95,8 @@ def best_option_share(popularities: np.ndarray, best_option: int) -> float:
         raise ValueError(
             f"best_option {best_option} out of range for m={popularities.shape[1]}"
         )
-    return float(popularities[:, best_option].mean())
+    column = popularities[:, best_option]
+    return float(column.sum() / column.size)
 
 
 @dataclass

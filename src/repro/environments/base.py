@@ -72,7 +72,11 @@ class RewardEnvironment(abc.ABC):
 
     @abc.abstractmethod
     def _draw(self) -> np.ndarray:
-        """Draw the reward vector for the current time step (shape ``(m,)``)."""
+        """Draw the reward vector for the current time step (shape ``(m,)``).
+
+        A boolean array is binary by its type, so :meth:`sample` checks the
+        values of any other dtype only.
+        """
 
     def sample(self) -> np.ndarray:
         """Sample and return the next reward vector ``R^{t+1}`` as a 0/1 int array."""
@@ -84,7 +88,7 @@ class RewardEnvironment(abc.ABC):
             )
         # Validate before the int8 cast so non-binary values (0.7, 256, ...)
         # raise instead of being silently truncated to something that passes.
-        if ((rewards != 0) & (rewards != 1)).any():
+        if _non_binary(rewards):
             raise RuntimeError("environment produced non-binary rewards")
         self._time += 1
         return rewards.astype(np.int8)
@@ -127,7 +131,7 @@ class RewardEnvironment(abc.ABC):
                 f"environment produced batch rewards of shape {rewards.shape}, "
                 f"expected ({num_replicates}, {self._num_options})"
             )
-        if ((rewards != 0) & (rewards != 1)).any():
+        if _non_binary(rewards):
             raise RuntimeError("environment produced non-binary rewards")
         self._time += 1
         return rewards.astype(np.int8)
@@ -141,3 +145,8 @@ class RewardEnvironment(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         qualities = np.array2string(np.asarray(self.qualities), precision=3)
         return f"{type(self).__name__}(m={self._num_options}, qualities={qualities})"
+
+
+def _non_binary(rewards: np.ndarray) -> bool:
+    """Whether any reward is neither 0 nor 1; a boolean array never is."""
+    return rewards.dtype != np.bool_ and bool(((rewards != 0) & (rewards != 1)).any())

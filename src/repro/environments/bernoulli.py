@@ -40,11 +40,10 @@ class BernoulliEnvironment(RewardEnvironment):
         return self._qualities.copy()
 
     def _draw(self) -> np.ndarray:
-        return (self._rng.random(self._num_options) < self._qualities).astype(np.int8)
+        return self._rng.random(self._num_options) < self._qualities
 
     def _draw_batch(self, num_replicates: int) -> np.ndarray:
-        uniforms = self._rng.random((num_replicates, self._num_options))
-        return (uniforms < self._qualities).astype(np.int8)
+        return self._rng.random((num_replicates, self._num_options)) < self._qualities
 
     @classmethod
     def with_gap(
@@ -198,8 +197,7 @@ class RowwiseBernoulliEnvironment(RewardEnvironment):
                 f"per-row environment serves exactly {self.num_rows} rows, "
                 f"got num_replicates={num_replicates}"
             )
-        uniforms = self._rng.random((num_replicates, self._num_options))
-        return (uniforms < self._qualities).astype(np.int8)
+        return self._rng.random((num_replicates, self._num_options)) < self._qualities
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -7,6 +7,7 @@ rather than deep inside a simulation loop.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -33,7 +34,7 @@ def check_non_negative_int(value: int, name: str) -> int:
 def check_probability(value: float, name: str) -> float:
     """Validate that ``value`` lies in the closed interval [0, 1]."""
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if value < 0.0 or value > 1.0:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -95,6 +96,8 @@ def check_quality_vector(values: Sequence[float], name: str) -> np.ndarray:
     array = np.asarray(values, dtype=float)
     if array.ndim != 1 or array.size == 0:
         raise ValueError(f"{name} must be a non-empty 1-D sequence")
+    if array.min() >= 0 and array.max() <= 1:
+        return array  # a NaN fails the comparisons and takes the checks below
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must contain only finite values")
     if (array < 0).any() or (array > 1).any():
