@@ -735,8 +735,8 @@ class BatchedDynamics:
                 )
                 trajectory.record(popularities[step], rewards, state)
         except Exception:
-            # A bad count drawn earlier is the first fault, as it was when
-            # every step checked its own state.
+            # A bad count drawn by an earlier step is what makes a later
+            # draw fail, so its error is the one to report.
             self._check_record(counts[:step], popularities[:step])
             raise
         self._check_record(counts, popularities)

@@ -159,11 +159,9 @@ class FinitePopulationDynamics:
             )
         if ((rewards != 0) & (rewards != 1)).any():
             raise ValueError("rewards must be binary")
-        return self._advance(self._state.popularity(), rewards)
-
-    def _advance(self, popularity: np.ndarray, rewards: np.ndarray) -> PopulationState:
-        """The two stages of :meth:`step` from the current ``popularity``."""
-        consideration = self._sampling_rule.consideration_probabilities(popularity)
+        consideration = self._sampling_rule.consideration_probabilities(
+            self._state.popularity()
+        )
         selected = self._rng.multinomial(self._population_size, consideration)
         adopt_probabilities = self._adoption_rule.adopt_probabilities(rewards)
         new_counts = self._rng.binomial(selected, adopt_probabilities)
@@ -231,8 +229,8 @@ class FinitePopulationDynamics:
                 current = counts[step]
                 committed = sum(current.tolist())
         except Exception:
-            # A bad count drawn earlier is the first fault, as it was when
-            # every step checked its own state.
+            # A bad count drawn by an earlier step is what makes a later
+            # draw fail, so its error is the one to report.
             PopulationState.check_counts(counts[:step], population_size)
             check_probability_rows(popularities[:step], "popularity")
             raise

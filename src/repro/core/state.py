@@ -9,7 +9,6 @@ them and offers the aggregate views the regret and coupling analyses need.
 
 from __future__ import annotations
 
-from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
@@ -42,8 +41,8 @@ class PopulationState:
         """Check a ``(T, m)`` record of counts at once.
 
         Raises the error that building the first invalid row's state would
-        raise, so a run that checks its record when it ends reports what a
-        per-step check would have.
+        raise, so a run that checks its record once still names the first
+        bad step's fault.
         """
         if len(counts) and (
             counts.min() < 0 or counts.sum(axis=1).max() > population_size
@@ -141,34 +140,6 @@ class PopulationState:
         return cls(counts=counts, population_size=population_size, time=time)
 
 
-class _RecordedStates(SequenceABC):
-    """The states of a ``(T, m)`` count record, each built when first read."""
-
-    def __init__(
-        self, counts: np.ndarray, population_size: int, start_time: int
-    ) -> None:
-        self._counts = counts
-        self._population_size = population_size
-        self._start_time = start_time
-        self._states: List[Optional[PopulationState]] = [None] * len(counts)
-
-    def __len__(self) -> int:
-        return len(self._states)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[position] for position in range(len(self))[index]]
-        position = range(len(self))[index]
-        state = self._states[position]
-        if state is None:
-            state = self._states[position] = PopulationState._of_checked(
-                self._counts[position].copy(),
-                self._population_size,
-                self._start_time + position + 1,
-            )
-        return state
-
-
 @dataclass
 class Trajectory:
     """Time series of population states, rewards and the distributions they induce.
@@ -185,7 +156,7 @@ class Trajectory:
     """
 
     initial_state: PopulationState
-    states: Sequence[PopulationState] = field(default_factory=list)
+    states: List[PopulationState] = field(default_factory=list)
     rewards: Sequence[np.ndarray] = field(default_factory=list)
     pre_step_popularities: Sequence[np.ndarray] = field(default_factory=list)
 
@@ -201,15 +172,17 @@ class Trajectory:
 
         Row ``t`` of ``counts`` (int64) is the state after step ``t + 1``.
         The counts are checked here, all at once
-        (:meth:`PopulationState.check_counts`), and each
-        :class:`PopulationState` is built when first read.
+        (:meth:`PopulationState.check_counts`), so each state is built
+        without a check of its own.
         """
-        PopulationState.check_counts(counts, initial_state.population_size)
+        population_size = initial_state.population_size
+        PopulationState.check_counts(counts, population_size)
         return cls(
             initial_state=initial_state,
-            states=_RecordedStates(
-                counts, initial_state.population_size, initial_state.time
-            ),
+            states=[
+                PopulationState._of_checked(row, population_size, time)
+                for time, row in enumerate(counts, start=initial_state.time + 1)
+            ],
             rewards=rewards,
             pre_step_popularities=pre_step_popularities,
         )
@@ -249,7 +222,7 @@ class Trajectory:
 
     def final_state(self) -> PopulationState:
         """The last recorded state (the initial state if no steps recorded)."""
-        return self.states[-1] if len(self.states) else self.initial_state
+        return self.states[-1] if self.states else self.initial_state
 
     def best_option_popularity(self, best_option: int) -> np.ndarray:
         """Time series of the best option's pre-step popularity ``Q^{t-1}_1``."""

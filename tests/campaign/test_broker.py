@@ -7,6 +7,7 @@ real wire protocol over loopback TCP without spawning subprocesses.
 
 from __future__ import annotations
 
+import contextlib
 import socket
 import struct
 import threading
@@ -237,20 +238,34 @@ def three_task_plan():
     return ShardPlan.from_configs(configs, dynamics_point_replication)
 
 
+@contextlib.contextmanager
+def lying_backend(rows_for):
+    """A backend whose one broker answers every shard with ``rows_for(seeds)``."""
+    connected = []
+    with BrokerBackend(timeout=10.0) as backend:
+        thread = threading.Thread(
+            target=answering_broker,
+            args=(backend.address, connected, rows_for),
+            daemon=True,
+        )
+        thread.start()
+        try:
+            yield backend
+        finally:
+            backend.close()
+            thread.join(timeout=10.0)
+            for sock in connected:
+                sock.close()
+    assert not thread.is_alive()
+
+
 class TestBrokerResultChecks:
     """Rows a local shard would reject fail the run before any is stored."""
 
     @pytest.mark.parametrize("bad", sorted(BAD_ROW_BLOCKS))
     def test_bad_row_blocks_never_reach_the_store(self, bad):
-        connected = []
-        with ResultStore() as store, BrokerBackend(timeout=10.0) as backend:
-            thread = threading.Thread(
-                target=answering_broker,
-                args=(backend.address, connected, BAD_ROW_BLOCKS[bad]),
-                daemon=True,
-            )
-            thread.start()
-            try:
+        with ResultStore() as store:
+            with lying_backend(BAD_ROW_BLOCKS[bad]) as backend:
                 with pytest.raises(
                     BrokerProtocolError,
                     match=r"broker 127\.0\.0\.1:\d+ returned .* of shard \d+",
@@ -261,42 +276,22 @@ class TestBrokerResultChecks:
                         executor=backend,
                         store=store,
                     )
-                assert len(store) == 0
-            finally:
-                backend.close()
-                thread.join(timeout=10.0)
-                for sock in connected:
-                    sock.close()
+            assert len(store) == 0
 
     def test_a_nan_metric_is_a_number(self):
         # NaN crosses the wire as JSON NaN, a float, as a local row may hold.
-        connected = []
-        with ResultStore() as store, BrokerBackend(timeout=10.0) as backend:
-            thread = threading.Thread(
-                target=answering_broker,
-                args=(
-                    backend.address,
-                    connected,
-                    lambda seeds: [
-                        {"regret": float("nan"), "best_option_share": 1} for _ in seeds
-                    ],
-                ),
-                daemon=True,
-            )
-            thread.start()
-            try:
+        def nan_rows(seeds):
+            return [{"regret": float("nan"), "best_option_share": 1} for _ in seeds]
+
+        with ResultStore() as store:
+            with lying_backend(nan_rows) as backend:
                 rows = run_plan(
                     three_task_plan(),
                     dynamics_point_replication,
                     executor=backend,
                     store=store,
                 )
-                assert len(store) == 3
-            finally:
-                backend.close()
-                thread.join(timeout=10.0)
-                for sock in connected:
-                    sock.close()
+            assert len(store) == 3
         assert len(rows[0]) == 3
         for row in rows[0]:
             assert row["regret"] != row["regret"]  # NaN
