@@ -47,7 +47,6 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import _validated_metrics
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, get_registry
 from repro.obs.trace import current_span
 from repro.runtime.backend import check_resolvable
@@ -59,7 +58,7 @@ from repro.runtime.executors import (
     _execute_shard,
     resolve_replication,
 )
-from repro.runtime.shard import Task, partition_tasks
+from repro.runtime.shard import Task, _checked_rows, partition_tasks
 from repro.utils.logging import get_logger
 
 logger = get_logger("campaign.broker")
@@ -499,23 +498,11 @@ class BrokerBackend:
                 f"broker {broker.peer} answered shard {shard_id!r} but was "
                 f"running {broker.in_flight!r}"
             )
-        tasks = shard_tasks[shard_id]
-        rows_per_task = frame.get("rows")
-        if not isinstance(rows_per_task, list) or len(rows_per_task) != len(tasks):
-            raise BrokerProtocolError(
-                f"broker {broker.peer} returned "
-                f"{len(rows_per_task) if isinstance(rows_per_task, list) else '?'} "
-                f"row blocks for the {len(tasks)} tasks of shard {shard_id}"
-            )
-        for task, rows in zip(tasks, rows_per_task):
-            problem = _row_block_problem(task, rows)
-            if problem is not None:
-                raise BrokerProtocolError(
-                    f"broker {broker.peer} returned {problem} for task "
-                    f"{task.name} of shard {shard_id}"
-                )
-        broker.in_flight = None
+        # The shard is off the wire whatever its rows hold.  A broker whose
+        # rows fail the checks stays marked busy, so the next run drops it.
         self._in_flight_gauge.dec(backend="broker")
+        results = _checked_results(broker, shard_id, shard_tasks[shard_id], frame)
+        broker.in_flight = None
         self._completed_counter.inc(backend="broker")
         elapsed = time.perf_counter() - broker.dispatched_at
         timing = frame.get("timing")
@@ -533,30 +520,46 @@ class BrokerBackend:
         else:
             self.last_shard_timing = {"wall_s": elapsed, "cpu_s": 0.0}
             self._dispatch_histogram.observe(0.0, backend="broker")
-        return [
-            (task, [_validated_metrics(row) for row in rows])
-            for task, rows in zip(tasks, rows_per_task)
-        ]
+        return results
 
 
-def _row_block_problem(task: Task, rows: Any) -> Optional[str]:
-    """What is wrong with a broker's row block for ``task``, or ``None``.
+def _checked_results(
+    broker: _BrokerConnection,
+    shard_id: int,
+    tasks: List[Task],
+    frame: Dict[str, Any],
+) -> ShardResults:
+    """A result frame's rows, checked as a local shard's rows are.
 
-    A block passes what a local shard's rows pass: one row per seed of the
-    task, each a non-empty dict of metrics.  The wire also has to carry
-    numbers: a metric is an int or a float (NaN included), never a bool or
-    a string, so nothing a local run could not produce reaches the store.
+    Each task needs one block of one non-empty metric dict per seed.  The
+    wire also has to carry numbers: a bool or a string (``"nan"`` too) would
+    pass ``float()``, so it is refused here, and nothing a local run could
+    not produce reaches the store.
     """
-    if not isinstance(rows, list) or len(rows) != task.num_replicates:
-        count = len(rows) if isinstance(rows, list) else "no list of"
-        return f"{count} rows for {task.num_replicates} seeds"
-    for row in rows:
-        if not isinstance(row, dict) or not row:
-            return f"a row that is not a non-empty dict of metrics: {row!r}"
-        for name, value in row.items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return f"metric {name!r} = {value!r}, not a number"
-    return None
+    rows_per_task = frame.get("rows")
+    if not isinstance(rows_per_task, list) or len(rows_per_task) != len(tasks):
+        raise BrokerProtocolError(
+            f"broker {broker.peer} returned "
+            f"{len(rows_per_task) if isinstance(rows_per_task, list) else '?'} "
+            f"row blocks for the {len(tasks)} tasks of shard {shard_id}"
+        )
+    results = []
+    for task, rows in zip(tasks, rows_per_task):
+        try:
+            checked = _checked_rows([task], rows)
+            if any(
+                isinstance(value, (bool, str))
+                for row in rows
+                for value in row.values()
+            ):
+                raise ValueError("metrics must be numbers, not bools or strings")
+        except (TypeError, ValueError) as error:
+            raise BrokerProtocolError(
+                f"broker {broker.peer} returned bad rows for task {task.name} "
+                f"of shard {shard_id}: {error}"
+            ) from None
+        results.append((task, checked))
+    return results
 
 
 def run_broker(

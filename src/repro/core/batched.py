@@ -738,6 +738,12 @@ class BatchedDynamics:
             # A bad count drawn by an earlier step is what makes a later
             # draw fail, so its error is the one to report.
             self._check_record(counts[:step], popularities[:step])
+            if step:
+                # Where step() calls would have left it: the state after the
+                # last completed step, matching the generator's position.
+                self._state = BatchedPopulationState._of_checked(
+                    counts[step - 1], population_size, self._state.time + step
+                )
             raise
         self._check_record(counts, popularities)
         self._state = state

@@ -31,16 +31,6 @@ from repro.environments.base import RewardEnvironment
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int, check_probability_rows
 
-_PER_OPTION_BINOMIALS = 8
-"""Up to this many options, :meth:`FinitePopulationDynamics.run` draws stage 2
-as one scalar binomial per option.
-
-``Generator.binomial`` checks array arguments with about nine numpy calls of
-its own, which cost more than a scalar call per option up to about eight
-options.  Both forms make the same per-element draws, so the counts are the
-same either way.
-"""
-
 CompanionSelector = Callable[[int, Population, np.random.Generator], Optional[int]]
 """Given (agent_id, population, rng), return the option observed from a companion.
 
@@ -197,11 +187,9 @@ class FinitePopulationDynamics:
         counts = np.empty((horizon, num_options), dtype=np.int64)
         population_size = self._population_size
         consider = self._sampling_rule._consider
-        adopt_probabilities = self._adoption_rule.adopt_probabilities
         # The rule maps each signal on its own, so the adoption probability
         # of either signal is looked up once per run.
-        per_signal = adopt_probabilities(np.array([0, 1])).tolist()
-        per_option = num_options <= _PER_OPTION_BINOMIALS
+        per_signal = self._adoption_rule.adopt_probabilities(np.array([0, 1])).tolist()
         multinomial = self._rng.multinomial
         binomial = self._rng.binomial
         current = self._state.counts
@@ -217,15 +205,12 @@ class FinitePopulationDynamics:
                 rewards[step] = environment.sample()
                 signals = rewards[step]
                 selected = multinomial(population_size, consider(popularity))
-                if per_option:
-                    counts[step] = [
-                        binomial(considered, per_signal[signal])
-                        for considered, signal in zip(
-                            selected.tolist(), signals.tolist()
-                        )
-                    ]
-                else:
-                    counts[step] = binomial(selected, adopt_probabilities(signals))
+                # One scalar draw per option makes the per-element draws of
+                # step()'s array call, without its argument checks.
+                counts[step] = [
+                    binomial(considered, per_signal[signal])
+                    for considered, signal in zip(selected.tolist(), signals.tolist())
+                ]
                 current = counts[step]
                 committed = sum(current.tolist())
         except Exception:
@@ -233,6 +218,12 @@ class FinitePopulationDynamics:
             # draw fail, so its error is the one to report.
             PopulationState.check_counts(counts[:step], population_size)
             check_probability_rows(popularities[:step], "popularity")
+            if step:
+                # Where step() calls would have left it: the state after the
+                # last completed step, matching the generator's position.
+                self._state = PopulationState._of_checked(
+                    counts[step - 1], population_size, self._state.time + step
+                )
             raise
         trajectory = Trajectory.from_arrays(self._state, popularities, rewards, counts)
         check_probability_rows(popularities, "popularity")

@@ -151,14 +151,14 @@ class Trajectory:
     * the reward vector ``R^t`` observed during the step, and
     * the resulting state after the step.
 
-    Engines that advance step by step :meth:`record` each one; a finished
-    record of ``(T, m)`` arrays is wrapped by :meth:`from_arrays` instead.
+    Engines that advance step by step :meth:`record` each one; a run
+    recorded into ``(T, m)`` arrays is wrapped by :meth:`from_arrays`.
     """
 
     initial_state: PopulationState
     states: List[PopulationState] = field(default_factory=list)
-    rewards: Sequence[np.ndarray] = field(default_factory=list)
-    pre_step_popularities: Sequence[np.ndarray] = field(default_factory=list)
+    rewards: List[np.ndarray] = field(default_factory=list)
+    pre_step_popularities: List[np.ndarray] = field(default_factory=list)
 
     @classmethod
     def from_arrays(
@@ -168,12 +168,13 @@ class Trajectory:
         rewards: np.ndarray,
         counts: np.ndarray,
     ) -> "Trajectory":
-        """A finished trajectory over ``(T, m)`` arrays (no further :meth:`record`).
+        """The trajectory of a run recorded into ``(T, m)`` arrays.
 
         Row ``t`` of ``counts`` (int64) is the state after step ``t + 1``.
         The counts are checked here, all at once
         (:meth:`PopulationState.check_counts`), so each state is built
-        without a check of its own.
+        without a check of its own.  Every field holds one row view per
+        step, as :meth:`record` would have appended it.
         """
         population_size = initial_state.population_size
         PopulationState.check_counts(counts, population_size)
@@ -183,8 +184,8 @@ class Trajectory:
                 PopulationState._of_checked(row, population_size, time)
                 for time, row in enumerate(counts, start=initial_state.time + 1)
             ],
-            rewards=rewards,
-            pre_step_popularities=pre_step_popularities,
+            rewards=list(rewards),
+            pre_step_popularities=list(pre_step_popularities),
         )
 
     def record(
@@ -210,15 +211,15 @@ class Trajectory:
 
     def popularity_matrix(self) -> np.ndarray:
         """Matrix of pre-step popularities ``Q^{t-1}``, shape ``(T, m)``."""
-        if len(self.pre_step_popularities) == 0:
+        if not self.pre_step_popularities:
             return np.zeros((0, self.num_options))
-        return np.array(self.pre_step_popularities, dtype=float)
+        return np.stack(self.pre_step_popularities)
 
     def reward_matrix(self) -> np.ndarray:
         """Matrix of rewards ``R^t``, shape ``(T, m)``."""
-        if len(self.rewards) == 0:
+        if not self.rewards:
             return np.zeros((0, self.num_options), dtype=np.int8)
-        return np.array(self.rewards, dtype=np.int8)
+        return np.stack(self.rewards)
 
     def final_state(self) -> PopulationState:
         """The last recorded state (the initial state if no steps recorded)."""

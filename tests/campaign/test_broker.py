@@ -32,6 +32,7 @@ from repro.campaign.broker import (
 )
 from repro.experiments import ParameterGrid, sweep_configs
 from repro.experiments.dynamics_sweep import dynamics_point_replication
+from repro.obs.metrics import get_registry
 from repro.runtime import ResultStore, SerialExecutor, ShardPlan, execute_task, run_plan
 from repro.runtime.shard import Task
 
@@ -259,11 +260,18 @@ def lying_backend(rows_for):
     assert not thread.is_alive()
 
 
+def _brokers_in_flight() -> float:
+    return get_registry().gauge("repro_shards_in_flight").value(backend="broker")
+
+
 class TestBrokerResultChecks:
     """Rows a local shard would reject fail the run before any is stored."""
 
     @pytest.mark.parametrize("bad", sorted(BAD_ROW_BLOCKS))
     def test_bad_row_blocks_never_reach_the_store(self, bad):
+        # The refused shard is off the wire, so it leaves the in-flight
+        # gauge where it found it.
+        gauge = _brokers_in_flight()
         with ResultStore() as store:
             with lying_backend(BAD_ROW_BLOCKS[bad]) as backend:
                 with pytest.raises(
@@ -277,6 +285,7 @@ class TestBrokerResultChecks:
                         store=store,
                     )
             assert len(store) == 0
+        assert _brokers_in_flight() == gauge
 
     def test_a_nan_metric_is_a_number(self):
         # NaN crosses the wire as JSON NaN, a float, as a local row may hold.

@@ -140,6 +140,22 @@ class TestBatchedDynamics:
         assert trajectory.reward_tensor().shape == (50, 10, 2)
         assert trajectory.final_state().num_replicates == 10
 
+    def test_a_failed_run_stops_after_its_last_completed_step(self):
+        # As step() calls would leave it: the state and the generator stand
+        # after the three steps the recording covers.
+        rewards = BernoulliEnvironment([0.7, 0.4], rng=4).sample_many(3)
+        failed_rng = np.random.default_rng(5)
+        failed = BatchedDynamics(4, 15, 2, rng=failed_rng)
+        with pytest.raises(RuntimeError, match="exhausted"):
+            failed.run(RecordedRewardSequence(rewards), 5)
+        reference_rng = np.random.default_rng(5)
+        reference = BatchedDynamics(4, 15, 2, rng=reference_rng)
+        for row in rewards:
+            reference.step(row)
+        assert failed.state.time == 3
+        np.testing.assert_array_equal(failed.state.counts, reference.state.counts)
+        assert failed_rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_run_rejects_mismatched_environment(self):
         env = BernoulliEnvironment([0.8, 0.4, 0.3], rng=1)
         dynamics = BatchedDynamics(4, 100, 2, rng=2)

@@ -12,7 +12,7 @@ from repro.core.dynamics import (
 )
 from repro.core.sampling import MixtureSampling, PopularityOnlySampling
 from repro.core.state import PopulationState
-from repro.environments import BernoulliEnvironment
+from repro.environments import BernoulliEnvironment, RecordedRewardSequence
 
 
 class TestFinitePopulationDynamics:
@@ -114,6 +114,48 @@ class TestFinitePopulationDynamics:
         trajectory = dynamics.run(env, 50)
         assert trajectory.horizon == 50
         assert trajectory.popularity_matrix().shape == (50, 2)
+
+    @pytest.mark.parametrize("num_options", [2, 12])
+    def test_run_draws_what_step_calls_draw(self, num_options):
+        # run() thins with one scalar binomial per option, step() with one
+        # array call; numpy makes the same per-element draws either way.
+        qualities = np.linspace(0.8, 0.3, num_options)
+        trajectory = FinitePopulationDynamics(40, num_options, rng=2).run(
+            BernoulliEnvironment(qualities, rng=1), 15
+        )
+        dynamics = FinitePopulationDynamics(40, num_options, rng=2)
+        environment = BernoulliEnvironment(qualities, rng=1)
+        counts = [dynamics.step(environment.sample()).counts for _ in range(15)]
+        np.testing.assert_array_equal(
+            [state.counts for state in trajectory.states], counts
+        )
+
+    def test_run_trajectory_records_further_steps(self):
+        environment = BernoulliEnvironment([0.8, 0.4], rng=1)
+        dynamics = FinitePopulationDynamics(50, 2, rng=2)
+        trajectory = dynamics.run(environment, 5)
+        popularity = dynamics.popularity()
+        rewards = environment.sample()
+        trajectory.record(popularity, rewards, dynamics.step(rewards))
+        assert trajectory.horizon == 6
+        assert trajectory.popularity_matrix().shape == (6, 2)
+        np.testing.assert_array_equal(trajectory.reward_matrix()[-1], rewards)
+
+    def test_a_failed_run_stops_after_its_last_completed_step(self):
+        # As step() calls would leave it: the state and the generator stand
+        # after the three steps the recording covers.
+        rewards = BernoulliEnvironment([0.7, 0.4], rng=4).sample_many(3)
+        failed_rng = np.random.default_rng(5)
+        failed = FinitePopulationDynamics(15, 2, rng=failed_rng)
+        with pytest.raises(RuntimeError, match="exhausted"):
+            failed.run(RecordedRewardSequence(rewards), 5)
+        reference_rng = np.random.default_rng(5)
+        reference = FinitePopulationDynamics(15, 2, rng=reference_rng)
+        for row in rewards:
+            reference.step(row)
+        assert failed.state.time == 3
+        np.testing.assert_array_equal(failed.state.counts, reference.state.counts)
+        assert failed_rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_run_rejects_mismatched_environment(self):
         env = BernoulliEnvironment([0.8, 0.4, 0.3], rng=1)
