@@ -484,6 +484,10 @@ class BrokerBackend:
             broker.ready = True
             return None
         if kind == "error":
+            if broker.in_flight is not None:
+                # The failed shard is off the wire; the broker stays marked
+                # busy, so the next run drops it.
+                self._in_flight_gauge.dec(backend="broker")
             raise BrokerError(
                 f"broker {broker.peer} failed shard {frame.get('shard')}: "
                 f"{frame.get('message')}"

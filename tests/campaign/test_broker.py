@@ -206,8 +206,8 @@ BAD_ROW_BLOCKS = {
 }
 
 
-def answering_broker(address, connected, rows_for):
-    """A broker that answers every shard with ``rows_for(seeds)`` per task."""
+def answering_broker(address, connected, answer):
+    """A broker that answers every shard message with the frame ``answer(message)``."""
     sock = socket.create_connection(parse_address(address), timeout=10.0)
     connected.append(sock)
     send_frame(sock, {"type": "hello", "workers": 1})
@@ -218,14 +218,16 @@ def answering_broker(address, connected, rows_for):
             return
         if message["type"] != "shard":
             return
-        send_frame(
-            sock,
-            {
-                "type": "result",
-                "shard": message["shard"],
-                "rows": [rows_for(task["seeds"]) for task in message["tasks"]],
-            },
-        )
+        send_frame(sock, answer(message))
+
+
+def result_of(rows_for):
+    """An answer: a result frame holding ``rows_for(seeds)`` for each task."""
+    return lambda message: {
+        "type": "result",
+        "shard": message["shard"],
+        "rows": [rows_for(task["seeds"]) for task in message["tasks"]],
+    }
 
 
 def three_task_plan():
@@ -240,13 +242,13 @@ def three_task_plan():
 
 
 @contextlib.contextmanager
-def lying_backend(rows_for):
-    """A backend whose one broker answers every shard with ``rows_for(seeds)``."""
+def lying_backend(answer):
+    """A backend whose one broker answers every shard with ``answer(message)``."""
     connected = []
     with BrokerBackend(timeout=10.0) as backend:
         thread = threading.Thread(
             target=answering_broker,
-            args=(backend.address, connected, rows_for),
+            args=(backend.address, connected, answer),
             daemon=True,
         )
         thread.start()
@@ -265,7 +267,11 @@ def _brokers_in_flight() -> float:
 
 
 class TestBrokerResultChecks:
-    """Rows a local shard would reject fail the run before any is stored."""
+    """Rows a local shard would reject fail the run before any is stored.
+
+    A refused or failed shard is off the wire all the same, so it leaves the
+    in-flight gauge where it found it.
+    """
 
     @pytest.mark.parametrize("bad", sorted(BAD_ROW_BLOCKS))
     def test_bad_row_blocks_never_reach_the_store(self, bad):
@@ -273,7 +279,7 @@ class TestBrokerResultChecks:
         # gauge where it found it.
         gauge = _brokers_in_flight()
         with ResultStore() as store:
-            with lying_backend(BAD_ROW_BLOCKS[bad]) as backend:
+            with lying_backend(result_of(BAD_ROW_BLOCKS[bad])) as backend:
                 with pytest.raises(
                     BrokerProtocolError,
                     match=r"broker 127\.0\.0\.1:\d+ returned .* of shard \d+",
@@ -287,13 +293,25 @@ class TestBrokerResultChecks:
             assert len(store) == 0
         assert _brokers_in_flight() == gauge
 
+    def test_a_failed_shard_leaves_the_gauge_where_it_found_it(self):
+        def failure(message):
+            return {"type": "error", "shard": message["shard"], "message": "boom"}
+
+        gauge = _brokers_in_flight()
+        with lying_backend(failure) as backend:
+            with pytest.raises(BrokerError, match=r"failed shard \d+: boom"):
+                run_plan(
+                    three_task_plan(), dynamics_point_replication, executor=backend
+                )
+        assert _brokers_in_flight() == gauge
+
     def test_a_nan_metric_is_a_number(self):
         # NaN crosses the wire as JSON NaN, a float, as a local row may hold.
         def nan_rows(seeds):
             return [{"regret": float("nan"), "best_option_share": 1} for _ in seeds]
 
         with ResultStore() as store:
-            with lying_backend(nan_rows) as backend:
+            with lying_backend(result_of(nan_rows)) as backend:
                 rows = run_plan(
                     three_task_plan(),
                     dynamics_point_replication,
