@@ -15,11 +15,6 @@ lock-step:
 3. **Statistical equivalence**: the float32 sweep's per-row regrets agree
    with the float64 sweep's under a two-sample KS test — precision is a
    storage choice, not a different process.
-
-A fourth, skip-guarded case smokes the numba-fused CSR kernel: with numba
-installed, the fused network engine must be bit-identical to the two-pass
-NumPy path at the same seed (the contract that lets ``use_numba`` auto-select
-without invalidating golden fixtures).
 """
 
 from __future__ import annotations
@@ -30,12 +25,8 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from repro.environments import BernoulliEnvironment
 from repro.experiments import ResultTable
 from repro.experiments.dynamics_sweep import flatten_grid
-from repro.network.kernels import HAS_NUMBA
-from repro.network.topology import SocialNetwork
-from repro.network.vectorized import simulate_batched_network_dynamics
 
 GRID_POINTS = 20
 REPLICATIONS = 5_000  # 20 x 5000 = 1e5 flattened rows
@@ -136,27 +127,3 @@ def test_float32_regrets_statistically_match_float64():
         f"(KS statistic {result.statistic:.4f}, p={result.pvalue:.4f})"
     )
 
-
-@pytest.mark.benchmark(group="precision")
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_numba_fused_kernel_matches_numpy_two_pass():
-    """With numba installed the fused CSR kernel is bit-identical to NumPy."""
-    network = SocialNetwork.watts_strogatz(
-        500, nearest_neighbors=6, rewiring_probability=0.1, rng=3
-    )
-
-    def run(use_numba):
-        environment = BernoulliEnvironment(QUALITIES, rng=11)
-        return simulate_batched_network_dynamics(
-            environment, network, horizon=40, num_replicates=50, rng=5,
-            use_numba=use_numba,
-        )
-
-    fused = run(True)
-    two_pass = run(False)
-    np.testing.assert_array_equal(
-        fused.final_state().counts, two_pass.final_state().counts
-    )
-    np.testing.assert_array_equal(
-        fused.popularity_tensor(), two_pass.popularity_tensor()
-    )

@@ -52,6 +52,7 @@ from repro.obs.trace import current_span
 from repro.runtime.backend import check_resolvable
 from repro.runtime.driver import _shard_count
 from repro.runtime.executors import (
+    SHARDS_PER_WORKER,
     ParallelExecutor,
     ShardResults,
     ShardTiming,
@@ -68,9 +69,6 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 """Upper bound on one frame; a length beyond this means a corrupt stream."""
 
 DEFAULT_ADDRESS = "tcp://127.0.0.1:0"
-
-SHARDS_PER_BROKER = 4
-"""Dispatch chunks per broker, the split :class:`ParallelExecutor` uses per worker."""
 
 
 class BrokerError(RuntimeError):
@@ -293,7 +291,7 @@ class BrokerBackend:
         for the fleet that serves it; before the first broker dials in, the
         fleet ``min_brokers`` promises.  Granularity never changes results.
         """
-        return SHARDS_PER_BROKER * max(self.min_brokers, len(self._brokers))
+        return SHARDS_PER_WORKER * max(self.min_brokers, len(self._brokers))
 
     @property
     def address(self) -> str:
@@ -328,6 +326,11 @@ class BrokerBackend:
         self._selector.close()
 
     def _drop(self, broker: _BrokerConnection) -> None:
+        # Every way a busy broker goes (requeue, failed or refused shard,
+        # abandoned run, close()) ends here, so its shard leaves the gauge.
+        if broker.in_flight is not None:
+            broker.in_flight = None
+            self._in_flight_gauge.dec(backend="broker")
         try:
             self._selector.unregister(broker.sock)
         except (KeyError, ValueError):
@@ -415,7 +418,6 @@ class BrokerBackend:
                     # requeue it and keep going on the survivors.
                     if broker.in_flight is not None:
                         pending.appendleft(broker.in_flight)
-                        self._in_flight_gauge.dec(backend="broker")
                         self._record_requeue(broker, broker.in_flight)
                     self._drop(broker)
                     continue
@@ -484,10 +486,8 @@ class BrokerBackend:
             broker.ready = True
             return None
         if kind == "error":
-            if broker.in_flight is not None:
-                # The failed shard is off the wire; the broker stays marked
-                # busy, so the next run drops it.
-                self._in_flight_gauge.dec(backend="broker")
+            # The broker stays marked busy, so the next run or close()
+            # drops it.
             raise BrokerError(
                 f"broker {broker.peer} failed shard {frame.get('shard')}: "
                 f"{frame.get('message')}"
@@ -502,11 +502,11 @@ class BrokerBackend:
                 f"broker {broker.peer} answered shard {shard_id!r} but was "
                 f"running {broker.in_flight!r}"
             )
-        # The shard is off the wire whatever its rows hold.  A broker whose
-        # rows fail the checks stays marked busy, so the next run drops it.
-        self._in_flight_gauge.dec(backend="broker")
+        # A broker whose rows fail the checks stays marked busy, so the next
+        # run or close() drops it.
         results = _checked_results(broker, shard_id, shard_tasks[shard_id], frame)
         broker.in_flight = None
+        self._in_flight_gauge.dec(backend="broker")
         self._completed_counter.inc(backend="broker")
         elapsed = time.perf_counter() - broker.dispatched_at
         timing = frame.get("timing")

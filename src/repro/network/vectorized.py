@@ -48,7 +48,6 @@ from repro.core.batched import (
 )
 from repro.core.sampling import default_exploration_rate
 from repro.environments.base import RewardEnvironment
-from repro.network.kernels import HAS_NUMBA, fused_neighbor_pick
 from repro.network.topology import SocialNetwork
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_positive_int, check_probability
@@ -69,24 +68,6 @@ def _check_key_space(num_replicates: int, size: int, num_options: int) -> None:
             f"{int(num_options) + 1} = {span} overflows int64 flat indices; "
             "shard the replicate axis across runs instead"
         )
-
-
-def resolve_use_numba(use_numba: Optional[bool]) -> bool:
-    """Resolve the engine's ``use_numba`` knob against numba availability.
-
-    ``None`` auto-selects the fused kernel exactly when numba is importable;
-    ``True`` demands it (raising when the package is missing rather than
-    silently falling back); ``False`` forces the pure-NumPy two-pass path.
-    """
-    if use_numba is None:
-        return HAS_NUMBA
-    if use_numba and not HAS_NUMBA:
-        raise RuntimeError(
-            "use_numba=True requires the 'numba' package, which is not "
-            "installed; pass use_numba=None to auto-select or False for the "
-            "pure-NumPy path"
-        )
-    return bool(use_numba)
 
 
 def committed_neighbor_counts(
@@ -196,9 +177,6 @@ class BatchedNetworkDynamics:
         in float64, so the stored-state dtype does not perturb the stream —
         trajectories at every precision are bit-identical up to storage
         rounding of the recorded popularity.
-    use_numba:
-        ``None`` auto-selects the fused CSR kernel when numba is installed;
-        ``True`` requires it; ``False`` forces the pure-NumPy two-pass path.
     """
 
     def __init__(
@@ -210,7 +188,6 @@ class BatchedNetworkDynamics:
         exploration_rate: float = 0.05,
         rng: RngLike = None,
         precision: PrecisionLike = None,
-        use_numba: Optional[bool] = None,
     ) -> None:
         if not isinstance(network, SocialNetwork):
             raise TypeError("network must be a SocialNetwork")
@@ -221,7 +198,6 @@ class BatchedNetworkDynamics:
         self._mu = check_probability(exploration_rate, "exploration_rate")
         self._precision = resolve_precision(precision)
         self._precision.check_count_value(int(network.size), "network size")
-        self._use_numba = resolve_use_numba(use_numba)
         self._rng = ensure_rng(rng)
         self._time = 0
         self._choices = self._rng.integers(
@@ -263,11 +239,6 @@ class BatchedNetworkDynamics:
     def precision(self):
         """The storage :class:`~repro.backends.Precision` of the engine."""
         return self._precision
-
-    @property
-    def use_numba(self) -> bool:
-        """Whether stage 1 dispatches to the fused numba kernel."""
-        return self._use_numba
 
     def choices(self) -> np.ndarray:
         """Per-replicate, per-agent current options, shape ``(R, N)``; copy."""
@@ -329,18 +300,12 @@ class BatchedNetworkDynamics:
         explore_mask = self._rng.random(shape) < self._mu
         uniform_options = self._rng.integers(self._num_options, size=shape)
 
-        # Stage 1: either the fused single-pass CSR kernel or the two-pass
-        # gather + inverse-CDF path — bit-identical given the same uniforms.
+        # Stage 1: copy a uniformly random committed neighbour's choice.
         pick_uniforms = self._rng.random(shape)
-        if self._use_numba:
-            neighbor_pick, totals = fused_neighbor_pick(
-                self._network, self._choices, pick_uniforms, self._num_options
-            )
-        else:
-            counts = committed_neighbor_counts(
-                self._network, self._choices, self._num_options
-            )  # (R, N, m)
-            neighbor_pick, totals = _inverse_cdf_rows(counts, pick_uniforms)
+        counts = committed_neighbor_counts(
+            self._network, self._choices, self._num_options
+        )  # (R, N, m)
+        neighbor_pick, totals = _inverse_cdf_rows(counts, pick_uniforms)
         no_committed_neighbor = totals == 0
         considered = np.where(
             explore_mask | no_committed_neighbor, uniform_options, neighbor_pick
@@ -392,7 +357,6 @@ def simulate_batched_network_dynamics(
     mu: Optional[float] = None,
     rng: RngLike = None,
     precision: PrecisionLike = None,
-    use_numba: Optional[bool] = None,
 ) -> BatchedTrajectory:
     """One-call helper: run ``num_replicates`` network replicates on one graph.
 
@@ -413,6 +377,5 @@ def simulate_batched_network_dynamics(
         exploration_rate=mu,
         rng=rng,
         precision=precision,
-        use_numba=use_numba,
     )
     return dynamics.run(environment, horizon)

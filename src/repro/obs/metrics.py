@@ -339,16 +339,10 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get_or_create(Histogram, name, help_text, buckets=buckets)
 
-    def register_collector(self, collector: Collector) -> Collector:
-        """Add an exposition-time sample source; returns it (for unregister)."""
+    def register_collector(self, collector: Collector) -> None:
+        """Add an exposition-time sample source."""
         with self._lock:
             self._collectors.append(collector)
-        return collector
-
-    def unregister_collector(self, collector: Collector) -> None:
-        with self._lock:
-            if collector in self._collectors:
-                self._collectors.remove(collector)
 
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """Plain-dict view of every registered series (not collector samples)."""

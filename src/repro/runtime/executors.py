@@ -43,6 +43,13 @@ ShardResults = List[Tuple[Task, List[Dict[str, float]]]]
 ShardTiming = Dict[str, float]
 """Worker-measured timings for one shard: ``wall_s`` and ``cpu_s``."""
 
+SHARDS_PER_WORKER = 4
+"""Chunks of a loop or batched plan per worker (and per broker).
+
+Several chunks per worker keep a slow task from starving the pool and
+spread the store's flushes over the run; the count never changes a row.
+"""
+
 #: What the forkserver imports once for all its workers: what
 #: ``python -m repro`` imports, the runtime modules a worker runs and the
 #: replication modules.  ``repro.runtime`` itself loads its modules lazily.
@@ -128,12 +135,11 @@ class ParallelExecutor:
     ----------
     max_workers:
         Worker process count (default: ``os.cpu_count()``).
-    shards_per_worker:
-        Dispatch granularity of loop and batched plans — their pending
-        tasks are chunked into ``max_workers * shards_per_worker`` shards so
-        slow tasks cannot starve the pool and store flushes happen
-        throughout the run.  A grid plan runs as ``max_workers`` shards, one
-        fused launch per worker (see :func:`~repro.runtime.driver.run_plan`).
+
+    The pending tasks of a loop or batched plan are chunked into
+    ``max_workers * SHARDS_PER_WORKER`` shards; a grid plan runs as
+    ``max_workers`` shards, one fused launch per worker (see
+    :func:`~repro.runtime.driver.run_plan`).
 
     The pool starts at the first pooled shard and lives until :meth:`close`.
     Each :meth:`run_shards` call waits only on its own shards; one that
@@ -142,22 +148,12 @@ class ParallelExecutor:
     affected raise, and the next call starts a fresh pool.
     """
 
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        *,
-        shards_per_worker: int = 4,
-    ) -> None:
+    def __init__(self, max_workers: int | None = None) -> None:
         if max_workers is None:
             max_workers = os.cpu_count() or 1
         if max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
-        if shards_per_worker <= 0:
-            raise ValueError(
-                f"shards_per_worker must be positive, got {shards_per_worker}"
-            )
         self.max_workers = max_workers
-        self.shards_per_worker = shards_per_worker
         self._pool = None
         self._closed = False
         self._lock = threading.Lock()
@@ -166,7 +162,7 @@ class ParallelExecutor:
     @property
     def num_shards(self) -> int:
         """Dispatch chunks for a loop or batched plan's pending tasks."""
-        return self.max_workers * self.shards_per_worker
+        return self.max_workers * SHARDS_PER_WORKER
 
     @property
     def concurrency(self) -> int:

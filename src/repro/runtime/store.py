@@ -194,7 +194,7 @@ class StoreError(Exception):
 
 
 class StoreCounters(NamedTuple):
-    """Atomic snapshot of a store's :meth:`ResultStore.get` outcomes."""
+    """Atomic snapshot of a store's :meth:`ResultStore.get_many` outcomes."""
 
     hits: int
     misses: int
@@ -276,16 +276,12 @@ class ResultStore:
         """Cache keys of ``tasks`` under this store's code version, in one pass."""
         return task_keys(tasks, self.code_version)
 
-    def get(self, key: str) -> Optional[Metrics]:
-        """Stored metrics for ``key``, or ``None`` (counts hits/misses)."""
-        return self.get_many([key]).get(key)
-
     def get_many(self, keys: Sequence[str]) -> Dict[str, Metrics]:
         """Bulk lookup: metrics for every stored key in ``keys``.
 
         One query per 500 distinct keys and a single ``json.loads`` of the
-        stored JSON.  Counts a hit or a miss per key occurrence, exactly as
-        per-key :meth:`get` calls would.
+        stored JSON.  Counts a hit or a miss per key occurrence, duplicates
+        included.
         """
         unique = list(dict.fromkeys(keys))
         objects: List[str] = []
@@ -309,10 +305,6 @@ class ResultStore:
             self.hits += hits
             self.misses += len(keys) - hits
         return found
-
-    def put(self, task: Task, metrics: Metrics) -> str:
-        """Store ``metrics`` for ``task``; returns the key."""
-        return self.put_many([(task, metrics)])[0]
 
     def put_many(self, entries: Iterable[Tuple[Task, Metrics]]) -> List[str]:
         """Store a batch of results in one transaction (a shard flush)."""

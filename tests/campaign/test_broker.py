@@ -34,6 +34,7 @@ from repro.experiments import ParameterGrid, sweep_configs
 from repro.experiments.dynamics_sweep import dynamics_point_replication
 from repro.obs.metrics import get_registry
 from repro.runtime import ResultStore, SerialExecutor, ShardPlan, execute_task, run_plan
+from repro.runtime.executors import SHARDS_PER_WORKER
 from repro.runtime.shard import Task
 
 REPLICATION_REF = "repro.experiments.dynamics_sweep:dynamics_point_replication"
@@ -221,6 +222,15 @@ def answering_broker(address, connected, answer):
         send_frame(sock, answer(message))
 
 
+def vanishing_broker(address, connected):
+    """A broker that takes one shard and hangs up without answering it."""
+    sock = socket.create_connection(parse_address(address), timeout=10.0)
+    connected.append(sock)
+    send_frame(sock, {"type": "hello", "workers": 1})
+    assert recv_frame(sock)["type"] == "shard"
+    sock.close()
+
+
 def result_of(rows_for):
     """An answer: a result frame holding ``rows_for(seeds)`` for each task."""
     return lambda message: {
@@ -333,7 +343,7 @@ class TestBrokerValidation:
         with pytest.raises(TypeError, match="num_shards"):
             BrokerBackend(num_shards=16)
         with BrokerBackend(min_brokers=3) as backend:
-            assert backend.num_shards == 12
+            assert backend.num_shards == 3 * SHARDS_PER_WORKER
 
     def test_invalid_min_brokers(self):
         with pytest.raises(ValueError, match="min_brokers"):
@@ -399,6 +409,68 @@ class TestShardExecution:
         thread.join(timeout=10.0)
         assert returned_task is task  # identity, not a wire round-trip copy
         assert len(rows) == len(task.seeds)
+
+    def test_an_abandoned_run_leaves_the_gauge_where_it_found_it(self):
+        # The consumer stops after the first result while the other broker
+        # still holds its shard; close() takes that shard off the gauge.
+        gauge = _brokers_in_flight()
+        with BrokerBackend(min_brokers=2, timeout=10.0) as backend:
+            threads = [start_broker(backend.address)[0] for _ in range(2)]
+            stream = backend.run_shards(
+                [[sample_task(0)], [sample_task(1)]], dynamics_point_replication
+            )
+            next(stream)
+            stream.close()
+            assert _brokers_in_flight() == gauge + 1
+        for thread in threads:
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        assert _brokers_in_flight() == gauge
+
+    def test_a_finished_run_leaves_the_gauge_where_it_found_it(self):
+        gauge = _brokers_in_flight()
+        with BrokerBackend(timeout=10.0) as backend:
+            thread, holder = start_broker(backend.address)
+            results = list(
+                backend.run_shards(
+                    [[sample_task(0)], [sample_task(1)]], dynamics_point_replication
+                )
+            )
+            # Read before close(): each accepted result left the gauge.
+            assert _brokers_in_flight() == gauge
+        thread.join(timeout=10.0)
+        assert holder["executed"] == 2
+        assert len(results) == 2
+
+    def test_a_requeued_shard_leaves_the_gauge_where_it_found_it(self):
+        # One broker hangs up holding its shard; the survivor runs both.
+        requeues = get_registry().counter("repro_broker_requeues_total")
+        requeued = requeues.value()
+        gauge = _brokers_in_flight()
+        connected = []
+        with BrokerBackend(min_brokers=2, timeout=10.0) as backend:
+            vanisher = threading.Thread(
+                target=vanishing_broker,
+                args=(backend.address, connected),
+                daemon=True,
+            )
+            vanisher.start()
+            survivor, holder = start_broker(backend.address)
+            results = list(
+                backend.run_shards(
+                    [[sample_task(0)], [sample_task(1)]], dynamics_point_replication
+                )
+            )
+            # Read before close(): dropping the vanished broker took its
+            # shard off the gauge, and the survivor's result took it again.
+            assert _brokers_in_flight() == gauge
+        vanisher.join(timeout=10.0)
+        survivor.join(timeout=10.0)
+        for sock in connected:
+            sock.close()
+        assert requeues.value() == requeued + 1
+        assert holder["executed"] == 2
+        assert len(results) == 2
 
     def test_task_failure_aborts_the_run(self):
         broken = Task(

@@ -447,12 +447,11 @@ def _single_replicate_network(config: dict) -> SocialNetwork:
     return SocialNetwork.complete(size)
 
 
-def network_single_replicate(config: dict, use_numba: bool = False) -> dict:
+def network_single_replicate(config: dict) -> dict:
     """One network replicate: :class:`BatchedNetworkDynamics` at R = 1.
 
     Records the replicate's per-step choices, counts and rewards (row 0 of
-    each batch).  ``use_numba`` selects the fused kernel or the two-pass
-    NumPy path; both must give the same record.
+    each batch).
     """
     environment = BernoulliEnvironment(config["qualities"], rng=config["seed"])
     dynamics = BatchedNetworkDynamics(
@@ -462,7 +461,6 @@ def network_single_replicate(config: dict, use_numba: bool = False) -> dict:
         adoption_rule=SymmetricAdoptionRule(config["beta"]),
         exploration_rate=config["mu"],
         rng=config["seed"] + 1,
-        use_numba=use_numba,
     )
     choices = []
     counts = []

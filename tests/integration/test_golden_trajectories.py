@@ -27,8 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.network import kernels, vectorized
-from repro.network.kernels import HAS_NUMBA, _gather_pick_loop
+from repro.network import vectorized
 
 FIXTURES_DIR = Path(__file__).parent.parent / "fixtures"
 GOLDEN_DIR = FIXTURES_DIR / "golden"
@@ -256,26 +255,22 @@ class TestSingleReplicateDigests:
             SINGLE_REPLICATE_DIGESTS[run]
         ), f"{run} drifted from the digest of its single-replicate run"
 
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
     @pytest.mark.parametrize("run", NETWORK_SINGLE_REPLICATE_RUNS)
-    def test_fused_kernel_reproduces_pinned_digest(self, run):
+    def test_per_agent_walk_reproduces_pinned_digest(
+        self, run, monkeypatch, per_agent_stage_one
+    ):
+        """Stage 1 as the per-agent walk, an implementation of its own."""
         _skip_unless_same_numpy_release(
             {"numpy_release": SINGLE_REPLICATE_NUMPY_RELEASE}
         )
-        _, config = generate_golden.SINGLE_REPLICATE_RUNS[run]
-        record = generate_golden.network_single_replicate(config, use_numba=True)
-        assert generate_golden.record_digest(record) == SINGLE_REPLICATE_DIGESTS[run]
-
-    @pytest.mark.parametrize("run", NETWORK_SINGLE_REPLICATE_RUNS)
-    def test_fused_kernel_source_reproduces_pinned_digest(self, run, monkeypatch):
-        """The fused path with the kernel's un-jitted source, so no numba is needed."""
-        _skip_unless_same_numpy_release(
-            {"numpy_release": SINGLE_REPLICATE_NUMPY_RELEASE}
+        monkeypatch.setattr(
+            vectorized, "committed_neighbor_counts", per_agent_stage_one.neighbor_counts
         )
-        monkeypatch.setattr(vectorized, "HAS_NUMBA", True)
-        monkeypatch.setattr(kernels, "_gather_pick_jit", _gather_pick_loop)
+        monkeypatch.setattr(
+            vectorized, "_inverse_cdf_rows", per_agent_stage_one.inverse_cdf_rows
+        )
         _, config = generate_golden.SINGLE_REPLICATE_RUNS[run]
-        record = generate_golden.network_single_replicate(config, use_numba=True)
+        record = generate_golden.network_single_replicate(config)
         assert generate_golden.record_digest(record) == SINGLE_REPLICATE_DIGESTS[run]
 
 

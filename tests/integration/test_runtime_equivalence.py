@@ -70,9 +70,7 @@ def test_serial_two_worker_and_cached_sweeps_are_bit_identical(mode, tmp_path):
     replication = REPLICATIONS[mode]
     plain = sweep_metrics(replication)
     serial = sweep_metrics(replication, executor=SerialExecutor())
-    parallel = sweep_metrics(
-        replication, executor=ParallelExecutor(2, shards_per_worker=2)
-    )
+    parallel = sweep_metrics(replication, executor=ParallelExecutor(2))
     assert serial == plain
     assert parallel == plain
 

@@ -1,10 +1,9 @@
-"""Tests for the fused CSR kernel and the sampling/overflow guards.
+"""Tests for the stage-1 path of the batched network engine.
 
-Covers the three perf-sensitive correctness fixes of the batched network
-engine:
+Covers its draw and two perf-sensitive correctness fixes:
 
-* the fused gather+pick kernel is bit-identical to the NumPy two-pass path
-  (exercised through the un-jitted loop source, so no numba is needed);
+* the CSR gather + inverse-CDF pick agrees with a per-agent walk of each
+  neighbour list (the ``per_agent_stage_one`` fixture), pick for pick;
 * the inverse-CDF boundary clamp (``u == 1.0`` must never index out of the
   option range);
 * the int64 key-space guard on the flattened ``(replicate, agent, option)``
@@ -15,22 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from repro.environments import BernoulliEnvironment
-from repro.network.kernels import (
-    HAS_NUMBA,
-    _gather_pick_loop,
-    fused_neighbor_pick,
-)
 from repro.network.topology import SocialNetwork
 from repro.network.vectorized import (
-    BatchedNetworkDynamics,
     _check_key_space,
     _inverse_cdf_rows,
     committed_neighbor_counts,
-    resolve_use_numba,
 )
 
 
@@ -41,95 +33,79 @@ def network() -> SocialNetwork:
     )
 
 
-def _two_pass(network, choices, uniforms, num_options):
+def _partly_isolated() -> SocialNetwork:
+    graph = nx.path_graph(12)
+    graph.add_nodes_from(range(12, 20))  # eight agents with no neighbour
+    return SocialNetwork(graph, name="partly-isolated")
+
+
+NETWORKS = {
+    "watts_strogatz": lambda: SocialNetwork.watts_strogatz(
+        60, nearest_neighbors=4, rewiring_probability=0.2, rng=0
+    ),
+    "star": lambda: SocialNetwork.star(40),
+    "partly_isolated": _partly_isolated,
+}
+
+
+def _engine_stage_one(network, choices, uniforms, num_options):
     counts = committed_neighbor_counts(network, choices, num_options)
     return _inverse_cdf_rows(counts, uniforms)
 
 
-class TestFusedKernelEquivalence:
-    """The un-jitted kernel source must match the NumPy two-pass bit for bit."""
+class TestStageOneMatchesThePerAgentWalk:
+    """The engine's two passes must match the per-agent walk bit for bit."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_batched_picks_and_totals_match_two_pass(self, network, seed):
+    @pytest.mark.parametrize(
+        "topology, seed",
+        [
+            ("watts_strogatz", 0),
+            ("watts_strogatz", 1),
+            ("watts_strogatz", 2),
+            ("star", 3),
+            ("partly_isolated", 4),
+        ],
+    )
+    def test_batched_picks_and_totals_match_the_walk(
+        self, per_agent_stage_one, topology, seed
+    ):
+        network = NETWORKS[topology]()
         rng = np.random.default_rng(seed)
         num_options = 4
         # Include -1 (sitting out) entries so zero-total rows are exercised.
         choices = rng.integers(-1, num_options, size=(5, network.size))
         uniforms = rng.random((5, network.size))
-        fused_picks, fused_totals = fused_neighbor_pick(
-            network, choices, uniforms, num_options, impl=_gather_pick_loop
+        picks, totals = _engine_stage_one(network, choices, uniforms, num_options)
+        walk_picks, walk_totals = per_agent_stage_one.pick(
+            network, choices, uniforms, num_options
         )
-        picks, totals = _two_pass(network, choices, uniforms, num_options)
-        np.testing.assert_array_equal(fused_totals, totals)
-        np.testing.assert_array_equal(fused_picks, picks)
+        np.testing.assert_array_equal(totals, walk_totals)
+        np.testing.assert_array_equal(picks, walk_picks)
 
-    def test_single_replicate_row_matches_two_pass(self, network):
+    def test_single_replicate_row_matches_the_walk(
+        self, network, per_agent_stage_one
+    ):
         rng = np.random.default_rng(7)
         num_options = 3
         choices = rng.integers(-1, num_options, size=(1, network.size))
         uniforms = rng.random((1, network.size))
-        fused_picks, fused_totals = fused_neighbor_pick(
-            network, choices, uniforms, num_options, impl=_gather_pick_loop
+        picks, totals = _engine_stage_one(network, choices, uniforms, num_options)
+        assert picks.shape == (1, network.size)
+        walk_picks, walk_totals = per_agent_stage_one.pick(
+            network, choices, uniforms, num_options
         )
-        assert fused_picks.shape == (1, network.size)
-        picks, totals = _two_pass(network, choices, uniforms, num_options)
-        np.testing.assert_array_equal(fused_totals, totals)
-        np.testing.assert_array_equal(fused_picks, picks)
+        np.testing.assert_array_equal(totals, walk_totals)
+        np.testing.assert_array_equal(picks, walk_picks)
 
-    def test_all_sitting_out_reports_zero_totals_and_clamped_picks(self, network):
+    def test_all_sitting_out_reports_zero_totals_and_clamped_picks(
+        self, network, per_agent_stage_one
+    ):
         choices = np.full((2, network.size), -1)
         uniforms = np.zeros((2, network.size))
-        picks, totals = fused_neighbor_pick(
-            network, choices, uniforms, 3, impl=_gather_pick_loop
-        )
-        assert not totals.any()
-        assert (picks == 2).all()
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed")
-    def test_default_impl_requires_numba(self, network):
-        choices = np.zeros((1, network.size), dtype=np.int64)
-        uniforms = np.zeros((1, network.size))
-        with pytest.raises(RuntimeError, match="numba"):
-            fused_neighbor_pick(network, choices, uniforms, 2)
-
-
-class TestResolveUseNumba:
-    def test_none_auto_selects_on_availability(self):
-        assert resolve_use_numba(None) is HAS_NUMBA
-
-    def test_false_forces_the_numpy_path(self):
-        assert resolve_use_numba(False) is False
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed")
-    def test_true_without_numba_is_an_error(self):
-        with pytest.raises(RuntimeError, match="use_numba=True requires"):
-            resolve_use_numba(True)
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed")
-    def test_engines_surface_the_error_at_construction(self, network):
-        with pytest.raises(RuntimeError, match="numba"):
-            BatchedNetworkDynamics(network, 3, num_replicates=2, use_numba=True)
-
-    def test_engines_expose_the_resolved_knob(self, network):
-        batched = BatchedNetworkDynamics(
-            network, 3, num_replicates=2, use_numba=False
-        )
-        assert batched.use_numba is False
-
-    @pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-    def test_fused_engine_is_bit_identical_to_two_pass(self, network):
-        def run(use_numba):
-            environment = BernoulliEnvironment([0.8, 0.5, 0.5], rng=3)
-            dynamics = BatchedNetworkDynamics(
-                network, 3, num_replicates=1, rng=5, use_numba=use_numba
-            )
-            return dynamics.run(environment, 15)
-
-        fused = run(True)
-        two_pass = run(False)
-        np.testing.assert_array_equal(
-            fused.popularity_tensor(), two_pass.popularity_tensor()
-        )
+        for stage_one in (_engine_stage_one, per_agent_stage_one.pick):
+            picks, totals = stage_one(network, choices, uniforms, 3)
+            assert not totals.any()
+            assert (picks == 2).all()
 
 
 class TestInverseCdfBoundaryClamp:

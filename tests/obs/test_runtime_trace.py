@@ -33,6 +33,7 @@ from repro.runtime import (
     SerialExecutor,
 )
 from repro.runtime.driver import run_plan
+from repro.runtime.executors import SHARDS_PER_WORKER
 from repro.runtime.shard import ShardPlan, Task
 from repro.service.requests import execute_request, sweep_request
 
@@ -145,13 +146,12 @@ class TestRunPlanTracing:
             }
             return result.rows, spans
 
-        serial_rows, serial_spans = run(SerialExecutor(num_shards=8))
-        parallel_rows, parallel_spans = run(
-            ParallelExecutor(2, shards_per_worker=4)
-        )
+        shards = 2 * SHARDS_PER_WORKER
+        serial_rows, serial_spans = run(SerialExecutor(num_shards=shards))
+        parallel_rows, parallel_spans = run(ParallelExecutor(2))
         assert serial_rows == parallel_rows
         assert serial_spans == parallel_spans
-        assert sum(1 for name, *_ in serial_spans if name == "shard") == 8
+        assert sum(1 for name, *_ in serial_spans if name == "shard") == shards
 
     def test_traced_run_matches_untraced_rows(self):
         request = sweep()
@@ -337,7 +337,7 @@ class TestCampaignTracing:
             # each), so shard span ids, derived from shard contents, agree.
             result = run_campaign(
                 campaign,
-                backend=backend or SerialExecutor(num_shards=8),
+                backend=backend or SerialExecutor(num_shards=2 * SHARDS_PER_WORKER),
                 tracer=tracer,
             )
         finally:
@@ -363,7 +363,7 @@ class TestCampaignTracing:
         assert len(by_name["campaign"]) == 1
         assert len(by_name["campaign_node"]) == 3
         assert len(by_name["run_plan"]) == 1
-        assert len(by_name["shard"]) == 8
+        assert len(by_name["shard"]) == 2 * SHARDS_PER_WORKER
 
         root = by_name["campaign"][0]
         nodes = {r["attributes"]["node"]: r for r in by_name["campaign_node"]}

@@ -27,6 +27,7 @@ from repro.runtime import (
     ShardPlan,
     run_plan,
 )
+from repro.runtime.executors import SHARDS_PER_WORKER
 
 BASE = {"qualities": (0.8, 0.5, 0.35), "T": 6}
 # 6 populations x 4 betas: the grid shape of the daemon's sweep jobs.
@@ -103,6 +104,7 @@ class TestGridPlans:
     def test_the_broker_keeps_its_num_shards(self, serial_grid_rows):
         # Four shards per broker, as a ParallelExecutor cuts per worker.
         assert not hasattr(BrokerBackend, "concurrency")
+        plan = plan_for(dynamics_grid_replication)
         with BrokerBackend(timeout=15.0) as backend:
             sizes = record_shards(backend)
             thread = threading.Thread(
@@ -112,14 +114,10 @@ class TestGridPlans:
                 daemon=True,
             )
             thread.start()
-            rows = run_plan(
-                plan_for(dynamics_grid_replication),
-                dynamics_grid_replication,
-                executor=backend,
-            )
+            rows = run_plan(plan, dynamics_grid_replication, executor=backend)
         thread.join(timeout=10.0)
         assert not thread.is_alive()
-        assert sizes == [6, 6, 6, 6]
+        assert sizes == [len(plan) // SHARDS_PER_WORKER] * SHARDS_PER_WORKER
         assert rows == serial_grid_rows
 
 
@@ -129,8 +127,8 @@ class TestLoopPlans:
         executor = ParallelExecutor(2)
         sizes = record_shards(executor)
         rows = run_plan(plan, dynamics_point_replication, executor=executor)
-        assert executor.num_shards == 8
-        assert sizes == [6] * 8
+        assert executor.num_shards == 2 * SHARDS_PER_WORKER
+        assert sizes == [len(plan) // executor.num_shards] * executor.num_shards
         assert rows == run_plan(plan, dynamics_point_replication)
 
     def test_serial_store_runs_keep_their_flush_points(self):
@@ -146,4 +144,11 @@ class TestConcurrency:
     def test_executors_report_how_many_shards_they_run_at_once(self):
         assert SerialExecutor().concurrency == 1
         assert SerialExecutor(num_shards=5).concurrency == 1
-        assert ParallelExecutor(3, shards_per_worker=4).concurrency == 3
+        assert ParallelExecutor(3).concurrency == 3
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_a_broker_fleet_cuts_as_a_pool_of_as_many_workers(self, count):
+        # One constant splits a plan per worker and per broker.
+        with BrokerBackend(min_brokers=count) as backend:
+            shards = backend.num_shards
+        assert shards == ParallelExecutor(count).num_shards == count * SHARDS_PER_WORKER

@@ -28,6 +28,7 @@ from repro.runtime import (
     execute_task,
     run_plan,
 )
+from repro.runtime.executors import SHARDS_PER_WORKER
 from repro.service import execute_request, request_from_dict
 
 BASE = {"qualities": (0.8, 0.5), "T": 8}
@@ -69,7 +70,7 @@ class TestParallelExecutor:
         parallel = run_plan(
             plan,
             dynamics_point_replication,
-            executor=ParallelExecutor(2, shards_per_worker=2),
+            executor=ParallelExecutor(2),
         )
         assert parallel == serial
 
@@ -87,8 +88,6 @@ class TestParallelExecutor:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             ParallelExecutor(0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(2, shards_per_worker=0)
 
     def test_a_closed_executor_starts_no_new_pool(self):
         executor = ParallelExecutor(2)
@@ -97,8 +96,12 @@ class TestParallelExecutor:
             run_plan(small_plan(), dynamics_point_replication, executor=executor)
 
     def test_default_shard_count_scales_with_workers(self):
-        executor = ParallelExecutor(3, shards_per_worker=4)
-        assert executor.num_shards == 12
+        executor = ParallelExecutor(3)
+        assert executor.num_shards == 3 * SHARDS_PER_WORKER
+
+    def test_the_split_per_worker_is_not_an_argument(self):
+        with pytest.raises(TypeError, match="shards_per_worker"):
+            ParallelExecutor(2, shards_per_worker=4)
 
 
 class TestRunPlanWithStore:
@@ -123,8 +126,9 @@ class TestRunPlanWithStore:
         plan = small_plan()
         with ResultStore() as store:
             half = list(plan.tasks)[: len(plan) // 2]
-            for task in half:
-                store.put(task, execute_task(task, dynamics_point_replication))
+            store.put_many(
+                (task, execute_task(task, dynamics_point_replication)) for task in half
+            )
             full = run_plan(plan, dynamics_point_replication, store=store)
             assert store.hits == len(half)
             assert full == run_plan(plan, dynamics_point_replication)
@@ -170,7 +174,7 @@ class TestAbortDoesNotJoinRunningShards:
         return plan.shards(len(plan))
 
     def test_abandoning_the_generator_returns_promptly(self):
-        executor = ParallelExecutor(max_workers=1, shards_per_worker=1)
+        executor = ParallelExecutor(max_workers=1)
         shard_results = executor.run_shards(self._shards(), sleepy_replication)
         first = next(shard_results)  # fast shard done; slow shard now running
         assert len(first) == 1
@@ -183,7 +187,7 @@ class TestAbortDoesNotJoinRunningShards:
         )
 
     def test_interrupt_propagates_after_prompt_shutdown(self):
-        executor = ParallelExecutor(max_workers=1, shards_per_worker=1)
+        executor = ParallelExecutor(max_workers=1)
         shard_results = executor.run_shards(self._shards(), sleepy_replication)
         next(shard_results)
         start = time.monotonic()
@@ -239,7 +243,7 @@ class TestAbortPathCleansUp:
         monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_once)
         before = set(multiprocessing.active_children())
         gauge = _in_flight()
-        executor = ParallelExecutor(2, shards_per_worker=2)
+        executor = ParallelExecutor(2)
         with pytest.raises(RuntimeError, match="cannot schedule new futures"):
             list(executor.run_shards(self._shards(), failing_replication))
         assert len(calls) == 2
@@ -249,7 +253,7 @@ class TestAbortPathCleansUp:
     def test_worker_error_propagates_and_settles_the_gauge(self):
         before = set(multiprocessing.active_children())
         gauge = _in_flight()
-        executor = ParallelExecutor(2, shards_per_worker=2)
+        executor = ParallelExecutor(2)
         with pytest.raises(ValueError, match="replication failed for seed"):
             list(executor.run_shards(self._shards(fail_index=1), failing_replication))
         assert _in_flight() == gauge
@@ -367,7 +371,7 @@ class TestKilledWorker:
             "kill", GRID, replications=2, seed=0, base_parameters=BASE
         )
         doomed = ShardPlan.from_configs(configs, killing_replication)
-        executor = ParallelExecutor(2, shards_per_worker=1)
+        executor = ParallelExecutor(2)
         outcome = {}
 
         def run():

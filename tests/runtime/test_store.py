@@ -275,9 +275,9 @@ class TestResultStore:
         metrics = [{"regret": 0.5}, {"regret": 0.25}]
         with ResultStore() as store:
             key = store.key_for(task)
-            assert store.get(key) is None
-            store.put(task, metrics)
-            assert store.get(key) == metrics
+            assert store.get_many([key]) == {}
+            store.put_many([(task, metrics)])
+            assert store.get_many([key]) == {key: metrics}
             assert store.hits == 1
             assert store.misses == 1
             assert key in store
@@ -292,27 +292,28 @@ class TestResultStore:
     def test_put_overwrites(self):
         task = make_task()
         with ResultStore() as store:
-            store.put(task, [{"a": 1.0}, {"a": 1.0}])
-            store.put(task, [{"a": 2.0}, {"a": 2.0}])
+            store.put_many([(task, [{"a": 1.0}, {"a": 1.0}])])
+            (key,) = store.put_many([(task, [{"a": 2.0}, {"a": 2.0}])])
             assert len(store) == 1
-            assert store.get(store.key_for(task)) == [{"a": 2.0}, {"a": 2.0}]
+            assert store.get_many([key]) == {key: [{"a": 2.0}, {"a": 2.0}]}
 
     def test_persists_across_reopen(self, tmp_path):
         path = tmp_path / "nested" / "results.sqlite"
         task = make_task()
         metrics = [{"regret": 0.125}, {"regret": 0.5}]
         with ResultStore(path) as store:
-            store.put(task, metrics)
+            store.put_many([(task, metrics)])
         with ResultStore(path) as reopened:
-            assert reopened.get(reopened.key_for(task)) == metrics
+            key = reopened.key_for(task)
+            assert reopened.get_many([key]) == {key: metrics}
 
     def test_code_version_isolates_entries(self, tmp_path):
         path = tmp_path / "versioned.sqlite"
         task = make_task()
         with ResultStore(path, code_version="v1") as store:
-            store.put(task, [{"a": 1.0}, {"a": 1.0}])
+            store.put_many([(task, [{"a": 1.0}, {"a": 1.0}])])
         with ResultStore(path, code_version="v2") as upgraded:
-            assert upgraded.get(upgraded.key_for(task)) is None
+            assert upgraded.get_many([upgraded.key_for(task)]) == {}
 
     def test_put_many_single_transaction(self):
         first = make_task(seeds=[1])
@@ -333,7 +334,7 @@ class TestResultStore:
 
     def test_counters_carry_only_hits_and_misses(self):
         with ResultStore() as store:
-            store.get("0" * 64)
+            store.get_many(["0" * 64])
             assert store.counters().as_dict() == {"hits": 0, "misses": 1}
 
     def test_new_store_has_one_table_without_location_columns(self, tmp_path):
@@ -360,7 +361,7 @@ class TestResultStore:
     def test_put_records_the_task_provenance(self, tmp_path):
         task = make_task(seeds=[7, 8])
         with ResultStore(tmp_path / "provenance.sqlite", code_version="v9") as store:
-            key = store.put(task, [{"metric": 1.0}, {"metric": 2.0}])
+            (key,) = store.put_many([(task, [{"metric": 1.0}, {"metric": 2.0}])])
             row = store._connection.execute(
                 "SELECT function, name, parameters, seeds, code_version,"
                 " created_at FROM results WHERE key = ?",
@@ -378,11 +379,11 @@ class TestResultStore:
         "operation",
         [
             lambda store: store.get_many(["0" * 64]),
-            lambda store: store.put(make_task(), [{"metric": 1.0}]),
+            lambda store: store.put_many([(make_task(), [{"metric": 1.0}])]),
             lambda store: "0" * 64 in store,
             lambda store: len(store),
         ],
-        ids=["get_many", "put", "contains", "len"],
+        ids=["get_many", "put_many", "contains", "len"],
     )
     def test_closed_store_rejects_every_operation(self, operation):
         store = ResultStore()
@@ -423,8 +424,8 @@ class TestThreadSafety:
                         seeds=[worker, index],
                     )
                     metrics = [{"metric": float(worker * 1000 + index)}] * 2
-                    store.put(task, metrics)
-                    assert store.get(store.key_for(task)) == metrics
+                    (key,) = store.put_many([(task, metrics)])
+                    assert store.get_many([key]) == {key: metrics}
                     len(store)  # exercises the read path under contention
             except Exception as error:  # pragma: no cover - failure reporting
                 errors.append(error)
@@ -460,8 +461,9 @@ class TestThreadSafety:
         # seeing the other's committed rows, each with its own counters.
         path = tmp_path / "shared.sqlite"
         with ResultStore(path) as writer, ResultStore(path) as reader:
-            key = writer.put(make_task(), [{"metric": 0.5}, {"metric": 0.25}])
-            assert reader.get(key) == [{"metric": 0.5}, {"metric": 0.25}]
+            metrics = [{"metric": 0.5}, {"metric": 0.25}]
+            (key,) = writer.put_many([(make_task(), metrics)])
+            assert reader.get_many([key]) == {key: metrics}
             assert len(reader) == 1
             assert reader.counters() == (1, 0)
             assert writer.counters() == (0, 0)
@@ -470,12 +472,12 @@ class TestThreadSafety:
         # The daemon shape: replay requests read a warm key set with
         # get_many while another job flushes shards with put_many.
         store = ResultStore(tmp_path / "replay.sqlite")
-        warm = {
-            store.put(make_task(seeds=[seed]), [{"value": AWKWARD[seed % 5]}]): (
-                AWKWARD[seed % 5]
-            )
-            for seed in range(40)
-        }
+        values = [AWKWARD[seed % 5] for seed in range(40)]
+        keys = store.put_many(
+            (make_task(seeds=[seed]), [{"value": value}])
+            for seed, value in enumerate(values)
+        )
+        warm = dict(zip(keys, values))
         batches = [
             [
                 (make_task(seeds=[1000 + batch, index]), [{"value": float(index)}])
@@ -527,7 +529,7 @@ class TestThreadSafety:
         # wait for the other job's lookup.  A progress handler holds a
         # get_many query open until released.
         with ResultStore() as store:
-            key = store.put(make_task(), [{"metric": 0.5}])
+            (key,) = store.put_many([(make_task(), [{"metric": 0.5}])])
             in_query, release = threading.Event(), threading.Event()
 
             def hold():
@@ -561,7 +563,7 @@ class TestThreadSafety:
         # Each lookup counts one hit and one miss, so every atomic snapshot
         # reads hits == misses; a torn snapshot or a lost update breaks it.
         with ResultStore() as store:
-            keys = [store.put(make_task(), [{"metric": 0.5}]), "absent"]
+            keys = store.put_many([(make_task(), [{"metric": 0.5}])]) + ["absent"]
             lookers, rounds = 8, 200
             torn = []
             done = threading.Event()
@@ -601,7 +603,7 @@ class TestThreadSafety:
         store.close()  # second close must not raise
         assert store.closed
         with pytest.raises(RuntimeError, match="closed"):
-            store.get("anything")
+            store.get_many(["anything"])
 
     def test_insert_names_its_columns(self, tmp_path):
         # A new column appended to the schema must not shift the insert's
@@ -613,8 +615,9 @@ class TestThreadSafety:
                 "ALTER TABLE results ADD COLUMN annotation TEXT"
             )
             task = make_task()
-            key = store.put(task, [{"metric": 1.0}, {"metric": 2.0}])
-            assert store.get(key) == [{"metric": 1.0}, {"metric": 2.0}]
+            metrics = [{"metric": 1.0}, {"metric": 2.0}]
+            (key,) = store.put_many([(task, metrics)])
+            assert store.get_many([key]) == {key: metrics}
 
 
 # Awkward floats: accumulated rounding, thirds, pi, a denormal, negative
@@ -633,9 +636,9 @@ class TestRoundTrip:
         path = tmp_path / "bits.sqlite"
         metrics = [{"value": value} for value in AWKWARD]
         with ResultStore(path) as store:
-            key = store.put(make_task(), metrics)
+            (key,) = store.put_many([(make_task(), metrics)])
         with ResultStore(path) as reopened:
-            got = reopened.get(key)
+            got = reopened.get_many([key])[key]
         # == would also pass for -0.0 vs 0.0; require the same bits.
         assert float_bits(got) == float_bits(metrics)
 
@@ -643,19 +646,19 @@ class TestRoundTrip:
         path = tmp_path / "types.sqlite"
         metrics = [{"count": 3, "label": "ok", "flag": True, "missing": None}]
         with ResultStore(path) as store:
-            key = store.put(make_task(), metrics)
+            (key,) = store.put_many([(make_task(), metrics)])
         with ResultStore(path) as reopened:
-            got = reopened.get(key)
+            got = reopened.get_many([key])[key]
         assert got == metrics
         assert type(got[0]["count"]) is int
         assert type(got[0]["flag"]) is bool
 
     def test_get_many_counts_like_repeated_gets(self):
         with ResultStore() as store:
-            present = [
-                store.put(make_task(seeds=[seed]), [{"metric": float(seed)}])
+            present = store.put_many(
+                (make_task(seeds=[seed]), [{"metric": float(seed)}])
                 for seed in range(3)
-            ]
+            )
             absent = "0" * 64
             found = store.get_many(present + [absent, present[0], absent])
             assert set(found) == set(present)
@@ -766,13 +769,14 @@ class TestEarlierStores:
             path, self.ORIGINAL_COLUMNS, [(task, json.dumps(metrics), None, None)]
         )
         with ResultStore(path) as store:
-            got = store.get(store.key_for(task))
+            key = store.key_for(task)
+            got = store.get_many([key])[key]
             assert float_bits(got) == float_bits(metrics)
             assert store.counters().hits == 1
-            other = store.put(self.plan().tasks[1], [{"metric": 1.0}])
+            (other,) = store.put_many([(self.plan().tasks[1], [{"metric": 1.0}])])
         with ResultStore(path) as reopened:
             assert len(reopened) == 2
-            assert reopened.get(other) == [{"metric": 1.0}]
+            assert reopened.get_many([other]) == {other: [{"metric": 1.0}]}
 
     def test_segment_layout_recomputes_segment_rows_once(self, tmp_path):
         path = tmp_path / "segmented.sqlite"
@@ -798,9 +802,9 @@ class TestEarlierStores:
 
         with ResultStore(path) as store:
             inline_key, segment_key = (store.key_for(task) for task in plan.tasks)
-            got = store.get(inline_key)
+            got = store.get_many([inline_key])[inline_key]
             assert float_bits(got) == float_bits(inline_metrics)
-            assert store.get(segment_key) is None
+            assert store.get_many([segment_key]) == {}
             assert segment_key not in store
             assert len(store) == 1
             assert store.counters() == (1, 1)
